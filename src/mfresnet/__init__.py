@@ -31,7 +31,7 @@ from .params import (
     Dims,
     InitialLaw,
     ModelParams,
-    TrainingSample,
+    SampleBatch,
     TypeVector,
     control_h1_norms,
     eval_drift,
@@ -43,7 +43,6 @@ from .sde import (
     AugmentedEnsemble,
     ParticleEnsemble,
     simulate_augmented,
-    simulate_limit_sde,
     simulate_particles,
 )
 from .trainer import (

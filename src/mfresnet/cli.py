@@ -36,10 +36,11 @@ from .params import (
     InitialLaw,
     ModelParams,
     TypeVector,
+    check_law,
     validate_params,
 )
 from .rng import make_generator, split_seed
-from .sde import dump_trajectories, simulate_limit_sde, simulate_particles
+from .sde import dump_trajectories, simulate_particles
 from .trainer import TrainConfig, forward_sensitivity, jn_pathwise, train
 
 
@@ -97,8 +98,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        model = ModelParams.from_dict(d.pop("model")) if "model" in d else default_model()
-        law = InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law()
+        model = validate_params(ModelParams.from_dict(d.pop("model")) if "model" in d else default_model())
+        law = check_law(model, InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law())
         tr = TrainConfig(**d.pop("train")) if "train" in d else TrainConfig()
         fp = FixedPointConfig(**d.pop("fixed_point")) if "fixed_point" in d else FixedPointConfig()
         if "n_list" in d:
@@ -107,7 +108,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        return cls(model=validate_params(model), initial_law=law, train=tr, fixed_point=fp, **d)
+        return cls(model=model, initial_law=law, train=tr, fixed_point=fp, **d)
 
     @classmethod
     def from_json(cls, path):
@@ -185,9 +186,9 @@ def spearman_negative_p(values):
 
 def run_simulate(cfg: ExperimentConfig):
     p = cfg.model
-    samples, types = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "simulate-draw"))
+    samples, tv = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "simulate-draw"))
     theta = _reference_theta(p, cfg.n_steps)
-    ens = simulate_particles(p, theta, samples, types, cfg.n_steps, split_seed(cfg.seed, "simulate"))
+    ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, split_seed(cfg.seed, "simulate"))
     bd = evaluate_JN(ens, theta, p)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
@@ -202,8 +203,8 @@ def run_simulate(cfg: ExperimentConfig):
 
 def run_train(cfg: ExperimentConfig):
     p = cfg.model
-    samples, types = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "train-draw"))
-    result = train(p, samples, types, cfg.train, split_seed(cfg.seed, "train"))
+    samples, tv = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "train-draw"))
+    result = train(p, samples, tv, cfg.train, split_seed(cfg.seed, "train"))
     hist_rows = [
         (i, bd.total, bd.terminal, bd.running_state, bd.control_l2, bd.control_h1)
         for i, bd in enumerate(result.history)
@@ -283,24 +284,24 @@ def _random_gradcheck_case(case_idx, root_seed):
         z_low=np.full(q, -0.5), z_high=np.full(q, 0.5), type_vector=tv,
     )
     case_seed = split_seed(root_seed, f"gradcheck-sim-{case_idx}")
-    samples, types = law.sample(n_samples, case_seed)
+    samples, tv = law.sample(n_samples, case_seed)
     t = np.linspace(0.0, p.T, n_intervals + 1)
     theta = ControlGrid(t, gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2)), k_theta=p.k_theta)
     direction = ControlGrid(t, gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2)), k_theta=p.k_theta)
-    return p, samples, types, theta, direction, n_intervals, case_seed
+    return p, samples, tv, theta, direction, n_intervals, case_seed
 
 
 def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     """Relative error between the forward sensitivity and a common-random-
     number central finite difference for one randomized configuration."""
-    p, samples, types, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
-    ens = simulate_particles(p, theta, samples, types, n_steps, case_seed)
+    p, samples, tv, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
+    ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed)
     analytic = forward_sensitivity(ens, theta, direction, p)
     h = fd_epsilon
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
-    j_up = jn_pathwise(p, up, samples, types, n_steps, case_seed).total
-    j_dn = jn_pathwise(p, dn, samples, types, n_steps, case_seed).total
+    j_up = jn_pathwise(p, up, samples, tv, n_steps, case_seed).total
+    j_dn = jn_pathwise(p, dn, samples, tv, n_steps, case_seed).total
     fd = (j_up - j_dn) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(fd), 1e-12)
     return rel, analytic, fd, case_seed
@@ -330,11 +331,11 @@ def _gamma_unit(cfg, theta_star, n, draw):
     p = cfg.model
     law = cfg.initial_law
     draw_seed = split_seed(cfg.seed, f"gamma-{n}-{draw}")
-    samples, types = law.sample(n, split_seed(draw_seed, "data"))
-    result = train(p, samples, types, cfg.train, split_seed(draw_seed, "train"))
+    samples, tv = law.sample(n, split_seed(draw_seed, "data"))
+    result = train(p, samples, tv, cfg.train, split_seed(draw_seed, "train"))
     min_jn = result.final_value
     sup_diff = float(np.max(np.abs(result.theta_star.values - theta_star.values)))
-    ens = simulate_particles(p, result.theta_star, samples, types,
+    ens = simulate_particles(p, result.theta_star, samples, tv,
                              cfg.train.n_intervals, split_seed(draw_seed, "terminal"))
     return min_jn, sup_diff, ens.X[:, -1, 0]
 
@@ -351,8 +352,8 @@ def run_gamma(cfg: ExperimentConfig):
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths,
                             cfg.train.n_intervals, split_seed(cfg.seed, "jd"))
-    ref_draws = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "ref-cloud"))
-    ref_ens = simulate_limit_sde(p, theta_star, ref_draws, cfg.train.n_intervals,
+    ref_samples, ref_tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "ref-cloud"))
+    ref_ens = simulate_particles(p, theta_star, ref_samples, ref_tv, cfg.train.n_intervals,
                                  split_seed(cfg.seed, "ref-cloud-sim"))
     ref_cloud = ref_ens.X[:, -1, 0]
 
@@ -397,8 +398,8 @@ def _residual_test_function(cfg):
 def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
     p = cfg.model
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
-    samples, types = law.sample(n, split_seed(run_seed, "data"))
-    ens = simulate_particles(p, theta, samples, types, cfg.n_steps, run_seed)
+    samples, tv = law.sample(n, split_seed(run_seed, "data"))
+    ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
     sup_res, _ = fpk_residual(empirical_path(ens), theta, phi, p)
     return sup_res, ens.X[:, -1, 0]
 
@@ -412,8 +413,8 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     theta = _reference_theta(p, cfg.n_steps)
     law = cfg.initial_law
     quiet_law = _nonoise_law(law)
-    ref_draws = law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "diag-ref"))
-    ref_ens = simulate_limit_sde(p, theta, ref_draws, cfg.n_steps, split_seed(cfg.seed, "diag-ref-sim"))
+    ref_samples, ref_tv = law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "diag-ref"))
+    ref_ens = simulate_particles(p, theta, ref_samples, ref_tv, cfg.n_steps, split_seed(cfg.seed, "diag-ref-sim"))
     ref_cloud = ref_ens.X[:, -1, 0]
 
     units = [(label, n, s)

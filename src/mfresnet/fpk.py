@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import ScalarConfigRequired, GridMismatch, NoConvergence, NonPositiveWeight, SingularSystem
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box
 from .rng import split_seed
-from .sde import simulate_augmented
+from .sde import augmented_noise, simulate_augmented
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,23 @@ class FixedPointConfig:
 
 
 def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
-               n_paths: int, n_steps: int, seed) -> GridFunction:
+               n_paths: int, n_steps: int, seed, *, draws=None, noise=None) -> GridFunction:
     """Monte Carlo estimate of the first-order-condition right-hand side.
 
     Per path and node t: -(beta) * exp(-X1(t)) (X2(T) - X2(t)) grad_theta f
     - (alpha) * exp(X1(t) - X1(T)) (X3(T) - Y) grad_theta f, averaged over
     paths, with per-node standard errors.  The alpha/beta scaling matches
     the sampled objective so the trainer and this solver target the same
-    minimum (the bare characterization corresponds to alpha = 1).
+    minimum (the bare characterization corresponds to alpha = 1).  `draws`
+    and `noise` default to law.sample and augmented_noise under seed.
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("G is defined for the scalar two-weight configuration")
     if n_steps != theta.t_grid.size - 1:
         raise GridMismatch("G must be estimated on the control grid")
-    aug = simulate_augmented(p, theta, law.sample(n_paths, seed), n_steps, seed)
+    if draws is None:
+        draws = law.sample(n_paths, seed)
+    aug = simulate_augmented(p, theta, draws, n_steps, seed, noise=noise)
     act = p.activation
     theta_nodes = theta.value_at(aug.t_grid)   # (S+1, 2)
     x3 = aug.X3
@@ -125,7 +128,8 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
                       theta0: ControlGrid | None = None):
     """Damped fixed-point iteration theta <- (1-eta) theta + eta P[BVP(G(theta))].
 
-    With the fixed seed policy the map is deterministic.  On convergence the
+    With the fixed seed policy the map is deterministic and its law sample
+    and noise are drawn once for all iterations.  On convergence the
     returned path is the full (undamped) image of the last iterate, so it
     satisfies the discrete characterization up to the change tolerance and
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
@@ -135,10 +139,13 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
         theta0 = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
     theta = project_to_box(theta0)
     n_steps = theta.t_grid.size - 1
+    fixed = cfg.seed_policy == "fixed"
+    draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
+    noise = augmented_noise(p, cfg.mc_paths, n_steps, cfg.seed) if fixed else None
     trace = []
     for it in range(cfg.outer_iters):
-        seed_it = cfg.seed if cfg.seed_policy == "fixed" else split_seed(cfg.seed, f"outer{it}")
-        G = estimate_G(theta, p, law, cfg.mc_paths, n_steps, seed_it)
+        seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")
+        G = estimate_G(theta, p, law, cfg.mc_paths, n_steps, seed_it, draws=draws, noise=noise)
         cand = project_to_box(solve_neumann_bvp(G, p.lambda1, p.lambda2, k_theta=p.k_theta))
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EnsembleParamMismatch
 from .params import ControlGrid, InitialLaw, ModelParams, control_h1_norms
-from .sde import ParticleEnsemble, simulate_limit_sde
+from .sde import ParticleEnsemble, simulate_particles
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, n_
     deterministic control costs are added outside the average and do not
     contribute to the standard error.
     """
-    draws = law.sample(n_paths, seed)
-    ens = simulate_limit_sde(p, theta, draws, n_steps, seed)
+    samples, type_vector = law.sample(n_paths, seed)
+    ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed)
     err = ens.X - ens.y0[:, None, :]
     sq = np.sum(err * err, axis=2)                       # (M, S+1)
     per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, ens.t_grid, axis=1)

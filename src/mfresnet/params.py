@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import (
     BoundViolation,
+    ConfigInvalid,
     DimensionMismatch,
     GridMismatch,
     GridTooSmall,
     NonPositiveWeight,
 )
+from .rng import make_generator
 
 _ACTIVATION_KINDS = ("tanh", "sigmoid", "gaussian", "zero", "constant", "affine")
 _RHO_KINDS = ("tanh_mean", "mean", "zero")
@@ -88,17 +90,15 @@ class TypeVector:
 
 
 @dataclass(frozen=True)
-class TrainingSample:
-    """One (input, label, exogenous-input) triple with compact support."""
+class SampleBatch:
+    """N (input, label, exogenous-input) triples, one row per sample."""
 
-    x0: np.ndarray  # (d,)
-    y0: np.ndarray  # (d,)
-    z0: np.ndarray  # (q,)
+    x0: np.ndarray  # (N, d)
+    y0: np.ndarray  # (N, d)
+    z0: np.ndarray  # (N, q)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float).reshape(-1))
+    def __len__(self):
+        return self.x0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,6 @@ class ModelParams:
         """phi rowwise: gamma (N,l), z (N,q) -> (N,q)."""
         if self.phi == "zero" or z.shape[1] == 0:
             return np.zeros_like(z)
-        if gamma.shape[1] == 1:
-            return -gamma * z
         return -gamma * z
 
     def is_scalar_two_weight(self):
@@ -398,18 +396,10 @@ def validate_params(p: ModelParams) -> ModelParams:
     return p
 
 
-def check_sample(p: ModelParams, s: TrainingSample) -> TrainingSample:
-    if s.x0.shape != (p.dims.d,) or s.y0.shape != (p.dims.d,) or s.z0.shape != (p.dims.q,):
-        raise DimensionMismatch("sample shapes do not match dims")
-    if np.max(np.abs(np.concatenate([s.x0, s.y0, s.z0]))) > p.K:
-        raise BoundViolation(f"sample outside the support box [-{p.K}, {p.K}]")
-    return s
-
-
 def check_type(p: ModelParams, t: TypeVector) -> TypeVector:
     if t.epsilon.shape != (p.dims.d, p.dims.p):
         raise DimensionMismatch("epsilon must be (d, p)")
-    if t.sigma.shape != (p.dims.q, p.dims.p):
+    if t.sigma.shape != (p.dims.q, p.dims.p) and not (p.dims.q == 0 and t.sigma.size == 0):
         raise DimensionMismatch("sigma must be (q, p)")
     if t.gamma.shape != (p.dims.l,):
         raise DimensionMismatch("gamma must be (l,)")
@@ -456,7 +446,7 @@ class InitialLaw:
         for name in ("x_low", "x_high", "y_low", "y_high", "z_low", "z_high"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         if self.kind not in ("uniform", "dirac"):
-            raise ConfigError(f"unknown initial law kind {self.kind!r}")
+            raise ConfigInvalid(f"unknown initial law kind {self.kind!r}")
 
     @classmethod
     def uniform(cls, x_low, x_high, y_low, y_high, type_vector, z_low=(), z_high=()):
@@ -469,9 +459,7 @@ class InitialLaw:
         return cls("dirac", x0, x0, y0, y0, z0, z0, type_vector)
 
     def sample(self, n, seed):
-        """Draw n samples deterministically from seed; returns (samples, types)."""
-        from .rng import make_generator
-
+        """Draw n samples deterministically from seed; returns (SampleBatch, type vector)."""
         gen = make_generator(seed, "initial-law")
         d = self.x_low.size
         q = self.z_low.size
@@ -483,9 +471,7 @@ class InitialLaw:
             x = gen.uniform(self.x_low, self.x_high, size=(n, d))
             y = gen.uniform(self.y_low, self.y_high, size=(n, d))
             z = gen.uniform(self.z_low, self.z_high, size=(n, q)) if q else np.zeros((n, 0))
-        samples = [TrainingSample(x[i], y[i], z[i]) for i in range(n)]
-        types = [self.type_vector] * n
-        return samples, types
+        return SampleBatch(x, y, z), self.type_vector
 
     def to_dict(self):
         return {
@@ -503,5 +489,15 @@ class InitialLaw:
         return cls(**d)
 
 
-class ConfigError(DimensionMismatch):
-    pass
+def check_law(p: ModelParams, law: InitialLaw) -> InitialLaw:
+    """Check the law's bounds against the dims and the support box, and its type vector."""
+    for block, size in (("x", p.dims.d), ("y", p.dims.d), ("z", p.dims.q)):
+        low, high = getattr(law, f"{block}_low"), getattr(law, f"{block}_high")
+        if low.shape != (size,) or high.shape != (size,):
+            raise DimensionMismatch(f"initial law {block} bounds must have length {size}")
+        if not np.all(low <= high):
+            raise ConfigInvalid(f"initial law needs {block}_low <= {block}_high")
+        if np.any(np.abs(high) > p.K) or np.any(np.abs(low) > p.K):
+            raise BoundViolation(f"initial law {block} bounds outside the support box [-{p.K}, {p.K}]")
+    check_type(p, law.type_vector)
+    return law

@@ -55,8 +55,17 @@ def brownian_increments(root_seed, particle_id, step_index, dt, dim) -> np.ndarr
 
 
 def noise_table(root_seed, particle_ids, n_steps, dt, dim) -> np.ndarray:
-    """Stacked increments for many particles: (N, n_steps, dim)."""
+    """Stacked increments for many particles: (N, n_steps, dim); row i is
+    particle_noise(root_seed, particle_ids[i], ...) exactly, drawn by one
+    call-local Philox reset to key (root_seed, id) and counter 0 per row."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     out = np.empty((len(particle_ids), n_steps, dim))
+    gen = make_generator(root_seed)
+    fresh = gen.bit_generator.state  # counter 0, empty buffer
     for row, pid in enumerate(particle_ids):
-        out[row] = particle_noise(root_seed, pid, n_steps, dt, dim)
+        fresh["state"]["key"][1] = _label_to_int(pid)
+        gen.bit_generator.state = fresh
+        gen.standard_normal(out=out[row])
+    out *= math.sqrt(dt)
     return out

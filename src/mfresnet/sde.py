@@ -1,6 +1,6 @@
-"""Euler-Maruyama simulation of the interacting particle system, the
-decoupled limiting SDE, and the augmented system used by the limiting
-first-order condition.
+"""Euler-Maruyama simulation of the interacting particle system (which,
+driven by draws from the initial law, is also the limiting SDE) and of the
+augmented system used by the limiting first-order condition.
 
 One Brownian path drives both the state and the exogenous input of a
 particle (the two equations share the increment), and every particle's
@@ -15,22 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScalarConfigRequired, GridMismatch
-from .params import ControlGrid, ModelParams, TrainingSample, TypeVector
+from .params import ControlGrid, ModelParams, SampleBatch, TypeVector
 from .rng import noise_table
-
-
-def stack_samples(samples):
-    x0 = np.stack([s.x0 for s in samples])
-    y0 = np.stack([s.y0 for s in samples])
-    z0 = np.stack([s.z0 for s in samples])
-    return x0, y0, z0
-
-
-def stack_types(types):
-    eps = np.stack([t.epsilon for t in types])
-    gamma = np.stack([t.gamma for t in types])
-    sigma = np.stack([t.sigma for t in types])
-    return eps, gamma, sigma
 
 
 @dataclass(frozen=True)
@@ -41,9 +27,9 @@ class ParticleEnsemble:
     X: np.ndarray             # (N, S+1, d)
     Z: np.ndarray             # (N, S+1, q)
     y0: np.ndarray            # (N, d) labels
-    eps: np.ndarray           # (N, d, p)
-    gamma: np.ndarray         # (N, l)
-    sigma: np.ndarray         # (N, q, p)
+    eps: np.ndarray           # (N, d, p), read-only broadcast of the shared type vector
+    gamma: np.ndarray         # (N, l), likewise
+    sigma: np.ndarray         # (N, q, p), likewise
     seed: int
     particle_ids: np.ndarray  # (N,)
 
@@ -82,8 +68,8 @@ def _check_grids(p: ModelParams, theta: ControlGrid, n_steps: int):
 def simulate_particles(
     p: ModelParams,
     theta: ControlGrid,
-    samples,
-    types,
+    samples: SampleBatch,
+    type_vector: TypeVector,
     n_steps: int,
     seed: int,
     particle_ids=None,
@@ -93,12 +79,15 @@ def simulate_particles(
 
     The state step uses the drift evaluated at (t_k, theta(t_k), Z_k, X_k,
     mean_j rho(X_k^j)); the exogenous input uses the decay drift; both use
-    the same Brownian increment of the particle.
+    the same Brownian increment of the particle.  All particles share
+    `type_vector`, so the ensemble's eps, gamma and sigma are broadcast views.
+    Driven by M draws from the initial law this is the limiting SDE, its batch
+    statistic approximated by the empirical mean over the M paths.
     """
     _check_grids(p, theta, n_steps)
-    x0, y0, z0 = stack_samples(samples)
-    eps, gamma, sigma = stack_types(types)
-    n = x0.shape[0]
+    n = len(samples)
+    eps, gamma, sigma = (np.broadcast_to(a, (n,) + a.shape) for a in
+                         (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
     if particle_ids is None:
         particle_ids = np.arange(n)
     particle_ids = np.asarray(particle_ids)
@@ -110,8 +99,8 @@ def simulate_particles(
 
     X = np.empty((n, n_steps + 1, p.dims.d))
     Z = np.empty((n, n_steps + 1, p.dims.q))
-    X[:, 0] = x0
-    Z[:, 0] = z0
+    X[:, 0] = samples.x0
+    Z[:, 0] = samples.z0
     act = p.activation
     for k in range(n_steps):
         xk = X[:, k]
@@ -125,49 +114,45 @@ def simulate_particles(
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Z)):
         raise GridMismatch("trajectories diverged; reduce the step size")
     return ParticleEnsemble(
-        t_grid=t_grid, X=X, Z=Z, y0=y0, eps=eps, gamma=gamma, sigma=sigma,
+        t_grid=t_grid, X=X, Z=Z, y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma,
         seed=int(seed), particle_ids=particle_ids,
     )
 
 
-def simulate_limit_sde(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed) -> ParticleEnsemble:
-    """M independent paths of the limiting SDE.
-
-    The law-dependent batch statistic is approximated by the simultaneous
-    empirical mean over the M paths, so this is the same interacting system
-    as simulate_particles driven by draws from the initial law; with no
-    batch coupling the paths fully decouple.
-    """
-    samples, types = init_draws
-    return simulate_particles(p, theta, samples, types, n_steps, seed)
+def augmented_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
+    """The noise table simulate_augmented draws for n_paths paths under seed."""
+    t_grid = np.linspace(0.0, p.T, n_steps + 1)
+    return noise_table(seed, np.arange(n_paths), n_steps, t_grid[1] - t_grid[0], p.dims.p)
 
 
-def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed) -> AugmentedEnsemble:
+def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,
+                       noise=None) -> AugmentedEnsemble:
     """Euler scheme for the augmented triple behind the limiting gradient.
 
     X1 integrates the state-derivative of the drift along the path, X2
     accumulates exp(X1) * (state - label), X3 is the scalar state itself.
     X2's weight uses +X1 in the exponent so that exp(X1(s) - X1(t)) can be
     reassembled later; the difference form keeps the exponentials bounded at
-    the horizons used here.
+    the horizons used here.  `init_draws` is what InitialLaw.sample returns;
+    `noise` defaults to augmented_noise(p, M, n_steps, seed).
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("augmented system requires the scalar two-weight configuration")
     _check_grids(p, theta, n_steps)
-    samples, types = init_draws
-    x0, y0, _ = stack_samples(samples)
-    eps, _, _ = stack_types(types)
-    m = x0.shape[0]
+    samples, type_vector = init_draws
+    m = len(samples)
     t_grid = np.linspace(0.0, p.T, n_steps + 1)
     dt = t_grid[1] - t_grid[0]
-    noise = noise_table(seed, np.arange(m), n_steps, dt, p.dims.p)
+    if noise is None:
+        noise = augmented_noise(p, m, n_steps, seed)
+    eps = np.broadcast_to(type_vector.epsilon[0], (m, p.dims.p))
     theta_nodes = theta.value_at(t_grid)
 
     X1 = np.zeros((m, n_steps + 1))
     X2 = np.zeros((m, n_steps + 1))
     X3 = np.empty((m, n_steps + 1))
-    X3[:, 0] = x0[:, 0]
-    y = y0[:, 0]
+    X3[:, 0] = samples.x0[:, 0]
+    y = samples.y0[:, 0]
     act = p.activation
     none_z = np.zeros((m, 0))
     for k in range(n_steps):
@@ -175,7 +160,7 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
         f, dfdx, _, _, _ = act.drift_partials(t_grid[k], theta_nodes[k], none_z, x, 0.0)
         X1[:, k + 1] = X1[:, k] + dfdx[:, 0] * dt
         X2[:, k + 1] = X2[:, k] + np.exp(X1[:, k]) * (X3[:, k] - y) * dt
-        X3[:, k + 1] = X3[:, k] + f[:, 0] * dt + np.einsum("np,np->n", eps[:, 0, :], noise[:, k])
+        X3[:, k + 1] = X3[:, k] + f[:, 0] * dt + np.einsum("np,np->n", eps, noise[:, k])
     if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2)) and np.all(np.isfinite(X3))):
         raise GridMismatch("augmented trajectories diverged; reduce the step size")
     return AugmentedEnsemble(t_grid=t_grid, X1=X1, X2=X2, X3=X3, Y0=y, seed=int(seed))

@@ -16,7 +16,7 @@ from .errors import GridMismatch, NoDescentProgress, NonPositiveWeight
 from .objective import CostBreakdown, evaluate_JN
 from .params import ControlGrid, ModelParams, project_to_box
 from .rng import noise_table, split_seed
-from .sde import ParticleEnsemble, simulate_particles, stack_samples
+from .sde import ParticleEnsemble, simulate_particles
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,9 @@ def _trapezoid_weights(t_grid):
     return w
 
 
-def jn_pathwise(p, theta, samples, types, n_steps, seed, particle_ids=None, noise=None):
+def jn_pathwise(p, theta, samples, type_vector, n_steps, seed, particle_ids=None, noise=None):
     """Single-realization sampled objective (simulate + evaluate)."""
-    ens = simulate_particles(p, theta, samples, types, n_steps, seed,
+    ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
                              particle_ids=particle_ids, noise=noise)
     return evaluate_JN(ens, theta, p)
 
@@ -147,7 +147,7 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelPa
     return grad
 
 
-def value_and_gradient(p, theta, samples, types, n_steps, seed, replications=1,
+def value_and_gradient(p, theta, samples, type_vector, n_steps, seed, replications=1,
                        particle_ids=None, noises=None):
     """Objective and gradient averaged over noise replications (common random
     numbers: the same noise tables are reused for every theta)."""
@@ -156,11 +156,11 @@ def value_and_gradient(p, theta, samples, types, n_steps, seed, replications=1,
     if particle_ids is None:
         particle_ids = np.arange(len(samples))
     if noises is None:
-        noises = replication_noise(p, samples, n_steps, seed, replications, particle_ids)
+        noises = replication_noise(p, n_steps, seed, replications, particle_ids)
     parts = np.zeros(4)
     grad = np.zeros_like(theta.values)
     for noise in noises:
-        ens = simulate_particles(p, theta, samples, types, n_steps, seed,
+        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
                                  particle_ids=particle_ids, noise=noise)
         bd = evaluate_JN(ens, theta, p)
         parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
@@ -171,7 +171,7 @@ def value_and_gradient(p, theta, samples, types, n_steps, seed, replications=1,
     return CostBreakdown.from_parts(*parts), grad
 
 
-def replication_noise(p, samples, n_steps, seed, replications, particle_ids):
+def replication_noise(p, n_steps, seed, replications, particle_ids):
     dt = p.T / n_steps
     return [
         noise_table(split_seed(seed, f"rep{r}"), particle_ids, n_steps, dt, p.dims.p)
@@ -179,10 +179,10 @@ def replication_noise(p, samples, n_steps, seed, replications, particle_ids):
     ]
 
 
-def gradient_JN(p, theta, samples, types, n_steps, seed, replications=1, particle_ids=None):
+def gradient_JN(p, theta, samples, type_vector, n_steps, seed, replications=1, particle_ids=None):
     """Gradient w.r.t. the grid values such that its plain inner product with
     any direction's grid values equals the averaged forward sensitivity."""
-    _, grad = value_and_gradient(p, theta, samples, types, n_steps, seed,
+    _, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
                                  replications=replications, particle_ids=particle_ids)
     return grad
 
@@ -209,7 +209,7 @@ def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.nd
     return scipy.linalg.solve_banded((1, 1), ab, grad)
 
 
-def train(p: ModelParams, samples, types, cfg: TrainConfig, seed,
+def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
           theta0: ControlGrid | None = None, particle_ids=None) -> TrainResult:
     """Projected gradient descent with Armijo backtracking on the sampled
     objective (replications averaged with common random numbers).
@@ -223,18 +223,18 @@ def train(p: ModelParams, samples, types, cfg: TrainConfig, seed,
     n_steps = theta.t_grid.size - 1
     if particle_ids is None:
         particle_ids = np.arange(len(samples))
-    noises = replication_noise(p, samples, n_steps, seed, cfg.replications, particle_ids)
+    noises = replication_noise(p, n_steps, seed, cfg.replications, particle_ids)
 
     def fval(th):
         parts = np.zeros(4)
         for noise in noises:
-            ens = simulate_particles(p, th, samples, types, n_steps, seed,
+            ens = simulate_particles(p, th, samples, type_vector, n_steps, seed,
                                      particle_ids=particle_ids, noise=noise)
             bd = evaluate_JN(ens, th, p)
             parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
         return CostBreakdown.from_parts(*(parts / len(noises)))
 
-    current, grad = value_and_gradient(p, theta, samples, types, n_steps, seed,
+    current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
                                        replications=cfg.replications,
                                        particle_ids=particle_ids, noises=noises)
     history = [current]
@@ -258,7 +258,7 @@ def train(p: ModelParams, samples, types, cfg: TrainConfig, seed,
                 f"line search floor reached at grad_norm={gnorm:.3e}")
         theta, current = accepted
         history.append(current)
-        current, grad = value_and_gradient(p, theta, samples, types, n_steps, seed,
+        current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
                                            replications=cfg.replications,
                                            particle_ids=particle_ids, noises=noises)
         gnorm = float(np.linalg.norm(grad))

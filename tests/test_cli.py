@@ -84,10 +84,14 @@ def test_main_reports_domain_errors(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     model = default_model().to_dict()
     model["activation"]["z_weight"] = 0.5  # invalid wiring with q = 0
-    json.dump({"model": model}, open(cfgfile, "w"))
-    code = main(["simulate", str(cfgfile), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "DimensionMismatch" in capsys.readouterr().err
+    law = default_law().to_dict()
+    law["x_low"], law["x_high"] = [0.5, 0.5], [1.5, 1.5]  # a d=2 law under the d=1 model
+    law["y_low"], law["y_high"] = [-0.5, -0.5], [0.5, 0.5]
+    for bad in ({"model": model}, {"initial_law": law}):
+        cfgfile.write_text(json.dumps(bad))
+        code = main(["simulate", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "DimensionMismatch" in capsys.readouterr().err
 
 
 def test_gradcheck_cli(tmp_path, capsys):

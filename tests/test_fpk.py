@@ -18,6 +18,7 @@ from mfresnet import (
 )
 from mfresnet.errors import ScalarConfigRequired, NoConvergence, NonPositiveWeight
 from mfresnet.fpk import neumann_derivatives
+from mfresnet.sde import augmented_noise
 from mfresnet.trainer import _trapezoid_weights, value_and_gradient
 
 
@@ -172,6 +173,23 @@ def test_estimate_g_std_errors_shrink(scalar_params, scalar_law):
     small = estimate_G(theta, scalar_params, scalar_law, 200, 16, 1)
     big = estimate_G(theta, scalar_params, scalar_law, 3200, 16, 1)
     assert np.mean(big.std_errors) < 0.5 * np.mean(small.std_errors)
+
+
+def test_estimate_g_uses_given_draws_and_noise(scalar_params, scalar_law):
+    """Draws and noise passed in give exactly the estimate drawn internally
+    under the same seed, and the noise passed in is the noise used."""
+    p = scalar_params
+    t = np.linspace(0.0, p.T, 17)
+    theta = _theta_profile(t, p.k_theta)
+    own = estimate_G(theta, p, scalar_law, 300, 16, 7)
+    draws = scalar_law.sample(300, 7)
+    given = estimate_G(theta, p, scalar_law, 300, 16, 7,
+                       draws=draws, noise=augmented_noise(p, 300, 16, 7))
+    assert np.array_equal(own.values, given.values)
+    assert np.array_equal(own.std_errors, given.std_errors)
+    other = estimate_G(theta, p, scalar_law, 300, 16, 7,
+                       draws=draws, noise=augmented_noise(p, 300, 16, 8))
+    assert not np.array_equal(own.values, other.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from mfresnet import (
     Dims,
     InitialLaw,
     ModelParams,
-    TrainingSample,
     TypeVector,
     control_h1_norms,
     eval_drift,
@@ -18,11 +19,12 @@ from mfresnet import (
 )
 from mfresnet.errors import (
     BoundViolation,
+    ConfigInvalid,
     DimensionMismatch,
     GridMismatch,
     NonPositiveWeight,
 )
-from mfresnet.params import check_sample, check_type
+from mfresnet.params import check_law, check_type
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +43,6 @@ def test_dims_validate_rejects_bad_values():
 
 
 def test_validate_params_rejects_nonpositive_weights(scalar_params):
-    import dataclasses
-
     for name in ("alpha", "beta", "lambda1", "lambda2", "T"):
         bad = dataclasses.replace(scalar_params, **{name: 0.0})
         with pytest.raises(NonPositiveWeight):
@@ -56,13 +56,14 @@ def test_validate_params_rejects_bad_wiring():
         validate_params(p)
 
 
-def test_check_sample_and_type_bounds(scalar_params):
-    good = TrainingSample(x0=[1.0], y0=[0.0], z0=[])
-    assert check_sample(scalar_params, good) is good
+def test_check_sample_and_type_bounds(scalar_params, scalar_law):
+    assert check_law(scalar_params, scalar_law) is scalar_law
     with pytest.raises(BoundViolation):
-        check_sample(scalar_params, TrainingSample(x0=[100.0], y0=[0.0], z0=[]))
+        check_law(scalar_params, dataclasses.replace(scalar_law, x_high=[100.0]))
     with pytest.raises(DimensionMismatch):
-        check_sample(scalar_params, TrainingSample(x0=[1.0, 2.0], y0=[0.0], z0=[]))
+        check_law(scalar_params, dataclasses.replace(scalar_law, x_low=[1.0, 2.0], x_high=[1.5, 2.5]))
+    with pytest.raises(ConfigInvalid):
+        check_law(scalar_params, dataclasses.replace(scalar_law, y_low=[0.6]))
     tv = TypeVector(epsilon=np.array([[0.3]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     assert check_type(scalar_params, tv) is tv
     with pytest.raises(BoundViolation):
@@ -204,17 +205,17 @@ def test_initial_law_roundtrip_and_determinism(coupled_law):
     again = InitialLaw.from_dict(coupled_law.to_dict())
     s1, t1 = again.sample(7, 42)
     s2, t2 = coupled_law.sample(7, 42)
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a.x0, b.x0)
-        assert np.array_equal(a.y0, b.y0)
-        assert np.array_equal(a.z0, b.z0)
-    assert t1[0].norm() == t2[0].norm()
+    assert len(s1) == len(s2) == 7
+    assert np.array_equal(s1.x0, s2.x0)
+    assert np.array_equal(s1.y0, s2.y0)
+    assert np.array_equal(s1.z0, s2.z0)
+    assert t1.norm() == t2.norm()
 
 
 def test_uniform_law_respects_bounds(coupled_law):
     samples, _ = coupled_law.sample(200, 3)
-    x = np.stack([s.x0 for s in samples])
-    z = np.stack([s.z0 for s in samples])
+    x = samples.x0
+    z = samples.z0
     assert np.all(x >= -1.0) and np.all(x <= 1.0)
     assert np.all(z >= -0.5) and np.all(z <= 0.5)
 
@@ -223,6 +224,7 @@ def test_dirac_law_is_constant():
     tv = TypeVector(epsilon=np.array([[0.1]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     law = InitialLaw.dirac(x0=[1.0], y0=[0.5], type_vector=tv)
     samples, _ = law.sample(5, 0)
-    for s in samples:
-        assert np.array_equal(s.x0, [1.0])
-        assert np.array_equal(s.y0, [0.5])
+    assert len(samples) == 5
+    for x0, y0 in zip(samples.x0, samples.y0):
+        assert np.array_equal(x0, [1.0])
+        assert np.array_equal(y0, [0.5])

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfresnet import brownian_increments, make_generator, split_seed
@@ -33,11 +33,20 @@ def test_brownian_increments_match_table():
         assert np.array_equal(brownian_increments(5, 2, k, 0.125, 3), table[k])
 
 
-def test_noise_table_stacks_per_particle_streams():
-    ids = [4, 0, 9]
-    table = noise_table(21, ids, 6, 0.5, 2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 20) | st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+       st.integers(1, 8), st.floats(1e-4, 2.0), st.integers(1, 3))
+@example(21, [4, 0, 9], 6, 0.5, 2)
+@example(2**63 + 5, [7, 3, 7, 2**63], 4, 0.25, 1)
+@example(2**64 - 1, np.array([5, 1, 5, 0]), 3, 0.1, 3)
+def test_noise_table_stacks_per_particle_streams(root_seed, ids, n_steps, dt, dim):
+    """Row i is particle ids[i]'s own stream, byte for byte, for unordered and
+    repeated ids and root seeds across the full 64-bit range."""
+    table = noise_table(root_seed, ids, n_steps, dt, dim)
+    assert table.shape == (len(ids), n_steps, dim)
     for row, pid in enumerate(ids):
-        assert np.array_equal(table[row], particle_noise(21, pid, 6, 0.5, 2))
+        assert table[row].tobytes() == particle_noise(root_seed, pid, n_steps, dt, dim).tobytes()
 
 
 def test_noise_independent_of_partitioning():

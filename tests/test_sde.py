@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from mfresnet import (
     ControlGrid,
     Dims,
     ModelParams,
-    TrainingSample,
+    SampleBatch,
     TypeVector,
     simulate_augmented,
-    simulate_limit_sde,
     simulate_particles,
 )
 from mfresnet.errors import ScalarConfigRequired, GridMismatch
@@ -19,42 +19,41 @@ from mfresnet.rng import noise_table
 from mfresnet.sde import dump_trajectories
 
 
-def _quiet_types(p, n):
-    tv = TypeVector(epsilon=np.zeros((p.dims.d, p.dims.p)),
-                    gamma=np.zeros(p.dims.l),
-                    sigma=np.zeros((p.dims.q, p.dims.p)))
-    return [tv] * n
+def _quiet_type(p):
+    return TypeVector(epsilon=np.zeros((p.dims.d, p.dims.p)),
+                      gamma=np.zeros(p.dims.l),
+                      sigma=np.zeros((p.dims.q, p.dims.p)))
+
+
+def _scalar_batch(*x0):
+    """Scalar samples starting at x0 with label 0 and no exogenous input."""
+    n = len(x0)
+    return SampleBatch(np.array(x0, dtype=float)[:, None], np.zeros((n, 1)), np.zeros((n, 0)))
 
 
 def test_zero_drift_zero_noise_is_constant(scalar_params):
-    import dataclasses
-
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="zero"))
-    samples = [TrainingSample([0.7], [0.0], []), TrainingSample([-0.2], [0.0], [])]
-    ens = simulate_particles(p, ControlGrid.zeros(p.T, 8), samples, _quiet_types(p, 2), 8, 0)
+    samples = _scalar_batch(0.7, -0.2)
+    ens = simulate_particles(p, ControlGrid.zeros(p.T, 8), samples, _quiet_type(p), 8, 0)
     assert np.allclose(ens.X, ens.X[:, :1, :])
 
 
 def test_constant_drift_is_linear_in_time(scalar_params):
-    import dataclasses
-
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="constant", c=0.5))
-    samples = [TrainingSample([1.0], [0.0], [])]
-    ens = simulate_particles(p, ControlGrid.zeros(p.T, 10), samples, _quiet_types(p, 1), 10, 0)
+    samples = _scalar_batch(1.0)
+    ens = simulate_particles(p, ControlGrid.zeros(p.T, 10), samples, _quiet_type(p), 10, 0)
     assert np.allclose(ens.X[0, :, 0], 1.0 + 0.5 * ens.t_grid)
 
 
 def test_affine_drift_matches_explicit_recursion(scalar_params):
     """Independent oracle: for f = theta1 x + theta2 without noise the Euler
     recursion has the closed form x_{k+1} = (1 + theta1 dt) x_k + theta2 dt."""
-    import dataclasses
-
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"))
     n_steps = 16
     t = np.linspace(0.0, p.T, n_steps + 1)
     theta = ControlGrid(t, np.stack([0.8 * np.ones_like(t), -0.3 * np.ones_like(t)], axis=1))
-    samples = [TrainingSample([1.2], [0.0], [])]
-    ens = simulate_particles(p, theta, samples, _quiet_types(p, 1), n_steps, 0)
+    samples = _scalar_batch(1.2)
+    ens = simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 0)
     dt = p.T / n_steps
     x = 1.2
     for k in range(n_steps):
@@ -67,8 +66,8 @@ def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scala
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     full = simulate_particles(scalar_params, theta, samples, types, 8, 5)
     # resimulating only the last particle, with its stable id, matches exactly
-    sub = simulate_particles(scalar_params, theta, samples[3:], types[3:], 8, 5,
-                             particle_ids=[3])
+    last = SampleBatch(samples.x0[3:], samples.y0[3:], samples.z0[3:])
+    sub = simulate_particles(scalar_params, theta, last, types, 8, 5, particle_ids=[3])
     assert np.array_equal(full.X[3], sub.X[0])
 
 
@@ -95,7 +94,9 @@ def test_batch_coupling_feeds_the_drift(coupled_params, coupled_law):
     samples, types = coupled_law.sample(4, 1)
     theta = ControlGrid.zeros(coupled_params.T, 8, k_theta=coupled_params.k_theta)
     base = simulate_particles(coupled_params, theta, samples, types, 8, 2)
-    moved = [TrainingSample(samples[0].x0 + 0.5, samples[0].y0, samples[0].z0)] + samples[1:]
+    x0 = samples.x0.copy()
+    x0[0] += 0.5
+    moved = dataclasses.replace(samples, x0=x0)
     bumped = simulate_particles(coupled_params, theta, moved, types, 8, 2)
     assert not np.allclose(base.X[1], bumped.X[1])
 
@@ -106,8 +107,8 @@ def test_limit_sde_decouples_without_batch_coupling(scalar_params, scalar_law):
     draws_small = scalar_law.sample(3, 7)
     draws_big = scalar_law.sample(6, 7)
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
-    small = simulate_limit_sde(scalar_params, theta, draws_small, 8, 1)
-    big = simulate_limit_sde(scalar_params, theta, draws_big, 8, 1)
+    small = simulate_particles(scalar_params, theta, *draws_small, 8, 1)
+    big = simulate_particles(scalar_params, theta, *draws_big, 8, 1)
     assert np.array_equal(big.X[:3], small.X)
 
 
@@ -148,18 +149,16 @@ def test_augmented_recursions(scalar_params, scalar_law):
 
 
 def test_divergence_raises(scalar_params):
-    import dataclasses
-
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
                             k_theta=1e9)
     n_steps = 64
     t = np.linspace(0.0, p.T, n_steps + 1)
     theta = ControlGrid(t, np.stack([1e8 * np.ones_like(t), np.zeros_like(t)], axis=1),
                         k_theta=p.k_theta)
-    samples = [TrainingSample([1.0], [0.0], [])]
+    samples = _scalar_batch(1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridMismatch):
-            simulate_particles(p, theta, samples, _quiet_types(p, 1), n_steps, 0)
+            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 0)
 
 
 def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):

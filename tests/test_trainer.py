@@ -51,7 +51,7 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law):
     _, grad = value_and_gradient(p, theta, samples, types, 10, 4)
     forward = 0.0
     from mfresnet.trainer import replication_noise
-    noises = replication_noise(p, samples, 10, 4, 1, np.arange(5))
+    noises = replication_noise(p, 10, 4, 1, np.arange(5))
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
     forward = forward_sensitivity(ens, theta, direction, p)
     assert float(np.sum(grad * direction.values)) == pytest.approx(forward, rel=1e-10)
@@ -116,7 +116,7 @@ def test_replication_average(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     from mfresnet.trainer import replication_noise
     ids = np.arange(16)
-    noises = replication_noise(scalar_params, samples, 8, 3, 3, ids)
+    noises = replication_noise(scalar_params, 8, 3, 3, ids)
     avg, _ = value_and_gradient(scalar_params, theta, samples, types, 8, 3, replications=3)
     singles = []
     for noise in noises:
