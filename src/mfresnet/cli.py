@@ -14,17 +14,16 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import math
+import operator
 import os
 import sys
 
 import numpy as np
 
 from .errors import ConfigInvalid, GradCheckFailed, MfresnetError
-from .fpk import FixedPointConfig, estimate_G, fixed_point_solve, residual_first_order, neumann_derivatives
+from .fpk import FixedPointConfig, estimate_G, fixed_point_solve, neumann_derivatives
 from .measures import (
     TestFunction,
-    empirical_path,
     fpk_residual,
     wasserstein2_1d,
 )
@@ -41,7 +40,7 @@ from .params import (
 )
 from .rng import make_generator, split_seed
 from .sde import dump_trajectories, simulate_particles
-from .trainer import TrainConfig, forward_sensitivity, jn_pathwise, train
+from .trainer import TrainConfig, forward_sensitivity, train
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +79,19 @@ class ExperimentConfig:
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     fixed_point: FixedPointConfig = dataclasses.field(default_factory=FixedPointConfig)
 
+    def __post_init__(self):
+        try:
+            n_list = tuple(int(n) if isinstance(n, str) else operator.index(n) for n in self.n_list)
+        except (TypeError, ValueError):
+            n_list = ()
+        if not n_list or n_list[0] < 1 or list(n_list) != sorted(set(n_list)):
+            raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
+        self.n_list = n_list
+        for name in ("n_particles", "n_draws", "seeds_per_n", "m_paths"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
+
     def to_dict(self):
         d = dataclasses.asdict(self)
         d["model"] = self.model.to_dict()
@@ -102,8 +114,6 @@ class ExperimentConfig:
         law = check_law(model, InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law())
         tr = TrainConfig(**d.pop("train")) if "train" in d else TrainConfig()
         fp = FixedPointConfig(**d.pop("fixed_point")) if "fixed_point" in d else FixedPointConfig()
-        if "n_list" in d:
-            d["n_list"] = tuple(int(n) for n in d["n_list"])
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -153,6 +163,9 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
     quiet = TypeVector(epsilon=np.zeros_like(tv.epsilon), gamma=tv.gamma,
                        sigma=np.zeros_like(tv.sigma))
     return dataclasses.replace(law, type_vector=quiet)
+
+
+SPEARMAN_MAX_N = 8
 
 
 def spearman_negative_p(values):
@@ -300,8 +313,8 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     h = fd_epsilon
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
-    j_up = jn_pathwise(p, up, samples, tv, n_steps, case_seed).total
-    j_dn = jn_pathwise(p, dn, samples, tv, n_steps, case_seed).total
+    j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed), up, p).total
+    j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed), dn, p).total
     fd = (j_up - j_dn) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(fd), 1e-12)
     return rel, analytic, fd, case_seed
@@ -345,8 +358,9 @@ def run_gamma(cfg: ExperimentConfig):
     p = cfg.model
     if not p.is_scalar_two_weight():
         raise ConfigInvalid("gamma experiment requires the scalar two-weight configuration")
-    if list(cfg.n_list) != sorted(set(cfg.n_list)):
-        raise ConfigInvalid("n_list must be strictly increasing")
+    if len(cfg.n_list) > SPEARMAN_MAX_N:
+        raise ConfigInvalid(f"gamma takes at most {SPEARMAN_MAX_N} sample sizes in n_list (its exact "
+                            f"Spearman test enumerates n! rankings), got {len(cfg.n_list)}")
     fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
                                  seed=split_seed(cfg.seed, "fpk"))
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
@@ -400,15 +414,13 @@ def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
     ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
-    sup_res, _ = fpk_residual(empirical_path(ens), theta, phi, p)
+    sup_res, _ = fpk_residual(ens, theta, phi, p)
     return sup_res, ens.X[:, -1, 0]
 
 
 def run_diagnose_fpk(cfg: ExperimentConfig):
     """Residual decay of the empirical measure against the limiting equation."""
     p = cfg.model
-    if list(cfg.n_list) != sorted(set(cfg.n_list)):
-        raise ConfigInvalid("n_list must be strictly increasing")
     phi = _residual_test_function(cfg)
     theta = _reference_theta(p, cfg.n_steps)
     law = cfg.initial_law
@@ -497,16 +509,10 @@ def main(argv=None):
             cfg = ExperimentConfig.from_json(args.config)
         else:
             cfg = ExperimentConfig(model=default_model(), initial_law=default_law())
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.n_list is not None:
-            cfg.n_list = tuple(int(v) for v in args.n_list.split(","))
-        if args.dump_trajectories:
-            cfg.dump_trajectories = True
+        overrides = {"seed": args.seed, "out": args.out, "workers": args.workers,
+                     "n_list": None if args.n_list is None else args.n_list.split(","),
+                     "dump_trajectories": args.dump_trajectories or None}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         _, summary_text = run_experiment(args.command, cfg)
     except MfresnetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Empirical measure paths, Wasserstein distances, the generator of the
-state dynamics, and the weak-form FPK residual diagnostic.
+"""Wasserstein distances, the generator of the state dynamics, and the
+weak-form FPK residual of a simulated ensemble's empirical measure.
 
 Test functions are polynomials (degree <= 4 in time, state and exogenous
 input) multiplied by a C^2 radial cutoff whose plateau is meant to cover
@@ -15,44 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, MassMismatch, SizeMismatch
-from .params import ControlGrid, ModelParams, TypeVector
+from .params import ControlGrid, ModelParams
 from .sde import ParticleEnsemble
-
-
-# ---------------------------------------------------------------------------
-# empirical measure path
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmpiricalMeasurePath:
-    """Uniformly weighted atoms (type, label, input, state) at every depth node."""
-
-    t_grid: np.ndarray
-    X: np.ndarray      # (N, S+1, d)
-    Z: np.ndarray      # (N, S+1, q)
-    y0: np.ndarray     # (N, d)
-    eps: np.ndarray    # (N, d, p)
-    gamma: np.ndarray  # (N, l)
-    sigma: np.ndarray  # (N, q, p)
-
-    @property
-    def n_atoms(self):
-        return self.X.shape[0]
-
-    def weights(self):
-        n = self.n_atoms
-        return np.full(n, 1.0 / n)
-
-    def mean_state(self, node):
-        """<mu(t), x> at grid node index `node`."""
-        return np.mean(self.X[:, node, :], axis=0)
-
-
-def empirical_path(ensemble: ParticleEnsemble) -> EmpiricalMeasurePath:
-    return EmpiricalMeasurePath(
-        t_grid=ensemble.t_grid, X=ensemble.X, Z=ensemble.Z, y0=ensemble.y0,
-        eps=ensemble.eps, gamma=ensemble.gamma, sigma=ensemble.sigma,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +288,11 @@ def generator_apply_batch(phi: TestFunction, s, x, z, eps, gamma, sigma,
     return out
 
 
-def generator_apply(phi: TestFunction, s, e, theta_val, eta, p: ModelParams) -> float:
-    """Pointwise generator evaluation; e = (type_vector, y, z, x)."""
-    tv, _y, z, x = e
-    if not isinstance(tv, TypeVector):
-        raise SizeMismatch("e must be (TypeVector, y, z, x)")
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    out = generator_apply_batch(
-        phi, s, x, z, tv.epsilon[None], tv.gamma[None], tv.sigma[None],
-        np.asarray(theta_val, dtype=float), float(eta), p,
-    )
-    return float(out[0])
-
-
-def fpk_residual(path: EmpiricalMeasurePath, theta: ControlGrid, phi: TestFunction,
+def fpk_residual(path: ParticleEnsemble, theta: ControlGrid, phi: TestFunction,
                  p: ModelParams):
     """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
-    trapezoid integral of <mu(s), A phi(s)>; returns (sup |R|, R path)."""
+    trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
+    weighted atoms of the ensemble at node t; returns (sup |R|, R path)."""
     t_grid = path.t_grid
     if abs(theta.horizon - t_grid[-1]) > 1e-12 * max(1.0, t_grid[-1]):
         raise GridMismatch("control and measure paths must share the horizon")

@@ -30,12 +30,6 @@ class CostBreakdown:
         return cls(*parts, total=float(sum(parts)))
 
 
-def loss(p: ModelParams, x, y) -> float:
-    """Terminal loss alpha * |x - y|^2."""
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(p.alpha * np.sum(diff * diff))
-
-
 def control_costs(theta: ControlGrid, p: ModelParams):
     l2_sq, h1_sq = control_h1_norms(theta)
     return p.lambda1 * l2_sq, p.lambda2 * h1_sq

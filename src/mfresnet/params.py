@@ -410,20 +410,6 @@ def check_type(p: ModelParams, t: TypeVector) -> TypeVector:
     return t
 
 
-def eval_drift(p: ModelParams, t, theta, z, x, eta):
-    """Pointwise drift evaluation: theta (m,), z (q,), x (d,), eta scalar -> (d,)."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if x.shape != (p.dims.d,):
-        raise DimensionMismatch("x must have length d")
-    if z.shape != (p.dims.q,):
-        raise DimensionMismatch("z must have length q")
-    if p.activation.kind not in ("zero", "constant") and theta.shape != (p.dims.m,):
-        raise DimensionMismatch("theta must have length m")
-    return p.activation.drift(t, theta, z[None, :], x[None, :], float(eta))[0]
-
-
 @dataclass(frozen=True)
 class InitialLaw:
     """Sampling recipe for i.i.d. training data, plus the shared type vector.

@@ -45,15 +45,6 @@ def particle_noise(root_seed, particle_id, n_steps, dt, dim) -> np.ndarray:
     return gen.standard_normal((n_steps, dim)) * math.sqrt(dt)
 
 
-def brownian_increments(root_seed, particle_id, step_index, dt, dim) -> np.ndarray:
-    """Increment of particle `particle_id` over step `step_index`.
-
-    Deterministic in (root_seed, particle_id, step_index); row `step_index`
-    of the particle's stream, so it matches bulk simulation exactly.
-    """
-    return particle_noise(root_seed, particle_id, step_index + 1, dt, dim)[-1]
-
-
 def noise_table(root_seed, particle_ids, n_steps, dt, dim) -> np.ndarray:
     """Stacked increments for many particles: (N, n_steps, dim); row i is
     particle_noise(root_seed, particle_ids[i], ...) exactly, drawn by one

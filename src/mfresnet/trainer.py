@@ -7,8 +7,7 @@ are the ground truth they are tested against.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +53,6 @@ def _trapezoid_weights(t_grid):
     w = np.full(t_grid.size, dt)
     w[0] = w[-1] = 0.5 * dt
     return w
-
-
-def jn_pathwise(p, theta, samples, type_vector, n_steps, seed, particle_ids=None, noise=None):
-    """Single-realization sampled objective (simulate + evaluate)."""
-    ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
-                             particle_ids=particle_ids, noise=noise)
-    return evaluate_JN(ens, theta, p)
 
 
 def _control_cost_directional(theta: ControlGrid, direction: ControlGrid, p: ModelParams):
@@ -147,6 +139,26 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelPa
     return grad
 
 
+def _replicate(p, theta, samples, type_vector, n_steps, seed, particle_ids, noises):
+    """Simulate theta under each noise table: the averaged cost and the ensembles."""
+    parts = np.zeros(4)
+    ensembles = []
+    for noise in noises:
+        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
+                                 particle_ids=particle_ids, noise=noise)
+        bd = evaluate_JN(ens, theta, p)
+        parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
+        ensembles.append(ens)
+    return CostBreakdown.from_parts(*(parts / len(noises))), ensembles
+
+
+def _mean_gradient(ensembles, theta, p):
+    grad = np.zeros_like(theta.values)
+    for ens in ensembles:
+        grad += _adjoint_gradient(ens, theta, p)
+    return grad / len(ensembles)
+
+
 def value_and_gradient(p, theta, samples, type_vector, n_steps, seed, replications=1,
                        particle_ids=None, noises=None):
     """Objective and gradient averaged over noise replications (common random
@@ -157,18 +169,9 @@ def value_and_gradient(p, theta, samples, type_vector, n_steps, seed, replicatio
         particle_ids = np.arange(len(samples))
     if noises is None:
         noises = replication_noise(p, n_steps, seed, replications, particle_ids)
-    parts = np.zeros(4)
-    grad = np.zeros_like(theta.values)
-    for noise in noises:
-        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
-                                 particle_ids=particle_ids, noise=noise)
-        bd = evaluate_JN(ens, theta, p)
-        parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
-        grad += _adjoint_gradient(ens, theta, p)
-    r = len(noises)
-    parts /= r
-    grad /= r
-    return CostBreakdown.from_parts(*parts), grad
+    value, ensembles = _replicate(p, theta, samples, type_vector, n_steps, seed,
+                                  particle_ids, noises)
+    return value, _mean_gradient(ensembles, theta, p)
 
 
 def replication_noise(p, n_steps, seed, replications, particle_ids):
@@ -177,14 +180,6 @@ def replication_noise(p, n_steps, seed, replications, particle_ids):
         noise_table(split_seed(seed, f"rep{r}"), particle_ids, n_steps, dt, p.dims.p)
         for r in range(replications)
     ]
-
-
-def gradient_JN(p, theta, samples, type_vector, n_steps, seed, replications=1, particle_ids=None):
-    """Gradient w.r.t. the grid values such that its plain inner product with
-    any direction's grid values equals the averaged forward sensitivity."""
-    _, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
-                                 replications=replications, particle_ids=particle_ids)
-    return grad
 
 
 def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.ndarray:
@@ -215,7 +210,9 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
     objective (replications averaged with common random numbers).
 
     Starts from the zero control by default, so the accepted history is
-    non-increasing from the feasible zero-control value.
+    non-increasing from the feasible zero-control value.  Each line-search
+    candidate is simulated once; the accepted one's ensembles give the next
+    gradient.
     """
     if theta0 is None:
         theta0 = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
@@ -225,17 +222,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
         particle_ids = np.arange(len(samples))
     noises = replication_noise(p, n_steps, seed, cfg.replications, particle_ids)
 
-    def fval(th):
-        parts = np.zeros(4)
-        for noise in noises:
-            ens = simulate_particles(p, th, samples, type_vector, n_steps, seed,
-                                     particle_ids=particle_ids, noise=noise)
-            bd = evaluate_JN(ens, th, p)
-            parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
-        return CostBreakdown.from_parts(*(parts / len(noises)))
-
     current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
-                                       replications=cfg.replications,
                                        particle_ids=particle_ids, noises=noises)
     history = [current]
     gnorm = float(np.linalg.norm(grad))
@@ -244,22 +231,20 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
             break
         direction = _precondition(theta, p, grad)
         step = cfg.step_size
-        accepted = None
         while step >= cfg.step_floor:
             cand = project_to_box(theta.with_values(theta.values - step * direction))
             move = cand.values - theta.values
-            cand_val = fval(cand)
+            cand_val, ensembles = _replicate(p, cand, samples, type_vector, n_steps, seed,
+                                             particle_ids, noises)
             if cand_val.total <= current.total + cfg.armijo_c * float(np.sum(grad * move)):
-                accepted = (cand, cand_val)
                 break
             step *= cfg.shrink
-        if accepted is None:
+        else:
             raise NoDescentProgress(
                 f"line search floor reached at grad_norm={gnorm:.3e}")
-        theta, current = accepted
+        theta, current = cand, cand_val
         history.append(current)
-        current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
-                                           replications=cfg.replications,
-                                           particle_ids=particle_ids, noises=noises)
+        grad = _mean_gradient(ensembles, theta, p)
+        del ensembles
         gnorm = float(np.linalg.norm(grad))
     return TrainResult(theta_star=theta, history=history, grad_norm_final=gnorm)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,37 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         code = main(["simulate", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "DimensionMismatch" in capsys.readouterr().err
+    # bad sample sizes, from the config file or from --n-list
+    small = {"n_list": [5, 10], "n_draws": 1, "seeds_per_n": 1, "m_paths": 50, "n_steps": 4,
+             "train": {"n_intervals": 4, "max_iters": 2}, "fixed_point": {"mc_paths": 50}}
+    bad_sizes = [
+        ("gamma", {}, ["--n-list", "50,abc"]),
+        ("gamma", {"n_list": [0, 50]}, []),
+        ("diagnose-fpk", {"n_list": [0, 50]}, []),
+        ("gamma", {"n_list": [50, 50]}, []),
+        ("gamma", {"n_list": [50.5, 200]}, []),
+        ("diagnose-fpk", {}, ["--n-list", "50,20"]),
+        ("gamma", {"n_draws": 0}, []),
+        ("diagnose-fpk", {"seeds_per_n": 0}, []),
+        ("simulate", {"n_particles": 0}, []),
+        ("gamma", {"m_paths": 0}, []),
+    ]
+    for command, bad, flags in bad_sizes:
+        cfgfile.write_text(json.dumps({**small, **bad}))
+        code = main([command, str(cfgfile), "--out", str(tmp_path / "o")] + flags)
+        err = capsys.readouterr().err
+        assert code == 1, (command, bad, flags)
+        assert "ConfigInvalid" in err and "Traceback" not in err, (command, bad, flags, err)
+
+
+def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):
+    """The exact Spearman test enumerates n! rankings, so gamma refuses more
+    than eight sample sizes before doing any work."""
+    start = time.perf_counter()
+    code = main(["gamma", "--out", str(tmp_path / "o"), "--n-list", "1,2,3,4,5,6,7,8,9"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "ConfigInvalid" in capsys.readouterr().err
 
 
 def test_gradcheck_cli(tmp_path, capsys):

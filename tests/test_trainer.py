@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfresnet import ControlGrid, TrainConfig, gradient_JN, simulate_particles, train
+from mfresnet import ControlGrid, TrainConfig, evaluate_JN, simulate_particles, train
 from mfresnet.cli import gradcheck_case_error
 from mfresnet.errors import GridMismatch, NonPositiveWeight
 from mfresnet.rng import split_seed
@@ -9,7 +9,6 @@ from mfresnet.trainer import (
     _precondition,
     _trapezoid_weights,
     forward_sensitivity,
-    jn_pathwise,
     value_and_gradient,
 )
 
@@ -38,8 +37,8 @@ def test_forward_sensitivity_matches_finite_differences(coupled_params, coupled_
     h = 1e-6
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
-    fd = (jn_pathwise(p, up, samples, types, 12, 1).total
-          - jn_pathwise(p, dn, samples, types, 12, 1).total) / (2 * h)
+    fd = (evaluate_JN(simulate_particles(p, up, samples, types, 12, 1), up, p).total
+          - evaluate_JN(simulate_particles(p, dn, samples, types, 12, 1), dn, p).total) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -68,7 +67,7 @@ def test_gradient_requires_matching_grids(scalar_params, scalar_law):
     samples, types = scalar_law.sample(3, 0)
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     with pytest.raises(GridMismatch):
-        gradient_JN(scalar_params, theta, samples, types, 16, 0)
+        value_and_gradient(scalar_params, theta, samples, types, 16, 0)
 
 
 def test_precondition_solves_the_control_hessian(scalar_params):
@@ -121,6 +120,19 @@ def test_replication_average(scalar_params, scalar_law):
     singles = []
     for noise in noises:
         ens = simulate_particles(scalar_params, theta, samples, types, 8, 3, noise=noise)
-        from mfresnet import evaluate_JN
         singles.append(evaluate_JN(ens, theta, scalar_params).total)
     assert avg.total == pytest.approx(float(np.mean(singles)), rel=1e-12)
+
+
+def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, scalar_law):
+    """train takes each accepted step's value and gradient from the line-search
+    candidate's own simulations; a fresh evaluation at the result agrees
+    exactly, averaged over two replications."""
+    samples, types = scalar_law.sample(24, 3)
+    cfg = TrainConfig(n_intervals=8, max_iters=6, replications=2)
+    result = train(scalar_params, samples, types, cfg, 41)
+    assert len(result.history) > 1
+    value, grad = value_and_gradient(scalar_params, result.theta_star, samples, types, 8, 41,
+                                     replications=2)
+    assert value == result.history[-1]
+    assert float(np.linalg.norm(grad)) == result.grad_norm_final
