@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Reproduce the headline experiments. Outputs land in results/<name>/.
 # Every run is deterministic in the config seed; pass --workers N to
-# parallelize without changing a single output byte.
+# parallelize without changing a single output byte. The run ends by
+# checking the CSVs against the digests in scripts/outputs.sha256.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mfresnet gradcheck --out results/gradcheck --seed 11
-mfresnet simulate scripts/coupled_simulation.json --out results/simulate
-mfresnet train scripts/gamma_experiment.json --out results/train
-mfresnet solve-limit scripts/gamma_experiment.json --out results/solve_limit
-mfresnet gamma scripts/gamma_experiment.json --out results/gamma
-mfresnet diagnose-fpk scripts/fpk_diagnostic.json --out results/diagnose_fpk
+mfresnet gradcheck --out results/gradcheck --seed 11 "$@"
+mfresnet simulate scripts/coupled_simulation.json --out results/simulate "$@"
+mfresnet train scripts/gamma_experiment.json --out results/train "$@"
+mfresnet solve-limit scripts/gamma_experiment.json --out results/solve_limit "$@"
+mfresnet gamma scripts/gamma_experiment.json --out results/gamma "$@"
+mfresnet diagnose-fpk scripts/fpk_diagnostic.json --out results/diagnose_fpk "$@"
 
 echo "all experiments written to results/"
+sha256sum -c scripts/outputs.sha256

@@ -87,7 +87,7 @@ class ExperimentConfig:
         if not n_list or n_list[0] < 1 or list(n_list) != sorted(set(n_list)):
             raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
         self.n_list = n_list
-        for name in ("n_particles", "n_draws", "seeds_per_n", "m_paths"):
+        for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")

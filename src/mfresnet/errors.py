@@ -45,6 +45,15 @@ class NoDescentProgress(MfresnetError):
     """Backtracking line search hit its floor without finding a descent step."""
 
 
+class Diverged(MfresnetError):
+    """A simulated path stopped being finite; carries the seed, the first grid
+    step with a non-finite value and the particle id there."""
+
+    def __init__(self, message, *, seed, step, particle):
+        super().__init__(f"{message} (seed {seed}, step {step}, particle {particle})")
+        self.seed, self.step, self.particle = seed, step, particle
+
+
 class NoConvergence(MfresnetError):
     """Fixed-point iteration did not reach its tolerance; carries the change trace."""
 

@@ -3,8 +3,9 @@
 The optimal depth-weight path is characterized by lambda1 * theta -
 lambda2 * theta'' = G(theta) with zero-derivative boundary conditions,
 where G is an expectation over the augmented paths.  We estimate G by
-Monte Carlo, invert the Neumann operator with a tridiagonal solve, and
-iterate the damped fixed-point map with frozen per-iteration seeds.
+Monte Carlo over paths of the particle simulation, invert the Neumann
+operator with a tridiagonal solve, and iterate the damped fixed-point map
+with frozen per-iteration seeds.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ScalarConfigRequired, GridMismatch, NoConvergence, NonPositiveWeight, SingularSystem
+from .errors import GridMismatch, NoConvergence, NonPositiveWeight, SingularSystem
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box
 from .rng import split_seed
-from .sde import augmented_noise, simulate_augmented
+from .sde import euler_noise, simulate_augmented
 
 
 @dataclass(frozen=True)
@@ -55,30 +56,18 @@ def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
     paths, with per-node standard errors.  The alpha/beta scaling matches
     the sampled objective so the trainer and this solver target the same
     minimum (the bare characterization corresponds to alpha = 1).  `draws`
-    and `noise` default to law.sample and augmented_noise under seed.
+    and `noise` default to law.sample and euler_noise for paths 0..M-1 under
+    seed.  Requires the scalar two-weight configuration.
     """
-    if not p.is_scalar_two_weight():
-        raise ScalarConfigRequired("G is defined for the scalar two-weight configuration")
     if n_steps != theta.t_grid.size - 1:
         raise GridMismatch("G must be estimated on the control grid")
     if draws is None:
         draws = law.sample(n_paths, seed)
-    aug = simulate_augmented(p, theta, draws, n_steps, seed, noise=noise)
-    act = p.activation
-    theta_nodes = theta.value_at(aug.t_grid)   # (S+1, 2)
-    x3 = aug.X3
-    if act.kind in ("zero", "constant"):
-        gp = np.zeros_like(x3)
-    else:
-        u = x3 * theta_nodes[:, 0][None, :] + theta_nodes[:, 1][None, :]
-        gp = act._g_prime(u)
-    dtheta_f = np.stack([gp * x3, gp], axis=-1)  # (M, S+1, 2)
-
-    a_t = aug.X1
-    a_term = aug.X1[:, -1][:, None]
+    ens, X1, X2, dtheta_f = simulate_augmented(p, theta, draws, n_steps, seed, noise=noise)
+    x3 = ens.X[:, :, 0]
     weight = (
-        -p.beta * np.exp(-a_t) * (aug.X2[:, -1][:, None] - aug.X2)
-        - p.alpha * np.exp(a_term - a_t) * (x3[:, -1] - aug.Y0)[:, None]
+        -p.beta * np.exp(-X1) * (X2[:, -1][:, None] - X2)
+        - p.alpha * np.exp(X1[:, -1][:, None] - X1) * (x3[:, -1] - ens.y0[:, 0])[:, None]
     )
     integrand = weight[:, :, None] * dtheta_f    # (M, S+1, 2)
     values = np.mean(integrand, axis=0)
@@ -86,7 +75,7 @@ def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
         std_errors = np.std(integrand, axis=0, ddof=1) / math.sqrt(n_paths)
     else:
         std_errors = np.zeros_like(values)
-    return GridFunction(t_grid=aug.t_grid, values=values, std_errors=std_errors)
+    return GridFunction(t_grid=ens.t_grid, values=values, std_errors=std_errors)
 
 
 def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float,
@@ -141,7 +130,7 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
     n_steps = theta.t_grid.size - 1
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
-    noise = augmented_noise(p, cfg.mc_paths, n_steps, cfg.seed) if fixed else None
+    noise = euler_noise(p, np.arange(cfg.mc_paths), n_steps, cfg.seed) if fixed else None
     trace = []
     for it in range(cfg.outer_iters):
         seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")

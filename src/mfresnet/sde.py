@@ -1,6 +1,6 @@
 """Euler-Maruyama simulation of the interacting particle system (which,
-driven by draws from the initial law, is also the limiting SDE) and of the
-augmented system used by the limiting first-order condition.
+driven by draws from the initial law, is also the limiting SDE), and the
+augmented paths of the limiting first-order condition built from it.
 
 One Brownian path drives both the state and the exogenous input of a
 particle (the two equations share the increment), and every particle's
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScalarConfigRequired, GridMismatch
+from .errors import Diverged, GridMismatch, ScalarConfigRequired
 from .params import ControlGrid, ModelParams, SampleBatch, TypeVector
 from .rng import noise_table
 
@@ -46,23 +46,20 @@ class ParticleEnsemble:
         return float(self.t_grid[1] - self.t_grid[0])
 
 
-@dataclass(frozen=True)
-class AugmentedEnsemble:
-    """Paths of the (log-sensitivity, discounted-error, state) triple plus labels."""
-
-    t_grid: np.ndarray  # (S+1,)
-    X1: np.ndarray      # (M, S+1) integral of the state-derivative of the drift
-    X2: np.ndarray      # (M, S+1) accumulated weighted tracking error
-    X3: np.ndarray      # (M, S+1) state
-    Y0: np.ndarray      # (M,)
-    seed: int
+def _check_finite(seed, particle_ids, *paths):
+    """Raise Diverged at the first (step, particle) where a path (N, S+1, ...) is not finite."""
+    if all(np.isfinite(a).all() for a in paths):
+        return
+    finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in paths])
+    step, row = np.argwhere(~finite.T)[0]
+    raise Diverged("trajectories diverged; reduce the step size",
+                   seed=int(seed), step=int(step), particle=int(particle_ids[row]))
 
 
-def _check_grids(p: ModelParams, theta: ControlGrid, n_steps: int):
-    if n_steps < 1:
-        raise GridMismatch("need at least one simulation step")
-    if abs(theta.horizon - p.T) > 1e-12 * max(1.0, p.T):
-        raise GridMismatch("control horizon differs from the model horizon")
+def euler_noise(p: ModelParams, particle_ids, n_steps, seed) -> np.ndarray:
+    """The increments simulate_particles draws when given no noise: (N, n_steps, p)."""
+    t_grid = np.linspace(0.0, p.T, n_steps + 1)
+    return noise_table(seed, particle_ids, n_steps, t_grid[1] - t_grid[0], p.dims.p)
 
 
 def simulate_particles(
@@ -82,9 +79,13 @@ def simulate_particles(
     the same Brownian increment of the particle.  All particles share
     `type_vector`, so the ensemble's eps, gamma and sigma are broadcast views.
     Driven by M draws from the initial law this is the limiting SDE, its batch
-    statistic approximated by the empirical mean over the M paths.
+    statistic approximated by the empirical mean over the M paths.  Raises
+    Diverged if a path is not finite at the end.
     """
-    _check_grids(p, theta, n_steps)
+    if n_steps < 1:
+        raise GridMismatch("need at least one simulation step")
+    if abs(theta.horizon - p.T) > 1e-12 * max(1.0, p.T):
+        raise GridMismatch("control horizon differs from the model horizon")
     n = len(samples)
     eps, gamma, sigma = (np.broadcast_to(a, (n,) + a.shape) for a in
                          (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
@@ -94,7 +95,7 @@ def simulate_particles(
     t_grid = np.linspace(0.0, p.T, n_steps + 1)
     dt = t_grid[1] - t_grid[0]
     if noise is None:
-        noise = noise_table(seed, particle_ids, n_steps, dt, p.dims.p)
+        noise = euler_noise(p, particle_ids, n_steps, seed)
     theta_nodes = theta.value_at(t_grid)
 
     X = np.empty((n, n_steps + 1, p.dims.d))
@@ -111,59 +112,41 @@ def simulate_particles(
         X[:, k + 1] = xk + f * dt + np.einsum("ndp,np->nd", eps, dw)
         if p.dims.q:
             Z[:, k + 1] = zk + p.phi_value(gamma, zk) * dt + np.einsum("nqp,np->nq", sigma, dw)
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Z)):
-        raise GridMismatch("trajectories diverged; reduce the step size")
+    _check_finite(seed, particle_ids, X, Z)
     return ParticleEnsemble(
         t_grid=t_grid, X=X, Z=Z, y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma,
         seed=int(seed), particle_ids=particle_ids,
     )
 
 
-def augmented_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
-    """The noise table simulate_augmented draws for n_paths paths under seed."""
-    t_grid = np.linspace(0.0, p.T, n_steps + 1)
-    return noise_table(seed, np.arange(n_paths), n_steps, t_grid[1] - t_grid[0], p.dims.p)
-
-
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,
-                       noise=None) -> AugmentedEnsemble:
-    """Euler scheme for the augmented triple behind the limiting gradient.
+                       noise=None):
+    """The augmented triple behind the limiting gradient, from one particle simulation.
 
-    X1 integrates the state-derivative of the drift along the path, X2
-    accumulates exp(X1) * (state - label), X3 is the scalar state itself.
-    X2's weight uses +X1 in the exponent so that exp(X1(s) - X1(t)) can be
-    reassembled later; the difference form keeps the exponentials bounded at
-    the horizons used here.  `init_draws` is what InitialLaw.sample returns;
-    `noise` defaults to augmented_noise(p, M, n_steps, seed).
+    Returns (ens, X1, X2, dtheta_f).  The state X3 is ens.X[:, :, 0] (with no
+    batch coupling the M paths run independently).  X1 (M, S+1) integrates
+    the state-derivative of the drift along it and X2 (M, S+1) accumulates
+    exp(X1) * (state - label), both as left-point Euler sums from 0; dtheta_f
+    (M, S+1, 2) is the drift's theta-gradient at every node.  X2's weight uses
+    +X1 in the exponent so that exp(X1(s) - X1(t)) can be reassembled later;
+    the difference form keeps the exponentials bounded at the horizons used
+    here.  `init_draws` is what InitialLaw.sample returns; `noise` defaults to
+    euler_noise for particles 0..M-1 under seed.
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("augmented system requires the scalar two-weight configuration")
-    _check_grids(p, theta, n_steps)
-    samples, type_vector = init_draws
-    m = len(samples)
-    t_grid = np.linspace(0.0, p.T, n_steps + 1)
-    dt = t_grid[1] - t_grid[0]
-    if noise is None:
-        noise = augmented_noise(p, m, n_steps, seed)
-    eps = np.broadcast_to(type_vector.epsilon[0], (m, p.dims.p))
-    theta_nodes = theta.value_at(t_grid)
-
-    X1 = np.zeros((m, n_steps + 1))
-    X2 = np.zeros((m, n_steps + 1))
-    X3 = np.empty((m, n_steps + 1))
-    X3[:, 0] = samples.x0[:, 0]
-    y = samples.y0[:, 0]
-    act = p.activation
-    none_z = np.zeros((m, 0))
-    for k in range(n_steps):
-        x = X3[:, k][:, None]
-        f, dfdx, _, _, _ = act.drift_partials(t_grid[k], theta_nodes[k], none_z, x, 0.0)
-        X1[:, k + 1] = X1[:, k] + dfdx[:, 0] * dt
-        X2[:, k + 1] = X2[:, k] + np.exp(X1[:, k]) * (X3[:, k] - y) * dt
-        X3[:, k + 1] = X3[:, k] + f[:, 0] * dt + np.einsum("np,np->n", eps, noise[:, k])
-    if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2)) and np.all(np.isfinite(X3))):
-        raise GridMismatch("augmented trajectories diverged; reduce the step size")
-    return AugmentedEnsemble(t_grid=t_grid, X1=X1, X2=X2, X3=X3, Y0=y, seed=int(seed))
+    ens = simulate_particles(p, theta, *init_draws, n_steps, seed, noise=noise)
+    x3 = ens.X[:, :, 0]
+    # The drift acts coordinate by coordinate, so the depth axis can stand in
+    # for the state axis: one call gives the partials at every (path, node).
+    _, dfdx, dtheta_f, _, _ = p.activation.drift_partials(
+        None, theta.value_at(ens.t_grid).T, None, x3, 0.0)
+    X1 = np.zeros_like(x3)
+    X2 = np.zeros_like(x3)
+    np.cumsum(dfdx[:, :-1] * ens.dt, axis=1, out=X1[:, 1:])
+    np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * ens.dt, axis=1, out=X2[:, 1:])
+    _check_finite(seed, ens.particle_ids, X1, X2)
+    return ens, X1, X2, dtheta_f
 
 
 def dump_trajectories(ensemble: ParticleEnsemble, path):

@@ -107,6 +107,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("diagnose-fpk", {"seeds_per_n": 0}, []),
         ("simulate", {"n_particles": 0}, []),
         ("gamma", {"m_paths": 0}, []),
+        ("simulate", {"n_steps": 0}, []),
     ]
     for command, bad, flags in bad_sizes:
         cfgfile.write_text(json.dumps({**small, **bad}))

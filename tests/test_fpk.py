@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mfresnet import (
+    ActivationSpec,
     ControlGrid,
+    Dims,
     FixedPointConfig,
     GridFunction,
     InitialLaw,
@@ -18,7 +20,8 @@ from mfresnet import (
 )
 from mfresnet.errors import ScalarConfigRequired, NoConvergence, NonPositiveWeight
 from mfresnet.fpk import neumann_derivatives
-from mfresnet.sde import augmented_noise
+from mfresnet.rng import noise_table
+from mfresnet.sde import euler_noise
 from mfresnet.trainer import _trapezoid_weights, value_and_gradient
 
 
@@ -184,12 +187,69 @@ def test_estimate_g_uses_given_draws_and_noise(scalar_params, scalar_law):
     own = estimate_G(theta, p, scalar_law, 300, 16, 7)
     draws = scalar_law.sample(300, 7)
     given = estimate_G(theta, p, scalar_law, 300, 16, 7,
-                       draws=draws, noise=augmented_noise(p, 300, 16, 7))
+                       draws=draws, noise=euler_noise(p, np.arange(300), 16, 7))
     assert np.array_equal(own.values, given.values)
     assert np.array_equal(own.std_errors, given.std_errors)
     other = estimate_G(theta, p, scalar_law, 300, 16, 7,
-                       draws=draws, noise=augmented_noise(p, 300, 16, 8))
+                       draws=draws, noise=euler_noise(p, np.arange(300), 16, 8))
     assert not np.array_equal(own.values, other.values)
+
+
+def _augmented_recursion_G(theta, p, draws, n_steps, noise):
+    """G from the per-step Euler recursion of the augmented triple
+    (X1, X2, X3), with the drift's theta-gradient taken from the state path
+    afterwards: an estimator written without simulate_particles."""
+    samples, tv = draws
+    m = len(samples)
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    dt = t[1] - t[0]
+    nodes = theta.value_at(t)
+    eps = np.broadcast_to(tv.epsilon[0], (m, p.dims.p))
+    act = p.activation
+    X1 = np.zeros((m, n_steps + 1))
+    X2 = np.zeros((m, n_steps + 1))
+    X3 = np.empty((m, n_steps + 1))
+    X3[:, 0] = samples.x0[:, 0]
+    y = samples.y0[:, 0]
+    for k in range(n_steps):
+        f, dfdx, _, _, _ = act.drift_partials(t[k], nodes[k], np.zeros((m, 0)), X3[:, k][:, None], 0.0)
+        X1[:, k + 1] = X1[:, k] + dfdx[:, 0] * dt
+        X2[:, k + 1] = X2[:, k] + np.exp(X1[:, k]) * (X3[:, k] - y) * dt
+        X3[:, k + 1] = X3[:, k] + f[:, 0] * dt + np.einsum("np,np->n", eps, noise[:, k])
+    if act.kind == "zero":
+        gp = np.zeros_like(X3)
+    else:
+        gp = act._g_prime(X3 * nodes[:, 0][None, :] + nodes[:, 1][None, :])
+    dtheta_f = np.stack([gp * X3, gp], axis=-1)
+    weight = (
+        -p.beta * np.exp(-X1) * (X2[:, -1][:, None] - X2)
+        - p.alpha * np.exp(X1[:, -1][:, None] - X1) * (X3[:, -1] - y)[:, None]
+    )
+    integrand = weight[:, :, None] * dtheta_f
+    values = np.mean(integrand, axis=0)
+    if m == 1:
+        return values, np.zeros_like(values)
+    return values, np.std(integrand, axis=0, ddof=1) / math.sqrt(m)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid", "gaussian", "affine", "zero"])
+def test_estimate_g_equals_augmented_recursion(scalar_params, scalar_law, kind):
+    """estimate_G, built on the particle simulation and cumulative sums, gives
+    exactly the bytes of the per-step augmented recursion, for every scalar
+    activation, one to many paths, and a three-dimensional noise."""
+    tv3 = TypeVector(epsilon=np.array([[0.2, -0.1, 0.15]]), gamma=np.zeros(0), sigma=np.zeros((0, 3)))
+    law3 = dataclasses.replace(scalar_law, type_vector=tv3)
+    p1 = dataclasses.replace(scalar_params, activation=ActivationSpec(kind=kind))
+    p3 = dataclasses.replace(p1, dims=Dims(d=1, q=0, p=3, m=2, l=0))
+    for p, law, n_steps, m in ((p1, scalar_law, 32, 400), (p1, scalar_law, 16, 300),
+                               (p1, scalar_law, 8, 1), (p3, law3, 16, 200)):
+        t = np.linspace(0.0, p.T, n_steps + 1)
+        theta = _theta_profile(t, p.k_theta)
+        G = estimate_G(theta, p, law, m, n_steps, 4)
+        noise = noise_table(4, np.arange(m), n_steps, t[1] - t[0], p.dims.p)
+        values, std_errors = _augmented_recursion_G(theta, p, law.sample(m, 4), n_steps, noise)
+        assert np.array_equal(G.values, values), (kind, p.dims.p, n_steps, m)
+        assert np.array_equal(G.std_errors, std_errors), (kind, p.dims.p, n_steps, m)
 
 
 # ---------------------------------------------------------------------------

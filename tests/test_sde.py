@@ -14,7 +14,7 @@ from mfresnet import (
     simulate_augmented,
     simulate_particles,
 )
-from mfresnet.errors import ScalarConfigRequired, GridMismatch
+from mfresnet.errors import Diverged, ScalarConfigRequired
 from mfresnet.rng import noise_table
 from mfresnet.sde import dump_trajectories
 
@@ -125,9 +125,9 @@ def test_augmented_state_matches_particle_state(scalar_params, scalar_law):
     t = np.linspace(0.0, scalar_params.T, n_steps + 1)
     theta = ControlGrid(t, np.stack([0.4 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1),
                         k_theta=scalar_params.k_theta)
-    aug = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
+    aug, _, _, _ = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
     ens = simulate_particles(scalar_params, theta, draws[0], draws[1], n_steps, 8)
-    assert np.allclose(aug.X3, ens.X[:, :, 0], atol=1e-14)
+    assert np.allclose(aug.X[:, :, 0], ens.X[:, :, 0], atol=1e-14)
 
 
 def test_augmented_recursions(scalar_params, scalar_law):
@@ -137,28 +137,37 @@ def test_augmented_recursions(scalar_params, scalar_law):
     t = np.linspace(0.0, scalar_params.T, n_steps + 1)
     theta = ControlGrid(t, np.stack([0.6 * np.ones_like(t), -0.2 * np.ones_like(t)], axis=1),
                         k_theta=scalar_params.k_theta)
-    aug = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
+    ens, X1, X2, _ = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
+    X3, Y0 = ens.X[:, :, 0], ens.y0[:, 0]
     dt = t[1] - t[0]
     act = scalar_params.activation
     for k in range(n_steps):
-        u = aug.X3[:, k] * 0.6 - 0.2
+        u = X3[:, k] * 0.6 - 0.2
         dfdx = act._g_prime(u) * 0.6
-        assert np.allclose(aug.X1[:, k + 1], aug.X1[:, k] + dfdx * dt, atol=1e-12)
-        expected = aug.X2[:, k] + np.exp(aug.X1[:, k]) * (aug.X3[:, k] - aug.Y0) * dt
-        assert np.allclose(aug.X2[:, k + 1], expected, atol=1e-12)
+        assert np.allclose(X1[:, k + 1], X1[:, k] + dfdx * dt, atol=1e-12)
+        expected = X2[:, k] + np.exp(X1[:, k]) * (X3[:, k] - Y0) * dt
+        assert np.allclose(X2[:, k + 1], expected, atol=1e-12)
 
 
 def test_divergence_raises(scalar_params):
+    """Diverged names the seed, the first grid step that is not finite and
+    the id of the particle there; a particle at the fixed point 0 stays finite."""
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
                             k_theta=1e9)
     n_steps = 64
     t = np.linspace(0.0, p.T, n_steps + 1)
     theta = ControlGrid(t, np.stack([1e8 * np.ones_like(t), np.zeros_like(t)], axis=1),
                         k_theta=p.k_theta)
-    samples = _scalar_batch(1.0)
+    samples = _scalar_batch(0.0, 1.0)
+    dt = t[1] - t[0]
+    x, first = 1.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(GridMismatch):
-            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 0)
+        while np.isfinite(x):
+            x, first = x + (1e8 * x) * dt, first + 1
+        with pytest.raises(Diverged) as exc:
+            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3, particle_ids=[4, 7])
+    assert 0 < first < n_steps
+    assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, first, 7)
 
 
 def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
