@@ -5,13 +5,14 @@
 # checking the CSVs against the digests in scripts/outputs.sha256.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-mfresnet gradcheck --out results/gradcheck --seed 11 "$@"
-mfresnet simulate scripts/coupled_simulation.json --out results/simulate "$@"
-mfresnet train scripts/gamma_experiment.json --out results/train "$@"
-mfresnet solve-limit scripts/gamma_experiment.json --out results/solve_limit "$@"
-mfresnet gamma scripts/gamma_experiment.json --out results/gamma "$@"
-mfresnet diagnose-fpk scripts/fpk_diagnostic.json --out results/diagnose_fpk "$@"
+python3 -m mfresnet gradcheck --out results/gradcheck --seed 11 "$@"
+python3 -m mfresnet simulate scripts/coupled_simulation.json --out results/simulate "$@"
+python3 -m mfresnet train scripts/gamma_experiment.json --out results/train "$@"
+python3 -m mfresnet solve-limit scripts/gamma_experiment.json --out results/solve_limit "$@"
+python3 -m mfresnet gamma scripts/gamma_experiment.json --out results/gamma "$@"
+python3 -m mfresnet diagnose-fpk scripts/fpk_diagnostic.json --out results/diagnose_fpk "$@"
 
 echo "all experiments written to results/"
 sha256sum -c scripts/outputs.sha256

@@ -87,10 +87,12 @@ class ExperimentConfig:
         if not n_list or n_list[0] < 1 or list(n_list) != sorted(set(n_list)):
             raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
         self.n_list = n_list
-        for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths"):
+        for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.seed, int):
+            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -109,16 +111,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        model = validate_params(ModelParams.from_dict(d.pop("model")) if "model" in d else default_model())
-        law = check_law(model, InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law())
-        tr = TrainConfig(**d.pop("train")) if "train" in d else TrainConfig()
-        fp = FixedPointConfig(**d.pop("fixed_point")) if "fixed_point" in d else FixedPointConfig()
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        return cls(model=model, initial_law=law, train=tr, fixed_point=fp, **d)
+        """Build and check a config; a missing key, an unknown nested key or a
+        value of the wrong type ends as ConfigInvalid."""
+        try:
+            d = dict(d)
+            model = validate_params(ModelParams.from_dict(d.pop("model")) if "model" in d else default_model())
+            law = check_law(model, InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law())
+            tr = TrainConfig(**d.pop("train")) if "train" in d else TrainConfig()
+            fp = FixedPointConfig(**d.pop("fixed_point")) if "fixed_point" in d else FixedPointConfig()
+            known = {f.name for f in dataclasses.fields(cls)}
+            unknown = set(d) - known
+            if unknown:
+                raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+            return cls(model=model, initial_law=law, train=tr, fixed_point=fp, **d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path):

@@ -43,6 +43,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise NonPositiveWeight("damping must lie in (0, 1]")
+        if self.mc_paths < 1:
+            raise NonPositiveWeight("mc_paths must be >= 1")
         if self.seed_policy not in ("fixed", "refresh"):
             raise NonPositiveWeight("seed_policy must be 'fixed' or 'refresh'")
 

@@ -86,27 +86,39 @@ def _smoothstep_d2(u):
     return 120.0 * u**3 - 180.0 * u**2 + 60.0 * u
 
 
+def _monomial(w, pows, axes=()):
+    """The monomial prod_j w_j**pows[j], differentiated once along each index
+    in axes, at the rows of w; None where the derivative vanishes."""
+    pows = list(pows)
+    coef = 1
+    for j in axes:
+        coef *= pows[j]
+        pows[j] -= 1
+    if coef == 0:
+        return None
+    out = np.ones(w.shape[0])
+    for j, pw in enumerate(pows):
+        if pw:
+            out = out * w[:, j] ** pw
+    return coef * out
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Polynomial-times-cutoff test function with closed-form derivatives.
 
     terms: tuple of (coeff, s_power, x_powers, z_powers); total degree <= 4.
-    The cutoff equals 1 where |(x,z) - center|^2 <= r_plateau^2 and 0 where
-    it exceeds r_support^2, with a C^2 quintic transition in between.
+    The cutoff equals 1 where |(x,z)|^2 <= r_plateau^2 and 0 where it
+    exceeds r_support^2, with a C^2 quintic transition in between.
     """
 
     terms: tuple
     d: int
     q: int
-    center: np.ndarray = None
     r_plateau: float = 10.0
     r_support: float = 20.0
 
     def __post_init__(self):
-        if self.center is None:
-            object.__setattr__(self, "center", np.zeros(self.d + self.q))
-        else:
-            object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         for coeff, s_pow, x_pows, z_pows in self.terms:
             if len(x_pows) != self.d or len(z_pows) != self.q:
                 raise SizeMismatch("term powers must match (d, q)")
@@ -115,138 +127,76 @@ class TestFunction:
         if not (0 < self.r_plateau < self.r_support):
             raise SizeMismatch("need 0 < r_plateau < r_support")
 
-    # -- polynomial part ----------------------------------------------------
-    def _poly(self, s, x, z):
-        """Value and derivatives of the polynomial factor, vectorized over rows."""
-        n = x.shape[0]
+    def _poly(self, s, w):
+        """Value, s-derivative, gradient (N,d+q) and Hessian (N,d+q,d+q) of
+        the polynomial factor in the joint variable w = (x, z)."""
+        n, m = w.shape
         val = np.zeros(n)
         ds = np.zeros(n)
-        dx = np.zeros((n, self.d))
-        dz = np.zeros((n, self.q))
-        dxx = np.zeros((n, self.d, self.d))
-        dzz = np.zeros((n, self.q, self.q))
-        dzx = np.zeros((n, self.q, self.d))
-
-        def mono(vals, pows, skip=()):
-            out = np.ones(n)
-            for j, pw in enumerate(pows):
-                if j in skip or pw == 0:
-                    continue
-                out = out * vals[:, j] ** pw
-            return out
-
+        grad = np.zeros((n, m))
+        hess = np.zeros((n, m, m))
         for coeff, s_pow, x_pows, z_pows in self.terms:
-            s_fac = s ** s_pow
-            px = mono(x, x_pows)
-            pz = mono(z, z_pows)
-            val += coeff * s_fac * px * pz
+            pows = tuple(x_pows) + tuple(z_pows)
+            c = coeff * s ** s_pow
+            mono = _monomial(w, pows)
+            val += c * mono
             if s_pow > 0:
-                ds += coeff * s_pow * s ** (s_pow - 1) * px * pz
-            for i in range(self.d):
-                if x_pows[i] == 0:
+                ds += coeff * s_pow * s ** (s_pow - 1) * mono
+            for i in range(m):
+                gi = _monomial(w, pows, (i,))
+                if gi is None:
                     continue
-                dxi = x_pows[i] * x[:, i] ** (x_pows[i] - 1) * mono(x, x_pows, skip=(i,))
-                dx[:, i] += coeff * s_fac * dxi * pz
-                for j in range(i, self.d):
-                    if j == i:
-                        if x_pows[i] >= 2:
-                            dd = x_pows[i] * (x_pows[i] - 1) * x[:, i] ** (x_pows[i] - 2) * mono(x, x_pows, skip=(i,))
-                            dxx[:, i, i] += coeff * s_fac * dd * pz
-                    elif x_pows[j] > 0:
-                        dd = (x_pows[i] * x[:, i] ** (x_pows[i] - 1)
-                              * x_pows[j] * x[:, j] ** (x_pows[j] - 1)
-                              * mono(x, x_pows, skip=(i, j)))
-                        dxx[:, i, j] += coeff * s_fac * dd * pz
-                        dxx[:, j, i] += coeff * s_fac * dd * pz
-            for k in range(self.q):
-                if z_pows[k] == 0:
-                    continue
-                dzk = z_pows[k] * z[:, k] ** (z_pows[k] - 1) * mono(z, z_pows, skip=(k,))
-                dz[:, k] += coeff * s_fac * px * dzk
-                for l in range(k, self.q):
-                    if l == k:
-                        if z_pows[k] >= 2:
-                            dd = z_pows[k] * (z_pows[k] - 1) * z[:, k] ** (z_pows[k] - 2) * mono(z, z_pows, skip=(k,))
-                            dzz[:, k, k] += coeff * s_fac * px * dd
-                    elif z_pows[l] > 0:
-                        dd = (z_pows[k] * z[:, k] ** (z_pows[k] - 1)
-                              * z_pows[l] * z[:, l] ** (z_pows[l] - 1)
-                              * mono(z, z_pows, skip=(k, l)))
-                        dzz[:, k, l] += coeff * s_fac * px * dd
-                        dzz[:, l, k] += coeff * s_fac * px * dd
-                for i in range(self.d):
-                    if x_pows[i] == 0:
-                        continue
-                    dd = (x_pows[i] * x[:, i] ** (x_pows[i] - 1) * mono(x, x_pows, skip=(i,)) * dzk)
-                    dzx[:, k, i] += coeff * s_fac * dd
-        return val, ds, dx, dz, dxx, dzz, dzx
+                grad[:, i] += c * gi
+                for j in range(i, m):
+                    hij = _monomial(w, pows, (i, j))
+                    if hij is not None:
+                        hess[:, i, j] += c * hij
+                        if j != i:
+                            hess[:, j, i] += c * hij
+        return val, ds, grad, hess
 
-    # -- cutoff part ---------------------------------------------------------
-    def _bump(self, x, z):
-        n = x.shape[0]
-        u = np.concatenate([x, z], axis=1) - self.center[None, :]
-        r2 = np.sum(u * u, axis=1)
+    def _bump(self, w):
+        """Value, gradient and Hessian of the radial cutoff at the rows of w."""
+        n, m = w.shape
+        r2 = np.sum(w * w, axis=1)
         lo2 = self.r_plateau**2
         hi2 = self.r_support**2
         denom = hi2 - lo2
-        w = (r2 - lo2) / denom
-        inside = w <= 0.0
-        outside = w >= 1.0
+        u = (r2 - lo2) / denom
+        inside = u <= 0.0
+        outside = u >= 1.0
         trans = ~inside & ~outside
         b = np.where(inside, 1.0, 0.0)
         psi1 = np.zeros(n)
         psi2 = np.zeros(n)
         if np.any(trans):
-            wt = np.clip(w, 0.0, 1.0)
-            b = np.where(trans, 1.0 - _smoothstep(wt), b)
-            psi1 = np.where(trans, -_smoothstep_d1(wt), 0.0)
-            psi2 = np.where(trans, -_smoothstep_d2(wt), 0.0)
-        grad = psi1[:, None] * 2.0 * u / denom                       # (N, d+q)
-        hess = (psi2[:, None, None] * 4.0 * u[:, :, None] * u[:, None, :] / denom**2
-                + psi1[:, None, None] * (2.0 / denom) * np.eye(self.d + self.q)[None])
+            ut = np.clip(u, 0.0, 1.0)
+            b = np.where(trans, 1.0 - _smoothstep(ut), b)
+            psi1 = np.where(trans, -_smoothstep_d1(ut), 0.0)
+            psi2 = np.where(trans, -_smoothstep_d2(ut), 0.0)
+        grad = psi1[:, None] * 2.0 * w / denom
+        hess = (psi2[:, None, None] * 4.0 * w[:, :, None] * w[:, None, :] / denom**2
+                + psi1[:, None, None] * (2.0 / denom) * np.eye(m)[None])
         return b, grad, hess
 
     def derivs(self, s, x, z):
-        """All derivatives needed by the generator, vectorized over atoms.
-
-        Returns dict with val, ds, dx (N,d), dz (N,q), dxx (N,d,d),
-        dzz (N,q,q), dzx (N,q,d).
-        """
+        """The derivative table the generator needs, vectorized over atoms:
+        val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = np.asarray(z, dtype=float)
         if z.ndim < 2:
             z = z.reshape(x.shape[0], self.q)
-        pval, pds, pdx, pdz, pdxx, pdzz, pdzx = self._poly(s, x, z)
-        b, bg, bh = self._bump(x, z)
+        w = np.concatenate([x, z], axis=1)
+        pval, pds, pg, ph = self._poly(s, w)
+        b, bg, bh = self._bump(w)
+        g = pg * b[:, None] + pval[:, None] * bg
+        h = (ph * b[:, None, None]
+             + pg[:, :, None] * bg[:, None, :]
+             + bg[:, :, None] * pg[:, None, :]
+             + pval[:, None, None] * bh)
         d = self.d
-        bgx, bgz = bg[:, :d], bg[:, d:]
-        bhxx, bhzz = bh[:, :d, :d], bh[:, d:, d:]
-        bhzx = bh[:, d:, :d]
-        val = pval * b
-        ds = pds * b
-        dx = pdx * b[:, None] + pval[:, None] * bgx
-        dz = pdz * b[:, None] + pval[:, None] * bgz
-        dxx = (pdxx * b[:, None, None]
-               + pdx[:, :, None] * bgx[:, None, :]
-               + bgx[:, :, None] * pdx[:, None, :]
-               + pval[:, None, None] * bhxx)
-        dzz = (pdzz * b[:, None, None]
-               + pdz[:, :, None] * bgz[:, None, :]
-               + bgz[:, :, None] * pdz[:, None, :]
-               + pval[:, None, None] * bhzz)
-        dzx = (pdzx * b[:, None, None]
-               + pdz[:, :, None] * bgx[:, None, :]
-               + bgz[:, :, None] * pdx[:, None, :]
-               + pval[:, None, None] * bhzx)
-        return {"val": val, "ds": ds, "dx": dx, "dz": dz, "dxx": dxx, "dzz": dzz, "dzx": dzx}
-
-    def value(self, s, x, z):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = np.asarray(z, dtype=float)
-        if z.ndim < 2:
-            z = z.reshape(x.shape[0], self.q)
-        pval = self._poly(s, x, z)[0]
-        return pval * self._bump(x, z)[0]
+        return {"val": pval * b, "ds": pds * b, "dx": g[:, :d], "dz": g[:, d:],
+                "dxx": h[:, :d, :d], "dzz": h[:, d:, d:], "dzx": h[:, d:, :d]}
 
 
 def coordinate_test_function(d, q, axis=0, power=1, r_plateau=10.0, r_support=20.0):
@@ -266,9 +216,11 @@ def constant_test_function(d, q, r_plateau=10.0, r_support=20.0):
 # generator and FPK residual
 # ---------------------------------------------------------------------------
 
-def generator_apply_batch(phi: TestFunction, s, x, z, eps, gamma, sigma,
+def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
                           theta_val, eta, p: ModelParams) -> np.ndarray:
-    """Generator applied to phi at each atom, vectorized: returns (N,).
+    """Generator applied to a test function at each atom, vectorized:
+    returns (N,).  dv is the function's derivative table at the atoms
+    (TestFunction.derivs); the drift reads depth only through theta_val.
 
     Sum of the time derivative, the drift and exogenous-drift first-order
     terms, and the diffusion second-order terms.  The mixed state/input
@@ -276,10 +228,9 @@ def generator_apply_batch(phi: TestFunction, s, x, z, eps, gamma, sigma,
     the joint diffusion are equal, and folding them into one trace leaves
     no factor one half (checked against the Ito expansion in the tests).
     """
-    dv = phi.derivs(s, x, z)
-    f = p.activation.drift(s, theta_val, z, x, eta)
+    f = p.activation.drift(None, theta_val, z, x, eta)
     out = dv["ds"] + np.einsum("nd,nd->n", f, dv["dx"])
-    if phi.q:
+    if z.shape[1]:
         phid = p.phi_value(gamma, z)
         out = out + np.einsum("nq,nq->n", phid, dv["dz"])
         out = out + 0.5 * np.einsum("nkp,nlp,nkl->n", sigma, sigma, dv["dzz"])
@@ -304,10 +255,10 @@ def fpk_residual(path: ParticleEnsemble, theta: ControlGrid, phi: TestFunction,
         xk = path.X[:, k]
         zk = path.Z[:, k]
         eta = float(np.mean(p.rho_value(xk)))
-        mean_phi[k] = float(np.mean(phi.value(t_grid[k], xk, zk)))
+        dv = phi.derivs(t_grid[k], xk, zk)
+        mean_phi[k] = float(np.mean(dv["val"]))
         mean_gen[k] = float(np.mean(generator_apply_batch(
-            phi, t_grid[k], xk, zk, path.eps, path.gamma, path.sigma,
-            theta_nodes[k], eta, p)))
+            dv, xk, zk, path.eps, path.gamma, path.sigma, theta_nodes[k], eta, p)))
     dt = t_grid[1] - t_grid[0]
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint

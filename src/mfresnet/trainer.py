@@ -35,6 +35,8 @@ class TrainConfig:
             raise NonPositiveWeight("step_size and grad_tol must be positive")
         if self.replications < 1 or self.n_intervals < 1:
             raise NonPositiveWeight("replications and n_intervals must be >= 1")
+        if not (0.0 < self.shrink < 1.0):
+            raise NonPositiveWeight("shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

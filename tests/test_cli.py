@@ -115,6 +115,27 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, (command, bad, flags)
         assert "ConfigInvalid" in err and "Traceback" not in err, (command, bad, flags, err)
+    # malformed values and costs without bound, each refused before any work
+    activation = dict(default_model().to_dict(), activation={"kind": "tanh", "gain": 2.0})
+    malformed = [
+        ("train", {"train": {"foo": 1}}, "ConfigInvalid"),
+        ("train", {"fixed_point": {"bar": 2}}, "ConfigInvalid"),
+        ("gradcheck", {"model": activation}, "ConfigInvalid"),
+        ("train", {"seed": "abc"}, "ConfigInvalid"),
+        ("train", {"train": {"n_intervals": "8"}}, "ConfigInvalid"),
+        ("gradcheck", {"workers": "2"}, "ConfigInvalid"),
+        ("train", {"n_particles": 20, "train": {"n_intervals": 4, "shrink": 1.0, "step_size": 1e9}},
+         "NonPositiveWeight"),
+        ("solve-limit", {"fixed_point": {"mc_paths": 0}}, "NonPositiveWeight"),
+    ]
+    for command, bad, error in malformed:
+        cfgfile.write_text(json.dumps(bad))
+        start = time.perf_counter()
+        code = main([command, str(cfgfile), "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0, (command, bad)
+        err = capsys.readouterr().err
+        assert code == 1, (command, bad)
+        assert error in err and "Traceback" not in err, (command, bad, err)
 
 
 def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_derivatives_match_finite_differences(point):
     h = 1e-5
 
     def val(ss, xx, zz):
-        return float(phi.value(ss, xx, zz)[0])
+        return float(phi.derivs(ss, xx, zz)["val"][0])
 
     assert dv["ds"][0] == pytest.approx((val(s + h, x, z) - val(s - h, x, z)) / (2 * h), abs=1e-6)
     for i in range(2):
@@ -153,13 +154,22 @@ def test_derivatives_match_finite_differences(point):
     xd = x.copy(); xd[0, 0] -= h; xd[0, 1] -= h
     cross = (val(s, xa, z) - val(s, xb, z) - val(s, xc, z) + val(s, xd, z)) / (4 * h * h)
     assert dv["dxx"][0, 0, 1] == pytest.approx(cross, abs=1e-4)
+    # off-diagonal input Hessian (the z0 z1 term) via the same stencil
+    za = z.copy(); za[0, 0] += h; za[0, 1] += h
+    zb = z.copy(); zb[0, 0] += h; zb[0, 1] -= h
+    zc = z.copy(); zc[0, 0] -= h; zc[0, 1] += h
+    zd = z.copy(); zd[0, 0] -= h; zd[0, 1] -= h
+    cross = (val(s, x, za) - val(s, x, zb) - val(s, x, zc) + val(s, x, zd)) / (4 * h * h)
+    assert dv["dzz"][0, 0, 1] == pytest.approx(cross, abs=1e-4)
+    np.testing.assert_allclose(dv["dxx"], dv["dxx"].transpose(0, 2, 1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dv["dzz"], dv["dzz"].transpose(0, 2, 1), rtol=0, atol=1e-12)
 
 
 def test_cutoff_support():
     phi = coordinate_test_function(1, 0, r_plateau=1.0, r_support=2.0)
-    far = phi.value(0.0, np.array([[5.0]]), np.zeros((1, 0)))
+    far = phi.derivs(0.0, np.array([[5.0]]), np.zeros((1, 0)))["val"]
     assert far[0] == 0.0
-    near = phi.value(0.0, np.array([[0.5]]), np.zeros((1, 0)))
+    near = phi.derivs(0.0, np.array([[0.5]]), np.zeros((1, 0)))["val"]
     assert near[0] == pytest.approx(0.5)
 
 
@@ -172,8 +182,8 @@ def generator_apply(phi, s, e, theta_val, eta, p):
     tv, _y, z, x = e
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    out = generator_apply_batch(phi, s, x, z, tv.epsilon[None], tv.gamma[None], tv.sigma[None],
-                                np.asarray(theta_val, dtype=float), float(eta), p)
+    out = generator_apply_batch(phi.derivs(s, x, z), x, z, tv.epsilon[None], tv.gamma[None],
+                                tv.sigma[None], np.asarray(theta_val, dtype=float), float(eta), p)
     return float(out[0])
 
 
@@ -260,3 +270,22 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-3
+
+
+def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
+    """Byte pin for the d=2, q=2 residual path: the z blocks, the mixed
+    state/input block and the cutoff shell all enter, which the scalar
+    scripts/ config never reaches.  The digest was recorded from the earlier
+    per-block derivative code, so the joint (x, z) calculus reproduces it."""
+    p = coupled_params
+    t = np.linspace(0.0, p.T, 21)
+    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
+                        k_theta=p.k_theta)
+    samples, types = coupled_law.sample(200, 7)
+    ens = simulate_particles(p, theta, samples, types, 20, 7)
+    phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
+                              (0.5, 0, (1, 0), (1, 0)), (0.5, 0, (0, 0), (1, 1))),
+                       d=2, q=2, r_plateau=1.0, r_support=2.0)
+    _, res = fpk_residual(ens, theta, phi, p)
+    assert hashlib.sha256(res.tobytes()).hexdigest() == (
+        "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
