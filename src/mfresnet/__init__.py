@@ -11,15 +11,9 @@ from .fpk import (
     GridFunction,
     estimate_G,
     fixed_point_solve,
-    residual_first_order,
     solve_neumann_bvp,
 )
-from .measures import (
-    TestFunction,
-    fpk_residual,
-    wasserstein2_1d,
-    wasserstein2_exact_small,
-)
+from .measures import TestFunction, fpk_residual, wasserstein2_1d
 from .objective import CostBreakdown, evaluate_Jd, evaluate_JN
 from .params import (
     ActivationSpec,

@@ -40,7 +40,7 @@ from .params import (
 )
 from .rng import make_generator, split_seed
 from .sde import dump_trajectories, simulate_particles
-from .trainer import TrainConfig, forward_sensitivity, train
+from .trainer import TrainConfig, _adjoint_gradient, train
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a config file; an unreadable file or one that is not JSON
+        ends as ConfigInvalid."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read config {path}: {type(exc).__name__}: {exc}") from exc
+        return cls.from_dict(d)
 
 
 def _write_atomic(path, text):
@@ -170,6 +176,14 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
     quiet = TypeVector(epsilon=np.zeros_like(tv.epsilon), gamma=tv.gamma,
                        sigma=np.zeros_like(tv.sigma))
     return dataclasses.replace(law, type_vector=quiet)
+
+
+def _reference_cloud(cfg, theta, n_steps, label):
+    """Terminal first coordinates of min(m_paths, 20000) paths drawn from the
+    initial law, the reference for the W2 columns."""
+    samples, tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, label))
+    ens = simulate_particles(cfg.model, theta, samples, tv, n_steps, split_seed(cfg.seed, f"{label}-sim"))
+    return ens.X[:, -1, 0]
 
 
 SPEARMAN_MAX_N = 8
@@ -312,11 +326,12 @@ def _random_gradcheck_case(case_idx, root_seed):
 
 
 def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
-    """Relative error between the forward sensitivity and a common-random-
-    number central finite difference for one randomized configuration."""
+    """Relative error between the adjoint gradient that train uses, contracted
+    with a random direction, and a common-random-number central finite
+    difference, for one randomized configuration."""
     p, samples, tv, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
     ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed)
-    analytic = forward_sensitivity(ens, theta, direction, p)
+    analytic = float(np.sum(_adjoint_gradient(ens, theta, p) * direction.values))
     h = fd_epsilon
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
@@ -373,10 +388,7 @@ def run_gamma(cfg: ExperimentConfig):
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths,
                             cfg.train.n_intervals, split_seed(cfg.seed, "jd"))
-    ref_samples, ref_tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "ref-cloud"))
-    ref_ens = simulate_particles(p, theta_star, ref_samples, ref_tv, cfg.train.n_intervals,
-                                 split_seed(cfg.seed, "ref-cloud-sim"))
-    ref_cloud = ref_ens.X[:, -1, 0]
+    ref_cloud = _reference_cloud(cfg, theta_star, cfg.train.n_intervals, "ref-cloud")
 
     units = [(n, draw) for n in cfg.n_list for draw in range(cfg.n_draws)]
     results = _run_units(units, lambda u: _gamma_unit(cfg, theta_star, *u), cfg.workers)
@@ -432,9 +444,8 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     theta = _reference_theta(p, cfg.n_steps)
     law = cfg.initial_law
     quiet_law = _nonoise_law(law)
-    ref_samples, ref_tv = law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, "diag-ref"))
-    ref_ens = simulate_particles(p, theta, ref_samples, ref_tv, cfg.n_steps, split_seed(cfg.seed, "diag-ref-sim"))
-    ref_cloud = ref_ens.X[:, -1, 0]
+    # W2 is taken in one dimension only; for d > 1 the column is nan
+    ref_cloud = _reference_cloud(cfg, theta, cfg.n_steps, "diag-ref") if p.dims.d == 1 else None
 
     units = [(label, n, s)
              for label in ("noisy", "nonoise")
@@ -449,7 +460,7 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     results = _run_units(units, unit, cfg.workers)
     rows = []
     for (label, n, s), (sup_res, cloud) in zip(units, results):
-        w2 = wasserstein2_1d(cloud, ref_cloud) if p.dims.d == 1 else float("nan")
+        w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
         rows.append((label, n, s, sup_res, w2))
     outputs = {
         "diagnose_fpk.csv": _csv_text(cfg, ["case", "N", "seed", "sup_residual", "w2_terminal"], rows),

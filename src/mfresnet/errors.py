@@ -37,10 +37,6 @@ class ConfigInvalid(MfresnetError):
     """Experiment or evaluation configuration is invalid."""
 
 
-class SingularSystem(MfresnetError):
-    """The boundary-value linear system is singular (cannot happen for lambda1 > 0)."""
-
-
 class NoDescentProgress(MfresnetError):
     """Backtracking line search hit its floor without finding a descent step."""
 
@@ -60,10 +56,6 @@ class NoConvergence(MfresnetError):
     def __init__(self, message, trace):
         super().__init__(message)
         self.trace = list(trace)
-
-
-class MassMismatch(MfresnetError):
-    """Weighted point clouds do not carry equal total mass."""
 
 
 class SizeMismatch(MfresnetError):

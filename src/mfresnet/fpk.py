@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import GridMismatch, NoConvergence, NonPositiveWeight, SingularSystem
+from .errors import GridMismatch, NoConvergence, NonPositiveWeight
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
@@ -99,10 +99,7 @@ def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float,
     ab[2, :-1] = -r
     ab[0, 1] = -2.0 * r   # ghost closure at t=0
     ab[2, -2] = -2.0 * r  # ghost closure at t=T
-    try:
-        theta = scipy.linalg.solve_banded((1, 1), ab, G.values)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur for lambda1>0
-        raise SingularSystem(str(exc)) from exc
+    theta = scipy.linalg.solve_banded((1, 1), ab, G.values)
     return ControlGrid(t_grid=t, values=theta, k_theta=k_theta)
 
 
@@ -115,9 +112,9 @@ def neumann_derivatives(theta: ControlGrid):
     return d0, dT
 
 
-def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
-                      theta0: ControlGrid | None = None):
-    """Damped fixed-point iteration theta <- (1-eta) theta + eta P[BVP(G(theta))].
+def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
+    """Damped fixed-point iteration theta <- (1-eta) theta + eta P[BVP(G(theta))]
+    from the zero control.
 
     With the fixed seed policy the map is deterministic and its law sample
     and noise are drawn once for all iterations.  On convergence the
@@ -126,10 +123,8 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
     otherwise.
     """
-    if theta0 is None:
-        theta0 = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
-    theta = project_to_box(theta0)
-    n_steps = theta.t_grid.size - 1
+    theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
+    n_steps = cfg.n_intervals
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
     noise = euler_noise(p, np.arange(cfg.mc_paths), n_steps, cfg.seed) if fixed else None
@@ -146,16 +141,3 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig,
         theta = theta.with_values(new_values)
     raise NoConvergence(f"no convergence in {cfg.outer_iters} iterations", trace)
 
-
-def residual_first_order(theta: ControlGrid, p: ModelParams, law: InitialLaw,
-                         n_paths: int, seed) -> float:
-    """Convergence certificate: interior sup-norm of lambda1 theta - lambda2
-    D2 theta - G(theta) plus the boundary derivative magnitudes."""
-    n_steps = theta.t_grid.size - 1
-    G = estimate_G(theta, p, law, n_paths, n_steps, seed)
-    v = theta.values
-    h = theta.dt
-    d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
-    interior = p.lambda1 * v[1:-1] - p.lambda2 * d2 - G.values[1:-1]
-    d0, dT = neumann_derivatives(theta)
-    return float(np.max(np.abs(interior)) + np.max(d0) + np.max(dT))

@@ -1,5 +1,6 @@
-"""Wasserstein distances, the generator of the state dynamics, and the
-weak-form FPK residual of a simulated ensemble's empirical measure.
+"""The one-dimensional Wasserstein-2 distance, the generator of the state
+dynamics, and the weak-form FPK residual of a simulated ensemble's
+empirical measure.
 
 Test functions are polynomials (degree <= 4 in time, state and exogenous
 input) multiplied by a C^2 radial cutoff whose plateau is meant to cover
@@ -8,39 +9,31 @@ form and plateau-covered cases are exact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, MassMismatch, SizeMismatch
+from .errors import GridMismatch, SizeMismatch
 from .params import ControlGrid, ModelParams
 from .sde import ParticleEnsemble
 
 
 # ---------------------------------------------------------------------------
-# Wasserstein-2 distances
+# Wasserstein-2 distance
 # ---------------------------------------------------------------------------
 
-def wasserstein2_1d(a, b, a_weights=None, b_weights=None) -> float:
-    """Quadratic Wasserstein distance between weighted samples on the line.
+def wasserstein2_1d(a, b) -> float:
+    """Quadratic Wasserstein distance between two equally weighted point
+    clouds on the line.
 
     Quantile coupling (exact in one dimension): sort both supports and
     integrate squared quantile differences over the common mass axis.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    wa = np.full(a.size, 1.0 / a.size) if a_weights is None else np.asarray(a_weights, dtype=float)
-    wb = np.full(b.size, 1.0 / b.size) if b_weights is None else np.asarray(b_weights, dtype=float)
-    if abs(wa.sum() - 1.0) > 1e-9 or abs(wb.sum() - 1.0) > 1e-9:
-        raise MassMismatch("weights must sum to one on both sides")
-    ia = np.argsort(a, kind="stable")
-    ib = np.argsort(b, kind="stable")
-    a, wa = a[ia], wa[ia]
-    b, wb = b[ib], wb[ib]
-    cw_a = np.cumsum(wa)
-    cw_b = np.cumsum(wb)
+    a = np.sort(np.asarray(a, dtype=float).reshape(-1), kind="stable")
+    b = np.sort(np.asarray(b, dtype=float).reshape(-1), kind="stable")
+    cw_a = np.cumsum(np.full(a.size, 1.0 / a.size))
+    cw_b = np.cumsum(np.full(b.size, 1.0 / b.size))
     cuts = np.sort(np.concatenate([cw_a, cw_b]))
     cuts[-1] = 1.0
     seg = np.diff(np.concatenate([[0.0], cuts]))
@@ -48,26 +41,6 @@ def wasserstein2_1d(a, b, a_weights=None, b_weights=None) -> float:
     qa = a[np.minimum(np.searchsorted(cw_a, mid), a.size - 1)]
     qb = b[np.minimum(np.searchsorted(cw_b, mid), b.size - 1)]
     return float(math.sqrt(max(np.sum(seg * (qa - qb) ** 2), 0.0)))
-
-
-def wasserstein2_exact_small(a, b) -> float:
-    """Exact W2 between two equal-size clouds of <= 8 equally weighted points
-    by brute-force assignment; the oracle the fast paths are tested against."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if a.shape != b.shape:
-        raise SizeMismatch("clouds must have identical shapes")
-    n = a.shape[0]
-    if n > 8:
-        raise SizeMismatch("exact assignment limited to 8 points")
-    pair_cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)  # (n, n)
-    perms = np.array(list(itertools.permutations(range(n))))
-    costs = pair_cost[np.arange(n), perms].sum(axis=1)
-    return math.sqrt(float(costs.min()) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +170,6 @@ class TestFunction:
         d = self.d
         return {"val": pval * b, "ds": pds * b, "dx": g[:, :d], "dz": g[:, d:],
                 "dxx": h[:, :d, :d], "dzz": h[:, d:, d:], "dzx": h[:, d:, :d]}
-
-
-def coordinate_test_function(d, q, axis=0, power=1, r_plateau=10.0, r_support=20.0):
-    """phi = x_axis^power times the cutoff."""
-    x_pows = tuple(power if j == axis else 0 for j in range(d))
-    return TestFunction(terms=((1.0, 0, x_pows, (0,) * q),), d=d, q=q,
-                        r_plateau=r_plateau, r_support=r_support)
-
-
-def constant_test_function(d, q, r_plateau=10.0, r_support=20.0):
-    """phi = 1 on the plateau (all derivatives vanish there)."""
-    return TestFunction(terms=((1.0, 0, (0,) * d, (0,) * q),), d=d, q=q,
-                        r_plateau=r_plateau, r_support=r_support)
 
 
 # ---------------------------------------------------------------------------

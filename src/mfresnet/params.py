@@ -11,7 +11,6 @@ the limiting control problem has a closed characterization (see fpk.py).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -139,16 +138,6 @@ class ActivationSpec:
             return np.ones_like(u)
         raise AssertionError(self.kind)
 
-    def g_prime_sup(self):
-        return {
-            "tanh": 1.0,
-            "sigmoid": 0.25,
-            "gaussian": math.sqrt(2.0 / math.e),
-            "affine": 1.0,
-            "zero": 0.0,
-            "constant": 0.0,
-        }[self.kind]
-
     def _preactivation(self, theta, z, x, eta):
         # x: (N, d); z: (N, q) or None; eta: scalar or (N,)
         u = theta[0] * x + theta[1]
@@ -184,19 +173,6 @@ class ActivationSpec:
         gp = self._g_prime(u)
         dtheta = np.stack([gp * x, gp], axis=-1)
         return f, gp * theta[0], dtheta, gp * self.eta_weight, gp * self.z_weight
-
-    def lipschitz_constant(self, x_bound, k_theta):
-        """Lipschitz constant of f in (theta, x, z, eta) jointly, valid for
-        |x| <= x_bound coordinatewise and |theta| <= k_theta coordinatewise."""
-        gs = self.g_prime_sup()
-        if self.kind == "constant" or self.kind == "zero":
-            return 0.0
-        return gs * max(
-            x_bound + 1.0,           # theta direction: |x| for theta_1 plus 1 for theta_2
-            abs(k_theta),            # x direction
-            abs(self.z_weight),
-            abs(self.eta_weight),
-        )
 
     def to_dict(self):
         return {"kind": self.kind, "c": self.c, "z_weight": self.z_weight, "eta_weight": self.eta_weight}
@@ -241,10 +217,6 @@ class ControlGrid:
     def horizon(self):
         return float(self.t_grid[-1])
 
-    def derivative(self):
-        """Per-interval constant slope, shape (M, m)."""
-        return np.diff(self.values, axis=0) / self.dt
-
     def value_at(self, t):
         """Piecewise-linear evaluation at scalar or array t."""
         t = np.asarray(t, dtype=float)
@@ -255,9 +227,6 @@ class ControlGrid:
 
     def with_values(self, values):
         return replace(self, values=np.asarray(values, dtype=float))
-
-    def in_box(self):
-        return bool(np.all(np.abs(self.values) <= self.k_theta + 1e-15))
 
     @classmethod
     def zeros(cls, horizon, n_intervals, m=2, k_theta=10.0):
@@ -367,15 +336,6 @@ class ModelParams:
         d["dims"] = Dims(**d["dims"])
         return cls(**d)
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def validate_params(p: ModelParams) -> ModelParams:
     """Check positivity of weights, dimension consistency and wiring constraints.
@@ -416,7 +376,7 @@ class InitialLaw:
 
     kind="uniform": coordinates of (x0, y0, z0) drawn uniformly from the given
     per-block intervals (a sub-box of the support box).
-    kind="dirac": every sample equals the given point.
+    kind="dirac": every sample equals the point (x_low, y_low, z_low).
     """
 
     kind: str
@@ -438,11 +398,6 @@ class InitialLaw:
     def uniform(cls, x_low, x_high, y_low, y_high, type_vector, z_low=(), z_high=()):
         return cls("uniform", x_low, x_high, y_low, y_high, np.asarray(z_low, dtype=float),
                    np.asarray(z_high, dtype=float), type_vector)
-
-    @classmethod
-    def dirac(cls, x0, y0, type_vector, z0=()):
-        z0 = np.asarray(z0, dtype=float)
-        return cls("dirac", x0, x0, y0, y0, z0, z0, type_vector)
 
     def sample(self, n, seed):
         """Draw n samples deterministically from seed; returns (SampleBatch, type vector)."""

@@ -37,17 +37,10 @@ def make_generator(root_seed, label=0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def particle_noise(root_seed, particle_id, n_steps, dt, dim) -> np.ndarray:
-    """All Brownian increments of one particle: (n_steps, dim), N(0, dt I) rows."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    gen = make_generator(root_seed, particle_id)
-    return gen.standard_normal((n_steps, dim)) * math.sqrt(dt)
-
-
 def noise_table(root_seed, particle_ids, n_steps, dt, dim) -> np.ndarray:
-    """Stacked increments for many particles: (N, n_steps, dim); row i is
-    particle_noise(root_seed, particle_ids[i], ...) exactly, drawn by one
+    """Stacked increments for many particles: (N, n_steps, dim), N(0, dt I)
+    rows.  Row i is the first n_steps * dim standard normals of
+    make_generator(root_seed, particle_ids[i]) times sqrt(dt), drawn by one
     call-local Philox reset to key (root_seed, id) and counter 0 per row."""
     if dt <= 0:
         raise ValueError("dt must be positive")

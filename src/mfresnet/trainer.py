@@ -1,5 +1,5 @@
-"""Finite-sample training: pathwise forward sensitivities, the discrete
-adjoint gradient, and projected gradient descent with Armijo backtracking.
+"""Finite-sample training: the discrete adjoint gradient and projected
+gradient descent with Armijo backtracking.
 
 Gradients differentiate the discretized system exactly (including the batch
 coupling term), so central finite differences with common random numbers
@@ -57,59 +57,12 @@ def _trapezoid_weights(t_grid):
     return w
 
 
-def _control_cost_directional(theta: ControlGrid, direction: ControlGrid, p: ModelParams):
-    w = _trapezoid_weights(theta.t_grid)
-    l2 = 2.0 * p.lambda1 * float(np.sum(w[:, None] * theta.values * direction.values))
-    dthe = np.diff(theta.values, axis=0)
-    ddir = np.diff(direction.values, axis=0)
-    h1 = 2.0 * p.lambda2 * float(np.sum(dthe * ddir) / theta.dt)
-    return l2 + h1
-
-
-def forward_sensitivity(ensemble: ParticleEnsemble, theta: ControlGrid,
-                        direction: ControlGrid, p: ModelParams) -> float:
-    """Directional derivative of the pathwise sampled objective.
-
-    Propagates per-particle variational states through the Euler recursion,
-    including the batch coupling term (each particle's sensitivity feeds the
-    empirical batch statistic seen by every other particle), then chains
-    into the terminal, running and control costs.
-    """
-    if direction.t_grid.shape != theta.t_grid.shape or not np.allclose(direction.t_grid, theta.t_grid):
-        raise GridMismatch("direction must live on the control grid")
-    t_grid = ensemble.t_grid
-    dt = ensemble.dt
-    n_steps = ensemble.n_steps
-    n = ensemble.n_particles
-    theta_nodes = theta.value_at(t_grid)
-    dir_nodes = direction.value_at(t_grid)
-    w = _trapezoid_weights(t_grid)
-
-    err = ensemble.X - ensemble.y0[:, None, :]
-    phi = np.zeros_like(ensemble.X[:, 0])    # (N, d), zero at t=0
-    running = 0.0
-    act = p.activation
-    for k in range(n_steps):
-        # running-state contribution at node k (phi holds the node-k state)
-        running += w[k] * np.sum(err[:, k] * phi)
-        xk = ensemble.X[:, k]
-        zk = ensemble.Z[:, k]
-        eta = float(np.mean(p.rho_value(xk)))
-        _, dfdx, dftheta, dfeta, _ = act.drift_partials(t_grid[k], theta_nodes[k], zk, xk, eta)
-        deta = float(np.mean(np.sum(p.rho_grad(xk) * phi, axis=1)))
-        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, dir_nodes[k]) + dfeta * deta)
-    running += w[n_steps] * np.sum(err[:, -1] * phi)
-
-    terminal = (2.0 * p.alpha / n) * float(np.sum(err[:, -1] * phi))
-    running_state = (2.0 * p.beta / n) * float(running)
-    return terminal + running_state + _control_cost_directional(theta, direction, p)
-
-
 def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelParams) -> np.ndarray:
     """Exact gradient of the pathwise objective w.r.t. the control-grid values.
 
-    Reverse sweep of the same discrete recursion forward_sensitivity
-    integrates; the two are dual and are cross-checked in the tests.
+    Reverse sweep of the Euler recursion, including the batch coupling term
+    (each particle's state feeds the empirical batch statistic seen by every
+    other particle), chained into the terminal, running and control costs.
     """
     t_grid = ensemble.t_grid
     if t_grid.size != theta.t_grid.size or not np.allclose(t_grid, theta.t_grid):
@@ -141,13 +94,12 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelPa
     return grad
 
 
-def _replicate(p, theta, samples, type_vector, n_steps, seed, particle_ids, noises):
+def _replicate(p, theta, samples, type_vector, n_steps, seed, noises):
     """Simulate theta under each noise table: the averaged cost and the ensembles."""
     parts = np.zeros(4)
     ensembles = []
     for noise in noises:
-        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed,
-                                 particle_ids=particle_ids, noise=noise)
+        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed, noise=noise)
         bd = evaluate_JN(ens, theta, p)
         parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
         ensembles.append(ens)
@@ -162,24 +114,23 @@ def _mean_gradient(ensembles, theta, p):
 
 
 def value_and_gradient(p, theta, samples, type_vector, n_steps, seed, replications=1,
-                       particle_ids=None, noises=None):
+                       noises=None):
     """Objective and gradient averaged over noise replications (common random
     numbers: the same noise tables are reused for every theta)."""
     if n_steps != theta.t_grid.size - 1:
         raise GridMismatch("training requires one Euler step per control interval")
-    if particle_ids is None:
-        particle_ids = np.arange(len(samples))
     if noises is None:
-        noises = replication_noise(p, n_steps, seed, replications, particle_ids)
-    value, ensembles = _replicate(p, theta, samples, type_vector, n_steps, seed,
-                                  particle_ids, noises)
+        noises = replication_noise(p, len(samples), n_steps, seed, replications)
+    value, ensembles = _replicate(p, theta, samples, type_vector, n_steps, seed, noises)
     return value, _mean_gradient(ensembles, theta, p)
 
 
-def replication_noise(p, n_steps, seed, replications, particle_ids):
+def replication_noise(p, n_particles, n_steps, seed, replications):
+    """One noise table per replication for particles 0..n_particles-1."""
     dt = p.T / n_steps
+    ids = np.arange(n_particles)
     return [
-        noise_table(split_seed(seed, f"rep{r}"), particle_ids, n_steps, dt, p.dims.p)
+        noise_table(split_seed(seed, f"rep{r}"), ids, n_steps, dt, p.dims.p)
         for r in range(replications)
     ]
 
@@ -206,26 +157,20 @@ def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.nd
     return scipy.linalg.solve_banded((1, 1), ab, grad)
 
 
-def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
-          theta0: ControlGrid | None = None, particle_ids=None) -> TrainResult:
+def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> TrainResult:
     """Projected gradient descent with Armijo backtracking on the sampled
     objective (replications averaged with common random numbers).
 
-    Starts from the zero control by default, so the accepted history is
-    non-increasing from the feasible zero-control value.  Each line-search
-    candidate is simulated once; the accepted one's ensembles give the next
-    gradient.
+    Starts from the zero control, so the accepted history is non-increasing
+    from the feasible zero-control value.  Each line-search candidate is
+    simulated once; the accepted one's ensembles give the next gradient.
     """
-    if theta0 is None:
-        theta0 = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
-    theta = project_to_box(theta0)
-    n_steps = theta.t_grid.size - 1
-    if particle_ids is None:
-        particle_ids = np.arange(len(samples))
-    noises = replication_noise(p, n_steps, seed, cfg.replications, particle_ids)
+    theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
+    n_steps = cfg.n_intervals
+    noises = replication_noise(p, len(samples), n_steps, seed, cfg.replications)
 
     current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
-                                       particle_ids=particle_ids, noises=noises)
+                                       noises=noises)
     history = [current]
     gnorm = float(np.linalg.norm(grad))
     for _ in range(cfg.max_iters):
@@ -236,8 +181,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed,
         while step >= cfg.step_floor:
             cand = project_to_box(theta.with_values(theta.values - step * direction))
             move = cand.values - theta.values
-            cand_val, ensembles = _replicate(p, cand, samples, type_vector, n_steps, seed,
-                                             particle_ids, noises)
+            cand_val, ensembles = _replicate(p, cand, samples, type_vector, n_steps, seed, noises)
             if cand_val.total <= current.total + cfg.armijo_c * float(np.sum(grad * move)):
                 break
             step *= cfg.shrink

@@ -1,3 +1,7 @@
+"""Fixtures, and the oracles and helpers that several test modules share."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,55 @@ from mfresnet import (
     InitialLaw,
     ModelParams,
     TypeVector,
+    estimate_G,
 )
+from mfresnet.errors import SizeMismatch
+from mfresnet.fpk import neumann_derivatives
+
+
+def in_box(theta):
+    """Whether every control value lies in [-k_theta, k_theta]."""
+    return bool(np.all(np.abs(theta.values) <= theta.k_theta + 1e-15))
+
+
+def dirac_law(x0, y0, type_vector, z0=()):
+    """The point-mass initial law: every sample equals (x0, y0, z0)."""
+    z0 = np.asarray(z0, dtype=float)
+    return InitialLaw("dirac", x0, x0, y0, y0, z0, z0, type_vector)
+
+
+def wasserstein2_exact_small(a, b):
+    """Exact W2 between two equal-size clouds of <= 8 equally weighted points
+    by brute-force assignment; the oracle the quantile coupling is tested against."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+    if a.shape != b.shape:
+        raise SizeMismatch("clouds must have identical shapes")
+    n = a.shape[0]
+    if n > 8:
+        raise SizeMismatch("exact assignment limited to 8 points")
+    pair_cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)  # (n, n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    costs = pair_cost[np.arange(n), perms].sum(axis=1)
+    return math.sqrt(float(costs.min()) / n)
+
+
+def residual_first_order(theta, p, law, n_paths, seed):
+    """Convergence certificate of the limit solver: interior sup-norm of
+    lambda1 theta - lambda2 D2 theta - G(theta) plus the boundary derivative
+    magnitudes."""
+    n_steps = theta.t_grid.size - 1
+    G = estimate_G(theta, p, law, n_paths, n_steps, seed)
+    v = theta.values
+    h = theta.dt
+    d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
+    interior = p.lambda1 * v[1:-1] - p.lambda2 * d2 - G.values[1:-1]
+    d0, dT = neumann_derivatives(theta)
+    return float(np.max(np.abs(interior)) + np.max(d0) + np.max(dT))
 
 
 @pytest.fixture

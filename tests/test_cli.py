@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import mfresnet.cli as cli
 from mfresnet.cli import (
     ExperimentConfig,
     default_law,
@@ -136,6 +137,13 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, (command, bad)
         assert error in err and "Traceback" not in err, (command, bad, err)
+    # a config file that is not JSON, and one that does not exist
+    cfgfile.write_text("{not json")
+    for path in (cfgfile, tmp_path / "missing.json"):
+        code = main(["train", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1, path
+        assert "ConfigInvalid" in err and "Traceback" not in err, (path, err)
 
 
 def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):
@@ -146,6 +154,26 @@ def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "ConfigInvalid" in capsys.readouterr().err
+
+
+def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monkeypatch,
+                                                                 coupled_params, coupled_law):
+    """W2 is one-dimensional, so a d=2 run writes nan there and simulates no
+    reference ensemble: one simulation per (case, N, seed) unit."""
+    calls = []
+    simulate = cli.simulate_particles
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_particles", counting)
+    cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, out=str(tmp_path / "d"),
+                           n_list=(5, 10), seeds_per_n=2, n_steps=4, m_paths=50)
+    payload, _ = run_experiment("diagnose-fpk", cfg)
+    assert len(payload["rows"]) == 8
+    assert sorted(calls) == [5] * 4 + [10] * 4
+    assert all(np.isnan(row[4]) for row in payload["rows"])
 
 
 def test_gradcheck_cli(tmp_path, capsys):

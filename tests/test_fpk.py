@@ -11,11 +11,9 @@ from mfresnet import (
     Dims,
     FixedPointConfig,
     GridFunction,
-    InitialLaw,
     TypeVector,
     estimate_G,
     fixed_point_solve,
-    residual_first_order,
     solve_neumann_bvp,
 )
 from mfresnet.errors import ScalarConfigRequired, NoConvergence, NonPositiveWeight
@@ -23,6 +21,8 @@ from mfresnet.fpk import neumann_derivatives
 from mfresnet.rng import noise_table
 from mfresnet.sde import euler_noise
 from mfresnet.trainer import _trapezoid_weights, value_and_gradient
+
+from conftest import dirac_law, in_box, residual_first_order
 
 
 def _grid_function(t, values):
@@ -87,7 +87,7 @@ def test_neumann_derivatives_vanish_for_even_profile():
 
 def _dirac_noise_free_law():
     tv = TypeVector(epsilon=np.zeros((1, 1)), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
-    return InitialLaw.dirac(x0=[1.2], y0=[0.3], type_vector=tv)
+    return dirac_law(x0=[1.2], y0=[0.3], type_vector=tv)
 
 
 def _theta_profile(t, k_theta):
@@ -278,7 +278,7 @@ def test_fixed_point_refresh_policy_converges(scalar_params, scalar_law):
     cfg = FixedPointConfig(mc_paths=4000, outer_iters=150, seed=6,
                            seed_policy="refresh", outer_tol=5e-3)
     theta, _ = fixed_point_solve(scalar_params, scalar_law, cfg)
-    assert theta.in_box()
+    assert in_box(theta)
 
 
 def test_fixed_point_solution_in_box(scalar_params, scalar_law):

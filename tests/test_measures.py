@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from mfresnet import (
     ActivationSpec,
     ControlGrid,
-    InitialLaw,
     TestFunction,
     TypeVector,
     fpk_residual,
     simulate_particles,
     wasserstein2_1d,
-    wasserstein2_exact_small,
 )
-from mfresnet.errors import MassMismatch, SizeMismatch
-from mfresnet.measures import constant_test_function, coordinate_test_function, generator_apply_batch
+from mfresnet.errors import SizeMismatch
+from mfresnet.measures import generator_apply_batch
+
+from conftest import dirac_law, wasserstein2_exact_small
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +48,13 @@ def test_w2_simple_translations():
     assert wasserstein2_1d([0.0], [5.0]) == pytest.approx(5.0)
 
 
-def test_w2_weighted_atom_splitting_invariance():
-    """Splitting an atom into two half-weight copies does not change the
-    distance to any other cloud."""
+def test_w2_atom_duplication_invariance():
+    """Doubling every atom of a cloud leaves its empirical measure, and so
+    its distance to any other cloud, unchanged."""
     b = np.array([0.3, 1.7, -2.0])
     base = wasserstein2_1d(np.array([0.0, 1.0]), b)
-    split = wasserstein2_1d(np.array([0.0, 1.0, 1.0]), b,
-                            a_weights=np.array([0.5, 0.25, 0.25]))
-    assert split == pytest.approx(base, abs=1e-12)
-
-
-def test_w2_weight_validation():
-    with pytest.raises(MassMismatch):
-        wasserstein2_1d([0.0, 1.0], [0.0, 1.0], a_weights=np.array([0.5, 0.4]))
+    doubled = wasserstein2_1d(np.array([0.0, 0.0, 1.0, 1.0]), b)
+    assert doubled == pytest.approx(base, abs=1e-12)
 
 
 def test_exact_small_rejects_large_or_mismatched():
@@ -99,6 +93,19 @@ def test_w2_metric_axioms(abc):
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------
+
+def coordinate_test_function(d, q, axis=0, power=1, r_plateau=10.0, r_support=20.0):
+    """phi = x_axis^power times the cutoff."""
+    x_pows = tuple(power if j == axis else 0 for j in range(d))
+    return TestFunction(terms=((1.0, 0, x_pows, (0,) * q),), d=d, q=q,
+                        r_plateau=r_plateau, r_support=r_support)
+
+
+def constant_test_function(d, q, r_plateau=10.0, r_support=20.0):
+    """phi = 1 on the plateau (all derivatives vanish there)."""
+    return TestFunction(terms=((1.0, 0, (0,) * d, (0,) * q),), d=d, q=q,
+                        r_plateau=r_plateau, r_support=r_support)
+
 
 def _rich_phi(d=2, q=2):
     terms = (
@@ -231,7 +238,7 @@ def test_generator_cross_term_matches_ito_expansion():
                           np.zeros(2), 0.0, p)
     assert out == pytest.approx(eps * sig, rel=1e-12)
     # Monte Carlo confirmation of the Ito constant
-    law = InitialLaw.dirac(x0=[0.5], y0=[0.0], z0=[0.3], type_vector=tv)
+    law = dirac_law(x0=[0.5], y0=[0.0], z0=[0.3], type_vector=tv)
     samples, types = law.sample(200000, 0)
     theta = ControlGrid.zeros(p.T, 1, k_theta=p.k_theta)
     ens = simulate_particles(p, theta, samples, types, 1, 12)

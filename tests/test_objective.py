@@ -7,13 +7,14 @@ from mfresnet import (
     ActivationSpec,
     ControlGrid,
     CostBreakdown,
-    InitialLaw,
     TypeVector,
     evaluate_Jd,
     evaluate_JN,
     simulate_particles,
 )
 from mfresnet.errors import EnsembleParamMismatch
+
+from conftest import dirac_law
 
 
 def loss(p, x, y):
@@ -27,7 +28,7 @@ def _frozen_setup(scalar_params):
     never moves, so every cost term is available in closed form."""
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="zero"))
     tv = TypeVector(epsilon=np.zeros((1, 1)), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
-    law = InitialLaw.dirac(x0=[1.0], y0=[0.0], type_vector=tv)
+    law = dirac_law(x0=[1.0], y0=[0.0], type_vector=tv)
     return p, law
 
 

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfresnet import make_generator, split_seed
-from mfresnet.rng import noise_table, particle_noise
+from mfresnet.rng import noise_table
+
+
+def particle_noise(root_seed, particle_id, n_steps, dt, dim):
+    """Stream oracle: all Brownian increments of one particle, (n_steps, dim)
+    N(0, dt I) rows, drawn from that particle's own generator."""
+    gen = make_generator(root_seed, particle_id)
+    return gen.standard_normal((n_steps, dim)) * math.sqrt(dt)
 
 
 def brownian_increments(root_seed, particle_id, step_index, dt, dim):

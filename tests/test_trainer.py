@@ -8,9 +8,59 @@ from mfresnet.rng import split_seed
 from mfresnet.trainer import (
     _precondition,
     _trapezoid_weights,
-    forward_sensitivity,
+    replication_noise,
     value_and_gradient,
 )
+
+from conftest import in_box
+
+
+def _control_cost_directional(theta, direction, p):
+    w = _trapezoid_weights(theta.t_grid)
+    l2 = 2.0 * p.lambda1 * float(np.sum(w[:, None] * theta.values * direction.values))
+    dthe = np.diff(theta.values, axis=0)
+    ddir = np.diff(direction.values, axis=0)
+    h1 = 2.0 * p.lambda2 * float(np.sum(dthe * ddir) / theta.dt)
+    return l2 + h1
+
+
+def forward_sensitivity(ensemble, theta, direction, p):
+    """Directional derivative of the pathwise sampled objective: the oracle
+    the adjoint gradient is checked against.
+
+    Propagates per-particle variational states through the Euler recursion,
+    including the batch coupling term (each particle's sensitivity feeds the
+    empirical batch statistic seen by every other particle), then chains
+    into the terminal, running and control costs.
+    """
+    if direction.t_grid.shape != theta.t_grid.shape or not np.allclose(direction.t_grid, theta.t_grid):
+        raise GridMismatch("direction must live on the control grid")
+    t_grid = ensemble.t_grid
+    dt = ensemble.dt
+    n_steps = ensemble.n_steps
+    n = ensemble.n_particles
+    theta_nodes = theta.value_at(t_grid)
+    dir_nodes = direction.value_at(t_grid)
+    w = _trapezoid_weights(t_grid)
+
+    err = ensemble.X - ensemble.y0[:, None, :]
+    phi = np.zeros_like(ensemble.X[:, 0])    # (N, d), zero at t=0
+    running = 0.0
+    act = p.activation
+    for k in range(n_steps):
+        # running-state contribution at node k (phi holds the node-k state)
+        running += w[k] * np.sum(err[:, k] * phi)
+        xk = ensemble.X[:, k]
+        zk = ensemble.Z[:, k]
+        eta = float(np.mean(p.rho_value(xk)))
+        _, dfdx, dftheta, dfeta, _ = act.drift_partials(t_grid[k], theta_nodes[k], zk, xk, eta)
+        deta = float(np.mean(np.sum(p.rho_grad(xk) * phi, axis=1)))
+        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, dir_nodes[k]) + dfeta * deta)
+    running += w[n_steps] * np.sum(err[:, -1] * phi)
+
+    terminal = (2.0 * p.alpha / n) * float(np.sum(err[:, -1] * phi))
+    running_state = (2.0 * p.beta / n) * float(running)
+    return terminal + running_state + _control_cost_directional(theta, direction, p)
 
 
 def _setup(p, law, n, n_steps, seed):
@@ -48,9 +98,7 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law):
     p = coupled_params
     samples, types, theta, direction = _setup(p, coupled_law, 5, 10, 4)
     _, grad = value_and_gradient(p, theta, samples, types, 10, 4)
-    forward = 0.0
-    from mfresnet.trainer import replication_noise
-    noises = replication_noise(p, 10, 4, 1, np.arange(5))
+    noises = replication_noise(p, 5, 10, 4, 1)
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
     forward = forward_sensitivity(ens, theta, direction, p)
     assert float(np.sum(grad * direction.values)) == pytest.approx(forward, rel=1e-10)
@@ -97,7 +145,7 @@ def test_training_decreases_the_objective(scalar_params, scalar_law):
     totals = [bd.total for bd in result.history]
     assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
     assert totals[-1] < totals[0]
-    assert result.theta_star.in_box()
+    assert in_box(result.theta_star)
 
 
 def test_training_is_deterministic(scalar_params, scalar_law):
@@ -113,9 +161,7 @@ def test_replication_average(scalar_params, scalar_law):
     """The averaged value equals the mean of the per-replication values."""
     samples, types = scalar_law.sample(16, 1)
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
-    from mfresnet.trainer import replication_noise
-    ids = np.arange(16)
-    noises = replication_noise(scalar_params, 8, 3, 3, ids)
+    noises = replication_noise(scalar_params, 16, 8, 3, 3)
     avg, _ = value_and_gradient(scalar_params, theta, samples, types, 8, 3, replications=3)
     singles = []
     for noise in noises:
