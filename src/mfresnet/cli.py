@@ -36,6 +36,8 @@ from .params import (
     ModelParams,
     TypeVector,
     check_law,
+    require_int,
+    require_positive,
     validate_params,
 )
 from .rng import make_generator, split_seed
@@ -88,9 +90,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
         self.n_list = n_list
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
+            require_int(name, getattr(self, name), 1)
+        require_positive("phi_radius", self.phi_radius)
         if not isinstance(self.seed, int):
             raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
 
@@ -178,11 +179,12 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
     return dataclasses.replace(law, type_vector=quiet)
 
 
-def _reference_cloud(cfg, theta, n_steps, label):
+def _reference_cloud(cfg, theta, label):
     """Terminal first coordinates of min(m_paths, 20000) paths drawn from the
     initial law, the reference for the W2 columns."""
     samples, tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, label))
-    ens = simulate_particles(cfg.model, theta, samples, tv, n_steps, split_seed(cfg.seed, f"{label}-sim"))
+    ens = simulate_particles(cfg.model, theta, samples, tv, theta.n_intervals,
+                             split_seed(cfg.seed, f"{label}-sim"))
     return ens.X[:, -1, 0]
 
 
@@ -223,7 +225,7 @@ def run_simulate(cfg: ExperimentConfig):
     samples, tv = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "simulate-draw"))
     theta = _reference_theta(p, cfg.n_steps)
     ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, split_seed(cfg.seed, "simulate"))
-    bd = evaluate_JN(ens, theta, p)
+    bd = evaluate_JN(ens, p)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
         "cost.csv": _csv_text(cfg, ["terminal", "running_state", "control_l2", "control_h1", "total"], rows),
@@ -263,11 +265,8 @@ def run_solve_limit(cfg: ExperimentConfig):
     p = cfg.model
     fp_cfg = dataclasses.replace(cfg.fixed_point, seed=split_seed(cfg.seed, "fpk"))
     theta_star, trace = fixed_point_solve(p, cfg.initial_law, fp_cfg)
-    n_steps = theta_star.t_grid.size - 1
-    G = estimate_G(theta_star, p, cfg.initial_law, fp_cfg.mc_paths, n_steps,
-                   split_seed(cfg.seed, "limit-G"))
-    jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, n_steps,
-                            split_seed(cfg.seed, "limit-jd"))
+    G = estimate_G(theta_star, p, cfg.initial_law, fp_cfg.mc_paths, split_seed(cfg.seed, "limit-G"))
+    jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "limit-jd"))
     m = theta_star.m
     theta_rows = [
         (float(t),) + tuple(float(v) for v in vals) + tuple(float(g) for g in gv)
@@ -331,12 +330,12 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     difference, for one randomized configuration."""
     p, samples, tv, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
     ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed)
-    analytic = float(np.sum(_adjoint_gradient(ens, theta, p) * direction.values))
+    analytic = float(np.sum(_adjoint_gradient(ens, p) * direction.values))
     h = fd_epsilon
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
-    j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed), up, p).total
-    j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed), dn, p).total
+    j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed), p).total
+    j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed), p).total
     fd = (j_up - j_dn) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(fd), 1e-12)
     return rel, analytic, fd, case_seed
@@ -371,7 +370,7 @@ def _gamma_unit(cfg, theta_star, n, draw):
     min_jn = result.final_value
     sup_diff = float(np.max(np.abs(result.theta_star.values - theta_star.values)))
     ens = simulate_particles(p, result.theta_star, samples, tv,
-                             cfg.train.n_intervals, split_seed(draw_seed, "terminal"))
+                             result.theta_star.n_intervals, split_seed(draw_seed, "terminal"))
     return min_jn, sup_diff, ens.X[:, -1, 0]
 
 
@@ -386,9 +385,8 @@ def run_gamma(cfg: ExperimentConfig):
     fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
                                  seed=split_seed(cfg.seed, "fpk"))
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
-    jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths,
-                            cfg.train.n_intervals, split_seed(cfg.seed, "jd"))
-    ref_cloud = _reference_cloud(cfg, theta_star, cfg.train.n_intervals, "ref-cloud")
+    jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
+    ref_cloud = _reference_cloud(cfg, theta_star, "ref-cloud")
 
     units = [(n, draw) for n in cfg.n_list for draw in range(cfg.n_draws)]
     results = _run_units(units, lambda u: _gamma_unit(cfg, theta_star, *u), cfg.workers)
@@ -433,7 +431,7 @@ def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
     ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
-    sup_res, _ = fpk_residual(ens, theta, phi, p)
+    sup_res, _ = fpk_residual(ens, phi, p)
     return sup_res, ens.X[:, -1, 0]
 
 
@@ -445,7 +443,7 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     law = cfg.initial_law
     quiet_law = _nonoise_law(law)
     # W2 is taken in one dimension only; for d > 1 the column is nan
-    ref_cloud = _reference_cloud(cfg, theta, cfg.n_steps, "diag-ref") if p.dims.d == 1 else None
+    ref_cloud = _reference_cloud(cfg, theta, "diag-ref") if p.dims.d == 1 else None
 
     units = [(label, n, s)
              for label in ("noisy", "nonoise")

@@ -22,11 +22,8 @@ class GridTooSmall(MfresnetError):
 
 
 class GridMismatch(MfresnetError):
-    """Control grid and simulation grid are incompatible."""
-
-
-class EnsembleParamMismatch(MfresnetError):
-    """An ensemble was simulated under different parameters than the evaluation asks for."""
+    """A grid is not uniform, or a control's interval count or horizon does
+    not match the simulation."""
 
 
 class ScalarConfigRequired(MfresnetError):
@@ -43,7 +40,7 @@ class NoDescentProgress(MfresnetError):
 
 class Diverged(MfresnetError):
     """A simulated path stopped being finite; carries the seed, the first grid
-    step with a non-finite value and the particle id there."""
+    step with a non-finite value and the particle (its row) there."""
 
     def __init__(self, message, *, seed, step, particle):
         super().__init__(f"{message} (seed {seed}, step {step}, particle {particle})")

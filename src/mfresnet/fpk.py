@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import GridMismatch, NoConvergence, NonPositiveWeight
-from .params import ControlGrid, InitialLaw, ModelParams, project_to_box
+from .errors import NoConvergence, NonPositiveWeight
+from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_positive
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
 
@@ -47,10 +47,14 @@ class FixedPointConfig:
             raise NonPositiveWeight("mc_paths must be >= 1")
         if self.seed_policy not in ("fixed", "refresh"):
             raise NonPositiveWeight("seed_policy must be 'fixed' or 'refresh'")
+        require_int("fixed_point.mc_paths", self.mc_paths, 1)
+        require_int("fixed_point.outer_iters", self.outer_iters, 1)
+        require_int("fixed_point.n_intervals", self.n_intervals, 1)
+        require_positive("fixed_point.outer_tol", self.outer_tol)
 
 
 def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
-               n_paths: int, n_steps: int, seed, *, draws=None, noise=None) -> GridFunction:
+               n_paths: int, seed, *, draws=None, noise=None) -> GridFunction:
     """Monte Carlo estimate of the first-order-condition right-hand side.
 
     Per path and node t: -(beta) * exp(-X1(t)) (X2(T) - X2(t)) grad_theta f
@@ -59,13 +63,12 @@ def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
     the sampled objective so the trainer and this solver target the same
     minimum (the bare characterization corresponds to alpha = 1).  `draws`
     and `noise` default to law.sample and euler_noise for paths 0..M-1 under
-    seed.  Requires the scalar two-weight configuration.
+    seed.  Requires the scalar two-weight configuration.  G lives on the
+    control's grid.
     """
-    if n_steps != theta.t_grid.size - 1:
-        raise GridMismatch("G must be estimated on the control grid")
     if draws is None:
         draws = law.sample(n_paths, seed)
-    ens, X1, X2, dtheta_f = simulate_augmented(p, theta, draws, n_steps, seed, noise=noise)
+    ens, X1, X2, dtheta_f = simulate_augmented(p, theta, draws, theta.n_intervals, seed, noise=noise)
     x3 = ens.X[:, :, 0]
     weight = (
         -p.beta * np.exp(-X1) * (X2[:, -1][:, None] - X2)
@@ -124,14 +127,13 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     otherwise.
     """
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
-    n_steps = cfg.n_intervals
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
-    noise = euler_noise(p, np.arange(cfg.mc_paths), n_steps, cfg.seed) if fixed else None
+    noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed) if fixed else None
     trace = []
     for it in range(cfg.outer_iters):
         seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")
-        G = estimate_G(theta, p, law, cfg.mc_paths, n_steps, seed_it, draws=draws, noise=noise)
+        G = estimate_G(theta, p, law, cfg.mc_paths, seed_it, draws=draws, noise=noise)
         cand = project_to_box(solve_neumann_bvp(G, p.lambda1, p.lambda2, k_theta=p.k_theta))
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, SizeMismatch
-from .params import ControlGrid, ModelParams
+from .errors import SizeMismatch
+from .params import ModelParams
 from .sde import ParticleEnsemble
 
 
@@ -188,7 +188,7 @@ def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
     the joint diffusion are equal, and folding them into one trace leaves
     no factor one half (checked against the Ito expansion in the tests).
     """
-    f = p.activation.drift(None, theta_val, z, x, eta)
+    f = p.activation.drift(theta_val, z, x, eta)
     out = dv["ds"] + np.einsum("nd,nd->n", f, dv["dx"])
     if z.shape[1]:
         phid = p.phi_value(gamma, z)
@@ -199,26 +199,22 @@ def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
     return out
 
 
-def fpk_residual(path: ParticleEnsemble, theta: ControlGrid, phi: TestFunction,
-                 p: ModelParams):
+def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
     trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
-    weighted atoms of the ensemble at node t; returns (sup |R|, R path)."""
+    weighted atoms of the ensemble at node t and the generator A taken under
+    the control and batch statistic that drove it; returns (sup |R|, R path)."""
     t_grid = path.t_grid
-    if abs(theta.horizon - t_grid[-1]) > 1e-12 * max(1.0, t_grid[-1]):
-        raise GridMismatch("control and measure paths must share the horizon")
-    theta_nodes = theta.value_at(t_grid)
     n_nodes = t_grid.size
     mean_phi = np.empty(n_nodes)
     mean_gen = np.empty(n_nodes)
     for k in range(n_nodes):
         xk = path.X[:, k]
         zk = path.Z[:, k]
-        eta = float(np.mean(p.rho_value(xk)))
         dv = phi.derivs(t_grid[k], xk, zk)
         mean_phi[k] = float(np.mean(dv["val"]))
         mean_gen[k] = float(np.mean(generator_apply_batch(
-            dv, xk, zk, path.eps, path.gamma, path.sigma, theta_nodes[k], eta, p)))
+            dv, xk, zk, path.eps, path.gamma, path.sigma, path.theta.values[k], path.eta[k], p)))
     dt = t_grid[1] - t_grid[0]
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnsembleParamMismatch
 from .params import ControlGrid, InitialLaw, ModelParams, control_h1_norms
 from .sde import ParticleEnsemble, simulate_particles
 
@@ -35,25 +34,22 @@ def control_costs(theta: ControlGrid, p: ModelParams):
     return p.lambda1 * l2_sq, p.lambda2 * h1_sq
 
 
-def evaluate_JN(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelParams) -> CostBreakdown:
-    """Pathwise sampled objective for one simulated ensemble.
+def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams) -> CostBreakdown:
+    """Pathwise sampled objective for one simulated ensemble and the control
+    that drove it.
 
     Terminal and running state costs average over particles; the running
     integral uses the trapezoid rule on the simulation grid.
     """
-    if abs(ensemble.t_grid[-1] - p.T) > 1e-12 * max(1.0, p.T):
-        raise EnsembleParamMismatch("ensemble horizon differs from params")
-    if abs(theta.horizon - p.T) > 1e-12 * max(1.0, p.T):
-        raise EnsembleParamMismatch("control horizon differs from params")
     err = ensemble.X - ensemble.y0[:, None, :]          # (N, S+1, d)
     sq = np.mean(np.sum(err * err, axis=2), axis=0)      # (S+1,)
     terminal = p.alpha * sq[-1]
     running = p.beta * np.trapezoid(sq, ensemble.t_grid)
-    l2_cost, h1_cost = control_costs(theta, p)
+    l2_cost, h1_cost = control_costs(ensemble.theta, p)
     return CostBreakdown.from_parts(terminal, running, l2_cost, h1_cost)
 
 
-def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, n_steps, seed):
+def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, seed):
     """Monte Carlo estimate of the limiting objective and its standard error.
 
     Per path: alpha |X(T) - Y|^2 + beta * trapezoid of |X(t) - Y|^2; the
@@ -61,7 +57,7 @@ def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, n_
     contribute to the standard error.
     """
     samples, type_vector = law.sample(n_paths, seed)
-    ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed)
+    ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seed)
     err = ens.X - ens.y0[:, None, :]
     sq = np.sum(err * err, axis=2)                       # (M, S+1)
     per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, ens.t_grid, axis=1)

@@ -3,7 +3,7 @@
 Everything here is immutable after validation and safe to share read-only
 across threads.  The drift family implemented by :class:`ActivationSpec` is
 
-    f_r(t, theta, z, x, eta) = g(theta_1 * x_r + theta_2 + w_z * mean(z) + w_eta * eta)
+    f_r(theta, z, x, eta) = g(theta_1 * x_r + theta_2 + w_z * mean(z) + w_eta * eta)
 
 applied coordinatewise, with g a bounded-derivative scalar nonlinearity.
 The scalar case (d=1, q=0, w_z = w_eta = 0) is the configuration in which
@@ -12,6 +12,7 @@ the limiting control problem has a closed characterization (see fpk.py).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,31 +149,27 @@ class ActivationSpec:
         return u
 
     # -- drift and partials, vectorized over particles ----------------------
-    def drift(self, t, theta, z, x, eta):
-        """f(t, theta, z, x, eta) for a batch: x (N,d) -> (N,d)."""
+    def drift(self, theta, z, x, eta):
+        """f(theta, z, x, eta) for a batch: x (N,d) -> (N,d)."""
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "constant":
             return np.full_like(x, self.c)
         return self._g(self._preactivation(theta, z, x, eta))
 
-    def drift_partials(self, t, theta, z, x, eta):
-        """Return (f, df_dx_diag, df_dtheta, df_deta, df_dz_factor).
+    def drift_partials(self, theta, z, x, eta):
+        """Return (df_dx_diag, df_dtheta, df_deta).
 
         df_dx_diag: (N,d) diagonal of the state Jacobian (cross terms vanish);
-        df_dtheta: (N,d,2); df_deta: (N,d);
-        df_dz_factor: (N,d) such that d f_r / d z_k = factor_r / q for every k.
+        df_dtheta: (N,d,2); df_deta: (N,d).
         """
         n, d = x.shape
         if self.kind in ("zero", "constant"):
-            f = self.drift(t, theta, z, x, eta)
             zeros = np.zeros_like(x)
-            return f, zeros, np.zeros((n, d, 2)), zeros, zeros
-        u = self._preactivation(theta, z, x, eta)
-        f = self._g(u)
-        gp = self._g_prime(u)
+            return zeros, np.zeros((n, d, 2)), zeros
+        gp = self._g_prime(self._preactivation(theta, z, x, eta))
         dtheta = np.stack([gp * x, gp], axis=-1)
-        return f, gp * theta[0], dtheta, gp * self.eta_weight, gp * self.z_weight
+        return gp * theta[0], dtheta, gp * self.eta_weight
 
     def to_dict(self):
         return {"kind": self.kind, "c": self.c, "z_weight": self.z_weight, "eta_weight": self.eta_weight}
@@ -217,13 +214,9 @@ class ControlGrid:
     def horizon(self):
         return float(self.t_grid[-1])
 
-    def value_at(self, t):
-        """Piecewise-linear evaluation at scalar or array t."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (self.m,))
-        for j in range(self.m):
-            out[..., j] = np.interp(t, self.t_grid, self.values[:, j])
-        return out
+    @property
+    def n_intervals(self):
+        return self.t_grid.size - 1
 
     def with_values(self, values):
         return replace(self, values=np.asarray(values, dtype=float))
@@ -245,8 +238,6 @@ def project_to_box(c: ControlGrid) -> ControlGrid:
 def control_h1_norms(c: ControlGrid):
     """(trapezoid of |theta|^2, exact integral of |theta'|^2 for the
     piecewise-linear representative)."""
-    if c.t_grid.size < 2:
-        raise GridTooSmall("need at least two grid points")
     sq = np.sum(c.values ** 2, axis=1)
     l2_sq = float(np.trapezoid(sq, c.t_grid))
     dv = np.diff(c.values, axis=0)
@@ -335,6 +326,18 @@ class ModelParams:
         d["activation"] = ActivationSpec.from_dict(d["activation"])
         d["dims"] = Dims(**d["dims"])
         return cls(**d)
+
+
+def require_int(name, value, low):
+    """Raise ConfigInvalid unless value is an integer >= low (never converts it)."""
+    if not isinstance(value, int) or value < low:
+        raise ConfigInvalid(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_positive(name, value):
+    """Raise ConfigInvalid unless value is a finite real > 0 (never converts it)."""
+    if not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+        raise ConfigInvalid(f"{name} must be a finite real > 0, got {value!r}")
 
 
 def validate_params(p: ModelParams) -> ModelParams:

@@ -3,9 +3,9 @@ driven by draws from the initial law, is also the limiting SDE), and the
 augmented paths of the limiting first-order condition built from it.
 
 One Brownian path drives both the state and the exogenous input of a
-particle (the two equations share the increment), and every particle's
-noise stream is keyed by a stable identifier so that results do not depend
-on evaluation order or worker partitioning.
+particle (the two equations share the increment).  Particle i is row i,
+and its noise stream is keyed by i, so results do not depend on evaluation
+order or worker partitioning.
 """
 from __future__ import annotations
 
@@ -21,17 +21,17 @@ from .rng import noise_table
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """N simulated trajectories plus everything needed to reproduce them."""
+    """The record of one forward pass: N simulated trajectories (particle i
+    is row i), the control that drove them and the batch statistic they saw."""
 
-    t_grid: np.ndarray        # (S+1,)
+    theta: ControlGrid        # the control, on the simulation grid
     X: np.ndarray             # (N, S+1, d)
     Z: np.ndarray             # (N, S+1, q)
+    eta: np.ndarray           # (S+1,) batch statistic mean_j rho(X_k^j) at each node
     y0: np.ndarray            # (N, d) labels
     eps: np.ndarray           # (N, d, p), read-only broadcast of the shared type vector
     gamma: np.ndarray         # (N, l), likewise
     sigma: np.ndarray         # (N, q, p), likewise
-    seed: int
-    particle_ids: np.ndarray  # (N,)
 
     @property
     def n_particles(self):
@@ -42,24 +42,28 @@ class ParticleEnsemble:
         return self.X.shape[1] - 1
 
     @property
+    def t_grid(self):
+        return self.theta.t_grid
+
+    @property
     def dt(self):
-        return float(self.t_grid[1] - self.t_grid[0])
+        return self.theta.dt
 
 
-def _check_finite(seed, particle_ids, *paths):
-    """Raise Diverged at the first (step, particle) where a path (N, S+1, ...) is not finite."""
+def _check_finite(seed, *paths):
+    """Raise Diverged at the first (step, row) where a path (N, S+1, ...) is not finite."""
     if all(np.isfinite(a).all() for a in paths):
         return
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in paths])
     step, row = np.argwhere(~finite.T)[0]
     raise Diverged("trajectories diverged; reduce the step size",
-                   seed=int(seed), step=int(step), particle=int(particle_ids[row]))
+                   seed=int(seed), step=int(step), particle=int(row))
 
 
-def euler_noise(p: ModelParams, particle_ids, n_steps, seed) -> np.ndarray:
-    """The increments simulate_particles draws when given no noise: (N, n_steps, p)."""
-    t_grid = np.linspace(0.0, p.T, n_steps + 1)
-    return noise_table(seed, particle_ids, n_steps, t_grid[1] - t_grid[0], p.dims.p)
+def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
+    """The increments simulate_particles draws when given no noise: (N, n_steps, p)
+    for particles 0..n_paths-1."""
+    return noise_table(seed, np.arange(n_paths), n_steps, p.T / n_steps, p.dims.p)
 
 
 def simulate_particles(
@@ -69,54 +73,51 @@ def simulate_particles(
     type_vector: TypeVector,
     n_steps: int,
     seed: int,
-    particle_ids=None,
     noise=None,
 ) -> ParticleEnsemble:
-    """Euler-Maruyama for the N-particle system with batch coupling.
+    """Euler-Maruyama for the N-particle system with batch coupling, one step
+    per interval of the control grid.
 
-    The state step uses the drift evaluated at (t_k, theta(t_k), Z_k, X_k,
+    The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
     mean_j rho(X_k^j)); the exogenous input uses the decay drift; both use
     the same Brownian increment of the particle.  All particles share
     `type_vector`, so the ensemble's eps, gamma and sigma are broadcast views.
     Driven by M draws from the initial law this is the limiting SDE, its batch
     statistic approximated by the empirical mean over the M paths.  Raises
-    Diverged if a path is not finite at the end.
+    GridMismatch unless n_steps is the control's interval count and its
+    horizon is p.T, and Diverged if a path is not finite at the end.
     """
-    if n_steps < 1:
-        raise GridMismatch("need at least one simulation step")
+    if n_steps != theta.n_intervals:
+        raise GridMismatch(f"simulation needs one step per control interval: "
+                           f"n_steps={n_steps}, control intervals={theta.n_intervals}")
     if abs(theta.horizon - p.T) > 1e-12 * max(1.0, p.T):
         raise GridMismatch("control horizon differs from the model horizon")
     n = len(samples)
     eps, gamma, sigma = (np.broadcast_to(a, (n,) + a.shape) for a in
                          (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
-    if particle_ids is None:
-        particle_ids = np.arange(n)
-    particle_ids = np.asarray(particle_ids)
-    t_grid = np.linspace(0.0, p.T, n_steps + 1)
-    dt = t_grid[1] - t_grid[0]
+    dt = theta.dt
     if noise is None:
-        noise = euler_noise(p, particle_ids, n_steps, seed)
-    theta_nodes = theta.value_at(t_grid)
+        noise = euler_noise(p, n, n_steps, seed)
 
     X = np.empty((n, n_steps + 1, p.dims.d))
     Z = np.empty((n, n_steps + 1, p.dims.q))
+    eta = np.empty(n_steps + 1)
     X[:, 0] = samples.x0
     Z[:, 0] = samples.z0
     act = p.activation
     for k in range(n_steps):
         xk = X[:, k]
         zk = Z[:, k]
-        eta = float(np.mean(p.rho_value(xk)))
-        f = act.drift(t_grid[k], theta_nodes[k], zk, xk, eta)
+        eta[k] = np.mean(p.rho_value(xk))
+        f = act.drift(theta.values[k], zk, xk, eta[k])
         dw = noise[:, k]
         X[:, k + 1] = xk + f * dt + np.einsum("ndp,np->nd", eps, dw)
         if p.dims.q:
             Z[:, k + 1] = zk + p.phi_value(gamma, zk) * dt + np.einsum("nqp,np->nq", sigma, dw)
-    _check_finite(seed, particle_ids, X, Z)
-    return ParticleEnsemble(
-        t_grid=t_grid, X=X, Z=Z, y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma,
-        seed=int(seed), particle_ids=particle_ids,
-    )
+    eta[-1] = np.mean(p.rho_value(X[:, -1]))
+    _check_finite(seed, X, Z)
+    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0,
+                            eps=eps, gamma=gamma, sigma=sigma)
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,
@@ -139,13 +140,12 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     x3 = ens.X[:, :, 0]
     # The drift acts coordinate by coordinate, so the depth axis can stand in
     # for the state axis: one call gives the partials at every (path, node).
-    _, dfdx, dtheta_f, _, _ = p.activation.drift_partials(
-        None, theta.value_at(ens.t_grid).T, None, x3, 0.0)
+    dfdx, dtheta_f, _ = p.activation.drift_partials(theta.values.T, None, x3, 0.0)
     X1 = np.zeros_like(x3)
     X2 = np.zeros_like(x3)
     np.cumsum(dfdx[:, :-1] * ens.dt, axis=1, out=X1[:, 1:])
     np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * ens.dt, axis=1, out=X2[:, 1:])
-    _check_finite(seed, ens.particle_ids, X1, X2)
+    _check_finite(seed, X1, X2)
     return ens, X1, X2, dtheta_f
 
 
@@ -159,7 +159,7 @@ def dump_trajectories(ensemble: ParticleEnsemble, path):
         writer.writerow(header)
         for k, t in enumerate(ensemble.t_grid):
             for i in range(ensemble.n_particles):
-                row = [repr(float(t)), int(ensemble.particle_ids[i])]
+                row = [repr(float(t)), i]
                 row += [repr(float(v)) for v in ensemble.X[i, k]]
                 row += [repr(float(v)) for v in ensemble.Z[i, k]]
                 writer.writerow(row)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NoDescentProgress, NonPositiveWeight
+from .errors import NoDescentProgress, NonPositiveWeight
 from .objective import CostBreakdown, evaluate_JN
-from .params import ControlGrid, ModelParams, project_to_box
-from .rng import noise_table, split_seed
-from .sde import ParticleEnsemble, simulate_particles
+from .params import ControlGrid, ModelParams, project_to_box, require_int, require_positive
+from .rng import split_seed
+from .sde import ParticleEnsemble, euler_noise, simulate_particles
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.step_size <= 0 or self.grad_tol <= 0:
             raise NonPositiveWeight("step_size and grad_tol must be positive")
-        if self.replications < 1 or self.n_intervals < 1:
-            raise NonPositiveWeight("replications and n_intervals must be >= 1")
+        if self.replications < 1:
+            raise NonPositiveWeight("replications must be >= 1")
         if not (0.0 < self.shrink < 1.0):
             raise NonPositiveWeight("shrink must lie in (0, 1)")
+        require_int("train.n_intervals", self.n_intervals, 1)
+        require_int("train.replications", self.replications, 1)
+        require_int("train.max_iters", self.max_iters, 0)
+        require_positive("train.step_floor", self.step_floor)
+        require_positive("train.fd_epsilon", self.fd_epsilon)
 
 
 @dataclass(frozen=True)
@@ -57,30 +62,27 @@ def _trapezoid_weights(t_grid):
     return w
 
 
-def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelParams) -> np.ndarray:
-    """Exact gradient of the pathwise objective w.r.t. the control-grid values.
+def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
+    """Exact gradient of the pathwise objective w.r.t. the values of the
+    control that drove the ensemble.
 
     Reverse sweep of the Euler recursion, including the batch coupling term
     (each particle's state feeds the empirical batch statistic seen by every
     other particle), chained into the terminal, running and control costs.
     """
-    t_grid = ensemble.t_grid
-    if t_grid.size != theta.t_grid.size or not np.allclose(t_grid, theta.t_grid):
-        raise GridMismatch("adjoint gradient requires simulation grid == control grid")
+    theta = ensemble.theta
     dt = ensemble.dt
-    n_steps = ensemble.n_steps
     n = ensemble.n_particles
-    w = _trapezoid_weights(t_grid)
+    w = _trapezoid_weights(ensemble.t_grid)
     err = ensemble.X - ensemble.y0[:, None, :]
     act = p.activation
 
     grad = np.zeros_like(theta.values)
     adj = (2.0 * p.alpha / n) * err[:, -1] + w[-1] * (2.0 * p.beta / n) * err[:, -1]
-    for k in range(n_steps - 1, -1, -1):
+    for k in range(ensemble.n_steps - 1, -1, -1):
         xk = ensemble.X[:, k]
         zk = ensemble.Z[:, k]
-        eta = float(np.mean(p.rho_value(xk)))
-        _, dfdx, dftheta, dfeta, _ = act.drift_partials(t_grid[k], theta.values[k], zk, xk, eta)
+        dfdx, dftheta, dfeta = act.drift_partials(theta.values[k], zk, xk, ensemble.eta[k])
         grad[k] += dt * np.einsum("ndm,nd->m", dftheta, adj)
         coupling = float(np.sum(dfeta * adj)) / n
         adj = (w[k] * (2.0 * p.beta / n) * err[:, k]
@@ -94,45 +96,35 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, theta: ControlGrid, p: ModelPa
     return grad
 
 
-def _replicate(p, theta, samples, type_vector, n_steps, seed, noises):
+def _replicate(p, theta, samples, type_vector, seed, noises):
     """Simulate theta under each noise table: the averaged cost and the ensembles."""
     parts = np.zeros(4)
     ensembles = []
     for noise in noises:
-        ens = simulate_particles(p, theta, samples, type_vector, n_steps, seed, noise=noise)
-        bd = evaluate_JN(ens, theta, p)
+        ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seed, noise=noise)
+        bd = evaluate_JN(ens, p)
         parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
         ensembles.append(ens)
     return CostBreakdown.from_parts(*(parts / len(noises))), ensembles
 
 
-def _mean_gradient(ensembles, theta, p):
-    grad = np.zeros_like(theta.values)
-    for ens in ensembles:
-        grad += _adjoint_gradient(ens, theta, p)
-    return grad / len(ensembles)
+def _mean_gradient(ensembles, p):
+    return sum(_adjoint_gradient(ens, p) for ens in ensembles) / len(ensembles)
 
 
-def value_and_gradient(p, theta, samples, type_vector, n_steps, seed, replications=1,
-                       noises=None):
+def value_and_gradient(p, theta, samples, type_vector, seed, replications=1, noises=None):
     """Objective and gradient averaged over noise replications (common random
     numbers: the same noise tables are reused for every theta)."""
-    if n_steps != theta.t_grid.size - 1:
-        raise GridMismatch("training requires one Euler step per control interval")
     if noises is None:
-        noises = replication_noise(p, len(samples), n_steps, seed, replications)
-    value, ensembles = _replicate(p, theta, samples, type_vector, n_steps, seed, noises)
-    return value, _mean_gradient(ensembles, theta, p)
+        noises = replication_noise(p, len(samples), theta.n_intervals, seed, replications)
+    value, ensembles = _replicate(p, theta, samples, type_vector, seed, noises)
+    return value, _mean_gradient(ensembles, p)
 
 
 def replication_noise(p, n_particles, n_steps, seed, replications):
     """One noise table per replication for particles 0..n_particles-1."""
-    dt = p.T / n_steps
-    ids = np.arange(n_particles)
-    return [
-        noise_table(split_seed(seed, f"rep{r}"), ids, n_steps, dt, p.dims.p)
-        for r in range(replications)
-    ]
+    return [euler_noise(p, n_particles, n_steps, split_seed(seed, f"rep{r}"))
+            for r in range(replications)]
 
 
 def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.ndarray:
@@ -166,11 +158,9 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     simulated once; the accepted one's ensembles give the next gradient.
     """
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
-    n_steps = cfg.n_intervals
-    noises = replication_noise(p, len(samples), n_steps, seed, cfg.replications)
+    noises = replication_noise(p, len(samples), cfg.n_intervals, seed, cfg.replications)
 
-    current, grad = value_and_gradient(p, theta, samples, type_vector, n_steps, seed,
-                                       noises=noises)
+    current, grad = value_and_gradient(p, theta, samples, type_vector, seed, noises=noises)
     history = [current]
     gnorm = float(np.linalg.norm(grad))
     for _ in range(cfg.max_iters):
@@ -181,7 +171,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
         while step >= cfg.step_floor:
             cand = project_to_box(theta.with_values(theta.values - step * direction))
             move = cand.values - theta.values
-            cand_val, ensembles = _replicate(p, cand, samples, type_vector, n_steps, seed, noises)
+            cand_val, ensembles = _replicate(p, cand, samples, type_vector, seed, noises)
             if cand_val.total <= current.total + cfg.armijo_c * float(np.sum(grad * move)):
                 break
             step *= cfg.shrink
@@ -190,7 +180,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
                 f"line search floor reached at grad_norm={gnorm:.3e}")
         theta, current = cand, cand_val
         history.append(current)
-        grad = _mean_gradient(ensembles, theta, p)
+        grad = _mean_gradient(ensembles, p)
         del ensembles
         gnorm = float(np.linalg.norm(grad))
     return TrainResult(theta_star=theta, history=history, grad_norm_final=gnorm)

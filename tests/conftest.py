@@ -52,8 +52,7 @@ def residual_first_order(theta, p, law, n_paths, seed):
     """Convergence certificate of the limit solver: interior sup-norm of
     lambda1 theta - lambda2 D2 theta - G(theta) plus the boundary derivative
     magnitudes."""
-    n_steps = theta.t_grid.size - 1
-    G = estimate_G(theta, p, law, n_paths, n_steps, seed)
+    G = estimate_G(theta, p, law, n_paths, seed)
     v = theta.values
     h = theta.dt
     d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)

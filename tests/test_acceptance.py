@@ -145,7 +145,7 @@ def test_criterion_5_fixed_point_certificate():
     theta, _ = fixed_point_solve(p, law, cfg)
     dt = theta.dt
     cert_seed = split_seed(123, "certificate")
-    G = estimate_G(theta, p, law, cfg.mc_paths, 32, cert_seed)
+    G = estimate_G(theta, p, law, cfg.mc_paths, cert_seed)
     residual = residual_first_order(theta, p, law, cfg.mc_paths, cert_seed)
     bound = cfg.outer_tol * (p.lambda1 + p.lambda2 / dt**2) + 3.0 * float(np.max(G.std_errors))
     assert residual <= bound

@@ -128,6 +128,12 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"n_particles": 20, "train": {"n_intervals": 4, "shrink": 1.0, "step_size": 1e9}},
          "NonPositiveWeight"),
         ("solve-limit", {"fixed_point": {"mc_paths": 0}}, "NonPositiveWeight"),
+        ("train", {"train": {"max_iters": "5"}}, "ConfigInvalid"),
+        ("train", {"train": {"n_intervals": 2.5}}, "ConfigInvalid"),
+        ("solve-limit", {"fixed_point": {"outer_iters": "3"}}, "ConfigInvalid"),
+        ("train", {"train": {"step_floor": "a"}}, "ConfigInvalid"),
+        ("solve-limit", {"fixed_point": {"n_intervals": -5}}, "ConfigInvalid"),
+        ("diagnose-fpk", {"phi_radius": "x"}, "ConfigInvalid"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))

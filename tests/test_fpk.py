@@ -131,7 +131,7 @@ def test_estimate_g_matches_quadrature_oracle(scalar_params):
     for n_steps in (100, 200, 400):
         t = np.linspace(0.0, p.T, n_steps + 1)
         theta = _theta_profile(t, p.k_theta)
-        G = estimate_G(theta, p, law, 4, n_steps, 0)
+        G = estimate_G(theta, p, law, 4, 0)
         oracle = _g_oracle(p, t, 1.2, 0.3)
         errs.append(np.max(np.abs(G.values - oracle)))
     assert errs[-1] < 0.006
@@ -151,14 +151,14 @@ def test_estimate_g_agrees_with_adjoint_route(scalar_params):
     for n_steps in (100, 200, 400):
         t = np.linspace(0.0, p.T, n_steps + 1)
         theta = _theta_profile(t, p.k_theta)
-        _, grad = value_and_gradient(p, theta, samples, types, n_steps, 0)
+        _, grad = value_and_gradient(p, theta, samples, types, 0)
         w = _trapezoid_weights(t)
         h1g = np.zeros_like(theta.values)
         d = np.diff(theta.values, axis=0) / theta.dt
         h1g[:-1] -= 2.0 * p.lambda2 * d
         h1g[1:] += 2.0 * p.lambda2 * d
         implied = -(grad - 2.0 * p.lambda1 * w[:, None] * theta.values - h1g) / (2.0 * w[:, None])
-        G = estimate_G(theta, p, law, 2, n_steps, 0)
+        G = estimate_G(theta, p, law, 2, 0)
         diffs.append(np.max(np.abs(implied[1:-1] - G.values[1:-1])))
     assert diffs[-1] < 0.005
     assert diffs[0] > diffs[1] > diffs[2]
@@ -168,13 +168,13 @@ def test_estimate_g_requires_scalar_configuration(coupled_params, coupled_law):
     t = np.linspace(0.0, 1.0, 9)
     theta = ControlGrid.zeros(1.0, 8, k_theta=coupled_params.k_theta)
     with pytest.raises(ScalarConfigRequired):
-        estimate_G(theta, coupled_params, coupled_law, 4, 8, 0)
+        estimate_G(theta, coupled_params, coupled_law, 4, 0)
 
 
 def test_estimate_g_std_errors_shrink(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 16, k_theta=scalar_params.k_theta)
-    small = estimate_G(theta, scalar_params, scalar_law, 200, 16, 1)
-    big = estimate_G(theta, scalar_params, scalar_law, 3200, 16, 1)
+    small = estimate_G(theta, scalar_params, scalar_law, 200, 1)
+    big = estimate_G(theta, scalar_params, scalar_law, 3200, 1)
     assert np.mean(big.std_errors) < 0.5 * np.mean(small.std_errors)
 
 
@@ -184,14 +184,12 @@ def test_estimate_g_uses_given_draws_and_noise(scalar_params, scalar_law):
     p = scalar_params
     t = np.linspace(0.0, p.T, 17)
     theta = _theta_profile(t, p.k_theta)
-    own = estimate_G(theta, p, scalar_law, 300, 16, 7)
+    own = estimate_G(theta, p, scalar_law, 300, 7)
     draws = scalar_law.sample(300, 7)
-    given = estimate_G(theta, p, scalar_law, 300, 16, 7,
-                       draws=draws, noise=euler_noise(p, np.arange(300), 16, 7))
+    given = estimate_G(theta, p, scalar_law, 300, 7, draws=draws, noise=euler_noise(p, 300, 16, 7))
     assert np.array_equal(own.values, given.values)
     assert np.array_equal(own.std_errors, given.std_errors)
-    other = estimate_G(theta, p, scalar_law, 300, 16, 7,
-                       draws=draws, noise=euler_noise(p, np.arange(300), 16, 8))
+    other = estimate_G(theta, p, scalar_law, 300, 7, draws=draws, noise=euler_noise(p, 300, 16, 8))
     assert not np.array_equal(own.values, other.values)
 
 
@@ -203,7 +201,7 @@ def _augmented_recursion_G(theta, p, draws, n_steps, noise):
     m = len(samples)
     t = np.linspace(0.0, p.T, n_steps + 1)
     dt = t[1] - t[0]
-    nodes = theta.value_at(t)
+    nodes = theta.values
     eps = np.broadcast_to(tv.epsilon[0], (m, p.dims.p))
     act = p.activation
     X1 = np.zeros((m, n_steps + 1))
@@ -212,7 +210,8 @@ def _augmented_recursion_G(theta, p, draws, n_steps, noise):
     X3[:, 0] = samples.x0[:, 0]
     y = samples.y0[:, 0]
     for k in range(n_steps):
-        f, dfdx, _, _, _ = act.drift_partials(t[k], nodes[k], np.zeros((m, 0)), X3[:, k][:, None], 0.0)
+        f = act.drift(nodes[k], np.zeros((m, 0)), X3[:, k][:, None], 0.0)
+        dfdx, _, _ = act.drift_partials(nodes[k], np.zeros((m, 0)), X3[:, k][:, None], 0.0)
         X1[:, k + 1] = X1[:, k] + dfdx[:, 0] * dt
         X2[:, k + 1] = X2[:, k] + np.exp(X1[:, k]) * (X3[:, k] - y) * dt
         X3[:, k + 1] = X3[:, k] + f[:, 0] * dt + np.einsum("np,np->n", eps, noise[:, k])
@@ -245,7 +244,7 @@ def test_estimate_g_equals_augmented_recursion(scalar_params, scalar_law, kind):
                                (p1, scalar_law, 8, 1), (p3, law3, 16, 200)):
         t = np.linspace(0.0, p.T, n_steps + 1)
         theta = _theta_profile(t, p.k_theta)
-        G = estimate_G(theta, p, law, m, n_steps, 4)
+        G = estimate_G(theta, p, law, m, 4)
         noise = noise_table(4, np.arange(m), n_steps, t[1] - t[0], p.dims.p)
         values, std_errors = _augmented_recursion_G(theta, p, law.sample(m, 4), n_steps, noise)
         assert np.array_equal(G.values, values), (kind, p.dims.p, n_steps, m)

@@ -215,7 +215,7 @@ def test_generator_second_order_terms(coupled_params):
     theta_val = np.array([0.5, 0.2])
     eta = 0.25
     out = generator_apply(phi, 0.1, (tv, np.zeros(2), z, x), theta_val, eta, p)
-    f = p.activation.drift(0.1, theta_val, z[None], x[None], eta)[0]
+    f = p.activation.drift(theta_val, z[None], x[None], eta)[0]
     expected = 2.0 * x[0] * f[0] + float(np.sum(tv.epsilon[0] ** 2))
     assert out == pytest.approx(expected, rel=1e-12)
 
@@ -257,7 +257,7 @@ def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 16, k_theta=scalar_params.k_theta)
     ens = simulate_particles(scalar_params, theta, samples, types, 16, 1)
     phi = constant_test_function(1, 0)
-    sup, res = fpk_residual(ens, theta, phi, scalar_params)
+    sup, res = fpk_residual(ens, phi, scalar_params)
     assert sup < 1e-14
     assert res.shape == (17,)
 
@@ -273,7 +273,7 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
         theta = ControlGrid(t, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1),
                             k_theta=scalar_params.k_theta)
         ens = simulate_particles(scalar_params, theta, samples, types, n_steps, 2)
-        sup, _ = fpk_residual(ens, theta, phi, scalar_params)
+        sup, _ = fpk_residual(ens, phi, scalar_params)
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-3
@@ -293,6 +293,6 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
                               (0.5, 0, (1, 0), (1, 0)), (0.5, 0, (0, 0), (1, 1))),
                        d=2, q=2, r_plateau=1.0, r_support=2.0)
-    _, res = fpk_residual(ens, theta, phi, p)
+    _, res = fpk_residual(ens, phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")

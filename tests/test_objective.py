@@ -12,7 +12,6 @@ from mfresnet import (
     evaluate_JN,
     simulate_particles,
 )
-from mfresnet.errors import EnsembleParamMismatch
 
 from conftest import dirac_law
 
@@ -46,7 +45,7 @@ def test_sampled_objective_closed_form(scalar_params):
     samples, types = law.sample(4, 0)
     theta = ControlGrid.zeros(p.T, 8, k_theta=p.k_theta)
     ens = simulate_particles(p, theta, samples, types, 8, 0)
-    bd = evaluate_JN(ens, theta, p)
+    bd = evaluate_JN(ens, p)
     assert bd.terminal == pytest.approx(p.alpha)
     assert bd.running_state == pytest.approx(p.beta * p.T)
     assert bd.control_l2 == 0.0 and bd.control_h1 == 0.0
@@ -61,7 +60,7 @@ def test_control_costs_constant_path(scalar_params):
     theta = ControlGrid(t, np.stack([2.0 * np.ones_like(t), np.zeros_like(t)], axis=1),
                         k_theta=p.k_theta)
     ens = simulate_particles(p, theta, samples, types, n, 0)
-    bd = evaluate_JN(ens, theta, p)
+    bd = evaluate_JN(ens, p)
     assert bd.control_l2 == pytest.approx(p.lambda1 * 4.0 * p.T)
     assert bd.control_h1 == 0.0
 
@@ -69,7 +68,7 @@ def test_control_costs_constant_path(scalar_params):
 def test_limit_objective_matches_closed_form(scalar_params):
     p, law = _frozen_setup(scalar_params)
     theta = ControlGrid.zeros(p.T, 16, k_theta=p.k_theta)
-    est, se = evaluate_Jd(theta, p, law, 64, 16, 3)
+    est, se = evaluate_Jd(theta, p, law, 64, 3)
     assert est == pytest.approx(p.alpha + p.beta * p.T)
     assert se == 0.0
 
@@ -79,16 +78,7 @@ def test_limit_objective_equals_sampled_for_shared_draws(scalar_params, scalar_l
     the sampled objective of the M-particle system with the same seed."""
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     seed = 17
-    est, _ = evaluate_Jd(theta, scalar_params, scalar_law, 32, 8, seed)
+    est, _ = evaluate_Jd(theta, scalar_params, scalar_law, 32, seed)
     samples, types = scalar_law.sample(32, seed)
     ens = simulate_particles(scalar_params, theta, samples, types, 8, seed)
-    assert est == pytest.approx(evaluate_JN(ens, theta, scalar_params).total, rel=1e-12)
-
-
-def test_horizon_mismatch_raises(scalar_params, scalar_law):
-    samples, types = scalar_law.sample(2, 0)
-    theta = ControlGrid.zeros(scalar_params.T, 4, k_theta=scalar_params.k_theta)
-    ens = simulate_particles(scalar_params, theta, samples, types, 4, 0)
-    bad_theta = ControlGrid.zeros(2.0 * scalar_params.T, 4, k_theta=scalar_params.k_theta)
-    with pytest.raises(EnsembleParamMismatch):
-        evaluate_JN(ens, bad_theta, scalar_params)
+    assert est == pytest.approx(evaluate_JN(ens, scalar_params).total, rel=1e-12)

@@ -126,13 +126,13 @@ def test_drift_partials_match_finite_differences():
     z = rng.normal(size=(5, 3))
     theta = np.array([0.7, -0.2])
     eta = 0.3
-    f, dfdx, dftheta, dfeta, dfz = act.drift_partials(0.0, theta, z, x, eta)
+    dfdx, dftheta, dfeta = act.drift_partials(theta, z, x, eta)
     h = 1e-6
     # state derivative (diagonal)
     for r in range(2):
         xp = x.copy(); xp[:, r] += h
         xm = x.copy(); xm[:, r] -= h
-        fd = (act.drift(0.0, theta, z, xp, eta) - act.drift(0.0, theta, z, xm, eta)) / (2 * h)
+        fd = (act.drift(theta, z, xp, eta) - act.drift(theta, z, xm, eta)) / (2 * h)
         assert np.allclose(fd[:, r], dfdx[:, r], atol=1e-7)
         off = np.delete(fd, r, axis=1)
         assert np.max(np.abs(off)) < 1e-7
@@ -140,16 +140,11 @@ def test_drift_partials_match_finite_differences():
     for j in range(2):
         tp = theta.copy(); tp[j] += h
         tm = theta.copy(); tm[j] -= h
-        fd = (act.drift(0.0, tp, z, x, eta) - act.drift(0.0, tm, z, x, eta)) / (2 * h)
+        fd = (act.drift(tp, z, x, eta) - act.drift(tm, z, x, eta)) / (2 * h)
         assert np.allclose(fd, dftheta[:, :, j], atol=1e-7)
     # batch statistic derivative
-    fd = (act.drift(0.0, theta, z, x, eta + h) - act.drift(0.0, theta, z, x, eta - h)) / (2 * h)
+    fd = (act.drift(theta, z, x, eta + h) - act.drift(theta, z, x, eta - h)) / (2 * h)
     assert np.allclose(fd, dfeta, atol=1e-7)
-    # exogenous input derivative (enters through its mean)
-    zp = z.copy(); zp[:, 1] += h
-    zm = z.copy(); zm[:, 1] -= h
-    fd = (act.drift(0.0, theta, zp, x, eta) - act.drift(0.0, theta, zm, x, eta)) / (2 * h)
-    assert np.allclose(fd, dfz / z.shape[1], atol=1e-7)
 
 
 def test_zero_and_constant_kinds():
@@ -157,21 +152,21 @@ def test_zero_and_constant_kinds():
     z = np.zeros((3, 0))
     zero = ActivationSpec(kind="zero")
     const = ActivationSpec(kind="constant", c=0.7)
-    assert np.all(zero.drift(0.0, np.zeros(2), z, x, 0.0) == 0.0)
-    assert np.all(const.drift(0.0, np.zeros(2), z, x, 0.0) == 0.7)
+    assert np.all(zero.drift(np.zeros(2), z, x, 0.0) == 0.0)
+    assert np.all(const.drift(np.zeros(2), z, x, 0.0) == 0.7)
     assert lipschitz_constant(zero, 1.0, 1.0) == 0.0
 
 
-def eval_drift(p, t, theta, z, x, eta):
+def eval_drift(p, theta, z, x, eta):
     """Pointwise drift: theta (m,), z (q,), x (d,), eta scalar -> (d,)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    return p.activation.drift(t, np.asarray(theta, dtype=float), z, x, float(eta))[0]
+    return p.activation.drift(np.asarray(theta, dtype=float), z, x, float(eta))[0]
 
 
 def test_eval_drift_matches_batched(scalar_params):
     theta = np.array([0.5, -0.3])
-    out = eval_drift(scalar_params, 0.0, theta, [], [0.8], 0.0)
+    out = eval_drift(scalar_params, theta, [], [0.8], 0.0)
     expected = np.tanh(0.5 * 0.8 - 0.3)
     assert np.allclose(out, [expected])
 
@@ -184,8 +179,7 @@ def test_control_grid_interpolation():
     t = np.linspace(0.0, 1.0, 5)
     vals = np.stack([t, 2 * t], axis=1)
     c = ControlGrid(t, vals)
-    assert np.allclose(c.value_at(0.125), [0.125, 0.25])
-    assert np.allclose(c.value_at(t), vals)
+    assert c.n_intervals == 4 and c.horizon == 1.0
     slopes = np.diff(c.values, axis=0) / c.dt
     assert np.allclose(slopes, np.tile([1.0, 2.0], (4, 1)))
 

@@ -14,7 +14,7 @@ from mfresnet import (
     simulate_augmented,
     simulate_particles,
 )
-from mfresnet.errors import Diverged, ScalarConfigRequired
+from mfresnet.errors import Diverged, GridMismatch, ScalarConfigRequired
 from mfresnet.rng import noise_table
 from mfresnet.sde import dump_trajectories
 
@@ -29,6 +29,32 @@ def _scalar_batch(*x0):
     """Scalar samples starting at x0 with label 0 and no exogenous input."""
     n = len(x0)
     return SampleBatch(np.array(x0, dtype=float)[:, None], np.zeros((n, 1)), np.zeros((n, 0)))
+
+
+def test_simulation_requires_one_step_per_control_interval(scalar_params, scalar_law):
+    samples, types = scalar_law.sample(3, 0)
+    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    with pytest.raises(GridMismatch):
+        simulate_particles(scalar_params, theta, samples, types, 16, 0)
+
+
+def test_simulation_requires_the_model_horizon(scalar_params, scalar_law):
+    samples, types = scalar_law.sample(3, 0)
+    theta = ControlGrid.zeros(2.0 * scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    with pytest.raises(GridMismatch):
+        simulate_particles(scalar_params, theta, samples, types, 8, 0)
+
+
+def test_ensemble_records_its_control_and_batch_statistic(coupled_params, coupled_law):
+    """The ensemble carries the control that drove it, and eta at every node
+    including the last is the batch mean of rho over the particles there."""
+    samples, types = coupled_law.sample(4, 3)
+    theta = ControlGrid.zeros(coupled_params.T, 6, k_theta=coupled_params.k_theta)
+    ens = simulate_particles(coupled_params, theta, samples, types, 6, 2)
+    assert ens.theta is theta
+    assert np.array_equal(ens.t_grid, theta.t_grid) and ens.dt == theta.dt
+    expected = [np.mean(coupled_params.rho_value(ens.X[:, k])) for k in range(7)]
+    assert np.array_equal(ens.eta, expected)
 
 
 def test_zero_drift_zero_noise_is_constant(scalar_params):
@@ -65,9 +91,10 @@ def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scala
     samples, types = scalar_law.sample(4, 11)
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     full = simulate_particles(scalar_params, theta, samples, types, 8, 5)
-    # resimulating only the last particle, with its stable id, matches exactly
+    # resimulating only the last particle on the noise keyed by its id, 3, matches exactly
     last = SampleBatch(samples.x0[3:], samples.y0[3:], samples.z0[3:])
-    sub = simulate_particles(scalar_params, theta, last, types, 8, 5, particle_ids=[3])
+    noise = noise_table(5, [3], 8, theta.dt, scalar_params.dims.p)
+    sub = simulate_particles(scalar_params, theta, last, types, 8, 5, noise=noise)
     assert np.array_equal(full.X[3], sub.X[0])
 
 
@@ -78,11 +105,11 @@ def test_state_and_input_share_the_increment(coupled_params, coupled_law):
     theta = ControlGrid.zeros(coupled_params.T, n_steps, k_theta=coupled_params.k_theta)
     ens = simulate_particles(coupled_params, theta, samples, types, n_steps, 9)
     dt = ens.dt
-    table = noise_table(9, ens.particle_ids, n_steps, dt, coupled_params.dims.p)
+    table = noise_table(9, np.arange(3), n_steps, dt, coupled_params.dims.p)
     for k in range(n_steps):
         xk, zk = ens.X[:, k], ens.Z[:, k]
         eta = float(np.mean(coupled_params.rho_value(xk)))
-        f = coupled_params.activation.drift(ens.t_grid[k], theta.values[k], zk, xk, eta)
+        f = coupled_params.activation.drift(theta.values[k], zk, xk, eta)
         dx_noise = ens.X[:, k + 1] - xk - f * dt
         dz_noise = ens.Z[:, k + 1] - zk - coupled_params.phi_value(ens.gamma, zk) * dt
         assert np.allclose(dx_noise, np.einsum("ndp,np->nd", ens.eps, table[:, k]), atol=1e-12)
@@ -151,7 +178,7 @@ def test_augmented_recursions(scalar_params, scalar_law):
 
 def test_divergence_raises(scalar_params):
     """Diverged names the seed, the first grid step that is not finite and
-    the id of the particle there; a particle at the fixed point 0 stays finite."""
+    the row of the particle there; a particle at the fixed point 0 stays finite."""
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
                             k_theta=1e9)
     n_steps = 64
@@ -165,9 +192,9 @@ def test_divergence_raises(scalar_params):
         while np.isfinite(x):
             x, first = x + (1e8 * x) * dt, first + 1
         with pytest.raises(Diverged) as exc:
-            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3, particle_ids=[4, 7])
+            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3)
     assert 0 < first < n_steps
-    assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, first, 7)
+    assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, first, 1)
 
 
 def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):

@@ -1,5 +1,8 @@
 """Source-level checks on the library itself."""
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import mfresnet
@@ -23,3 +26,45 @@ def test_every_library_definition_is_used_in_the_library():
                 used.add(node.attr)
     unused = sorted(defined - used)
     assert not unused, f"defined in src/mfresnet but never used there: {unused}"
+
+
+# Parameters that each count extractor of benchmarks/tracer.py reads by name
+# from the bound arguments of the function it wraps.
+TRACER_BINDS = {
+    "rng.noise_table": ("root_seed", "particle_ids", "n_steps", "dt", "dim"),
+    "params.InitialLaw.sample": ("n", "seed"),
+    "sde.simulate_particles": ("samples", "n_steps"),
+    "sde.simulate_augmented": ("init_draws", "n_steps"),
+    "trainer.train": ("cfg",),
+    "fpk.fixed_point_solve": (),
+    "fpk.estimate_G": ("n_paths",),
+    "measures.fpk_residual": ("path",),
+}
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps still exists under its name,
+    and still takes the parameters its count extractor reads, so a rename in
+    the library cannot silently break every traced benchmark run."""
+    tracer_path = SRC.parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    extracted = set()
+    for module_name, functions in tracer.TRACED.items():
+        module = importlib.import_module(f"mfresnet.{module_name}")
+        for qualname, extract in functions.items():
+            target = module
+            for part in qualname.split("."):
+                assert hasattr(target, part), f"tracer names missing mfresnet.{module_name}.{qualname}"
+                target = getattr(target, part)
+            assert callable(target), f"mfresnet.{module_name}.{qualname} is not callable"
+            if extract is None:
+                continue
+            key = f"{module_name}.{qualname}"
+            extracted.add(key)
+            assert key in TRACER_BINDS, f"list the parameters the extractor of {key} reads"
+            params = inspect.signature(target).parameters
+            missing = [name for name in TRACER_BINDS[key] if name not in params]
+            assert not missing, f"{key} lost parameters its tracer extractor reads: {missing}"
+    assert extracted == set(TRACER_BINDS), sorted(set(TRACER_BINDS) ^ extracted)

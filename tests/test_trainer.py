@@ -3,7 +3,7 @@ import pytest
 
 from mfresnet import ControlGrid, TrainConfig, evaluate_JN, simulate_particles, train
 from mfresnet.cli import gradcheck_case_error
-from mfresnet.errors import GridMismatch, NonPositiveWeight
+from mfresnet.errors import ConfigInvalid, NonPositiveWeight
 from mfresnet.rng import split_seed
 from mfresnet.trainer import (
     _precondition,
@@ -24,24 +24,21 @@ def _control_cost_directional(theta, direction, p):
     return l2 + h1
 
 
-def forward_sensitivity(ensemble, theta, direction, p):
-    """Directional derivative of the pathwise sampled objective: the oracle
-    the adjoint gradient is checked against.
+def forward_sensitivity(ensemble, direction, p):
+    """Directional derivative of the pathwise sampled objective at the control
+    that drove the ensemble: the oracle the adjoint gradient is checked against.
 
     Propagates per-particle variational states through the Euler recursion,
     including the batch coupling term (each particle's sensitivity feeds the
     empirical batch statistic seen by every other particle), then chains
     into the terminal, running and control costs.
     """
-    if direction.t_grid.shape != theta.t_grid.shape or not np.allclose(direction.t_grid, theta.t_grid):
-        raise GridMismatch("direction must live on the control grid")
-    t_grid = ensemble.t_grid
+    theta = ensemble.theta
+    assert np.array_equal(direction.t_grid, theta.t_grid), "direction must live on the control grid"
     dt = ensemble.dt
     n_steps = ensemble.n_steps
     n = ensemble.n_particles
-    theta_nodes = theta.value_at(t_grid)
-    dir_nodes = direction.value_at(t_grid)
-    w = _trapezoid_weights(t_grid)
+    w = _trapezoid_weights(ensemble.t_grid)
 
     err = ensemble.X - ensemble.y0[:, None, :]
     phi = np.zeros_like(ensemble.X[:, 0])    # (N, d), zero at t=0
@@ -53,9 +50,9 @@ def forward_sensitivity(ensemble, theta, direction, p):
         xk = ensemble.X[:, k]
         zk = ensemble.Z[:, k]
         eta = float(np.mean(p.rho_value(xk)))
-        _, dfdx, dftheta, dfeta, _ = act.drift_partials(t_grid[k], theta_nodes[k], zk, xk, eta)
+        dfdx, dftheta, dfeta = act.drift_partials(theta.values[k], zk, xk, eta)
         deta = float(np.mean(np.sum(p.rho_grad(xk) * phi, axis=1)))
-        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, dir_nodes[k]) + dfeta * deta)
+        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, direction.values[k]) + dfeta * deta)
     running += w[n_steps] * np.sum(err[:, -1] * phi)
 
     terminal = (2.0 * p.alpha / n) * float(np.sum(err[:, -1] * phi))
@@ -77,18 +74,23 @@ def test_train_config_validation():
         TrainConfig(step_size=0.0)
     with pytest.raises(NonPositiveWeight):
         TrainConfig(replications=0)
+    for bad in ({"max_iters": "5"}, {"max_iters": -1}, {"n_intervals": 2.5}, {"replications": 1.5},
+                {"step_floor": "a"}, {"step_floor": 0.0}, {"fd_epsilon": float("inf")}):
+        with pytest.raises(ConfigInvalid):
+            TrainConfig(**bad)
+    TrainConfig(max_iters=0)
 
 
 def test_forward_sensitivity_matches_finite_differences(coupled_params, coupled_law):
     p = coupled_params
     samples, types, theta, direction = _setup(p, coupled_law, 6, 12, 1)
     ens = simulate_particles(p, theta, samples, types, 12, 1)
-    analytic = forward_sensitivity(ens, theta, direction, p)
+    analytic = forward_sensitivity(ens, direction, p)
     h = 1e-6
     up = theta.with_values(theta.values + h * direction.values)
     dn = theta.with_values(theta.values - h * direction.values)
-    fd = (evaluate_JN(simulate_particles(p, up, samples, types, 12, 1), up, p).total
-          - evaluate_JN(simulate_particles(p, dn, samples, types, 12, 1), dn, p).total) / (2 * h)
+    fd = (evaluate_JN(simulate_particles(p, up, samples, types, 12, 1), p).total
+          - evaluate_JN(simulate_particles(p, dn, samples, types, 12, 1), p).total) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -97,10 +99,10 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law):
     forward directional derivative to machine precision."""
     p = coupled_params
     samples, types, theta, direction = _setup(p, coupled_law, 5, 10, 4)
-    _, grad = value_and_gradient(p, theta, samples, types, 10, 4)
+    _, grad = value_and_gradient(p, theta, samples, types, 4)
     noises = replication_noise(p, 5, 10, 4, 1)
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
-    forward = forward_sensitivity(ens, theta, direction, p)
+    forward = forward_sensitivity(ens, direction, p)
     assert float(np.sum(grad * direction.values)) == pytest.approx(forward, rel=1e-10)
 
 
@@ -109,13 +111,6 @@ def test_randomized_gradient_checks():
     for case in range(5):
         rel, _, _, _ = gradcheck_case_error(case, 2024)
         assert rel < 1e-6
-
-
-def test_gradient_requires_matching_grids(scalar_params, scalar_law):
-    samples, types = scalar_law.sample(3, 0)
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
-    with pytest.raises(GridMismatch):
-        value_and_gradient(scalar_params, theta, samples, types, 16, 0)
 
 
 def test_precondition_solves_the_control_hessian(scalar_params):
@@ -162,11 +157,11 @@ def test_replication_average(scalar_params, scalar_law):
     samples, types = scalar_law.sample(16, 1)
     theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
     noises = replication_noise(scalar_params, 16, 8, 3, 3)
-    avg, _ = value_and_gradient(scalar_params, theta, samples, types, 8, 3, replications=3)
+    avg, _ = value_and_gradient(scalar_params, theta, samples, types, 3, replications=3)
     singles = []
     for noise in noises:
         ens = simulate_particles(scalar_params, theta, samples, types, 8, 3, noise=noise)
-        singles.append(evaluate_JN(ens, theta, scalar_params).total)
+        singles.append(evaluate_JN(ens, scalar_params).total)
     assert avg.total == pytest.approx(float(np.mean(singles)), rel=1e-12)
 
 
@@ -178,7 +173,7 @@ def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, sc
     cfg = TrainConfig(n_intervals=8, max_iters=6, replications=2)
     result = train(scalar_params, samples, types, cfg, 41)
     assert len(result.history) > 1
-    value, grad = value_and_gradient(scalar_params, result.theta_star, samples, types, 8, 41,
+    value, grad = value_and_gradient(scalar_params, result.theta_star, samples, types, 41,
                                      replications=2)
     assert value == result.history[-1]
     assert float(np.linalg.norm(grad)) == result.grad_norm_final
