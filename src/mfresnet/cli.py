@@ -34,10 +34,11 @@ from .params import (
     Dims,
     InitialLaw,
     ModelParams,
+    SampleBatch,
     TypeVector,
     check_law,
     require_int,
-    require_positive,
+    require_real,
     validate_params,
 )
 from .rng import make_generator, split_seed
@@ -91,7 +92,7 @@ class ExperimentConfig:
         self.n_list = n_list
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             require_int(name, getattr(self, name), 1)
-        require_positive("phi_radius", self.phi_radius)
+        require_real("phi_radius", self.phi_radius, 0.0)
         if not isinstance(self.seed, int):
             raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
 
@@ -361,17 +362,19 @@ def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
     return outputs, summary, {"worst": worst, "rows": rows}
 
 
-def _gamma_unit(cfg, theta_star, n, draw):
+def _gamma_unit(cfg, theta_star, n):
+    """Train the n_draws sampled problems of size n as one batch; per draw,
+    (min J_N, sup |theta_N - theta*|, terminal first coordinates)."""
     p = cfg.model
-    law = cfg.initial_law
-    draw_seed = split_seed(cfg.seed, f"gamma-{n}-{draw}")
-    samples, tv = law.sample(n, split_seed(draw_seed, "data"))
-    result = train(p, samples, tv, cfg.train, split_seed(draw_seed, "train"))
-    min_jn = result.final_value
-    sup_diff = float(np.max(np.abs(result.theta_star.values - theta_star.values)))
-    ens = simulate_particles(p, result.theta_star, samples, tv,
-                             result.theta_star.n_intervals, split_seed(draw_seed, "terminal"))
-    return min_jn, sup_diff, ens.X[:, -1, 0]
+    draw_seeds = [split_seed(cfg.seed, f"gamma-{n}-{draw}") for draw in range(cfg.n_draws)]
+    batches, type_vectors = zip(*(cfg.initial_law.sample(n, split_seed(s, "data")) for s in draw_seeds))
+    samples, tv = SampleBatch.stack(batches), type_vectors[0]
+    result = train(p, samples, tv, cfg.train, [split_seed(s, "train") for s in draw_seeds])
+    ens = simulate_particles(p, result.theta_star, samples, tv, result.theta_star.n_intervals,
+                             [split_seed(s, "terminal") for s in draw_seeds])
+    clouds = ens.X[:, -1, 0].reshape(cfg.n_draws, n)
+    return [(history[-1].total, float(np.max(np.abs(values - theta_star.values))), cloud)
+            for history, values, cloud in zip(result.history, result.theta_star.values, clouds)]
 
 
 def run_gamma(cfg: ExperimentConfig):
@@ -388,12 +391,12 @@ def run_gamma(cfg: ExperimentConfig):
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
     ref_cloud = _reference_cloud(cfg, theta_star, "ref-cloud")
 
-    units = [(n, draw) for n in cfg.n_list for draw in range(cfg.n_draws)]
-    results = _run_units(units, lambda u: _gamma_unit(cfg, theta_star, *u), cfg.workers)
+    results = _run_units(cfg.n_list, lambda n: _gamma_unit(cfg, theta_star, n), cfg.workers)
     rows = []
-    for (n, draw), (min_jn, sup_diff, cloud) in zip(units, results):
-        w2 = wasserstein2_1d(cloud, ref_cloud)
-        rows.append((n, draw, min_jn, abs(min_jn - jd), sup_diff, w2))
+    for n, draws in zip(cfg.n_list, results):
+        for draw, (min_jn, sup_diff, cloud) in enumerate(draws):
+            w2 = wasserstein2_1d(cloud, ref_cloud)
+            rows.append((n, draw, min_jn, abs(min_jn - jd), sup_diff, w2))
     outputs = {
         "gamma.csv": _csv_text(cfg, ["N", "draw", "min_JN", "abs_gap", "theta_supnorm_diff", "w2_terminal"], rows),
     }

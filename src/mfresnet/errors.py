@@ -35,12 +35,19 @@ class ConfigInvalid(MfresnetError):
 
 
 class NoDescentProgress(MfresnetError):
-    """Backtracking line search hit its floor without finding a descent step."""
+    """Backtracking line search hit its floor without finding a descent step;
+    carries the seed of the problem and the training iteration (the number
+    of steps it had accepted)."""
+
+    def __init__(self, message, *, seed, iteration):
+        super().__init__(f"{message} (seed {seed}, iteration {iteration})")
+        self.seed, self.iteration = seed, iteration
 
 
 class Diverged(MfresnetError):
-    """A simulated path stopped being finite; carries the seed, the first grid
-    step with a non-finite value and the particle (its row) there."""
+    """A simulated path stopped being finite; carries the seed of its problem,
+    the first grid step with a non-finite value and the particle (its row
+    within the problem) there."""
 
     def __init__(self, message, *, seed, step, particle):
         super().__init__(f"{message} (seed {seed}, step {step}, particle {particle})")

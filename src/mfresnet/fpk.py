@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NoConvergence, NonPositiveWeight
-from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_positive
+from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_real
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
 
@@ -50,7 +50,7 @@ class FixedPointConfig:
         require_int("fixed_point.mc_paths", self.mc_paths, 1)
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)
-        require_positive("fixed_point.outer_tol", self.outer_tol)
+        require_real("fixed_point.outer_tol", self.outer_tol, 0.0)
 
 
 def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,

@@ -34,19 +34,22 @@ def control_costs(theta: ControlGrid, p: ModelParams):
     return p.lambda1 * l2_sq, p.lambda2 * h1_sq
 
 
-def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams) -> CostBreakdown:
+def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams):
     """Pathwise sampled objective for one simulated ensemble and the control
-    that drove it.
+    that drove it; for a batched ensemble, a list with one per problem.
 
-    Terminal and running state costs average over particles; the running
-    integral uses the trapezoid rule on the simulation grid.
+    Terminal and running state costs average over each problem's particles;
+    the running integral uses the trapezoid rule on the simulation grid.
     """
-    err = ensemble.X - ensemble.y0[:, None, :]          # (N, S+1, d)
-    sq = np.mean(np.sum(err * err, axis=2), axis=0)      # (S+1,)
-    terminal = p.alpha * sq[-1]
-    running = p.beta * np.trapezoid(sq, ensemble.t_grid)
+    err = ensemble.X - ensemble.y0[:, None, :]          # (B*N, S+1, d)
+    sq = np.sum(err * err, axis=2).reshape(ensemble.n_problems, ensemble.n_particles, -1)
+    sq = np.mean(sq, axis=1)                             # (B, S+1)
+    terminal = p.alpha * sq[:, -1]
+    running = p.beta * np.trapezoid(sq, ensemble.t_grid, axis=-1)
     l2_cost, h1_cost = control_costs(ensemble.theta, p)
-    return CostBreakdown.from_parts(terminal, running, l2_cost, h1_cost)
+    costs = [CostBreakdown.from_parts(*parts)
+             for parts in zip(terminal, running, np.ravel(l2_cost), np.ravel(h1_cost))]
+    return costs if ensemble.theta.values.ndim == 3 else costs[0]
 
 
 def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, seed):

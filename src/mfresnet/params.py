@@ -100,6 +100,11 @@ class SampleBatch:
     def __len__(self):
         return self.x0.shape[0]
 
+    @classmethod
+    def stack(cls, batches):
+        """The samples of several problems as one batch, one row block each."""
+        return cls(*(np.concatenate(block) for block in zip(*((s.x0, s.y0, s.z0) for s in batches))))
+
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -113,6 +118,8 @@ class ActivationSpec:
     def __post_init__(self):
         if self.kind not in _ACTIVATION_KINDS:
             raise DimensionMismatch(f"unknown activation kind {self.kind!r}")
+        for name in ("c", "z_weight", "eta_weight"):
+            require_real(f"activation.{name}", getattr(self, name))
 
     # -- scalar nonlinearity ------------------------------------------------
     def _g(self, u):
@@ -140,17 +147,19 @@ class ActivationSpec:
         raise AssertionError(self.kind)
 
     def _preactivation(self, theta, z, x, eta):
-        # x: (N, d); z: (N, q) or None; eta: scalar or (N,)
+        # x: (..., d); z: (..., q) or None; theta[j] and eta broadcast against x
         u = theta[0] * x + theta[1]
-        if self.z_weight != 0.0 and z is not None and z.shape[1] > 0:
-            u = u + self.z_weight * np.mean(z, axis=1, keepdims=True)
+        if self.z_weight != 0.0 and z is not None and z.shape[-1] > 0:
+            u = u + self.z_weight * np.mean(z, axis=-1, keepdims=True)
         if self.eta_weight != 0.0:
-            u = u + self.eta_weight * np.reshape(np.asarray(eta, dtype=float), (-1, 1))
+            u = u + self.eta_weight * eta
         return u
 
     # -- drift and partials, vectorized over particles ----------------------
     def drift(self, theta, z, x, eta):
-        """f(theta, z, x, eta) for a batch: x (N,d) -> (N,d)."""
+        """f(theta, z, x, eta) for a batch: x (..., d) -> (..., d).  The
+        weights theta[j] and eta are scalars or broadcast against x, e.g.
+        (B, 1, 1) for B problems of N particles each, x (B, N, d)."""
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "constant":
@@ -160,13 +169,12 @@ class ActivationSpec:
     def drift_partials(self, theta, z, x, eta):
         """Return (df_dx_diag, df_dtheta, df_deta).
 
-        df_dx_diag: (N,d) diagonal of the state Jacobian (cross terms vanish);
-        df_dtheta: (N,d,2); df_deta: (N,d).
+        df_dx_diag: (..., d) diagonal of the state Jacobian (cross terms vanish);
+        df_dtheta: (..., d, 2); df_deta: (..., d).
         """
-        n, d = x.shape
         if self.kind in ("zero", "constant"):
             zeros = np.zeros_like(x)
-            return zeros, np.zeros((n, d, 2)), zeros
+            return zeros, np.zeros(x.shape + (2,)), zeros
         gp = self._g_prime(self._preactivation(theta, z, x, eta))
         dtheta = np.stack([gp * x, gp], axis=-1)
         return gp * theta[0], dtheta, gp * self.eta_weight
@@ -181,10 +189,11 @@ class ActivationSpec:
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Piecewise-linear weight path on a uniform depth grid, clamped to a box."""
+    """Piecewise-linear weight path on a uniform depth grid, clamped to a box;
+    or a batch of B such paths on one grid, one per independent problem."""
 
     t_grid: np.ndarray   # (M+1,)
-    values: np.ndarray   # (M+1, m)
+    values: np.ndarray   # (M+1, m), or (B, M+1, m) for a batch
     k_theta: float = 10.0
 
     def __post_init__(self):
@@ -194,7 +203,7 @@ class ControlGrid:
             v = v[:, None]
         if t.ndim != 1 or t.size < 2:
             raise GridTooSmall("control grid needs at least two nodes")
-        if v.shape[0] != t.size:
+        if v.ndim > 3 or v.shape[-2] != t.size:
             raise DimensionMismatch("values must have one row per grid node")
         steps = np.diff(t)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) or steps[0] <= 0:
@@ -208,7 +217,12 @@ class ControlGrid:
 
     @property
     def m(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+    @property
+    def n_problems(self):
+        """B for a batch of B paths, 1 for a single path."""
+        return self.values.shape[0] if self.values.ndim == 3 else 1
 
     @property
     def horizon(self):
@@ -237,11 +251,11 @@ def project_to_box(c: ControlGrid) -> ControlGrid:
 
 def control_h1_norms(c: ControlGrid):
     """(trapezoid of |theta|^2, exact integral of |theta'|^2 for the
-    piecewise-linear representative)."""
-    sq = np.sum(c.values ** 2, axis=1)
-    l2_sq = float(np.trapezoid(sq, c.t_grid))
-    dv = np.diff(c.values, axis=0)
-    h1_semi_sq = float(np.sum(dv ** 2) / c.dt)
+    piecewise-linear representative); one value per path of a batch."""
+    sq = np.sum(c.values ** 2, axis=-1)
+    l2_sq = np.trapezoid(sq, c.t_grid, axis=-1)
+    dv = np.diff(c.values, axis=-2)
+    h1_semi_sq = np.sum(dv ** 2, axis=(-2, -1)) / c.dt
     return l2_sq, h1_semi_sq
 
 
@@ -277,8 +291,8 @@ class ModelParams:
         return np.mean(np.tanh(x), axis=1)
 
     def rho_grad(self, x):
-        """Gradient of rho rowwise: (N,d)."""
-        d = x.shape[1]
+        """Gradient of rho rowwise: (..., d)."""
+        d = x.shape[-1]
         if self.rho == "zero":
             return np.zeros_like(x)
         if self.rho == "mean":
@@ -334,10 +348,11 @@ def require_int(name, value, low):
         raise ConfigInvalid(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def require_positive(name, value):
-    """Raise ConfigInvalid unless value is a finite real > 0 (never converts it)."""
-    if not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
-        raise ConfigInvalid(f"{name} must be a finite real > 0, got {value!r}")
+def require_real(name, value, low=-math.inf, high=math.inf):
+    """Raise ConfigInvalid unless value is a finite real in the open interval
+    (low, high) (never converts it)."""
+    if not isinstance(value, numbers.Real) or not (math.isfinite(value) and low < value < high):
+        raise ConfigInvalid(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
 
 
 def validate_params(p: ModelParams) -> ModelParams:

@@ -5,16 +5,19 @@ augmented paths of the limiting first-order condition built from it.
 One Brownian path drives both the state and the exogenous input of a
 particle (the two equations share the increment).  Particle i is row i,
 and its noise stream is keyed by i, so results do not depend on evaluation
-order or worker partitioning.
+order or worker partitioning.  A batch of independent problems stacks their
+particles as row blocks; particle i of each problem draws stream i under
+that problem's seed, so a problem's paths do not depend on its batch.
 """
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, GridMismatch, ScalarConfigRequired
+from .errors import DimensionMismatch, Diverged, GridMismatch, ScalarConfigRequired
 from .params import ControlGrid, ModelParams, SampleBatch, TypeVector
 from .rng import noise_table
 
@@ -22,20 +25,29 @@ from .rng import noise_table
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """The record of one forward pass: N simulated trajectories (particle i
-    is row i), the control that drove them and the batch statistic they saw."""
+    is row i), the control that drove them and the batch statistic they saw.
+
+    A batch of B independent problems is one ensemble: theta holds the B
+    controls, problem b is the row block b*N .. (b+1)*N - 1 and eta has one
+    row per problem."""
 
     theta: ControlGrid        # the control, on the simulation grid
-    X: np.ndarray             # (N, S+1, d)
-    Z: np.ndarray             # (N, S+1, q)
-    eta: np.ndarray           # (S+1,) batch statistic mean_j rho(X_k^j) at each node
-    y0: np.ndarray            # (N, d) labels
-    eps: np.ndarray           # (N, d, p), read-only broadcast of the shared type vector
-    gamma: np.ndarray         # (N, l), likewise
-    sigma: np.ndarray         # (N, q, p), likewise
+    X: np.ndarray             # (B*N, S+1, d)
+    Z: np.ndarray             # (B*N, S+1, q)
+    eta: np.ndarray           # (S+1,), or (B, S+1): batch statistic mean_j rho(X_k^j) at each node
+    y0: np.ndarray            # (B*N, d) labels
+    eps: np.ndarray           # (B*N, d, p), read-only broadcast of the shared type vector
+    gamma: np.ndarray         # (B*N, l), likewise
+    sigma: np.ndarray         # (B*N, q, p), likewise
+
+    @property
+    def n_problems(self):
+        return self.theta.n_problems
 
     @property
     def n_particles(self):
-        return self.X.shape[0]
+        """Particles per problem."""
+        return self.X.shape[0] // self.n_problems
 
     @property
     def n_steps(self):
@@ -49,21 +61,53 @@ class ParticleEnsemble:
     def dt(self):
         return self.theta.dt
 
+    def problems(self, idx):
+        """The batch of problems idx (increasing indices) of a batched ensemble."""
+        if len(idx) == self.n_problems:
+            return self
+        rows = problem_rows(idx, self.n_particles)
+        return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]),
+                                X=self.X[rows], Z=self.Z[rows], eta=self.eta[idx], y0=self.y0[rows],
+                                eps=self.eps[rows], gamma=self.gamma[rows], sigma=self.sigma[rows])
 
-def _check_finite(seed, *paths):
-    """Raise Diverged at the first (step, row) where a path (N, S+1, ...) is not finite."""
+
+def problem_seeds(seed):
+    """The seeds of a batch of problems: an integer seed is one problem."""
+    return [seed] if isinstance(seed, numbers.Integral) else list(seed)
+
+
+def problem_rows(idx, n):
+    """Rows of the problems idx in a stack of blocks of n rows each."""
+    return (np.asarray(idx)[:, None] * n + np.arange(n)).ravel()
+
+
+def control_nodes(theta: ControlGrid):
+    """theta's node values as (S+1, m, B, 1, 1): entry [k][j] is weight j of
+    each problem at node k, shaped to broadcast over a (B, N, d) block of
+    particles."""
+    values = theta.values.reshape(theta.n_problems, theta.t_grid.size, theta.m)
+    return np.moveaxis(values, 0, -1)[..., None, None]
+
+
+def _check_finite(seeds, *paths):
+    """Raise Diverged at the first (step, row) where a path (B*N, S+1, ...) is
+    not finite, naming the seed of the row's problem and its row within it."""
     if all(np.isfinite(a).all() for a in paths):
         return
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in paths])
     step, row = np.argwhere(~finite.T)[0]
+    problem, particle = divmod(int(row), paths[0].shape[0] // len(seeds))
     raise Diverged("trajectories diverged; reduce the step size",
-                   seed=int(seed), step=int(step), particle=int(row))
+                   seed=int(seeds[problem]), step=int(step), particle=particle)
 
 
 def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
     """The increments simulate_particles draws when given no noise: (N, n_steps, p)
-    for particles 0..n_paths-1."""
-    return noise_table(seed, np.arange(n_paths), n_steps, p.T / n_steps, p.dims.p)
+    for particles 0..n_paths-1; for a sequence of seeds, one such block per
+    seed, stacked."""
+    tables = [noise_table(s, np.arange(n_paths), n_steps, p.T / n_steps, p.dims.p)
+              for s in problem_seeds(seed)]
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
 def simulate_particles(
@@ -72,7 +116,7 @@ def simulate_particles(
     samples: SampleBatch,
     type_vector: TypeVector,
     n_steps: int,
-    seed: int,
+    seed,
     noise=None,
 ) -> ParticleEnsemble:
     """Euler-Maruyama for the N-particle system with batch coupling, one step
@@ -83,41 +127,55 @@ def simulate_particles(
     the same Brownian increment of the particle.  All particles share
     `type_vector`, so the ensemble's eps, gamma and sigma are broadcast views.
     Driven by M draws from the initial law this is the limiting SDE, its batch
-    statistic approximated by the empirical mean over the M paths.  Raises
-    GridMismatch unless n_steps is the control's interval count and its
-    horizon is p.T, and Diverged if a path is not finite at the end.
+    statistic approximated by the empirical mean over the M paths.
+
+    B independent problems run as one batch when theta holds B controls and
+    `seed` is a sequence of B seeds: `samples` (and `noise`) stack the
+    problems' N rows each as contiguous blocks, and each problem has its own
+    control, noise and batch statistic.  Raises GridMismatch unless n_steps
+    is the control's interval count and its horizon is p.T, DimensionMismatch
+    unless the seeds and rows split into the control's problems, and Diverged
+    if a path is not finite at the end.
     """
     if n_steps != theta.n_intervals:
         raise GridMismatch(f"simulation needs one step per control interval: "
                            f"n_steps={n_steps}, control intervals={theta.n_intervals}")
     if abs(theta.horizon - p.T) > 1e-12 * max(1.0, p.T):
         raise GridMismatch("control horizon differs from the model horizon")
-    n = len(samples)
-    eps, gamma, sigma = (np.broadcast_to(a, (n,) + a.shape) for a in
+    seeds = problem_seeds(seed)
+    rows = len(samples)
+    b = theta.n_problems
+    if len(seeds) != b or rows % b:
+        raise DimensionMismatch(f"{b} problems need one seed each and equal row blocks, "
+                                f"got {len(seeds)} seeds for {rows} rows")
+    n = rows // b
+    d, q = p.dims.d, p.dims.q
+    eps, gamma, sigma = (np.broadcast_to(a, (rows,) + a.shape) for a in
                          (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
     dt = theta.dt
     if noise is None:
-        noise = euler_noise(p, n, n_steps, seed)
+        noise = euler_noise(p, n, n_steps, seeds)
 
-    X = np.empty((n, n_steps + 1, p.dims.d))
-    Z = np.empty((n, n_steps + 1, p.dims.q))
-    eta = np.empty(n_steps + 1)
+    X = np.empty((rows, n_steps + 1, d))
+    Z = np.empty((rows, n_steps + 1, q))
+    eta = np.empty((b, n_steps + 1))
     X[:, 0] = samples.x0
     Z[:, 0] = samples.z0
+    # the state at the current node, kept contiguous (rows of X are strided)
+    x, z = X[:, 0].copy(), Z[:, 0].copy()
     act = p.activation
+    nodes = control_nodes(theta)
     for k in range(n_steps):
-        xk = X[:, k]
-        zk = Z[:, k]
-        eta[k] = np.mean(p.rho_value(xk))
-        f = act.drift(theta.values[k], zk, xk, eta[k])
+        eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta[:, k, None, None])
         dw = noise[:, k]
-        X[:, k + 1] = xk + f * dt + np.einsum("ndp,np->nd", eps, dw)
-        if p.dims.q:
-            Z[:, k + 1] = zk + p.phi_value(gamma, zk) * dt + np.einsum("nqp,np->nq", sigma, dw)
-    eta[-1] = np.mean(p.rho_value(X[:, -1]))
-    _check_finite(seed, X, Z)
-    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0,
-                            eps=eps, gamma=gamma, sigma=sigma)
+        x = X[:, k + 1] = x + f.reshape(rows, d) * dt + np.einsum("ndp,np->nd", eps, dw)
+        if q:
+            z = Z[:, k + 1] = z + p.phi_value(gamma, z) * dt + np.einsum("nqp,np->nq", sigma, dw)
+    eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+    _check_finite(seeds, X, Z)
+    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta.reshape(theta.values.shape[:-2] + (n_steps + 1,)),
+                            y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma)
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,
@@ -145,7 +203,7 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     X2 = np.zeros_like(x3)
     np.cumsum(dfdx[:, :-1] * ens.dt, axis=1, out=X1[:, 1:])
     np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * ens.dt, axis=1, out=X2[:, 1:])
-    _check_finite(seed, X1, X2)
+    _check_finite([seed], X1, X2)
     return ens, X1, X2, dtheta_f
 
 

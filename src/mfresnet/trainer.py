@@ -7,15 +7,23 @@ are the ground truth they are tested against.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoDescentProgress, NonPositiveWeight
 from .objective import CostBreakdown, evaluate_JN
-from .params import ControlGrid, ModelParams, project_to_box, require_int, require_positive
+from .params import ControlGrid, ModelParams, SampleBatch, project_to_box, require_int, require_real
 from .rng import split_seed
-from .sde import ParticleEnsemble, euler_noise, simulate_particles
+from .sde import (
+    ParticleEnsemble,
+    control_nodes,
+    euler_noise,
+    problem_rows,
+    problem_seeds,
+    simulate_particles,
+)
 
 
 @dataclass(frozen=True)
@@ -40,12 +48,16 @@ class TrainConfig:
         require_int("train.n_intervals", self.n_intervals, 1)
         require_int("train.replications", self.replications, 1)
         require_int("train.max_iters", self.max_iters, 0)
-        require_positive("train.step_floor", self.step_floor)
-        require_positive("train.fd_epsilon", self.fd_epsilon)
+        require_real("train.step_floor", self.step_floor, 0.0)
+        require_real("train.fd_epsilon", self.fd_epsilon, 0.0)
+        require_real("train.armijo_c", self.armijo_c, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class TrainResult:
+    """The trained control, the accepted costs and the final gradient norm;
+    for a batch, B controls, one history and one norm per problem."""
+
     theta_star: ControlGrid
     history: list            # accepted CostBreakdown per iteration, index 0 = initial point
     grad_norm_final: float
@@ -64,48 +76,53 @@ def _trapezoid_weights(t_grid):
 
 def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     """Exact gradient of the pathwise objective w.r.t. the values of the
-    control that drove the ensemble.
+    control that drove the ensemble, shaped like them: one gradient per
+    problem of a batch.
 
     Reverse sweep of the Euler recursion, including the batch coupling term
     (each particle's state feeds the empirical batch statistic seen by every
-    other particle), chained into the terminal, running and control costs.
+    other particle of its problem), chained into the terminal, running and
+    control costs.
     """
-    theta = ensemble.theta
+    b, n, s = ensemble.n_problems, ensemble.n_particles, ensemble.n_steps
     dt = ensemble.dt
-    n = ensemble.n_particles
     w = _trapezoid_weights(ensemble.t_grid)
-    err = ensemble.X - ensemble.y0[:, None, :]
+    # node-major copies (S+1, B, N, .), so each step reads contiguous blocks
+    X = np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0).copy()
+    Z = np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0).copy()
+    err = X - ensemble.y0.reshape(b, n, -1)
+    eta = ensemble.eta.reshape(b, s + 1)
+    values = ensemble.theta.values.reshape(b, s + 1, -1)
+    nodes = control_nodes(ensemble.theta)
     act = p.activation
 
-    grad = np.zeros_like(theta.values)
-    adj = (2.0 * p.alpha / n) * err[:, -1] + w[-1] * (2.0 * p.beta / n) * err[:, -1]
-    for k in range(ensemble.n_steps - 1, -1, -1):
-        xk = ensemble.X[:, k]
-        zk = ensemble.Z[:, k]
-        dfdx, dftheta, dfeta = act.drift_partials(theta.values[k], zk, xk, ensemble.eta[k])
-        grad[k] += dt * np.einsum("ndm,nd->m", dftheta, adj)
-        coupling = float(np.sum(dfeta * adj)) / n
-        adj = (w[k] * (2.0 * p.beta / n) * err[:, k]
-               + adj + dt * (dfdx * adj + coupling * p.rho_grad(xk)))
+    grad = np.zeros_like(values)
+    adj = (2.0 * p.alpha / n) * err[-1] + w[-1] * (2.0 * p.beta / n) * err[-1]
+    for k in range(s - 1, -1, -1):
+        dfdx, dftheta, dfeta = act.drift_partials(nodes[k], Z[k], X[k], eta[:, k, None, None])
+        grad[:, k] += dt * np.einsum("bndm,bnd->bm", dftheta, adj)
+        coupling = np.sum((dfeta * adj).reshape(b, -1), axis=1)[:, None, None] / n
+        adj = (w[k] * (2.0 * p.beta / n) * err[k]
+               + adj + dt * (dfdx * adj + coupling * p.rho_grad(X[k])))
 
     # control costs
-    grad += 2.0 * p.lambda1 * w[:, None] * theta.values
-    dthe = np.diff(theta.values, axis=0) / dt
-    grad[:-1] -= 2.0 * p.lambda2 * dthe
-    grad[1:] += 2.0 * p.lambda2 * dthe
-    return grad
+    grad += 2.0 * p.lambda1 * w[:, None] * values
+    dthe = np.diff(values, axis=1) / dt
+    grad[:, :-1] -= 2.0 * p.lambda2 * dthe
+    grad[:, 1:] += 2.0 * p.lambda2 * dthe
+    return grad.reshape(ensemble.theta.values.shape)
 
 
-def _replicate(p, theta, samples, type_vector, seed, noises):
-    """Simulate theta under each noise table: the averaged cost and the ensembles."""
-    parts = np.zeros(4)
+def _replicate(p, theta, samples, type_vector, seeds, noises):
+    """Simulate the batch of controls theta under each noise table: each
+    problem's averaged cost and the ensembles."""
+    parts = np.zeros((theta.n_problems, 4))
     ensembles = []
     for noise in noises:
-        ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seed, noise=noise)
-        bd = evaluate_JN(ens, p)
-        parts += np.array([bd.terminal, bd.running_state, bd.control_l2, bd.control_h1])
+        ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seeds, noise=noise)
+        parts += [[bd.terminal, bd.running_state, bd.control_l2, bd.control_h1] for bd in evaluate_JN(ens, p)]
         ensembles.append(ens)
-    return CostBreakdown.from_parts(*(parts / len(noises))), ensembles
+    return [CostBreakdown.from_parts(*row) for row in parts / len(noises)], ensembles
 
 
 def _mean_gradient(ensembles, p):
@@ -114,16 +131,22 @@ def _mean_gradient(ensembles, p):
 
 def value_and_gradient(p, theta, samples, type_vector, seed, replications=1, noises=None):
     """Objective and gradient averaged over noise replications (common random
-    numbers: the same noise tables are reused for every theta)."""
+    numbers: the same noise tables are reused for every theta).  A batch of
+    controls with one seed per problem gives one value and one gradient per
+    problem."""
     if noises is None:
-        noises = replication_noise(p, len(samples), theta.n_intervals, seed, replications)
-    value, ensembles = _replicate(p, theta, samples, type_vector, seed, noises)
-    return value, _mean_gradient(ensembles, p)
+        noises = replication_noise(p, len(samples) // theta.n_problems, theta.n_intervals, seed,
+                                   replications)
+    batch = theta if theta.values.ndim == 3 else theta.with_values(theta.values[None])
+    values, ensembles = _replicate(p, batch, samples, type_vector, problem_seeds(seed), noises)
+    grad = _mean_gradient(ensembles, p)
+    return (values, grad) if batch is theta else (values[0], grad[0])
 
 
 def replication_noise(p, n_particles, n_steps, seed, replications):
-    """One noise table per replication for particles 0..n_particles-1."""
-    return [euler_noise(p, n_particles, n_steps, split_seed(seed, f"rep{r}"))
+    """One noise table per replication for particles 0..n_particles-1 of each
+    problem, stacked over the problems of a sequence of seeds."""
+    return [euler_noise(p, n_particles, n_steps, [split_seed(s, f"rep{r}") for s in problem_seeds(seed)])
             for r in range(replications)]
 
 
@@ -156,31 +179,64 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     Starts from the zero control, so the accepted history is non-increasing
     from the feasible zero-control value.  Each line-search candidate is
     simulated once; the accepted one's ensembles give the next gradient.
-    """
-    theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
-    noises = replication_noise(p, len(samples), cfg.n_intervals, seed, cfg.replications)
 
-    current, grad = value_and_gradient(p, theta, samples, type_vector, seed, noises=noises)
-    history = [current]
-    gnorm = float(np.linalg.norm(grad))
-    for _ in range(cfg.max_iters):
-        if gnorm < cfg.grad_tol:
-            break
-        direction = _precondition(theta, p, grad)
-        step = cfg.step_size
-        while step >= cfg.step_floor:
-            cand = project_to_box(theta.with_values(theta.values - step * direction))
-            move = cand.values - theta.values
-            cand_val, ensembles = _replicate(p, cand, samples, type_vector, seed, noises)
-            if cand_val.total <= current.total + cfg.armijo_c * float(np.sum(grad * move)):
-                break
-            step *= cfg.shrink
-        else:
-            raise NoDescentProgress(
-                f"line search floor reached at grad_norm={gnorm:.3e}")
-        theta, current = cand, cand_val
-        history.append(current)
-        grad = _mean_gradient(ensembles, p)
+    A sequence of B seeds trains B independent problems in lockstep, their N
+    samples each stacked as row blocks of `samples`.  Each problem keeps its
+    own control, noise, step, acceptance and stop.  Each round simulates the
+    current candidate of every problem still running in one call, and the
+    problems that accepted get one batched adjoint sweep.  The result holds
+    the B controls and one history per problem.
+    """
+    seeds = problem_seeds(seed)
+    n = len(samples) // len(seeds)
+    zero = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
+    values = np.zeros((len(seeds),) + zero.values.shape)
+    noises = replication_noise(p, n, cfg.n_intervals, seeds, cfg.replications)
+
+    current, grad = value_and_gradient(p, zero.with_values(values.copy()), samples, type_vector,
+                                       seeds, noises=noises)
+    history = [[bd] for bd in current]
+    gnorm = [float(np.linalg.norm(g)) for g in grad]
+    direction = np.empty_like(values)
+    step = np.empty(len(seeds))
+
+    def proceeds(b):
+        """Start problem b's next line search, unless it has stopped."""
+        if len(history[b]) > cfg.max_iters or gnorm[b] < cfg.grad_tol:
+            return False
+        direction[b] = _precondition(zero, p, grad[b])
+        step[b] = cfg.step_size
+        return True
+
+    active = [b for b in range(len(seeds)) if proceeds(b)]
+    while active:
+        for b in active:
+            if step[b] < cfg.step_floor:
+                raise NoDescentProgress(f"line search floor reached at grad_norm={gnorm[b]:.3e}",
+                                        seed=seeds[b], iteration=len(history[b]) - 1)
+        rows = slice(None) if len(active) == len(seeds) else problem_rows(active, n)
+        cand = project_to_box(zero.with_values(values[active] - step[active, None, None] * direction[active]))
+        cand_vals, ensembles = _replicate(
+            p, cand, SampleBatch(samples.x0[rows], samples.y0[rows], samples.z0[rows]), type_vector,
+            [seeds[b] for b in active], [noise[rows] for noise in noises])
+        accepted = []
+        for i, b in enumerate(active):
+            move = cand.values[i] - values[b]
+            if cand_vals[i].total <= history[b][-1].total + cfg.armijo_c * float(np.sum(grad[b] * move)):
+                accepted.append(i)
+            else:
+                step[b] *= cfg.shrink
+        if accepted:
+            new_grad = _mean_gradient([ens.problems(accepted) for ens in ensembles], p)
+            for i, g in zip(accepted, new_grad):
+                b = active[i]
+                values[b] = cand.values[i]
+                history[b].append(cand_vals[i])
+                grad[b] = g
+                gnorm[b] = float(np.linalg.norm(g))
         del ensembles
-        gnorm = float(np.linalg.norm(grad))
-    return TrainResult(theta_star=theta, history=history, grad_norm_final=gnorm)
+        active = [b for i, b in enumerate(active) if i not in accepted or proceeds(b)]
+    if isinstance(seed, numbers.Integral):
+        return TrainResult(theta_star=zero.with_values(values[0]), history=history[0],
+                           grad_norm_final=gnorm[0])
+    return TrainResult(theta_star=zero.with_values(values), history=history, grad_norm_final=gnorm)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import mfresnet.cli as cli
+import mfresnet.trainer as trainer
+from mfresnet import FixedPointConfig, TrainConfig
 from mfresnet.cli import (
     ExperimentConfig,
     default_law,
@@ -15,6 +17,7 @@ from mfresnet.cli import (
     spearman_negative_p,
 )
 from mfresnet.errors import ConfigInvalid
+from mfresnet.rng import split_seed
 
 
 def _small_cfg(tmp_path, **overrides):
@@ -118,6 +121,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         assert "ConfigInvalid" in err and "Traceback" not in err, (command, bad, flags, err)
     # malformed values and costs without bound, each refused before any work
     activation = dict(default_model().to_dict(), activation={"kind": "tanh", "gain": 2.0})
+    eta_weight = dict(default_model().to_dict(),
+                      activation=dict(default_model().activation.to_dict(), eta_weight="a"))
     malformed = [
         ("train", {"train": {"foo": 1}}, "ConfigInvalid"),
         ("train", {"fixed_point": {"bar": 2}}, "ConfigInvalid"),
@@ -134,6 +139,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"train": {"step_floor": "a"}}, "ConfigInvalid"),
         ("solve-limit", {"fixed_point": {"n_intervals": -5}}, "ConfigInvalid"),
         ("diagnose-fpk", {"phi_radius": "x"}, "ConfigInvalid"),
+        ("train", {"train": {"armijo_c": "a"}}, "ConfigInvalid"),
+        ("simulate", {"model": eta_weight}, "ConfigInvalid"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))
@@ -180,6 +187,42 @@ def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monke
     assert len(payload["rows"]) == 8
     assert sorted(calls) == [5] * 4 + [10] * 4
     assert all(np.isnan(row[4]) for row in payload["rows"])
+
+
+def test_gamma_trains_the_draws_of_each_sample_size_as_one_batch(tmp_path, monkeypatch):
+    """Every training simulation of gamma carries all draws of one N that are
+    still training, and the terminal ensembles of one N are one simulation."""
+    calls = []
+
+    def counting(module):
+        simulate = module.simulate_particles
+
+        def wrapper(p, theta, samples, type_vector, n_steps, seed, noise=None):
+            calls.append((module.__name__, len(samples), seed))
+            return simulate(p, theta, samples, type_vector, n_steps, seed, noise)
+        monkeypatch.setattr(module, "simulate_particles", wrapper)
+
+    counting(cli)
+    counting(trainer)
+    cfg = _small_cfg(tmp_path, n_list=(5, 10), n_draws=3, m_paths=50,
+                     fixed_point=FixedPointConfig(mc_paths=50),
+                     train=TrainConfig(n_intervals=4, max_iters=20))
+    run_experiment("gamma", cfg)
+    draws = {n: [split_seed(cfg.seed, f"gamma-{n}-{draw}") for draw in range(cfg.n_draws)]
+             for n in cfg.n_list}
+    train_seeds = {n: [split_seed(s, "train") for s in seeds] for n, seeds in draws.items()}
+    training = [(rows, seed) for name, rows, seed in calls if name == "mfresnet.trainer"]
+    # each training simulation holds draws of one N, N samples each
+    assert all(rows % len(seed) == 0 and set(seed) <= set(train_seeds[rows // len(seed)])
+               for rows, seed in training)
+    for n in cfg.n_list:
+        rounds = [seed for rows, seed in training if rows // len(seed) == n]
+        assert len(rounds) > 1 and rounds[0] == train_seeds[n]
+        # a draw that trains in a round has trained in every round before it
+        assert all(set(later) <= set(earlier) for earlier, later in zip(rounds, rounds[1:]))
+        terminal = [seed for name, rows, seed in calls
+                    if name == "mfresnet.cli" and rows == n * cfg.n_draws]
+        assert terminal == [[split_seed(s, "terminal") for s in draws[n]]]
 
 
 def test_gradcheck_cli(tmp_path, capsys):

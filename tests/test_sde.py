@@ -197,6 +197,27 @@ def test_divergence_raises(scalar_params):
     assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, first, 1)
 
 
+def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
+    """In a batch, Diverged reports the seed of the problem that diverged and
+    the particle's row within that problem, not its row in the stack."""
+    p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
+                            k_theta=1e9)
+    n_steps = 64
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    values = np.zeros((2, n_steps + 1, 2))
+    values[1, :, 0] = 1e8
+    samples = _scalar_batch(0.5, 0.7, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Diverged) as batch:
+            simulate_particles(p, ControlGrid(t, values, k_theta=p.k_theta), samples,
+                               _quiet_type(p), n_steps, [3, 8])
+        with pytest.raises(Diverged) as alone:
+            simulate_particles(p, ControlGrid(t, values[1], k_theta=p.k_theta), _scalar_batch(0.0, 1.0),
+                               _quiet_type(p), n_steps, 8)
+    assert (batch.value.seed, batch.value.particle) == (8, 1)
+    assert batch.value.step == alone.value.step
+
+
 def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
     samples, types = coupled_law.sample(3, 4)
     theta = ControlGrid.zeros(coupled_params.T, 5, k_theta=coupled_params.k_theta)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mfresnet import ControlGrid, TrainConfig, evaluate_JN, simulate_particles, train
+from mfresnet import ControlGrid, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train
 from mfresnet.cli import gradcheck_case_error
-from mfresnet.errors import ConfigInvalid, NonPositiveWeight
+from mfresnet.errors import ConfigInvalid, NoDescentProgress, NonPositiveWeight
 from mfresnet.rng import split_seed
 from mfresnet.trainer import (
     _precondition,
@@ -12,7 +12,7 @@ from mfresnet.trainer import (
     value_and_gradient,
 )
 
-from conftest import in_box
+from conftest import dirac_law, in_box
 
 
 def _control_cost_directional(theta, direction, p):
@@ -75,7 +75,8 @@ def test_train_config_validation():
     with pytest.raises(NonPositiveWeight):
         TrainConfig(replications=0)
     for bad in ({"max_iters": "5"}, {"max_iters": -1}, {"n_intervals": 2.5}, {"replications": 1.5},
-                {"step_floor": "a"}, {"step_floor": 0.0}, {"fd_epsilon": float("inf")}):
+                {"step_floor": "a"}, {"step_floor": 0.0}, {"fd_epsilon": float("inf")},
+                {"armijo_c": "a"}, {"armijo_c": 0.0}, {"armijo_c": 1.0}, {"armijo_c": float("nan")}):
         with pytest.raises(ConfigInvalid):
             TrainConfig(**bad)
     TrainConfig(max_iters=0)
@@ -177,3 +178,34 @@ def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, sc
                                      replications=2)
     assert value == result.history[-1]
     assert float(np.linalg.norm(grad)) == result.grad_norm_final
+
+
+def test_batch_training_matches_each_problem_alone(coupled_params, coupled_law):
+    """Training B problems as one batch gives each problem the bytes of its own
+    run, although they stop at different iterations: each keeps its own
+    samples, noise, batch statistic, line search and stop."""
+    p = coupled_params
+    cfg = TrainConfig(n_intervals=8, max_iters=12, replications=2, grad_tol=0.05)
+    draws = [coupled_law.sample(6, s) for s in (3, 4, 5)]
+    seeds = [103, 104, 105]
+    alone = [train(p, samples, types, cfg, seed) for (samples, types), seed in zip(draws, seeds)]
+    assert len({len(r.history) for r in alone}) > 1
+    batch = train(p, SampleBatch.stack([s for s, _ in draws]), draws[0][1], cfg, seeds)
+    for b, r in enumerate(alone):
+        assert batch.theta_star.values[b].tobytes() == r.theta_star.values.tobytes()
+        assert [bd.total for bd in batch.history[b]] == [bd.total for bd in r.history]
+        assert batch.grad_norm_final[b] == r.grad_norm_final
+
+
+def test_line_search_floor_names_the_problem(scalar_params):
+    """NoDescentProgress names the seed and iteration of the problem whose
+    line search failed; a problem that starts stationary never searches."""
+    quiet = TypeVector(epsilon=np.array([[0.0]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
+    at_label, off_label = dirac_law([1.0], [1.0], quiet), dirac_law([1.0], [0.0], quiet)
+    cfg = TrainConfig(n_intervals=8, step_size=1e-15)
+    samples = SampleBatch.stack([at_label.sample(4, 0)[0], off_label.sample(4, 0)[0]])
+    with pytest.raises(NoDescentProgress) as batch:
+        train(scalar_params, samples, quiet, cfg, [21, 22])
+    with pytest.raises(NoDescentProgress) as alone:
+        train(scalar_params, *off_label.sample(4, 0), cfg, 22)
+    assert (batch.value.seed, batch.value.iteration) == (alone.value.seed, alone.value.iteration) == (22, 0)
