@@ -25,7 +25,6 @@ from .params import (
     TypeVector,
     control_h1_norms,
     project_to_box,
-    validate_params,
 )
 from .rng import make_generator, split_seed
 from .sde import simulate_augmented, simulate_particles

@@ -17,6 +17,7 @@ import json
 import operator
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .params import (
     check_law,
     require_int,
     require_real,
-    validate_params,
 )
 from .rng import make_generator, split_seed
 from .sde import dump_trajectories, simulate_particles
@@ -64,10 +64,21 @@ def default_law() -> InitialLaw:
     return InitialLaw.uniform(x_low=[0.5], x_high=[1.5], y_low=[-0.5], y_high=[0.5], type_vector=tv)
 
 
+def _from_json_data(cls, data):
+    """Build the dataclass cls from a JSON object, its dataclass-typed fields
+    recursively; the constructors convert and check every value, and refuse
+    a missing or unknown key with TypeError."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{cls.__name__} needs a JSON object, got {data!r}")
+    types = typing.get_type_hints(cls)
+    return cls(**{key: _from_json_data(types[key], value) if dataclasses.is_dataclass(types.get(key)) else value
+                  for key, value in data.items()})
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
-    model: ModelParams
-    initial_law: InitialLaw
+    model: ModelParams = dataclasses.field(default_factory=default_model)
+    initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
     seed: int = 20240815
     out: str = "results"
     workers: int = 1
@@ -93,15 +104,12 @@ class ExperimentConfig:
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             require_int(name, getattr(self, name), 1)
         require_real("phi_radius", self.phi_radius, 0.0)
-        if not isinstance(self.seed, int):
-            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
+        require_int("seed", self.seed, None)
+        check_law(self.model, self.initial_law)
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["model"] = self.model.to_dict()
-        d["initial_law"] = self.initial_law.to_dict()
-        d["n_list"] = list(self.n_list)
-        return d
+        """The config as JSON data: every dataclass field, arrays as lists."""
+        return json.loads(json.dumps(dataclasses.asdict(self), default=np.ndarray.tolist))
 
     def config_hash(self):
         d = self.to_dict()
@@ -113,20 +121,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Build and check a config; a missing key, an unknown nested key or a
-        value of the wrong type ends as ConfigInvalid."""
+        """Build and check a config; a missing or unknown key at any level or
+        a value of the wrong type ends as ConfigInvalid."""
         try:
-            d = dict(d)
-            model = validate_params(ModelParams.from_dict(d.pop("model")) if "model" in d else default_model())
-            law = check_law(model, InitialLaw.from_dict(d.pop("initial_law")) if "initial_law" in d else default_law())
-            tr = TrainConfig(**d.pop("train")) if "train" in d else TrainConfig()
-            fp = FixedPointConfig(**d.pop("fixed_point")) if "fixed_point" in d else FixedPointConfig()
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(d) - known
-            if unknown:
-                raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-            return cls(model=model, initial_law=law, train=tr, fixed_point=fp, **d)
-        except (KeyError, TypeError, ValueError) as exc:
+            return _from_json_data(cls, d)
+        except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
@@ -524,10 +523,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_json(args.config)
-        else:
-            cfg = ExperimentConfig(model=default_model(), initial_law=default_law())
+        cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
         overrides = {"seed": args.seed, "out": args.out, "workers": args.workers,
                      "n_list": None if args.n_list is None else args.n_list.split(","),
                      "dump_trajectories": args.dump_trajectories or None}

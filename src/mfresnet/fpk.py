@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NonPositiveWeight
+from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_real
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
@@ -46,7 +46,7 @@ class FixedPointConfig:
         if self.mc_paths < 1:
             raise NonPositiveWeight("mc_paths must be >= 1")
         if self.seed_policy not in ("fixed", "refresh"):
-            raise NonPositiveWeight("seed_policy must be 'fixed' or 'refresh'")
+            raise ConfigInvalid(f"seed_policy must be 'fixed' or 'refresh', got {self.seed_policy!r}")
         require_int("fixed_point.mc_paths", self.mc_paths, 1)
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)

@@ -32,6 +32,30 @@ _RHO_KINDS = ("tanh_mean", "mean", "zero")
 _PHI_KINDS = ("decay", "zero")
 
 
+def require_int(name, value, low):
+    """Raise ConfigInvalid unless value is an integer, not a bool, and >= low
+    unless low is None (never converts it)."""
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        raise ConfigInvalid(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
+def require_real(name, value, low=-math.inf, high=math.inf):
+    """Raise ConfigInvalid unless value is a finite real, not a bool, in the
+    open interval (low, high) (never converts it)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and low < value < high)):
+        raise ConfigInvalid(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
+
+
+def require_positive(name, value, error):
+    """Raise ConfigInvalid unless value is a real, not a bool, and error
+    unless it is finite and > 0 (never converts it)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigInvalid(f"{name} must be a real, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dims:
     """State dimensions: d state, q exogenous input, p noise, m control, l decay parameters."""
@@ -42,12 +66,11 @@ class Dims:
     m: int = 2
     l: int = 0
 
-    def validate(self):
-        for name in ("d", "p", "m"):
-            if getattr(self, name) < 1:
-                raise DimensionMismatch(f"dims.{name} must be >= 1")
-        if self.q < 0 or self.l < 0:
-            raise DimensionMismatch("dims.q and dims.l must be >= 0")
+    def __post_init__(self):
+        for name, low in (("d", 1), ("q", 0), ("p", 1), ("m", 1), ("l", 0)):
+            require_int(f"dims.{name}", getattr(self, name), None)
+            if getattr(self, name) < low:
+                raise DimensionMismatch(f"dims.{name} must be >= {low}")
         if self.q > 0 and self.l not in (1, self.q):
             raise DimensionMismatch("decay parameter length l must be 1 or q")
 
@@ -71,21 +94,6 @@ class TypeVector:
     def norm(self):
         return math.sqrt(
             float(np.sum(self.epsilon ** 2) + np.sum(self.gamma ** 2) + np.sum(self.sigma ** 2))
-        )
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon.tolist(),
-            "gamma": self.gamma.tolist(),
-            "sigma": self.sigma.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            epsilon=np.asarray(d["epsilon"], dtype=float),
-            gamma=np.asarray(d["gamma"], dtype=float),
-            sigma=np.asarray(d["sigma"], dtype=float),
         )
 
 
@@ -179,13 +187,6 @@ class ActivationSpec:
         dtheta = np.stack([gp * x, gp], axis=-1)
         return gp * theta[0], dtheta, gp * self.eta_weight
 
-    def to_dict(self):
-        return {"kind": self.kind, "c": self.c, "z_weight": self.z_weight, "eta_weight": self.eta_weight}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ControlGrid:
@@ -276,10 +277,19 @@ class ModelParams:
     k_theta: float = 10.0  # half-width of the control box
 
     def __post_init__(self):
+        """Check positivity of weights and bounds, and the wiring against the dims."""
         if self.rho not in _RHO_KINDS:
             raise DimensionMismatch(f"unknown batch function {self.rho!r}")
         if self.phi not in _PHI_KINDS:
             raise DimensionMismatch(f"unknown exogenous drift {self.phi!r}")
+        for name in ("alpha", "beta", "lambda1", "lambda2", "T"):
+            require_positive(name, getattr(self, name), NonPositiveWeight)
+        for name in ("K", "k_theta"):
+            require_positive(name, getattr(self, name), BoundViolation)
+        if self.activation.kind not in ("zero", "constant") and self.dims.m != 2:
+            raise DimensionMismatch("the scalar-nonlinearity drift family uses m=2 control weights")
+        if self.activation.z_weight != 0.0 and self.dims.q == 0:
+            raise DimensionMismatch("z_weight wiring requires q >= 1")
 
     # -- batch function rho and its gradient --------------------------------
     def rho_value(self, x):
@@ -318,60 +328,6 @@ class ModelParams:
             and a.z_weight == 0.0
             and a.eta_weight == 0.0
         )
-
-    def to_dict(self):
-        return {
-            "activation": self.activation.to_dict(),
-            "rho": self.rho,
-            "phi": self.phi,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "T": self.T,
-            "dims": {"d": self.dims.d, "q": self.dims.q, "p": self.dims.p, "m": self.dims.m, "l": self.dims.l},
-            "K": self.K,
-            "k_theta": self.k_theta,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["activation"] = ActivationSpec.from_dict(d["activation"])
-        d["dims"] = Dims(**d["dims"])
-        return cls(**d)
-
-
-def require_int(name, value, low):
-    """Raise ConfigInvalid unless value is an integer >= low (never converts it)."""
-    if not isinstance(value, int) or value < low:
-        raise ConfigInvalid(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def require_real(name, value, low=-math.inf, high=math.inf):
-    """Raise ConfigInvalid unless value is a finite real in the open interval
-    (low, high) (never converts it)."""
-    if not isinstance(value, numbers.Real) or not (math.isfinite(value) and low < value < high):
-        raise ConfigInvalid(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
-
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Check positivity of weights, dimension consistency and wiring constraints.
-
-    Returns the same (immutable) params on success; raises otherwise.
-    """
-    for name in ("alpha", "beta", "lambda1", "lambda2", "T"):
-        v = getattr(p, name)
-        if not (v > 0.0) or not math.isfinite(v):
-            raise NonPositiveWeight(f"{name} must be positive and finite, got {v}")
-    if p.K <= 0 or p.k_theta <= 0:
-        raise BoundViolation("bounds K and k_theta must be positive")
-    p.dims.validate()
-    if p.activation.kind not in ("zero", "constant") and p.dims.m != 2:
-        raise DimensionMismatch("the scalar-nonlinearity drift family uses m=2 control weights")
-    if p.activation.z_weight != 0.0 and p.dims.q == 0:
-        raise DimensionMismatch("z_weight wiring requires q >= 1")
-    return p
 
 
 def check_type(p: ModelParams, t: TypeVector) -> TypeVector:
@@ -431,21 +387,6 @@ class InitialLaw:
             y = gen.uniform(self.y_low, self.y_high, size=(n, d))
             z = gen.uniform(self.z_low, self.z_high, size=(n, q)) if q else np.zeros((n, 0))
         return SampleBatch(x, y, z), self.type_vector
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "x_low": self.x_low.tolist(), "x_high": self.x_high.tolist(),
-            "y_low": self.y_low.tolist(), "y_high": self.y_high.tolist(),
-            "z_low": self.z_low.tolist(), "z_high": self.z_high.tolist(),
-            "type_vector": self.type_vector.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["type_vector"] = TypeVector.from_dict(d["type_vector"])
-        return cls(**d)
 
 
 def check_law(p: ModelParams, law: InitialLaw) -> InitialLaw:

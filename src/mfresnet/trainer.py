@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import NoDescentProgress, NonPositiveWeight
 from .objective import CostBreakdown, evaluate_JN
-from .params import ControlGrid, ModelParams, SampleBatch, project_to_box, require_int, require_real
+from .params import (ControlGrid, ModelParams, SampleBatch, project_to_box, require_int,
+                     require_positive, require_real)
 from .rng import split_seed
 from .sde import (
     ParticleEnsemble,
@@ -39,8 +40,8 @@ class TrainConfig:
     step_floor: float = 1e-14
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.grad_tol <= 0:
-            raise NonPositiveWeight("step_size and grad_tol must be positive")
+        require_positive("train.step_size", self.step_size, NonPositiveWeight)
+        require_positive("train.grad_tol", self.grad_tol, NonPositiveWeight)
         if self.replications < 1:
             raise NonPositiveWeight("replications must be >= 1")
         if not (0.0 < self.shrink < 1.0):

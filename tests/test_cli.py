@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import math
 import pathlib
 import time
 
@@ -16,7 +19,7 @@ from mfresnet.cli import (
     run_experiment,
     spearman_negative_p,
 )
-from mfresnet.errors import ConfigInvalid
+from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch
 from mfresnet.rng import split_seed
 
 
@@ -28,10 +31,95 @@ def _small_cfg(tmp_path, **overrides):
     return cfg
 
 
+def _default_section(name):
+    """One section of the default config as JSON data."""
+    return ExperimentConfig().to_dict()[name]
+
+
 def test_config_roundtrip(tmp_path):
     cfg = _small_cfg(tmp_path)
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_config_checks_itself_when_built_in_code(scalar_law):
+    """A config built in code, or changed by dataclasses.replace, is checked
+    like one read from JSON, with the same error types."""
+    with pytest.raises(BoundViolation):
+        ExperimentConfig(initial_law=dataclasses.replace(scalar_law, x_high=[100.0]))
+    wide = dataclasses.replace(default_model(), dims=dataclasses.replace(default_model().dims, d=2))
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(ExperimentConfig(), model=wide)
+    with pytest.raises(ConfigInvalid):
+        dataclasses.replace(ExperimentConfig(), seed=True)
+
+
+PINNED_HASHES = {
+    None: "8a309a0042bc2abc",
+    "scripts/coupled_simulation.json": "3e74183a79f1658c",
+    "scripts/fpk_diagnostic.json": "c3d66014bbd626a9",
+    "scripts/gamma_experiment.json": "158ca995f380527f",
+    "benchmarks/workloads/gamma-ladder.json": "2a638d794be32b5a",
+    "benchmarks/workloads/fpk-coupled-w2.json": "e41595e0c3a73878",
+    "benchmarks/workloads/fpk-scalar.json": "b00bc0271bcc885a",
+    "benchmarks/workloads/limit-solve.json": "cf55da49e16e75e4",
+}
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_config_hash_is_pinned():
+    """The hash of the default config and of every committed config, as
+    recorded in the CSV headers and digests of earlier runs."""
+    for path, expected in PINNED_HASHES.items():
+        cfg = ExperimentConfig() if path is None else ExperimentConfig.from_json(ROOT / path)
+        assert cfg.config_hash() == expected, path
+
+
+def _leaf_paths(data, path=()):
+    """The path (keys, then list indices) of every leaf of JSON data."""
+    if isinstance(data, dict):
+        return [leaf for key, value in data.items() for leaf in _leaf_paths(value, path + (key,))]
+    if isinstance(data, list):
+        return [leaf for i, value in enumerate(data) for leaf in _leaf_paths(value, path + (i,))]
+    return [path]
+
+
+def _with_leaf_changed(cfg, path):
+    """A copy of cfg with the leaf at path changed, set past the checks."""
+    cfg = copy.deepcopy(cfg)
+    owner, names = cfg, list(path)
+    while dataclasses.is_dataclass(getattr(owner, names[0])):
+        owner = getattr(owner, names.pop(0))
+    name, index = names[0], tuple(names[1:])
+    value = getattr(owner, name)
+    if isinstance(value, bool):
+        value = not value
+    elif isinstance(value, str):
+        value = value + "x"
+    elif isinstance(value, tuple):
+        value = tuple(v + 1 if i == index[0] else v for i, v in enumerate(value))
+    elif isinstance(value, np.ndarray):
+        value = value.copy()
+        value[index] += 1.0
+    else:
+        value = value + 1
+    object.__setattr__(owner, name, value)
+    return cfg
+
+
+def test_config_hash_reads_every_leaf():
+    """Changing any one leaf value of the config tree changes the hash, unless
+    it is an execution detail (workers, out, dump_trajectories)."""
+    for cfg in (ExperimentConfig(), ExperimentConfig.from_json(ROOT / "scripts/coupled_simulation.json")):
+        paths = _leaf_paths(cfg.to_dict())
+        assert len(paths) > 40
+        for path in paths:
+            changed = _with_leaf_changed(cfg, path)
+            assert changed.to_dict() != cfg.to_dict(), path
+            if path[0] in ("workers", "out", "dump_trajectories"):
+                assert changed.config_hash() == cfg.config_hash(), path
+            else:
+                assert changed.config_hash() != cfg.config_hash(), path
 
 
 def test_config_rejects_unknown_keys():
@@ -87,9 +175,9 @@ def test_main_cli_roundtrip(tmp_path, capsys):
 
 def test_main_reports_domain_errors(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    model = default_model().to_dict()
+    model = _default_section("model")
     model["activation"]["z_weight"] = 0.5  # invalid wiring with q = 0
-    law = default_law().to_dict()
+    law = _default_section("initial_law")
     law["x_low"], law["x_high"] = [0.5, 0.5], [1.5, 1.5]  # a d=2 law under the d=1 model
     law["y_low"], law["y_high"] = [-0.5, -0.5], [0.5, 0.5]
     for bad in ({"model": model}, {"initial_law": law}):
@@ -120,9 +208,11 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         assert code == 1, (command, bad, flags)
         assert "ConfigInvalid" in err and "Traceback" not in err, (command, bad, flags, err)
     # malformed values and costs without bound, each refused before any work
-    activation = dict(default_model().to_dict(), activation={"kind": "tanh", "gain": 2.0})
-    eta_weight = dict(default_model().to_dict(),
-                      activation=dict(default_model().activation.to_dict(), eta_weight="a"))
+    activation = dict(_default_section("model"), activation={"kind": "tanh", "gain": 2.0})
+    eta_weight = dict(_default_section("model"),
+                      activation=dict(_default_section("model")["activation"], eta_weight="a"))
+    law = _default_section("initial_law")
+    type_vector = dict(law, type_vector=dict(law["type_vector"], foo=1))
     malformed = [
         ("train", {"train": {"foo": 1}}, "ConfigInvalid"),
         ("train", {"fixed_point": {"bar": 2}}, "ConfigInvalid"),
@@ -141,6 +231,21 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("diagnose-fpk", {"phi_radius": "x"}, "ConfigInvalid"),
         ("train", {"train": {"armijo_c": "a"}}, "ConfigInvalid"),
         ("simulate", {"model": eta_weight}, "ConfigInvalid"),
+        # booleans are not numbers here
+        ("simulate", {"n_particles": True}, "ConfigInvalid"),
+        ("train", {"train": {"max_iters": True}}, "ConfigInvalid"),
+        ("diagnose-fpk", {"phi_radius": True}, "ConfigInvalid"),
+        ("simulate", {"seed": True}, "ConfigInvalid"),
+        ("simulate", {"model": dict(_default_section("model"), alpha=True)}, "ConfigInvalid"),
+        ("simulate", {"model": dict(_default_section("model"), dims={"p": True})}, "ConfigInvalid"),
+        # JSON NaN, which every comparison with a bound lets through
+        ("train", {"train": {"step_size": math.nan}}, "NonPositiveWeight"),
+        ("train", {"train": {"grad_tol": math.nan}}, "NonPositiveWeight"),
+        ("simulate", {"model": dict(_default_section("model"), K=math.nan)}, "BoundViolation"),
+        ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
+        # a bad enumeration value, and an unknown key inside the type vector
+        ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "ConfigInvalid"),
+        ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))

@@ -11,13 +11,12 @@ from mfresnet import (
     ActivationSpec,
     ControlGrid,
     Dims,
-    InitialLaw,
     ModelParams,
     TypeVector,
     control_h1_norms,
     project_to_box,
-    validate_params,
 )
+from mfresnet.cli import ExperimentConfig
 from mfresnet.errors import (
     BoundViolation,
     ConfigInvalid,
@@ -36,27 +35,35 @@ from conftest import dirac_law, in_box
 
 def test_dims_validate_rejects_bad_values():
     with pytest.raises(DimensionMismatch):
-        Dims(d=0).validate()
+        Dims(d=0)
     with pytest.raises(DimensionMismatch):
-        Dims(q=-1).validate()
+        Dims(q=-1)
     with pytest.raises(DimensionMismatch):
-        Dims(q=3, l=2).validate()
-    Dims(q=3, l=1).validate()
-    Dims(q=3, l=3).validate()
+        Dims(q=3, l=2)
+    with pytest.raises(ConfigInvalid):
+        Dims(p=True)
+    with pytest.raises(ConfigInvalid):
+        Dims(d=1.5)
+    Dims(q=3, l=1)
+    Dims(q=3, l=3)
 
 
 def test_validate_params_rejects_nonpositive_weights(scalar_params):
     for name in ("alpha", "beta", "lambda1", "lambda2", "T"):
-        bad = dataclasses.replace(scalar_params, **{name: 0.0})
         with pytest.raises(NonPositiveWeight):
-            validate_params(bad)
+            dataclasses.replace(scalar_params, **{name: 0.0})
+    for name in ("K", "k_theta"):
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(BoundViolation):
+                dataclasses.replace(scalar_params, **{name: bad})
+        with pytest.raises(ConfigInvalid):
+            dataclasses.replace(scalar_params, **{name: True})
 
 
 def test_validate_params_rejects_bad_wiring():
     act = ActivationSpec(kind="tanh", z_weight=0.5)
-    p = ModelParams(activation=act, dims=Dims(d=1, q=0, p=1, m=2, l=0))
     with pytest.raises(DimensionMismatch):
-        validate_params(p)
+        ModelParams(activation=act, dims=Dims(d=1, q=0, p=1, m=2, l=0))
 
 
 def test_check_sample_and_type_bounds(scalar_params, scalar_law):
@@ -222,15 +229,20 @@ def test_h1_norms_nonnegative_and_zero_for_constant(n_nodes, horizon):
 # serialization and initial laws
 # ---------------------------------------------------------------------------
 
-def test_model_params_roundtrip(coupled_params):
-    d = coupled_params.to_dict()
-    again = ModelParams.from_dict(d)
+def _config_roundtrip(d):
+    return ExperimentConfig.from_dict(json.loads(json.dumps(d, indent=2, sort_keys=True)))
+
+
+def test_model_params_roundtrip(coupled_params, coupled_law):
+    d = ExperimentConfig(model=coupled_params, initial_law=coupled_law).to_dict()
+    again = ExperimentConfig.from_dict(d).model
     assert again == coupled_params
-    assert ModelParams.from_dict(json.loads(json.dumps(d, indent=2, sort_keys=True))) == coupled_params
+    assert _config_roundtrip(d).model == coupled_params
 
 
-def test_initial_law_roundtrip_and_determinism(coupled_law):
-    again = InitialLaw.from_dict(coupled_law.to_dict())
+def test_initial_law_roundtrip_and_determinism(coupled_params, coupled_law):
+    cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law)
+    again = _config_roundtrip(cfg.to_dict()).initial_law
     s1, t1 = again.sample(7, 42)
     s2, t2 = coupled_law.sample(7, 42)
     assert len(s1) == len(s2) == 7
@@ -251,7 +263,8 @@ def test_uniform_law_respects_bounds(coupled_law):
 def test_dirac_law_is_constant():
     """The point-mass law, read back through the config route."""
     tv = TypeVector(epsilon=np.array([[0.1]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
-    law = InitialLaw.from_dict(dirac_law(x0=[1.0], y0=[0.5], type_vector=tv).to_dict())
+    cfg = ExperimentConfig(initial_law=dirac_law(x0=[1.0], y0=[0.5], type_vector=tv))
+    law = _config_roundtrip(cfg.to_dict()).initial_law
     assert law.kind == "dirac"
     samples, _ = law.sample(5, 0)
     assert len(samples) == 5
