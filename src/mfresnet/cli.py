@@ -75,7 +75,7 @@ def _from_json_data(cls, data):
                   for key, value in data.items()})
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelParams = dataclasses.field(default_factory=default_model)
     initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
@@ -100,7 +100,7 @@ class ExperimentConfig:
             n_list = ()
         if not n_list or n_list[0] < 1 or list(n_list) != sorted(set(n_list)):
             raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
-        self.n_list = n_list
+        object.__setattr__(self, "n_list", n_list)
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             require_int(name, getattr(self, name), 1)
         require_real("phi_radius", self.phi_radius, 0.0)

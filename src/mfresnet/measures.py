@@ -61,7 +61,7 @@ def _smoothstep_d2(u):
 
 def _monomial(w, pows, axes=()):
     """The monomial prod_j w_j**pows[j], differentiated once along each index
-    in axes, at the rows of w; None where the derivative vanishes."""
+    in axes, at the points w[..., :]; None where the derivative vanishes."""
     pows = list(pows)
     coef = 1
     for j in axes:
@@ -69,10 +69,10 @@ def _monomial(w, pows, axes=()):
         pows[j] -= 1
     if coef == 0:
         return None
-    out = np.ones(w.shape[0])
+    out = np.ones(w.shape[:-1])
     for j, pw in enumerate(pows):
         if pw:
-            out = out * w[:, j] ** pw
+            out = out * w[..., j] ** pw
     return coef * out
 
 
@@ -101,72 +101,82 @@ class TestFunction:
             raise SizeMismatch("need 0 < r_plateau < r_support")
 
     def _poly(self, s, w):
-        """Value, s-derivative, gradient (N,d+q) and Hessian (N,d+q,d+q) of
-        the polynomial factor in the joint variable w = (x, z)."""
-        n, m = w.shape
-        val = np.zeros(n)
-        ds = np.zeros(n)
-        grad = np.zeros((n, m))
-        hess = np.zeros((n, m, m))
+        """Value, s-derivative, gradient and Hessian of the polynomial factor
+        in the joint variable w = (x, z), at w (nodes, N, d+q) with node k at
+        time s[k]."""
+        m = w.shape[-1]
+        val = np.zeros(w.shape[:-1])
+        ds = np.zeros(w.shape[:-1])
+        grad = np.zeros(w.shape)
+        hess = np.zeros(w.shape + (m,))
         for coeff, s_pow, x_pows, z_pows in self.terms:
             pows = tuple(x_pows) + tuple(z_pows)
-            c = coeff * s ** s_pow
+            # time factors per node from numpy scalars: a scalar ** can
+            # differ from the array ** in the last bit
+            c = np.array([coeff * sk ** s_pow for sk in s])[:, None]
             mono = _monomial(w, pows)
             val += c * mono
             if s_pow > 0:
-                ds += coeff * s_pow * s ** (s_pow - 1) * mono
+                ds += np.array([coeff * s_pow * sk ** (s_pow - 1) for sk in s])[:, None] * mono
             for i in range(m):
                 gi = _monomial(w, pows, (i,))
                 if gi is None:
                     continue
-                grad[:, i] += c * gi
+                grad[..., i] += c * gi
                 for j in range(i, m):
                     hij = _monomial(w, pows, (i, j))
                     if hij is not None:
-                        hess[:, i, j] += c * hij
+                        hess[..., i, j] += c * hij
                         if j != i:
-                            hess[:, j, i] += c * hij
+                            hess[..., j, i] += c * hij
         return val, ds, grad, hess
 
     def _bump(self, w):
-        """Value, gradient and Hessian of the radial cutoff at the rows of w."""
-        n, m = w.shape
+        """Value of the radial cutoff at the rows of w, the indices of the
+        rows in its transition shell, and its gradient and Hessian at those
+        rows (None if there are none; elsewhere both vanish)."""
         r2 = np.sum(w * w, axis=1)
         lo2 = self.r_plateau**2
         hi2 = self.r_support**2
         denom = hi2 - lo2
         u = (r2 - lo2) / denom
-        inside = u <= 0.0
-        outside = u >= 1.0
-        trans = ~inside & ~outside
-        b = np.where(inside, 1.0, 0.0)
-        psi1 = np.zeros(n)
-        psi2 = np.zeros(n)
-        if np.any(trans):
-            ut = np.clip(u, 0.0, 1.0)
-            b = np.where(trans, 1.0 - _smoothstep(ut), b)
-            psi1 = np.where(trans, -_smoothstep_d1(ut), 0.0)
-            psi2 = np.where(trans, -_smoothstep_d2(ut), 0.0)
-        grad = psi1[:, None] * 2.0 * w / denom
-        hess = (psi2[:, None, None] * 4.0 * w[:, :, None] * w[:, None, :] / denom**2
-                + psi1[:, None, None] * (2.0 / denom) * np.eye(m)[None])
-        return b, grad, hess
+        b = np.where(u <= 0.0, 1.0, 0.0)
+        shell = np.flatnonzero((u > 0.0) & (u < 1.0))
+        if not shell.size:
+            return b, shell, None, None
+        us = u[shell]
+        ws = w[shell]
+        b[shell] = 1.0 - _smoothstep(us)
+        psi1 = -_smoothstep_d1(us)
+        psi2 = -_smoothstep_d2(us)
+        grad = psi1[:, None] * 2.0 * ws / denom
+        hess = (psi2[:, None, None] * 4.0 * ws[:, :, None] * ws[:, None, :] / denom**2
+                + psi1[:, None, None] * (2.0 / denom) * np.eye(w.shape[1])[None])
+        return b, shell, grad, hess
 
     def derivs(self, s, x, z):
         """The derivative table the generator needs, vectorized over atoms:
-        val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d)."""
+        val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
+        s is one time, or one time per node when the atoms are node-major
+        blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k])."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = np.asarray(z, dtype=float)
         if z.ndim < 2:
             z = z.reshape(x.shape[0], self.q)
         w = np.concatenate([x, z], axis=1)
-        pval, pds, pg, ph = self._poly(s, w)
-        b, bg, bh = self._bump(w)
-        g = pg * b[:, None] + pval[:, None] * bg
-        h = (ph * b[:, None, None]
-             + pg[:, :, None] * bg[:, None, :]
-             + bg[:, :, None] * pg[:, None, :]
-             + pval[:, None, None] * bh)
+        s = np.atleast_1d(s)
+        pval, pds, pg, ph = (a.reshape((w.shape[0],) + a.shape[2:])
+                             for a in self._poly(s, w.reshape(s.size, -1, w.shape[1])))
+        b, shell, bg, bh = self._bump(w)
+        g = pg * b[:, None]
+        h = ph * b[:, None, None]
+        if shell.size:
+            pgs = pg[shell]
+            g[shell] += pval[shell, None] * bg
+            h[shell] = (h[shell]
+                        + pgs[:, :, None] * bg[:, None, :]
+                        + bg[:, :, None] * pgs[:, None, :]
+                        + pval[shell, None, None] * bh)
         d = self.d
         return {"val": pval * b, "ds": pds * b, "dx": g[:, :d], "dz": g[:, d:],
                 "dxx": h[:, :d, :d], "dzz": h[:, d:, d:], "dzx": h[:, d:, :d]}
@@ -175,6 +185,12 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 # generator and FPK residual
 # ---------------------------------------------------------------------------
+
+# Most atoms in one derivative table of the residual (at least one node's):
+# bounds its temporaries, one (rows, d+q, d+q) Hessian being 512 KB at
+# d+q = 4.
+_BLOCK_ROWS = 4096
+
 
 def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
                           theta_val, eta, p: ModelParams) -> np.ndarray:
@@ -203,18 +219,32 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
     trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
     weighted atoms of the ensemble at node t and the generator A taken under
-    the control and batch statistic that drove it; returns (sup |R|, R path)."""
+    the control and batch statistic that drove it; returns (sup |R|, R path).
+
+    The atoms of up to _BLOCK_ROWS // N nodes form one node-major table,
+    row k*N + i holding particle i at the block's node k, so each per-node
+    mean runs along the last axis of a (nodes, N) array."""
     t_grid = path.t_grid
     n_nodes = t_grid.size
+    n = path.X.shape[0]
+    per_block = max(1, _BLOCK_ROWS // n)
     mean_phi = np.empty(n_nodes)
     mean_gen = np.empty(n_nodes)
-    for k in range(n_nodes):
-        xk = path.X[:, k]
-        zk = path.Z[:, k]
-        dv = phi.derivs(t_grid[k], xk, zk)
-        mean_phi[k] = float(np.mean(dv["val"]))
-        mean_gen[k] = float(np.mean(generator_apply_batch(
-            dv, xk, zk, path.eps, path.gamma, path.sigma, path.theta.values[k], path.eta[k], p)))
+    # the type vector of a full block; a shorter block takes its first rows
+    types = [np.broadcast_to(a, (per_block,) + a.shape).reshape((per_block * n,) + a.shape[1:])
+             for a in (path.eps, path.gamma, path.sigma)]
+    for k0 in range(0, n_nodes, per_block):
+        nodes = slice(k0, min(k0 + per_block, n_nodes))
+        nk = nodes.stop - k0
+        x = path.X[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
+        z = path.Z[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
+        eps, gamma, sigma = (a[:nk * n] for a in types)
+        theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
+        eta_rows = np.repeat(path.eta[nodes], n)[:, None]
+        dv = phi.derivs(t_grid[nodes], x, z)
+        gen = generator_apply_batch(dv, x, z, eps, gamma, sigma, theta_rows, eta_rows, p)
+        mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)
+        mean_gen[nodes] = np.mean(gen.reshape(nk, n), axis=-1)
     dt = t_grid[1] - t_grid[0]
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint

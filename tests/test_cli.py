@@ -26,9 +26,7 @@ from mfresnet.rng import split_seed
 def _small_cfg(tmp_path, **overrides):
     cfg = ExperimentConfig(model=default_model(), initial_law=default_law(),
                            out=str(tmp_path / "out"), seed=5)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _default_section(name):
@@ -52,6 +50,14 @@ def test_config_checks_itself_when_built_in_code(scalar_law):
         dataclasses.replace(ExperimentConfig(), model=wide)
     with pytest.raises(ConfigInvalid):
         dataclasses.replace(ExperimentConfig(), seed=True)
+
+
+def test_config_fields_cannot_be_assigned():
+    """The config is frozen, so no field can change past its checks."""
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_particles = 0
+    assert cfg.n_particles == 100
 
 
 PINNED_HASHES = {
@@ -156,8 +162,7 @@ def test_simulate_writes_outputs(tmp_path):
 
 
 def test_train_outputs_and_history(tmp_path):
-    cfg = _small_cfg(tmp_path, n_particles=20)
-    cfg.train = type(cfg.train)(n_intervals=8, max_iters=10)
+    cfg = _small_cfg(tmp_path, n_particles=20, train=TrainConfig(n_intervals=8, max_iters=10))
     payload, _ = run_experiment("train", cfg)
     hist = (pathlib.Path(cfg.out) / "history.csv").read_text().splitlines()
     assert len(hist) == len(payload["result"].history) + 2  # hash + header rows
@@ -246,6 +251,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         # a bad enumeration value, and an unknown key inside the type vector
         ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "ConfigInvalid"),
         ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
+        # a fixed-point seed that is not an integer, though the CLI derives its own
+        ("solve-limit", {"fixed_point": {"seed": "a", "mc_paths": 50, "outer_iters": 2}}, "ConfigInvalid"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))

@@ -16,6 +16,7 @@ from mfresnet import (
     simulate_particles,
     wasserstein2_1d,
 )
+from mfresnet import measures
 from mfresnet.errors import SizeMismatch
 from mfresnet.measures import generator_apply_batch
 
@@ -172,6 +173,26 @@ def test_derivatives_match_finite_differences(point):
     np.testing.assert_allclose(dv["dzz"], dv["dzz"].transpose(0, 2, 1), rtol=0, atol=1e-12)
 
 
+def test_block_derivs_equal_per_node_tables():
+    """A node-major block with one time per node gives the bytes of one
+    table per node, on the plateau, in the cutoff shell and beyond it."""
+    phi = _rich_phi()   # terms with s_pow 0, 1 and 2; plateau 2, support 5
+    s = np.array([0.0, 0.35, 1.0])
+    n = 6
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(s.size * n, 4))
+    radii = np.tile([0.5, 1.5, 2.5, 3.5, 4.5, 6.0], s.size)
+    w *= (radii / np.linalg.norm(w, axis=1))[:, None]
+    assert {"plateau", "shell", "beyond"} == {
+        "plateau" if r <= 2.0 else "shell" if r < 5.0 else "beyond" for r in radii}
+    block = phi.derivs(s, w[:, :2], w[:, 2:])
+    for k, sk in enumerate(s):
+        rows = slice(k * n, (k + 1) * n)
+        node = phi.derivs(sk, w[rows, :2], w[rows, 2:])
+        for key, table in node.items():
+            assert block[key][rows].tobytes() == table.tobytes(), (k, key)
+
+
 def test_cutoff_support():
     phi = coordinate_test_function(1, 0, r_plateau=1.0, r_support=2.0)
     far = phi.derivs(0.0, np.array([[5.0]]), np.zeros((1, 0)))["val"]
@@ -296,3 +317,39 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     _, res = fpk_residual(ens, phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
+
+
+def _residual_per_node(path, phi, p):
+    """The residual path from one derivative table per node."""
+    t_grid = path.t_grid
+    mean_phi = np.empty(t_grid.size)
+    mean_gen = np.empty(t_grid.size)
+    for k in range(t_grid.size):
+        xk, zk = path.X[:, k], path.Z[:, k]
+        dv = phi.derivs(t_grid[k], xk, zk)
+        mean_phi[k] = np.mean(dv["val"])
+        mean_gen[k] = np.mean(generator_apply_batch(
+            dv, xk, zk, path.eps, path.gamma, path.sigma, path.theta.values[k], path.eta[k], p))
+    dt = t_grid[1] - t_grid[0]
+    cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
+    return mean_phi - mean_phi[0] - cumint
+
+
+def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law):
+    """The node blocks of fpk_residual, the last one partial, give the bytes
+    of a per-node loop, with atoms on the plateau, in the shell and beyond."""
+    p = coupled_params
+    n, n_steps = 300, 20
+    assert (n_steps + 1) % (measures._BLOCK_ROWS // n) != 0
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
+                        k_theta=p.k_theta)
+    samples, types = coupled_law.sample(n, 4)
+    ens = simulate_particles(p, theta, samples, types, n_steps, 4)
+    phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
+    r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
+    assert np.any(r <= 0.8) and np.any((r > 0.8) & (r < 1.6)) and np.any(r >= 1.6)
+    sup, res = fpk_residual(ens, phi, p)
+    expected = _residual_per_node(ens, phi, p)
+    assert res.tobytes() == expected.tobytes()
+    assert sup == np.max(np.abs(expected))
