@@ -50,15 +50,6 @@ from .trainer import TrainConfig, _adjoint_gradient, train
 # configuration
 # ---------------------------------------------------------------------------
 
-def default_model() -> ModelParams:
-    return ModelParams(
-        activation=ActivationSpec(kind="tanh"),
-        rho="tanh_mean", phi="decay",
-        alpha=1.0, beta=1.0, lambda1=0.1, lambda2=0.1,
-        T=1.0, dims=Dims(d=1, q=0, p=1, m=2, l=0), K=10.0, k_theta=5.0,
-    )
-
-
 def default_law() -> InitialLaw:
     tv = TypeVector(epsilon=np.array([[0.3]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     return InitialLaw.uniform(x_low=[0.5], x_high=[1.5], y_low=[-0.5], y_high=[0.5], type_vector=tv)
@@ -77,7 +68,7 @@ def _from_json_data(cls, data):
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelParams = dataclasses.field(default_factory=default_model)
+    model: ModelParams = dataclasses.field(default_factory=ModelParams)
     initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
     seed: int = 20240815
     out: str = "results"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import DimensionMismatch, SizeMismatch
 from .params import ModelParams
 from .sde import ParticleEnsemble
 
@@ -197,6 +197,8 @@ def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
     """Generator applied to a test function at each atom, vectorized:
     returns (N,).  dv is the function's derivative table at the atoms
     (TestFunction.derivs); the drift reads depth only through theta_val.
+    eps and sigma are None for a type vector without diffusion, whose
+    second-order terms vanish.
 
     Sum of the time derivative, the drift and exogenous-drift first-order
     terms, and the diffusion second-order terms.  The mixed state/input
@@ -209,6 +211,9 @@ def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
     if z.shape[1]:
         phid = p.phi_value(gamma, z)
         out = out + np.einsum("nq,nq->n", phid, dv["dz"])
+    if eps is None:
+        return out
+    if z.shape[1]:
         out = out + 0.5 * np.einsum("nkp,nlp,nkl->n", sigma, sigma, dv["dzz"])
         out = out + np.einsum("ndp,nqp,nqd->n", eps, sigma, dv["dzx"])
     out = out + 0.5 * np.einsum("ndp,nep,nde->n", eps, eps, dv["dxx"])
@@ -223,7 +228,10 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
 
     The atoms of up to _BLOCK_ROWS // N nodes form one node-major table,
     row k*N + i holding particle i at the block's node k, so each per-node
-    mean runs along the last axis of a (nodes, N) array."""
+    mean runs along the last axis of a (nodes, N) array.  Takes the ensemble
+    of one problem; a batch raises DimensionMismatch."""
+    if path.n_problems > 1:
+        raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {path.n_problems}")
     t_grid = path.t_grid
     n_nodes = t_grid.size
     n = path.X.shape[0]
@@ -233,12 +241,16 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     # the type vector of a full block; a shorter block takes its first rows
     types = [np.broadcast_to(a, (per_block,) + a.shape).reshape((per_block * n,) + a.shape[1:])
              for a in (path.eps, path.gamma, path.sigma)]
+    # without diffusion the second-order terms vanish, and the generator skips them
+    diffusion = path.eps.any() or path.sigma.any()
     for k0 in range(0, n_nodes, per_block):
         nodes = slice(k0, min(k0 + per_block, n_nodes))
         nk = nodes.stop - k0
         x = path.X[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
         z = path.Z[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
         eps, gamma, sigma = (a[:nk * n] for a in types)
+        if not diffusion:
+            eps = sigma = None
         theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
         eta_rows = np.repeat(path.eta[nodes], n)[:, None]
         dv = phi.derivs(t_grid[nodes], x, z)

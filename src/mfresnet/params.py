@@ -269,12 +269,12 @@ class ModelParams:
     phi: str = "decay"
     alpha: float = 1.0
     beta: float = 1.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
+    lambda1: float = 0.1
+    lambda2: float = 0.1
     T: float = 1.0
     dims: Dims = field(default_factory=Dims)
     K: float = 10.0        # compact support bound for samples and type vectors
-    k_theta: float = 10.0  # half-width of the control box
+    k_theta: float = 5.0   # half-width of the control box
 
     def __post_init__(self):
         """Check positivity of weights and bounds, and the wiring against the dims."""

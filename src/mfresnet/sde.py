@@ -154,7 +154,9 @@ def simulate_particles(
                          (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
     dt = theta.dt
     if noise is None:
-        noise = euler_noise(p, n, n_steps, seeds)
+        # with no diffusion no increment moves a path, so none is drawn
+        still = not (type_vector.epsilon.any() or type_vector.sigma.any())
+        noise = np.broadcast_to(0.0, (rows, n_steps, p.dims.p)) if still else euler_noise(p, n, n_steps, seeds)
 
     X = np.empty((rows, n_steps + 1, d))
     Z = np.empty((rows, n_steps + 1, q))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDescentProgress, NonPositiveWeight
+from .fpk import solve_tridiagonal
 from .objective import CostBreakdown, evaluate_JN
 from .params import (ControlGrid, ModelParams, SampleBatch, project_to_box, require_int,
                      require_positive, require_real)
@@ -158,8 +159,6 @@ def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.nd
     like 1/dt^2, so plain gradient steps crawl on fine grids; scaling by M
     makes the step size mesh-independent while keeping descent directions.
     """
-    import scipy.linalg
-
     n = theta.t_grid.size
     dt = theta.dt
     w = _trapezoid_weights(theta.t_grid)
@@ -170,7 +169,7 @@ def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.nd
     ab[1, -1] -= r
     ab[0, 1:] = -r
     ab[2, :-1] = -r
-    return scipy.linalg.solve_banded((1, 1), ab, grad)
+    return solve_tridiagonal(ab, grad)
 
 
 def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> TrainResult:

@@ -18,6 +18,7 @@ from mfresnet import (
     FixedPointConfig,
     GridFunction,
     InitialLaw,
+    ModelParams,
     TrainConfig,
     TypeVector,
     control_h1_norms,
@@ -30,7 +31,6 @@ from mfresnet import (
 from mfresnet.cli import (
     ExperimentConfig,
     default_law,
-    default_model,
     gradcheck_case_error,
     run_diagnose_fpk,
     run_experiment,
@@ -99,7 +99,7 @@ def test_criterion_3_fpk_residual_slope(tmp_path):
     a log-log slope in [-0.65, -0.35]; the noise-free control sits at the
     discretization floor, well below the stochastic signal."""
     cfg = ExperimentConfig(
-        model=default_model(), initial_law=_unit_noise_law(),
+        model=ModelParams(), initial_law=_unit_noise_law(),
         seed=2, out=str(tmp_path / "diag"), workers=4,
         n_list=(100, 400, 1600, 6400), seeds_per_n=8, n_steps=200, m_paths=4000,
     )
@@ -118,7 +118,7 @@ def test_criterion_3_fpk_residual_slope(tmp_path):
 
 def test_criterion_4_gamma_convergence(tmp_path):
     cfg = ExperimentConfig(
-        model=default_model(), initial_law=default_law(),
+        model=ModelParams(), initial_law=default_law(),
         seed=3, out=str(tmp_path / "gamma"), workers=4,
         n_list=(50, 200, 800, 3200), n_draws=10, m_paths=100000,
         fixed_point=FixedPointConfig(mc_paths=20000, outer_iters=200),
@@ -140,7 +140,7 @@ def test_criterion_5_fixed_point_certificate():
     tolerance amplified by the operator norm plus Monte Carlo noise, and the
     one-sided boundary derivatives are second-order small relative to the
     solution's curvature scale C = sup |second difference|."""
-    p, law = default_model(), default_law()
+    p, law = ModelParams(), default_law()
     cfg = FixedPointConfig(seed=123, mc_paths=20000, outer_iters=200, n_intervals=32)
     theta, _ = fixed_point_solve(p, law, cfg)
     dt = theta.dt
@@ -191,7 +191,7 @@ def test_criterion_6_wasserstein_oracle_and_axioms():
 
 def test_criterion_7_energy_bounds():
     """min(lambda1, lambda2) ||theta*||_{H1}^2 <= J_N(theta*) <= J_N(0)."""
-    p, law = default_model(), default_law()
+    p, law = ModelParams(), default_law()
     samples, types = law.sample(400, split_seed(31, "data"))
     result = train(p, samples, types, TrainConfig(), split_seed(31, "train"))
     l2_sq, h1_sq = control_h1_norms(result.theta_star)
@@ -221,7 +221,7 @@ def test_criterion_8_worker_count_invariance(tmp_path):
         hashes = []
         for workers in (1, 2, 8):
             cfg = ExperimentConfig(
-                model=default_model(), initial_law=default_law(),
+                model=ModelParams(), initial_law=default_law(),
                 out=str(tmp_path / f"{kind}-{workers}"), workers=workers, **base)
             run_experiment(kind, cfg)
             hashes.append(_output_hashes(cfg.out))

@@ -10,11 +10,10 @@ import pytest
 
 import mfresnet.cli as cli
 import mfresnet.trainer as trainer
-from mfresnet import FixedPointConfig, TrainConfig
+from mfresnet import FixedPointConfig, ModelParams, TrainConfig
 from mfresnet.cli import (
     ExperimentConfig,
     default_law,
-    default_model,
     main,
     run_experiment,
     spearman_negative_p,
@@ -24,7 +23,7 @@ from mfresnet.rng import split_seed
 
 
 def _small_cfg(tmp_path, **overrides):
-    cfg = ExperimentConfig(model=default_model(), initial_law=default_law(),
+    cfg = ExperimentConfig(model=ModelParams(), initial_law=default_law(),
                            out=str(tmp_path / "out"), seed=5)
     return dataclasses.replace(cfg, **overrides)
 
@@ -45,7 +44,7 @@ def test_config_checks_itself_when_built_in_code(scalar_law):
     like one read from JSON, with the same error types."""
     with pytest.raises(BoundViolation):
         ExperimentConfig(initial_law=dataclasses.replace(scalar_law, x_high=[100.0]))
-    wide = dataclasses.replace(default_model(), dims=dataclasses.replace(default_model().dims, d=2))
+    wide = dataclasses.replace(ModelParams(), dims=dataclasses.replace(ModelParams().dims, d=2))
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(ExperimentConfig(), model=wide)
     with pytest.raises(ConfigInvalid):
@@ -79,6 +78,16 @@ def test_config_hash_is_pinned():
     for path, expected in PINNED_HASHES.items():
         cfg = ExperimentConfig() if path is None else ExperimentConfig.from_json(ROOT / path)
         assert cfg.config_hash() == expected, path
+
+
+def test_partial_model_section_takes_the_default_model():
+    """A model section that leaves out every key runs the problem of a config
+    with no model section: the model has one set of defaults."""
+    partial = ExperimentConfig.from_dict({"model": {"dims": {}}})
+    whole = ExperimentConfig.from_dict({})
+    assert partial.model == whole.model == ModelParams()
+    assert partial.to_dict() == whole.to_dict()
+    assert partial.config_hash() == whole.config_hash()
 
 
 def _leaf_paths(data, path=()):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from mfresnet import (
@@ -11,16 +12,17 @@ from mfresnet import (
     Dims,
     FixedPointConfig,
     GridFunction,
+    ModelParams,
     TypeVector,
     estimate_G,
     fixed_point_solve,
     solve_neumann_bvp,
 )
 from mfresnet.errors import ScalarConfigRequired, NoConvergence, NonPositiveWeight
-from mfresnet.fpk import neumann_derivatives
+from mfresnet.fpk import neumann_derivatives, solve_tridiagonal
 from mfresnet.rng import noise_table
 from mfresnet.sde import euler_noise
-from mfresnet.trainer import _trapezoid_weights, value_and_gradient
+from mfresnet.trainer import _precondition, _trapezoid_weights, value_and_gradient
 
 from conftest import dirac_law, in_box, residual_first_order
 
@@ -35,6 +37,77 @@ def _grid_function(t, values):
 # ---------------------------------------------------------------------------
 # boundary value problem
 # ---------------------------------------------------------------------------
+
+def _bvp_band(t, lambda1, lambda2):
+    """The ghost-node Neumann matrix that solve_neumann_bvp builds on grid t,
+    in solve_banded's (3, n) layout."""
+    h = t[1] - t[0]
+    r = lambda2 / (h * h)
+    ab = np.zeros((3, t.size))
+    ab[1, :] = lambda1 + 2.0 * r
+    ab[0, 1:] = -r
+    ab[2, :-1] = -r
+    ab[0, 1] = -2.0 * r
+    ab[2, -2] = -2.0 * r
+    return ab
+
+
+def _precondition_band(t, lambda1, lambda2):
+    """The control-cost Hessian that the trainer's preconditioner builds on grid t."""
+    w = _trapezoid_weights(t)
+    r = 2.0 * lambda2 / float(t[1] - t[0])
+    ab = np.zeros((3, t.size))
+    ab[1, :] = 2.0 * lambda1 * w + 2.0 * r
+    ab[1, 0] -= r
+    ab[1, -1] -= r
+    ab[0, 1:] = -r
+    ab[2, :-1] = -r
+    return ab
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 33, 129])
+def test_tridiagonal_solve_has_solve_banded_bytes_on_library_matrices(n):
+    """The solve that replaced scipy.linalg.solve_banded gives its bytes on
+    both library matrices, with one and two right-hand-side columns, and so
+    do the BVP solve and the preconditioner that call it."""
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 1.0, n)
+    for lambda1, lambda2 in ((0.1, 0.1), (0.2, 0.15), (1.0, 1e-3), (3.0, 7.0)):
+        for ab in (_bvp_band(t, lambda1, lambda2), _precondition_band(t, lambda1, lambda2)):
+            for rhs in (rng.normal(size=n), rng.normal(size=(n, 1)), rng.normal(size=(n, 2))):
+                assert _same_bytes(solve_tridiagonal(ab, rhs), scipy.linalg.solve_banded((1, 1), ab, rhs))
+        G = _grid_function(t, rng.normal(size=(n, 2)))
+        assert _same_bytes(solve_neumann_bvp(G, lambda1, lambda2).values,
+                           scipy.linalg.solve_banded((1, 1), _bvp_band(t, lambda1, lambda2), G.values))
+        grad = rng.normal(size=(n, 2))
+        p = ModelParams(lambda1=lambda1, lambda2=lambda2)
+        assert _same_bytes(_precondition(ControlGrid.zeros(1.0, n - 1), p, grad),
+                           scipy.linalg.solve_banded((1, 1), _precondition_band(t, lambda1, lambda2), grad))
+
+
+def test_tridiagonal_solve_has_solve_banded_bytes_when_it_pivots():
+    """General tridiagonals give solve_banded's bytes too.  The first one
+    interchanges rows 0 and 1 (its subdiagonal entry outweighs the
+    diagonal), so the fill-in of a row interchange is exercised; the second
+    ties them, which takes no interchange; most of the random ones pivot
+    somewhere as well."""
+    rng = np.random.default_rng(11)
+    pivots = np.array([[0.0, 1.0, 2.0, -1.0],
+                       [0.1, 3.0, -0.5, 2.0],
+                       [4.0, 1.0, 3.0, 0.0]])
+    ties = np.array([[0.0, 3.0, 1.0, 2.0],
+                     [1.0, 0.5, 2.0, 1.0],
+                     [-1.0, 0.7, 3.0, 0.0]])
+    bands = [pivots, ties] + [rng.normal(size=(3, n)) for n in (2, 3, 5, 17, 64) for _ in range(20)]
+    for ab in bands:
+        n = ab.shape[1]
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 2)), rng.normal(size=(n, 3))):
+            assert _same_bytes(solve_tridiagonal(ab, rhs), scipy.linalg.solve_banded((1, 1), ab, rhs))
+
 
 def test_bvp_constant_source_is_exact():
     t = np.linspace(0.0, 1.0, 17)

@@ -17,7 +17,7 @@ from mfresnet import (
     wasserstein2_1d,
 )
 from mfresnet import measures
-from mfresnet.errors import SizeMismatch
+from mfresnet.errors import DimensionMismatch, SizeMismatch
 from mfresnet.measures import generator_apply_batch
 
 from conftest import dirac_law, wasserstein2_exact_small
@@ -353,3 +353,36 @@ def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law):
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))
+
+
+def test_residual_without_diffusion_equals_full_generator(coupled_params, coupled_law):
+    """On an ensemble whose type vector has no diffusion, fpk_residual skips
+    the generator's second-order terms and still gives the bytes of the
+    per-node loop, which evaluates them."""
+    p = coupled_params
+    n_steps = 20
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
+                        k_theta=p.k_theta)
+    samples, types = coupled_law.sample(300, 4)
+    quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
+                       sigma=np.zeros_like(types.sigma))
+    ens = simulate_particles(p, theta, samples, quiet, n_steps, 4)
+    phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
+    sup, res = fpk_residual(ens, phi, p)
+    expected = _residual_per_node(ens, phi, p)
+    assert res.tobytes() == expected.tobytes()
+    assert sup == np.max(np.abs(expected))
+
+
+def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
+    """fpk_residual takes the ensemble of one problem: a batch of two ends as
+    DimensionMismatch, not as a numpy broadcasting error."""
+    p = coupled_params
+    samples, types = coupled_law.sample(40, 3)
+    theta = ControlGrid.zeros(p.T, 10, k_theta=p.k_theta)
+    batch = theta.with_values(np.zeros((2,) + theta.values.shape))
+    ens = simulate_particles(p, batch, samples, types, 10, [3, 4])
+    assert (ens.n_problems, ens.n_particles) == (2, 20)
+    with pytest.raises(DimensionMismatch):
+        fpk_residual(ens, _rich_phi(), p)

@@ -16,7 +16,8 @@ from mfresnet import (
 )
 from mfresnet.errors import Diverged, GridMismatch, ScalarConfigRequired
 from mfresnet.rng import noise_table
-from mfresnet.sde import dump_trajectories
+from mfresnet import sde
+from mfresnet.sde import dump_trajectories, euler_noise
 
 
 def _quiet_type(p):
@@ -85,6 +86,27 @@ def test_affine_drift_matches_explicit_recursion(scalar_params):
     for k in range(n_steps):
         x = (1.0 + 0.8 * dt) * x + (-0.3) * dt
     assert abs(ens.X[0, -1, 0] - x) < 1e-14
+
+
+def test_no_diffusion_draws_no_noise(coupled_params, coupled_law, monkeypatch):
+    """A type vector without diffusion draws no noise table, and its paths
+    have the bytes of paths driven by the table it would have drawn."""
+    p = coupled_params
+    samples, types = coupled_law.sample(30, 2)
+    quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
+                       sigma=np.zeros_like(types.sigma))
+    t = np.linspace(0.0, p.T, 9)
+    theta = ControlGrid(t, np.stack([np.cos(t), 0.5 - t], axis=1), k_theta=p.k_theta)
+    drawn = simulate_particles(p, theta, samples, quiet, 8, 2, noise=euler_noise(p, 30, 8, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noise table was drawn")
+
+    monkeypatch.setattr(sde, "noise_table", refuse)
+    still = simulate_particles(p, theta, samples, quiet, 8, 2)
+    assert still.X.tobytes() == drawn.X.tobytes()
+    assert still.Z.tobytes() == drawn.Z.tobytes()
+    assert still.eta.tobytes() == drawn.eta.tobytes()
 
 
 def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scalar_law):

@@ -3,7 +3,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import mfresnet
 
@@ -26,6 +29,26 @@ def test_every_library_definition_is_used_in_the_library():
                 used.add(node.attr)
     unused = sorted(defined - used)
     assert not unused, f"defined in src/mfresnet but never used there: {unused}"
+
+
+def test_library_loads_no_scipy():
+    """scipy is a test dependency only: no library module imports it, even
+    inside a function, and a fresh `import mfresnet.cli` loads no scipy
+    module, so no run pays for importing it."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), f"{path.name} imports scipy"
+    code = "import sys, mfresnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # Parameters that each count extractor of benchmarks/tracer.py reads by name
