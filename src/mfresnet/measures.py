@@ -252,7 +252,7 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
         if not diffusion:
             eps = sigma = None
         theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
-        eta_rows = np.repeat(path.eta[nodes], n)[:, None]
+        eta_rows = None if path.eta is None else np.repeat(path.eta[nodes], n)[:, None]
         dv = phi.derivs(t_grid[nodes], x, z)
         gen = generator_apply_batch(dv, x, z, eps, gamma, sigma, theta_rows, eta_rows, p)
         mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)

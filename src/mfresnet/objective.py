@@ -34,6 +34,12 @@ def control_costs(theta: ControlGrid, p: ModelParams):
     return p.lambda1 * l2_sq, p.lambda2 * h1_sq
 
 
+def _squared_error(ensemble: ParticleEnsemble):
+    """|X(t_k) - Y|^2 per particle and node, (rows, S+1); for d = 1 the one square, unreduced."""
+    err = ensemble.X - ensemble.y0[:, None, :]
+    return (err * err)[:, :, 0] if err.shape[2] == 1 else np.sum(err * err, axis=2)
+
+
 def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams):
     """Pathwise sampled objective for one simulated ensemble and the control
     that drove it; for a batched ensemble, a list with one per problem.
@@ -41,8 +47,7 @@ def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams):
     Terminal and running state costs average over each problem's particles;
     the running integral uses the trapezoid rule on the simulation grid.
     """
-    err = ensemble.X - ensemble.y0[:, None, :]          # (B*N, S+1, d)
-    sq = np.sum(err * err, axis=2).reshape(ensemble.n_problems, ensemble.n_particles, -1)
+    sq = _squared_error(ensemble).reshape(ensemble.n_problems, ensemble.n_particles, -1)
     sq = np.mean(sq, axis=1)                             # (B, S+1)
     terminal = p.alpha * sq[:, -1]
     running = p.beta * np.trapezoid(sq, ensemble.t_grid, axis=-1)
@@ -61,8 +66,7 @@ def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, se
     """
     samples, type_vector = law.sample(n_paths, seed)
     ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seed)
-    err = ens.X - ens.y0[:, None, :]
-    sq = np.sum(err * err, axis=2)                       # (M, S+1)
+    sq = _squared_error(ens)                             # (M, S+1)
     per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, ens.t_grid, axis=1)
     l2_cost, h1_cost = control_costs(theta, p)
     estimate = float(np.mean(per_path) + l2_cost + h1_cost)

@@ -29,12 +29,12 @@ class ParticleEnsemble:
 
     A batch of B independent problems is one ensemble: theta holds the B
     controls, problem b is the row block b*N .. (b+1)*N - 1 and eta has one
-    row per problem."""
+    row per problem, or is None for a drift that ignores it (eta_weight == 0)."""
 
     theta: ControlGrid        # the control, on the simulation grid
     X: np.ndarray             # (B*N, S+1, d)
     Z: np.ndarray             # (B*N, S+1, q)
-    eta: np.ndarray           # (S+1,), or (B, S+1): batch statistic mean_j rho(X_k^j) at each node
+    eta: np.ndarray | None    # (S+1,), or (B, S+1): batch statistic mean_j rho(X_k^j) at each node
     y0: np.ndarray            # (B*N, d) labels
     eps: np.ndarray           # (B*N, d, p), read-only broadcast of the shared type vector
     gamma: np.ndarray         # (B*N, l), likewise
@@ -67,8 +67,8 @@ class ParticleEnsemble:
             return self
         rows = problem_rows(idx, self.n_particles)
         return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]),
-                                X=self.X[rows], Z=self.Z[rows], eta=self.eta[idx], y0=self.y0[rows],
-                                eps=self.eps[rows], gamma=self.gamma[rows], sigma=self.sigma[rows])
+                                X=self.X[rows], Z=self.Z[rows], eta=None if self.eta is None else self.eta[idx],
+                                y0=self.y0[rows], eps=self.eps[rows], gamma=self.gamma[rows], sigma=self.sigma[rows])
 
 
 def problem_seeds(seed):
@@ -158,26 +158,30 @@ def simulate_particles(
         still = not (type_vector.epsilon.any() or type_vector.sigma.any())
         noise = np.broadcast_to(0.0, (rows, n_steps, p.dims.p)) if still else euler_noise(p, n, n_steps, seeds)
 
+    act = p.activation
     X = np.empty((rows, n_steps + 1, d))
     Z = np.empty((rows, n_steps + 1, q))
-    eta = np.empty((b, n_steps + 1))
+    eta = np.empty((b, n_steps + 1)) if act.eta_weight != 0.0 else None
     X[:, 0] = samples.x0
     Z[:, 0] = samples.z0
     # the state at the current node, kept contiguous (rows of X are strided)
     x, z = X[:, 0].copy(), Z[:, 0].copy()
-    act = p.activation
     nodes = control_nodes(theta)
+    eta_k = None
     for k in range(n_steps):
-        eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
-        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta[:, k, None, None])
+        if eta is not None:
+            eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+            eta_k = eta[:, k, None, None]
+        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta_k)
         dw = noise[:, k]
         x = X[:, k + 1] = x + f.reshape(rows, d) * dt + np.einsum("ndp,np->nd", eps, dw)
         if q:
             z = Z[:, k + 1] = z + p.phi_value(gamma, z) * dt + np.einsum("nqp,np->nq", sigma, dw)
-    eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+    if eta is not None:
+        eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+        eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
     _check_finite(seeds, X, Z)
-    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta.reshape(theta.values.shape[:-2] + (n_steps + 1,)),
-                            y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma)
+    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma)
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,

@@ -83,8 +83,8 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
 
     Reverse sweep of the Euler recursion, including the batch coupling term
     (each particle's state feeds the empirical batch statistic seen by every
-    other particle of its problem), chained into the terminal, running and
-    control costs.
+    other particle of its problem) when the drift reads it, chained into the
+    terminal, running and control costs.
     """
     b, n, s = ensemble.n_problems, ensemble.n_particles, ensemble.n_steps
     dt = ensemble.dt
@@ -93,7 +93,7 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     X = np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0).copy()
     Z = np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0).copy()
     err = X - ensemble.y0.reshape(b, n, -1)
-    eta = ensemble.eta.reshape(b, s + 1)
+    eta = [None] * s if ensemble.eta is None else ensemble.eta.reshape(b, s + 1).T[:, :, None, None]
     values = ensemble.theta.values.reshape(b, s + 1, -1)
     nodes = control_nodes(ensemble.theta)
     act = p.activation
@@ -101,11 +101,13 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     grad = np.zeros_like(values)
     adj = (2.0 * p.alpha / n) * err[-1] + w[-1] * (2.0 * p.beta / n) * err[-1]
     for k in range(s - 1, -1, -1):
-        dfdx, dftheta, dfeta = act.drift_partials(nodes[k], Z[k], X[k], eta[:, k, None, None])
+        dfdx, dftheta, dfeta = act.drift_partials(nodes[k], Z[k], X[k], eta[k])
         grad[:, k] += dt * np.einsum("bndm,bnd->bm", dftheta, adj)
-        coupling = np.sum((dfeta * adj).reshape(b, -1), axis=1)[:, None, None] / n
-        adj = (w[k] * (2.0 * p.beta / n) * err[k]
-               + adj + dt * (dfdx * adj + coupling * p.rho_grad(X[k])))
+        step = dfdx * adj
+        if ensemble.eta is not None:
+            coupling = np.sum((dfeta * adj).reshape(b, -1), axis=1)[:, None, None] / n
+            step = step + coupling * p.rho_grad(X[k])
+        adj = w[k] * (2.0 * p.beta / n) * err[k] + adj + dt * step
 
     # control costs
     grad += 2.0 * p.lambda1 * w[:, None] * values

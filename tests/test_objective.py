@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,16 @@ from mfresnet import (
     ActivationSpec,
     ControlGrid,
     CostBreakdown,
+    Dims,
+    InitialLaw,
+    ModelParams,
+    SampleBatch,
     TypeVector,
     evaluate_Jd,
     evaluate_JN,
     simulate_particles,
 )
+from mfresnet.objective import control_costs
 
 from conftest import dirac_law
 
@@ -82,3 +88,35 @@ def test_limit_objective_equals_sampled_for_shared_draws(scalar_params, scalar_l
     samples, types = scalar_law.sample(32, seed)
     ens = simulate_particles(scalar_params, theta, samples, types, 8, seed)
     assert est == pytest.approx(evaluate_JN(ens, scalar_params).total, rel=1e-12)
+
+
+def _squared_error_oracle(ens):
+    """|X - Y|^2 per particle and node by numpy's sum over the state axis, at any d."""
+    err = ens.X - ens.y0[:, None, :]
+    return np.sum(err * err, axis=2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_objectives_have_the_bytes_of_the_summed_state_error(d):
+    """evaluate_JN (on a batch of two problems) and evaluate_Jd give the bytes
+    of the state-axis sum at every d, including d = 1, which skips it."""
+    p = ModelParams(dims=Dims(d=d, q=0, p=d, m=2, l=0))
+    tv = TypeVector(epsilon=0.3 * np.eye(d), gamma=np.zeros(0), sigma=np.zeros((0, d)))
+    law = InitialLaw.uniform(x_low=[-1.0] * d, x_high=[1.0] * d, y_low=[-0.5] * d, y_high=[0.5] * d,
+                             type_vector=tv)
+    t = np.linspace(0.0, p.T, 9)
+    values = np.random.default_rng(d).uniform(-1.0, 1.0, size=(2, 9, 2))
+    batch = ControlGrid(t, values, k_theta=p.k_theta)
+    ens = simulate_particles(p, batch, SampleBatch.stack([law.sample(12, s)[0] for s in (5, 6)]), tv, 8, [5, 6])
+    sq = np.mean(_squared_error_oracle(ens).reshape(2, 12, -1), axis=1)
+    expected = np.stack([p.alpha * sq[:, -1], p.beta * np.trapezoid(sq, t, axis=-1)], axis=1)
+    costs = evaluate_JN(ens, p)
+    assert np.array([[bd.terminal, bd.running_state] for bd in costs]).tobytes() == expected.tobytes()
+
+    theta = ControlGrid(t, values[0], k_theta=p.k_theta)
+    ens = simulate_particles(p, theta, *law.sample(40, 7), 8, 7)
+    sq = _squared_error_oracle(ens)
+    per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, t, axis=1)
+    l2_cost, h1_cost = control_costs(theta, p)
+    expected = np.array([np.mean(per_path) + l2_cost + h1_cost, np.std(per_path, ddof=1) / math.sqrt(40)])
+    assert np.array(evaluate_Jd(theta, p, law, 40, 7)).tobytes() == expected.tobytes()

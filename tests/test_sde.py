@@ -11,6 +11,7 @@ from mfresnet import (
     ModelParams,
     SampleBatch,
     TypeVector,
+    evaluate_JN,
     simulate_augmented,
     simulate_particles,
 )
@@ -18,6 +19,7 @@ from mfresnet.errors import Diverged, GridMismatch, ScalarConfigRequired
 from mfresnet.rng import noise_table
 from mfresnet import sde
 from mfresnet.sde import dump_trajectories, euler_noise
+from mfresnet.trainer import _adjoint_gradient
 
 
 def _quiet_type(p):
@@ -107,6 +109,25 @@ def test_no_diffusion_draws_no_noise(coupled_params, coupled_law, monkeypatch):
     assert still.X.tobytes() == drawn.X.tobytes()
     assert still.Z.tobytes() == drawn.Z.tobytes()
     assert still.eta.tobytes() == drawn.eta.tobytes()
+
+
+def test_drift_without_batch_coupling_never_evaluates_rho(scalar_params, scalar_law, monkeypatch):
+    """A drift with eta_weight 0 does not read the batch statistic: a batch of
+    two scalar problems simulates, is costed and is differentiated without
+    rho or its gradient, and its ensemble records no eta."""
+    def refuse(self, x):
+        raise AssertionError("the batch function was evaluated")
+
+    monkeypatch.setattr(ModelParams, "rho_value", refuse)
+    monkeypatch.setattr(ModelParams, "rho_grad", refuse)
+    p = scalar_params
+    samples = SampleBatch.stack([scalar_law.sample(20, s)[0] for s in (1, 2)])
+    theta = ControlGrid.zeros(p.T, 8, k_theta=p.k_theta)
+    batch = theta.with_values(np.stack([theta.values + 0.5, theta.values - 0.5]))
+    ens = simulate_particles(p, batch, samples, scalar_law.type_vector, 8, [1, 2])
+    assert ens.eta is None and ens.problems([1]).eta is None
+    assert all(np.isfinite(bd.total) for bd in evaluate_JN(ens, p))
+    assert np.isfinite(_adjoint_gradient(ens, p)).all()
 
 
 def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scalar_law):

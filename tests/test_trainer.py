@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mfresnet.cli import gradcheck_case_error
 from mfresnet.errors import ConfigInvalid, NoDescentProgress, NonPositiveWeight
 from mfresnet.rng import split_seed
 from mfresnet.trainer import (
+    _adjoint_gradient,
     _precondition,
     _trapezoid_weights,
     replication_noise,
@@ -209,3 +212,25 @@ def test_line_search_floor_names_the_problem(scalar_params):
     with pytest.raises(NoDescentProgress) as alone:
         train(scalar_params, *off_label.sample(4, 0), cfg, 22)
     assert (batch.value.seed, batch.value.iteration) == (alone.value.seed, alone.value.iteration) == (22, 0)
+
+
+def _batched_gradient_digest(p, law, n, seeds, n_steps=12):
+    """sha256 of the adjoint gradient of a batch of problems, one per seed,
+    under random controls."""
+    draws = [law.sample(n, s) for s in seeds]
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    values = np.random.default_rng(seeds[0]).uniform(-1.0, 1.0, size=(len(seeds), n_steps + 1, 2))
+    theta = ControlGrid(t, values, k_theta=p.k_theta)
+    ens = simulate_particles(p, theta, SampleBatch.stack([s for s, _ in draws]), draws[0][1], n_steps, seeds)
+    return hashlib.sha256(_adjoint_gradient(ens, p).tobytes()).hexdigest()
+
+
+def test_adjoint_gradient_bytes_are_pinned(scalar_params, scalar_law, coupled_params, coupled_law):
+    """Byte pins for the reverse sweep with and without the batch coupling
+    term: the scalar model (eta_weight 0, coupling skipped) and the coupled
+    model (eta_weight 0.4), each a batch of two problems.  Both digests were
+    recorded from the sweep that evaluated the coupling term for every drift."""
+    assert _batched_gradient_digest(scalar_params, scalar_law, 30, [11, 12]) == (
+        "3a311cc0da912f02abd0fb114efba1598fc2b61802b1ebd536818877ec561f3b")
+    assert _batched_gradient_digest(coupled_params, coupled_law, 10, [13, 14]) == (
+        "c4198645d5643c0b99939e212f98bd69e9e25f9232306f008ba6e35d357007be")
