@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SizeMismatch
-from .params import ModelParams
+from .params import ModelParams, TypeVector
 from .sde import ParticleEnsemble
 
 
@@ -155,14 +155,10 @@ class TestFunction:
         return b, shell, grad, hess
 
     def derivs(self, s, x, z):
-        """The derivative table the generator needs, vectorized over atoms:
-        val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
+        """The derivative table the generator needs at the atoms x (N,d) and
+        z (N,q): val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
         s is one time, or one time per node when the atoms are node-major
         blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k])."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = np.asarray(z, dtype=float)
-        if z.ndim < 2:
-            z = z.reshape(x.shape[0], self.q)
         w = np.concatenate([x, z], axis=1)
         s = np.atleast_1d(s)
         pval, pds, pg, ph = (a.reshape((w.shape[0],) + a.shape[2:])
@@ -192,13 +188,13 @@ class TestFunction:
 _BLOCK_ROWS = 4096
 
 
-def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
+def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
                           theta_val, eta, p: ModelParams) -> np.ndarray:
     """Generator applied to a test function at each atom, vectorized:
     returns (N,).  dv is the function's derivative table at the atoms
     (TestFunction.derivs); the drift reads depth only through theta_val.
-    eps and sigma are None for a type vector without diffusion, whose
-    second-order terms vanish.
+    Every atom shares type_vector; without diffusion its second-order terms
+    vanish and are skipped.
 
     Sum of the time derivative, the drift and exogenous-drift first-order
     terms, and the diffusion second-order terms.  The mixed state/input
@@ -209,14 +205,15 @@ def generator_apply_batch(dv: dict, x, z, eps, gamma, sigma,
     f = p.activation.drift(theta_val, z, x, eta)
     out = dv["ds"] + np.einsum("nd,nd->n", f, dv["dx"])
     if z.shape[1]:
-        phid = p.phi_value(gamma, z)
+        phid = p.phi_value(type_vector.gamma, z)
         out = out + np.einsum("nq,nq->n", phid, dv["dz"])
-    if eps is None:
+    if not type_vector.diffuses:
         return out
+    eps, sigma = type_vector.epsilon, type_vector.sigma
     if z.shape[1]:
-        out = out + 0.5 * np.einsum("nkp,nlp,nkl->n", sigma, sigma, dv["dzz"])
-        out = out + np.einsum("ndp,nqp,nqd->n", eps, sigma, dv["dzx"])
-    out = out + 0.5 * np.einsum("ndp,nep,nde->n", eps, eps, dv["dxx"])
+        out = out + 0.5 * np.einsum("kp,lp,nkl->n", sigma, sigma, dv["dzz"])
+        out = out + np.einsum("dp,qp,nqd->n", eps, sigma, dv["dzx"])
+    out = out + 0.5 * np.einsum("dp,ep,nde->n", eps, eps, dv["dxx"])
     return out
 
 
@@ -238,23 +235,15 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     per_block = max(1, _BLOCK_ROWS // n)
     mean_phi = np.empty(n_nodes)
     mean_gen = np.empty(n_nodes)
-    # the type vector of a full block; a shorter block takes its first rows
-    types = [np.broadcast_to(a, (per_block,) + a.shape).reshape((per_block * n,) + a.shape[1:])
-             for a in (path.eps, path.gamma, path.sigma)]
-    # without diffusion the second-order terms vanish, and the generator skips them
-    diffusion = path.eps.any() or path.sigma.any()
     for k0 in range(0, n_nodes, per_block):
         nodes = slice(k0, min(k0 + per_block, n_nodes))
         nk = nodes.stop - k0
         x = path.X[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
         z = path.Z[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
-        eps, gamma, sigma = (a[:nk * n] for a in types)
-        if not diffusion:
-            eps = sigma = None
         theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
         eta_rows = None if path.eta is None else np.repeat(path.eta[nodes], n)[:, None]
         dv = phi.derivs(t_grid[nodes], x, z)
-        gen = generator_apply_batch(dv, x, z, eps, gamma, sigma, theta_rows, eta_rows, p)
+        gen = generator_apply_batch(dv, x, z, path.type_vector, theta_rows, eta_rows, p)
         mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)
         mean_gen[nodes] = np.mean(gen.reshape(nk, n), axis=-1)
     dt = t_grid[1] - t_grid[0]

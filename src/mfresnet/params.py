@@ -91,6 +91,11 @@ class TypeVector:
             sig = sig.reshape((-1, 1)) if sig.size else sig.reshape((0, 1))
         object.__setattr__(self, "sigma", sig)
 
+    @property
+    def diffuses(self):
+        """Whether any Brownian increment moves a path (epsilon or sigma nonzero)."""
+        return bool(self.epsilon.any() or self.sigma.any())
+
     def norm(self):
         return math.sqrt(
             float(np.sum(self.epsilon ** 2) + np.sum(self.gamma ** 2) + np.sum(self.sigma ** 2))
@@ -312,7 +317,7 @@ class ModelParams:
 
     # -- exogenous drift phi(gamma, z) ---------------------------------------
     def phi_value(self, gamma, z):
-        """phi rowwise: gamma (N,l), z (N,q) -> (N,q)."""
+        """phi rowwise: gamma (l,), z (N,q) -> (N,q)."""
         if self.phi == "zero" or z.shape[1] == 0:
             return np.zeros_like(z)
         return -gamma * z

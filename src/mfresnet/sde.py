@@ -36,9 +36,7 @@ class ParticleEnsemble:
     Z: np.ndarray             # (B*N, S+1, q)
     eta: np.ndarray | None    # (S+1,), or (B, S+1): batch statistic mean_j rho(X_k^j) at each node
     y0: np.ndarray            # (B*N, d) labels
-    eps: np.ndarray           # (B*N, d, p), read-only broadcast of the shared type vector
-    gamma: np.ndarray         # (B*N, l), likewise
-    sigma: np.ndarray         # (B*N, q, p), likewise
+    type_vector: TypeVector   # shared by every particle of every problem
 
     @property
     def n_problems(self):
@@ -68,7 +66,7 @@ class ParticleEnsemble:
         rows = problem_rows(idx, self.n_particles)
         return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]),
                                 X=self.X[rows], Z=self.Z[rows], eta=None if self.eta is None else self.eta[idx],
-                                y0=self.y0[rows], eps=self.eps[rows], gamma=self.gamma[rows], sigma=self.sigma[rows])
+                                y0=self.y0[rows], type_vector=self.type_vector)
 
 
 def problem_seeds(seed):
@@ -125,7 +123,7 @@ def simulate_particles(
     The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
     mean_j rho(X_k^j)); the exogenous input uses the decay drift; both use
     the same Brownian increment of the particle.  All particles share
-    `type_vector`, so the ensemble's eps, gamma and sigma are broadcast views.
+    `type_vector`, which the ensemble carries as it is.
     Driven by M draws from the initial law this is the limiting SDE, its batch
     statistic approximated by the empirical mean over the M paths.
 
@@ -150,13 +148,11 @@ def simulate_particles(
                                 f"got {len(seeds)} seeds for {rows} rows")
     n = rows // b
     d, q = p.dims.d, p.dims.q
-    eps, gamma, sigma = (np.broadcast_to(a, (rows,) + a.shape) for a in
-                         (type_vector.epsilon, type_vector.gamma, type_vector.sigma))
     dt = theta.dt
     if noise is None:
         # with no diffusion no increment moves a path, so none is drawn
-        still = not (type_vector.epsilon.any() or type_vector.sigma.any())
-        noise = np.broadcast_to(0.0, (rows, n_steps, p.dims.p)) if still else euler_noise(p, n, n_steps, seeds)
+        noise = (euler_noise(p, n, n_steps, seeds) if type_vector.diffuses
+                 else np.broadcast_to(0.0, (rows, n_steps, p.dims.p)))
 
     act = p.activation
     X = np.empty((rows, n_steps + 1, d))
@@ -167,6 +163,7 @@ def simulate_particles(
     # the state at the current node, kept contiguous (rows of X are strided)
     x, z = X[:, 0].copy(), Z[:, 0].copy()
     nodes = control_nodes(theta)
+    eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
     eta_k = None
     for k in range(n_steps):
         if eta is not None:
@@ -174,14 +171,14 @@ def simulate_particles(
             eta_k = eta[:, k, None, None]
         f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta_k)
         dw = noise[:, k]
-        x = X[:, k + 1] = x + f.reshape(rows, d) * dt + np.einsum("ndp,np->nd", eps, dw)
+        x = X[:, k + 1] = x + f.reshape(rows, d) * dt + np.einsum("dp,np->nd", eps, dw)
         if q:
-            z = Z[:, k + 1] = z + p.phi_value(gamma, z) * dt + np.einsum("nqp,np->nq", sigma, dw)
+            z = Z[:, k + 1] = z + p.phi_value(gamma, z) * dt + np.einsum("qp,np->nq", sigma, dw)
     if eta is not None:
         eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
     _check_finite(seeds, X, Z)
-    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, eps=eps, gamma=gamma, sigma=sigma)
+    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, type_vector=type_vector)
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,

@@ -208,6 +208,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("diagnose-fpk", {"n_list": [0, 50]}, []),
         ("gamma", {"n_list": [50, 50]}, []),
         ("gamma", {"n_list": [50.5, 200]}, []),
+        ("gamma", {"n_list": [True, 50]}, []),
         ("diagnose-fpk", {}, ["--n-list", "50,20"]),
         ("gamma", {"n_draws": 0}, []),
         ("diagnose-fpk", {"seeds_per_n": 0}, []),

@@ -210,8 +210,8 @@ def generator_apply(phi, s, e, theta_val, eta, p):
     tv, _y, z, x = e
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    out = generator_apply_batch(phi.derivs(s, x, z), x, z, tv.epsilon[None], tv.gamma[None],
-                                tv.sigma[None], np.asarray(theta_val, dtype=float), float(eta), p)
+    out = generator_apply_batch(phi.derivs(s, x, z), x, z, tv, np.asarray(theta_val, dtype=float),
+                                float(eta), p)
     return float(out[0])
 
 
@@ -329,7 +329,7 @@ def _residual_per_node(path, phi, p):
         dv = phi.derivs(t_grid[k], xk, zk)
         mean_phi[k] = np.mean(dv["val"])
         mean_gen[k] = np.mean(generator_apply_batch(
-            dv, xk, zk, path.eps, path.gamma, path.sigma, path.theta.values[k], path.eta[k], p))
+            dv, xk, zk, path.type_vector, path.theta.values[k], path.eta[k], p))
     dt = t_grid[1] - t_grid[0]
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
     return mean_phi - mean_phi[0] - cumint
@@ -355,10 +355,10 @@ def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law):
     assert sup == np.max(np.abs(expected))
 
 
-def test_residual_without_diffusion_equals_full_generator(coupled_params, coupled_law):
+def test_residual_without_diffusion_equals_full_generator(coupled_params, coupled_law, monkeypatch):
     """On an ensemble whose type vector has no diffusion, fpk_residual skips
     the generator's second-order terms and still gives the bytes of the
-    per-node loop, which evaluates them."""
+    per-node loop, made to evaluate them."""
     p = coupled_params
     n_steps = 20
     t = np.linspace(0.0, p.T, n_steps + 1)
@@ -370,6 +370,7 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
     ens = simulate_particles(p, theta, samples, quiet, n_steps, 4)
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
     sup, res = fpk_residual(ens, phi, p)
+    monkeypatch.setattr(TypeVector, "diffuses", property(lambda tv: True))
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))

@@ -106,9 +106,38 @@ def test_no_diffusion_draws_no_noise(coupled_params, coupled_law, monkeypatch):
 
     monkeypatch.setattr(sde, "noise_table", refuse)
     still = simulate_particles(p, theta, samples, quiet, 8, 2)
+    assert not quiet.diffuses
     assert still.X.tobytes() == drawn.X.tobytes()
     assert still.Z.tobytes() == drawn.Z.tobytes()
     assert still.eta.tobytes() == drawn.eta.tobytes()
+
+
+def test_input_only_diffusion_draws_noise(coupled_params, coupled_law, monkeypatch):
+    """A type vector with no state diffusion but a nonzero input diffusion
+    diffuses: simulate_particles draws its noise table once, and the
+    increments move every exogenous input at every step."""
+    p = coupled_params
+    samples, types = coupled_law.sample(30, 2)
+    input_only = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma, sigma=types.sigma)
+    quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
+                       sigma=np.zeros_like(types.sigma))
+    assert types.sigma.any() and input_only.diffuses
+    t = np.linspace(0.0, p.T, 9)
+    theta = ControlGrid(t, np.stack([np.cos(t), 0.5 - t], axis=1), k_theta=p.k_theta)
+    still = simulate_particles(p, theta, samples, quiet, 8, 2)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return noise_table(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "noise_table", counted)
+    ens = simulate_particles(p, theta, samples, input_only, 8, 2)
+    assert len(drawn) == 1
+    assert (ens.Z[:, 1:] != still.Z[:, 1:]).all()
+    table = simulate_particles(p, theta, samples, input_only, 8, 2, noise=euler_noise(p, 30, 8, 2))
+    assert ens.Z.tobytes() == table.Z.tobytes()
+    assert ens.X.tobytes() == table.X.tobytes()
 
 
 def test_drift_without_batch_coupling_never_evaluates_rho(scalar_params, scalar_law, monkeypatch):
@@ -154,9 +183,9 @@ def test_state_and_input_share_the_increment(coupled_params, coupled_law):
         eta = float(np.mean(coupled_params.rho_value(xk)))
         f = coupled_params.activation.drift(theta.values[k], zk, xk, eta)
         dx_noise = ens.X[:, k + 1] - xk - f * dt
-        dz_noise = ens.Z[:, k + 1] - zk - coupled_params.phi_value(ens.gamma, zk) * dt
-        assert np.allclose(dx_noise, np.einsum("ndp,np->nd", ens.eps, table[:, k]), atol=1e-12)
-        assert np.allclose(dz_noise, np.einsum("nqp,np->nq", ens.sigma, table[:, k]), atol=1e-12)
+        dz_noise = ens.Z[:, k + 1] - zk - coupled_params.phi_value(ens.type_vector.gamma, zk) * dt
+        assert np.allclose(dx_noise, np.einsum("dp,np->nd", ens.type_vector.epsilon, table[:, k]), atol=1e-12)
+        assert np.allclose(dz_noise, np.einsum("qp,np->nq", ens.type_vector.sigma, table[:, k]), atol=1e-12)
 
 
 def test_batch_coupling_feeds_the_drift(coupled_params, coupled_law):
