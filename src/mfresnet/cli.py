@@ -86,8 +86,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            if any(isinstance(n, bool) for n in self.n_list):
-                raise TypeError("a boolean is not a sample size")
+            if isinstance(self.n_list, str) or any(isinstance(n, bool) for n in self.n_list):
+                raise TypeError("neither a string nor a boolean is a list of sample sizes")
             n_list = tuple(int(n) if isinstance(n, str) else operator.index(n) for n in self.n_list)
         except (TypeError, ValueError):
             n_list = ()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SizeMismatch
-from .params import ModelParams, TypeVector
+from .params import ModelParams, TypeVector, sum_last
 from .sde import ParticleEnsemble
 
 
@@ -135,7 +135,7 @@ class TestFunction:
         """Value of the radial cutoff at the rows of w, the indices of the
         rows in its transition shell, and its gradient and Hessian at those
         rows (None if there are none; elsewhere both vanish)."""
-        r2 = np.sum(w * w, axis=1)
+        r2 = sum_last(w * w)
         lo2 = self.r_plateau**2
         hi2 = self.r_support**2
         denom = hi2 - lo2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ControlGrid, InitialLaw, ModelParams, control_h1_norms
+from .params import ControlGrid, InitialLaw, ModelParams, control_h1_norms, sum_last
 from .sde import ParticleEnsemble, simulate_particles
 
 
@@ -35,9 +35,9 @@ def control_costs(theta: ControlGrid, p: ModelParams):
 
 
 def _squared_error(ensemble: ParticleEnsemble):
-    """|X(t_k) - Y|^2 per particle and node, (rows, S+1); for d = 1 the one square, unreduced."""
+    """|X(t_k) - Y|^2 per particle and node, (rows, S+1)."""
     err = ensemble.X - ensemble.y0[:, None, :]
-    return (err * err)[:, :, 0] if err.shape[2] == 1 else np.sum(err * err, axis=2)
+    return sum_last(err * err)
 
 
 def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams):

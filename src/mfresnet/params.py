@@ -32,6 +32,21 @@ _RHO_KINDS = ("tanh_mean", "mean", "zero")
 _PHI_KINDS = ("decay", "zero")
 
 
+def sum_last(a):
+    """np.sum(a, axis=-1) with its bytes.  Below 8 entries numpy adds the
+    entries in order, so a short axis is summed column by column, without
+    the reduction's per-call cost; from 8 on numpy's unrolled pairwise sum
+    differs from that, and np.sum is called.  At one entry the result is a
+    view of a."""
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return np.sum(a, axis=-1)
+    out = a[..., 0]
+    for j in range(1, n):
+        out = out + a[..., j]
+    return out
+
+
 def require_int(name, value, low):
     """Raise ConfigInvalid unless value is an integer, not a bool, and >= low
     unless low is None (never converts it)."""
@@ -163,7 +178,7 @@ class ActivationSpec:
         # x: (..., d); z: (..., q) or None; theta[j] and eta broadcast against x
         u = theta[0] * x + theta[1]
         if self.z_weight != 0.0 and z is not None and z.shape[-1] > 0:
-            u = u + self.z_weight * np.mean(z, axis=-1, keepdims=True)
+            u = u + self.z_weight * (sum_last(z) / z.shape[-1])[..., None]
         if self.eta_weight != 0.0:
             u = u + self.eta_weight * eta
         return u
@@ -302,8 +317,8 @@ class ModelParams:
         if self.rho == "zero":
             return np.zeros(x.shape[0])
         if self.rho == "mean":
-            return np.mean(x, axis=1)
-        return np.mean(np.tanh(x), axis=1)
+            return sum_last(x) / x.shape[1]
+        return sum_last(np.tanh(x)) / x.shape[1]
 
     def rho_grad(self, x):
         """Gradient of rho rowwise: (..., d)."""

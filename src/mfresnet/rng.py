@@ -40,16 +40,24 @@ def make_generator(root_seed, label=0) -> np.random.Generator:
 def noise_table(root_seed, particle_ids, n_steps, dt, dim) -> np.ndarray:
     """Stacked increments for many particles: (N, n_steps, dim), N(0, dt I)
     rows.  Row i is the first n_steps * dim standard normals of
-    make_generator(root_seed, particle_ids[i]) times sqrt(dt), drawn by one
-    call-local Philox reset to key (root_seed, id) and counter 0 per row."""
+    make_generator(root_seed, particle_ids[i]) times sqrt(dt), for integer
+    ids (a uint64 array included).  One call-local Philox is reset to key
+    (root_seed, id), counter 0 and an empty buffer per row, through one state
+    dict of Python lists whose key word each row rewrites (the setter reads
+    lists far faster than arrays); the ids become Python ints one at a time,
+    so no list of every id is held."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     out = np.empty((len(particle_ids), n_steps, dim))
     gen = make_generator(root_seed)
-    fresh = gen.bit_generator.state  # counter 0, empty buffer
-    for row, pid in enumerate(particle_ids):
-        fresh["state"]["key"][1] = _label_to_int(pid)
-        gen.bit_generator.state = fresh
-        gen.standard_normal(out=out[row])
+    bitgen = gen.bit_generator
+    fresh = bitgen.state  # counter 0, empty buffer
+    fresh["buffer"] = fresh["buffer"].tolist()
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    key = fresh["state"]["key"]
+    for row, pid in zip(out, map(int, particle_ids)):
+        key[1] = pid & _MASK
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
     out *= math.sqrt(dt)
     return out

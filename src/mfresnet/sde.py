@@ -123,7 +123,8 @@ def simulate_particles(
     The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
     mean_j rho(X_k^j)); the exogenous input uses the decay drift; both use
     the same Brownian increment of the particle.  All particles share
-    `type_vector`, which the ensemble carries as it is.
+    `type_vector`, which the ensemble carries as it is; when it does not
+    diffuse, no increment is drawn or contracted and `noise` is not read.
     Driven by M draws from the initial law this is the limiting SDE, its batch
     statistic approximated by the empirical mean over the M paths.
 
@@ -149,10 +150,9 @@ def simulate_particles(
     n = rows // b
     d, q = p.dims.d, p.dims.q
     dt = theta.dt
-    if noise is None:
-        # with no diffusion no increment moves a path, so none is drawn
-        noise = (euler_noise(p, n, n_steps, seeds) if type_vector.diffuses
-                 else np.broadcast_to(0.0, (rows, n_steps, p.dims.p)))
+    diffuses = type_vector.diffuses
+    if noise is None and diffuses:
+        noise = euler_noise(p, n, n_steps, seeds)
 
     act = p.activation
     X = np.empty((rows, n_steps + 1, d))
@@ -170,10 +170,15 @@ def simulate_particles(
             eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
             eta_k = eta[:, k, None, None]
         f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta_k)
-        dw = noise[:, k]
-        x = X[:, k + 1] = x + f.reshape(rows, d) * dt + np.einsum("dp,np->nd", eps, dw)
+        x = x + f.reshape(rows, d) * dt
+        if diffuses:
+            x = x + np.einsum("dp,np->nd", eps, noise[:, k])
+        X[:, k + 1] = x
         if q:
-            z = Z[:, k + 1] = z + p.phi_value(gamma, z) * dt + np.einsum("qp,np->nq", sigma, dw)
+            z = z + p.phi_value(gamma, z) * dt
+            if diffuses:
+                z = z + np.einsum("qp,np->nq", sigma, noise[:, k])
+            Z[:, k + 1] = z
     if eta is not None:
         eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))

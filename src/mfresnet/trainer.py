@@ -69,6 +69,13 @@ class TrainResult:
         return self.history[-1].total
 
 
+# Most (row, node) pairs whose drift partials one call of the adjoint sweep
+# takes: small batches share a call over many nodes, which saves the per-call
+# cost, and from B*N >= 4096 on each node gets its own call, so the partials
+# (nodes, B, N, d, 2) hold at most 4096 pairs, or one node's if that is more.
+_BLOCK_ROWS = 4096
+
+
 def _trapezoid_weights(t_grid):
     dt = t_grid[1] - t_grid[0]
     w = np.full(t_grid.size, dt)
@@ -93,21 +100,28 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     X = np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0).copy()
     Z = np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0).copy()
     err = X - ensemble.y0.reshape(b, n, -1)
-    eta = [None] * s if ensemble.eta is None else ensemble.eta.reshape(b, s + 1).T[:, :, None, None]
+    eta = None if ensemble.eta is None else ensemble.eta.reshape(b, s + 1).T[:, :, None, None]
     values = ensemble.theta.values.reshape(b, s + 1, -1)
-    nodes = control_nodes(ensemble.theta)
+    # weight j at every node, (m, S+1, B, 1, 1): a block of nodes is a slice
+    weights = np.moveaxis(control_nodes(ensemble.theta), 1, 0)
     act = p.activation
+    per_block = max(1, _BLOCK_ROWS // (b * n))
 
     grad = np.zeros_like(values)
     adj = (2.0 * p.alpha / n) * err[-1] + w[-1] * (2.0 * p.beta / n) * err[-1]
-    for k in range(s - 1, -1, -1):
-        dfdx, dftheta, dfeta = act.drift_partials(nodes[k], Z[k], X[k], eta[k])
-        grad[:, k] += dt * np.einsum("bndm,bnd->bm", dftheta, adj)
-        step = dfdx * adj
-        if ensemble.eta is not None:
-            coupling = np.sum((dfeta * adj).reshape(b, -1), axis=1)[:, None, None] / n
-            step = step + coupling * p.rho_grad(X[k])
-        adj = w[k] * (2.0 * p.beta / n) * err[k] + adj + dt * step
+    for stop in range(s, 0, -per_block):
+        start = max(0, stop - per_block)
+        nodes = slice(start, stop)
+        dfdx, dftheta, dfeta = act.drift_partials(weights[:, nodes], Z[nodes], X[nodes],
+                                                  None if eta is None else eta[nodes])
+        for i in range(stop - start - 1, -1, -1):
+            k = start + i
+            grad[:, k] += dt * np.einsum("bndm,bnd->bm", dftheta[i], adj)
+            step = dfdx[i] * adj
+            if eta is not None:
+                coupling = np.sum((dfeta[i] * adj).reshape(b, -1), axis=1)[:, None, None] / n
+                step = step + coupling * p.rho_grad(X[k])
+            adj = w[k] * (2.0 * p.beta / n) * err[k] + adj + dt * step
 
     # control costs
     grad += 2.0 * p.lambda1 * w[:, None] * values

@@ -209,6 +209,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("gamma", {"n_list": [50, 50]}, []),
         ("gamma", {"n_list": [50.5, 200]}, []),
         ("gamma", {"n_list": [True, 50]}, []),
+        ("gamma", {"n_list": "12"}, []),
         ("diagnose-fpk", {}, ["--n-list", "50,20"]),
         ("gamma", {"n_draws": 0}, []),
         ("diagnose-fpk", {"seeds_per_n": 0}, []),

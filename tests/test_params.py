@@ -24,7 +24,7 @@ from mfresnet.errors import (
     GridMismatch,
     NonPositiveWeight,
 )
-from mfresnet.params import check_law, check_type
+from mfresnet.params import check_law, check_type, sum_last
 
 from conftest import dirac_law, in_box
 
@@ -162,6 +162,21 @@ def test_zero_and_constant_kinds():
     assert np.all(zero.drift(np.zeros(2), z, x, 0.0) == 0.0)
     assert np.all(const.drift(np.zeros(2), z, x, 0.0) == 0.7)
     assert lipschitz_constant(zero, 1.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sum_last_has_the_bytes_of_numpy(n):
+    """sum_last and sum_last / n give np.sum's and np.mean's bytes over the
+    last axis, on magnitudes from 1e-5 to 1e5 of both signs, for contiguous
+    and strided arrays of two and three axes; so do both batch functions."""
+    gen = np.random.default_rng(n)
+    full = gen.normal(size=(40, 3, 2 * n)) * 10.0 ** gen.uniform(-5, 5, size=(40, 3, 2 * n))
+    for a in (full[:, :, :n], full[:, :, ::2], full[:, 0, :n].copy(), full[::3, 1, n:]):
+        assert sum_last(a).tobytes() == np.sum(a, axis=-1).tobytes()
+        assert (sum_last(a) / n).tobytes() == np.mean(a, axis=-1).tobytes()
+    x = full[:, 0, :n].copy()
+    assert ModelParams(rho="mean").rho_value(x).tobytes() == np.mean(x, axis=1).tobytes()
+    assert ModelParams(rho="tanh_mean").rho_value(x).tobytes() == np.mean(np.tanh(x), axis=1).tobytes()
 
 
 def eval_drift(p, theta, z, x, eta):

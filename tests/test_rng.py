@@ -55,9 +55,12 @@ def test_brownian_increments_match_table():
 @example(21, [4, 0, 9], 6, 0.5, 2)
 @example(2**63 + 5, [7, 3, 7, 2**63], 4, 0.25, 1)
 @example(2**64 - 1, np.array([5, 1, 5, 0]), 3, 0.1, 3)
+@example(2**64 - 7, np.array([2**63, 2**64 - 1, 2**63 + 12345, 3], dtype=np.uint64), 5, 0.3, 2)
+@example(8, [-1, 4, -2**63], 3, 0.5, 1)
 def test_noise_table_stacks_per_particle_streams(root_seed, ids, n_steps, dt, dim):
     """Row i is particle ids[i]'s own stream, byte for byte, for unordered and
-    repeated ids and root seeds across the full 64-bit range."""
+    repeated ids, uint64 ids from 2**63 on, negative ids (taken modulo 2**64,
+    as make_generator takes them) and root seeds across the full 64-bit range."""
     table = noise_table(root_seed, ids, n_steps, dt, dim)
     assert table.shape == (len(ids), n_steps, dim)
     for row, pid in enumerate(ids):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfresnet import ControlGrid, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train
+from mfresnet import ControlGrid, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train, trainer
 from mfresnet.cli import gradcheck_case_error
 from mfresnet.errors import ConfigInvalid, NoDescentProgress, NonPositiveWeight
 from mfresnet.rng import split_seed
@@ -214,14 +214,19 @@ def test_line_search_floor_names_the_problem(scalar_params):
     assert (batch.value.seed, batch.value.iteration) == (alone.value.seed, alone.value.iteration) == (22, 0)
 
 
-def _batched_gradient_digest(p, law, n, seeds, n_steps=12):
-    """sha256 of the adjoint gradient of a batch of problems, one per seed,
-    under random controls."""
+def _batched_ensemble(p, law, n, seeds, n_steps):
+    """A batch of problems, one per seed, simulated under random controls."""
     draws = [law.sample(n, s) for s in seeds]
     t = np.linspace(0.0, p.T, n_steps + 1)
     values = np.random.default_rng(seeds[0]).uniform(-1.0, 1.0, size=(len(seeds), n_steps + 1, 2))
     theta = ControlGrid(t, values, k_theta=p.k_theta)
-    ens = simulate_particles(p, theta, SampleBatch.stack([s for s, _ in draws]), draws[0][1], n_steps, seeds)
+    return simulate_particles(p, theta, SampleBatch.stack([s for s, _ in draws]), draws[0][1], n_steps, seeds)
+
+
+def _batched_gradient_digest(p, law, n, seeds, n_steps=12):
+    """sha256 of the adjoint gradient of a batch of problems, one per seed,
+    under random controls."""
+    ens = _batched_ensemble(p, law, n, seeds, n_steps)
     return hashlib.sha256(_adjoint_gradient(ens, p).tobytes()).hexdigest()
 
 
@@ -234,3 +239,33 @@ def test_adjoint_gradient_bytes_are_pinned(scalar_params, scalar_law, coupled_pa
         "3a311cc0da912f02abd0fb114efba1598fc2b61802b1ebd536818877ec561f3b")
     assert _batched_gradient_digest(coupled_params, coupled_law, 10, [13, 14]) == (
         "c4198645d5643c0b99939e212f98bd69e9e25f9232306f008ba6e35d357007be")
+
+
+@pytest.mark.parametrize("rows, calls", [(200, 2), (4096, 32), (4800, 32)])
+def test_adjoint_takes_the_drift_partials_by_node_blocks(scalar_params, scalar_law, monkeypatch, rows, calls):
+    """A sweep of 32 steps takes the drift partials of up to _BLOCK_ROWS
+    (row, node) pairs per call: two calls for 200 rows (20 nodes and 12), one
+    per node from 4096 rows on."""
+    ens = _batched_ensemble(scalar_params, scalar_law, rows // 4, [1, 2, 3, 4], 32)
+    spec = type(scalar_params.activation)
+    partials = spec.drift_partials
+    seen = []
+
+    def counted(self, theta, z, x, eta):
+        seen.append(x.shape[0])
+        return partials(self, theta, z, x, eta)
+
+    monkeypatch.setattr(spec, "drift_partials", counted)
+    _adjoint_gradient(ens, scalar_params)
+    assert len(seen) == calls and sum(seen) == 32
+
+
+@pytest.mark.parametrize("block_rows", [7 * 40, 10**6])
+def test_adjoint_bytes_do_not_depend_on_the_node_blocks(coupled_params, coupled_law, monkeypatch, block_rows):
+    """Ragged blocks of 7 nodes and one block of all 12 give the gradient of
+    one node per call byte for byte, batch coupling term included."""
+    ens = _batched_ensemble(coupled_params, coupled_law, 20, [5, 6], 12)
+    monkeypatch.setattr(trainer, "_BLOCK_ROWS", 1)  # one node per call
+    per_node = _adjoint_gradient(ens, coupled_params).tobytes()
+    monkeypatch.setattr(trainer, "_BLOCK_ROWS", block_rows)
+    assert _adjoint_gradient(ens, coupled_params).tobytes() == per_node
