@@ -25,6 +25,7 @@ from .errors import ConfigInvalid, GradCheckFailed, MfresnetError
 from .fpk import FixedPointConfig, estimate_G, fixed_point_solve, neumann_derivatives
 from .measures import (
     TestFunction,
+    check_cutoff_radii,
     fpk_residual,
     wasserstein2_1d,
 )
@@ -97,6 +98,7 @@ class ExperimentConfig:
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             require_int(name, getattr(self, name), 1)
         require_real("phi_radius", self.phi_radius, 0.0)
+        check_cutoff_radii(self.phi_radius, 2.0 * self.phi_radius, ConfigInvalid)
         require_int("seed", self.seed, None)
         check_law(self.model, self.initial_law)
 

@@ -69,11 +69,27 @@ def _monomial(w, pows, axes=()):
         pows[j] -= 1
     if coef == 0:
         return None
-    out = np.ones(w.shape[:-1])
+    out = None
     for j, pw in enumerate(pows):
         if pw:
-            out = out * w[..., j] ** pw
-    return coef * out
+            out = w[..., j] ** pw if out is None else out * w[..., j] ** pw
+    if out is None:
+        out = np.ones(w.shape[:-1])
+    return out if coef == 1 else coef * out
+
+
+def check_cutoff_radii(r_plateau, r_support, error):
+    """Raise error unless 0 < r_plateau < r_support and r_support**2 -
+    r_plateau**2, the scale of the cutoff's transition, is finite and
+    positive.  The squares are products of Python floats, which overflow to
+    inf where ** raises OverflowError, and tiny radii square to 0."""
+    if not 0 < r_plateau < r_support:
+        raise error(f"need 0 < r_plateau < r_support, got {r_plateau!r} and {r_support!r}")
+    lo, hi = float(r_plateau), float(r_support)
+    scale = hi * hi - lo * lo
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise error(f"r_support**2 - r_plateau**2 must be finite and positive, got {scale!r} "
+                    f"from the radii {r_plateau!r} and {r_support!r}")
 
 
 @dataclass(frozen=True)
@@ -97,18 +113,17 @@ class TestFunction:
                 raise SizeMismatch("term powers must match (d, q)")
             if s_pow + sum(x_pows) + sum(z_pows) > 4:
                 raise SizeMismatch("polynomial degree must be <= 4")
-        if not (0 < self.r_plateau < self.r_support):
-            raise SizeMismatch("need 0 < r_plateau < r_support")
+        check_cutoff_radii(self.r_plateau, self.r_support, SizeMismatch)
 
-    def _poly(self, s, w):
-        """Value, s-derivative, gradient and Hessian of the polynomial factor
-        in the joint variable w = (x, z), at w (nodes, N, d+q) with node k at
-        time s[k]."""
+    def _poly(self, s, w, second):
+        """Value, s-derivative, gradient and, if second, Hessian (else None)
+        of the polynomial factor in the joint variable w = (x, z), at w
+        (nodes, N, d+q) with node k at time s[k]."""
         m = w.shape[-1]
         val = np.zeros(w.shape[:-1])
         ds = np.zeros(w.shape[:-1])
         grad = np.zeros(w.shape)
-        hess = np.zeros(w.shape + (m,))
+        hess = np.zeros(w.shape + (m,)) if second else None
         for coeff, s_pow, x_pows, z_pows in self.terms:
             pows = tuple(x_pows) + tuple(z_pows)
             # time factors per node from numpy scalars: a scalar ** can
@@ -123,23 +138,30 @@ class TestFunction:
                 if gi is None:
                     continue
                 grad[..., i] += c * gi
+                if not second:
+                    continue
                 for j in range(i, m):
                     hij = _monomial(w, pows, (i, j))
                     if hij is not None:
-                        hess[..., i, j] += c * hij
+                        chij = c * hij
+                        hess[..., i, j] += chij
                         if j != i:
-                            hess[..., j, i] += c * hij
+                            hess[..., j, i] += chij
         return val, ds, grad, hess
 
-    def _bump(self, w):
+    def _bump(self, w, second):
         """Value of the radial cutoff at the rows of w, the indices of the
-        rows in its transition shell, and its gradient and Hessian at those
-        rows (None if there are none; elsewhere both vanish)."""
+        rows in its transition shell, and its gradient and, if second,
+        Hessian at those rows (None if there are none; elsewhere both
+        vanish).  The value is None when every row lies on the plateau,
+        where the cutoff is 1; a NaN radius is not on it."""
         r2 = sum_last(w * w)
         lo2 = self.r_plateau**2
         hi2 = self.r_support**2
         denom = hi2 - lo2
         u = (r2 - lo2) / denom
+        if (u <= 0.0).all():
+            return None, None, None, None
         b = np.where(u <= 0.0, 1.0, 0.0)
         shell = np.flatnonzero((u > 0.0) & (u < 1.0))
         if not shell.size:
@@ -150,32 +172,47 @@ class TestFunction:
         psi1 = -_smoothstep_d1(us)
         psi2 = -_smoothstep_d2(us)
         grad = psi1[:, None] * 2.0 * ws / denom
+        if not second:
+            return b, shell, grad, None
         hess = (psi2[:, None, None] * 4.0 * ws[:, :, None] * ws[:, None, :] / denom**2
                 + psi1[:, None, None] * (2.0 / denom) * np.eye(w.shape[1])[None])
         return b, shell, grad, hess
 
-    def derivs(self, s, x, z):
+    def derivs(self, s, x, z=None, *, second=True):
         """The derivative table the generator needs at the atoms x (N,d) and
-        z (N,q): val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
+        z (N,q), or at the joint atoms w = (x, z) (N,d+q) passed as x with z
+        None: val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
         s is one time, or one time per node when the atoms are node-major
-        blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k])."""
-        w = np.concatenate([x, z], axis=1)
+        blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k]).
+
+        The blocks are views of one (N,d+q) gradient and one (N,d+q,d+q)
+        Hessian.  Without second no Hessian is allocated or filled, and the
+        table has no dxx, dzz or dzx.  When every atom lies on the cutoff's
+        plateau, where the cutoff is 1, the table is the polynomial's own."""
+        w = x if z is None else np.concatenate([x, z], axis=1)
         s = np.atleast_1d(s)
-        pval, pds, pg, ph = (a.reshape((w.shape[0],) + a.shape[2:])
-                             for a in self._poly(s, w.reshape(s.size, -1, w.shape[1])))
-        b, shell, bg, bh = self._bump(w)
-        g = pg * b[:, None]
-        h = ph * b[:, None, None]
-        if shell.size:
-            pgs = pg[shell]
-            g[shell] += pval[shell, None] * bg
-            h[shell] = (h[shell]
-                        + pgs[:, :, None] * bg[:, None, :]
-                        + bg[:, :, None] * pgs[:, None, :]
-                        + pval[shell, None, None] * bh)
+        pval, pds, pg, ph = (a if a is None else a.reshape((w.shape[0],) + a.shape[2:])
+                             for a in self._poly(s, w.reshape(s.size, -1, w.shape[1]), second))
+        b, shell, bg, bh = self._bump(w, second)
+        if b is None:
+            val, ds, g, h = pval, pds, pg, ph
+        else:
+            val, ds = pval * b, pds * b
+            g = pg * b[:, None]
+            h = ph * b[:, None, None] if second else None
+            if shell.size:
+                pgs = pg[shell]
+                g[shell] += pval[shell, None] * bg
+                if second:
+                    h[shell] = (h[shell]
+                                + pgs[:, :, None] * bg[:, None, :]
+                                + bg[:, :, None] * pgs[:, None, :]
+                                + pval[shell, None, None] * bh)
         d = self.d
-        return {"val": pval * b, "ds": pds * b, "dx": g[:, :d], "dz": g[:, d:],
-                "dxx": h[:, :d, :d], "dzz": h[:, d:, d:], "dzx": h[:, d:, :d]}
+        table = {"val": val, "ds": ds, "dx": g[:, :d], "dz": g[:, d:]}
+        if second:
+            table.update(dxx=h[:, :d, :d], dzz=h[:, d:, d:], dzx=h[:, d:, :d])
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +225,34 @@ class TestFunction:
 _BLOCK_ROWS = 4096
 
 
+def _diffusion_trace(subscripts, a, b, h):
+    """np.einsum(subscripts, a, b, h) with its bytes, for the diffusion traces
+    "ip,jp,nij->n" and "ip,jp,nji->n": the sum over i, j and p of
+    a[i, p] b[j, p] h[:, i, j], h's first axis paired with a or b as the
+    subscripts say.  From zero, the terms (a b) h are added one at a time in
+    einsum's order, walking h's two axes in turn with p innermost.  Below 3
+    rows einsum groups the sum over p otherwise, and is called itself."""
+    if h.shape[0] < 3:
+        return np.einsum(subscripts, a, b, h)
+    if subscripts[9] != subscripts[0]:
+        a, b = b, a
+    out = np.zeros(h.shape[0])
+    for i in range(h.shape[1]):
+        for j in range(h.shape[2]):
+            for k in range(a.shape[1]):
+                out += (a[i, k] * b[j, k]) * h[:, i, j]
+    return out
+
+
 def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
                           theta_val, eta, p: ModelParams) -> np.ndarray:
     """Generator applied to a test function at each atom, vectorized:
     returns (N,).  dv is the function's derivative table at the atoms
     (TestFunction.derivs); the drift reads depth only through theta_val.
     Every atom shares type_vector; without diffusion its second-order terms
-    vanish and are skipped.
+    vanish and are skipped, and dv needs no Hessian.  The diffusion traces
+    are sums of one small product per term (_diffusion_trace), which give
+    the bytes of the three-operand einsums they stand for.
 
     Sum of the time derivative, the drift and exogenous-drift first-order
     terms, and the diffusion second-order terms.  The mixed state/input
@@ -211,9 +269,9 @@ def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
         return out
     eps, sigma = type_vector.epsilon, type_vector.sigma
     if z.shape[1]:
-        out = out + 0.5 * np.einsum("kp,lp,nkl->n", sigma, sigma, dv["dzz"])
-        out = out + np.einsum("dp,qp,nqd->n", eps, sigma, dv["dzx"])
-    out = out + 0.5 * np.einsum("dp,ep,nde->n", eps, eps, dv["dxx"])
+        out = out + 0.5 * _diffusion_trace("kp,lp,nkl->n", sigma, sigma, dv["dzz"])
+        out = out + _diffusion_trace("dp,qp,nqd->n", eps, sigma, dv["dzx"])
+    out = out + 0.5 * _diffusion_trace("dp,ep,nde->n", eps, eps, dv["dxx"])
     return out
 
 
@@ -223,27 +281,32 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     weighted atoms of the ensemble at node t and the generator A taken under
     the control and batch statistic that drove it; returns (sup |R|, R path).
 
-    The atoms of up to _BLOCK_ROWS // N nodes form one node-major table,
-    row k*N + i holding particle i at the block's node k, so each per-node
-    mean runs along the last axis of a (nodes, N) array.  Takes the ensemble
-    of one problem; a batch raises DimensionMismatch."""
+    The atoms of up to _BLOCK_ROWS // N nodes form one node-major table
+    w = (x, z), gathered once per block, row k*N + i holding particle i at
+    the block's node k, so each per-node mean runs along the last axis of a
+    (nodes, N) array.  Without diffusion no Hessian is built.  Takes the
+    ensemble of one problem; a batch raises DimensionMismatch."""
     if path.n_problems > 1:
         raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {path.n_problems}")
     t_grid = path.t_grid
     n_nodes = t_grid.size
-    n = path.X.shape[0]
+    n, _, d = path.X.shape
+    m = d + path.Z.shape[2]
+    second = path.type_vector.diffuses
     per_block = max(1, _BLOCK_ROWS // n)
     mean_phi = np.empty(n_nodes)
     mean_gen = np.empty(n_nodes)
     for k0 in range(0, n_nodes, per_block):
         nodes = slice(k0, min(k0 + per_block, n_nodes))
         nk = nodes.stop - k0
-        x = path.X[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
-        z = path.Z[:, nodes].swapaxes(0, 1).reshape(nk * n, -1)
+        w = np.empty((nk, n, m))
+        w[..., :d] = path.X[:, nodes].swapaxes(0, 1)
+        w[..., d:] = path.Z[:, nodes].swapaxes(0, 1)
+        w = w.reshape(nk * n, m)
         theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
         eta_rows = None if path.eta is None else np.repeat(path.eta[nodes], n)[:, None]
-        dv = phi.derivs(t_grid[nodes], x, z)
-        gen = generator_apply_batch(dv, x, z, path.type_vector, theta_rows, eta_rows, p)
+        dv = phi.derivs(t_grid[nodes], w, second=second)
+        gen = generator_apply_batch(dv, w[:, :d], w[:, d:], path.type_vector, theta_rows, eta_rows, p)
         mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)
         mean_gen[nodes] = np.mean(gen.reshape(nk, n), axis=-1)
     dt = t_grid[1] - t_grid[0]

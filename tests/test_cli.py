@@ -245,6 +245,9 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"train": {"step_floor": "a"}}, "ConfigInvalid"),
         ("solve-limit", {"fixed_point": {"n_intervals": -5}}, "ConfigInvalid"),
         ("diagnose-fpk", {"phi_radius": "x"}, "ConfigInvalid"),
+        # radii whose squares overflow, or round to zero
+        ("diagnose-fpk", {"phi_radius": 1e200}, "ConfigInvalid"),
+        ("diagnose-fpk", {"phi_radius": 1e-320}, "ConfigInvalid"),
         ("train", {"train": {"armijo_c": "a"}}, "ConfigInvalid"),
         ("simulate", {"model": eta_weight}, "ConfigInvalid"),
         # booleans are not numbers here

@@ -123,6 +123,15 @@ def test_test_function_degree_cap():
         TestFunction(terms=((1.0, 3, (2,), ()),), d=1, q=0)
 
 
+@pytest.mark.parametrize("r_plateau", [1e200, 1e-320])
+def test_test_function_refuses_radii_whose_squares_overflow_or_vanish(r_plateau):
+    """r_support**2 - r_plateau**2 is nan for huge radii (where ** raises
+    OverflowError) and 0 for tiny ones (where the residual would be 0)."""
+    with pytest.raises(SizeMismatch):
+        TestFunction(terms=((1.0, 0, (1,), ()),), d=1, q=0,
+                     r_plateau=r_plateau, r_support=2.0 * r_plateau)
+
+
 @pytest.mark.parametrize("point", [
     (0.4, [0.3, -0.2], [0.1, 0.5]),        # inside the plateau
     (0.7, [2.5, 1.0], [1.0, -1.5]),        # in the cutoff transition shell
@@ -193,6 +202,27 @@ def test_block_derivs_equal_per_node_tables():
             assert block[key][rows].tobytes() == table.tobytes(), (k, key)
 
 
+def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
+    """A block that lies all on the plateau takes the polynomial's own table,
+    with the bytes of the general path forced through the cutoff; one atom
+    in the shell, or a NaN radius, takes the general path."""
+    phi = _rich_phi()   # plateau 2, support 5
+    s = np.array([0.0, 0.35, 1.0])
+    w = np.random.default_rng(8).uniform(-0.99, 0.99, size=(s.size * 7, 4))
+    assert phi._bump(w, True)[0] is None
+    for off_plateau in (3.0, math.nan):
+        w_off = w.copy()
+        w_off[5, 1] = off_plateau
+        assert phi._bump(w_off, True)[0] is not None
+    fast = phi.derivs(s, w[:, :2], w[:, 2:])
+    monkeypatch.setattr(TestFunction, "_bump", lambda self, w, second: (
+        np.ones(w.shape[0]), np.empty(0, dtype=np.intp), None, None))
+    general = phi.derivs(s, w[:, :2], w[:, 2:])
+    assert fast.keys() == general.keys()
+    for key, table in general.items():
+        assert fast[key].tobytes() == table.tobytes(), key
+
+
 def test_cutoff_support():
     phi = coordinate_test_function(1, 0, r_plateau=1.0, r_support=2.0)
     far = phi.derivs(0.0, np.array([[5.0]]), np.zeros((1, 0)))["val"]
@@ -204,6 +234,31 @@ def test_cutoff_support():
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------
+
+def test_diffusion_trace_matches_einsum():
+    """The generator's diffusion traces give np.einsum's bytes for every
+    subscript, with h the strided view derivs returns and a contiguous copy;
+    at 1 and 2 rows, where einsum groups the sum over p otherwise, einsum
+    itself is called."""
+    rng = np.random.default_rng(15)
+
+    def spread(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+
+    for rows in (1, 2, 3, 7, 4096, 8193, 20000):
+        for d in (1, 2, 3):
+            for q in (1, 2, 3):
+                h = spread(rows, d + q, d + q)
+                for n_noise in (1, 2, 3):
+                    eps, sigma = spread(d, n_noise), spread(q, n_noise)
+                    for subscripts, a, b, hab in (("kp,lp,nkl->n", sigma, sigma, h[:, d:, d:]),
+                                                  ("dp,qp,nqd->n", eps, sigma, h[:, d:, :d]),
+                                                  ("dp,ep,nde->n", eps, eps, h[:, :d, :d])):
+                        for view in (hab, np.ascontiguousarray(hab)):
+                            expected = np.einsum(subscripts, a, b, view)
+                            got = measures._diffusion_trace(subscripts, a, b, view)
+                            assert got.tobytes() == expected.tobytes(), (subscripts, rows, d, q, n_noise)
+
 
 def generator_apply(phi, s, e, theta_val, eta, p):
     """Generator at a single atom e = (type_vector, y, z, x)."""
@@ -374,6 +429,44 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))
+
+
+def test_residual_without_diffusion_builds_no_hessian(coupled_params, coupled_law, monkeypatch):
+    """Without diffusion the generator reads no second derivative, and
+    fpk_residual neither allocates nor fills a Hessian, of the polynomial or
+    of the cutoff; with diffusion it builds both."""
+    p = coupled_params
+    theta = ControlGrid.zeros(p.T, 10, k_theta=p.k_theta)
+    samples, types = coupled_law.sample(300, 4)
+    quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
+                       sigma=np.zeros_like(types.sigma))
+    phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
+    hessians = []
+    second_derivatives = []
+    monomial, poly, bump = measures._monomial, TestFunction._poly, TestFunction._bump
+
+    def counted_monomial(w, pows, axes=()):
+        if len(axes) == 2:
+            second_derivatives.append(axes)
+        return monomial(w, pows, axes)
+
+    def recorded(method):
+        def wrapper(self, *args):
+            out = method(self, *args)
+            hessians.append(out[3])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(measures, "_monomial", counted_monomial)
+    monkeypatch.setattr(TestFunction, "_poly", recorded(poly))
+    monkeypatch.setattr(TestFunction, "_bump", recorded(bump))
+    for type_vector, builds in ((quiet, False), (types, True)):
+        hessians.clear()
+        second_derivatives.clear()
+        fpk_residual(simulate_particles(p, theta, samples, type_vector, 10, 4), phi, p)
+        # one block: one _poly and one _bump, whose shell holds atoms
+        assert [h is not None for h in hessians] == [builds, builds]
+        assert bool(second_derivatives) == builds
 
 
 def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
