@@ -92,14 +92,14 @@ class ExperimentConfig:
             n_list = tuple(int(n) if isinstance(n, str) else operator.index(n) for n in self.n_list)
         except (TypeError, ValueError):
             n_list = ()
-        if not n_list or n_list[0] < 1 or list(n_list) != sorted(set(n_list)):
-            raise ConfigInvalid(f"n_list must be strictly increasing integers >= 1, got {self.n_list!r}")
+        if not n_list or n_list[0] < 1 or n_list[-1] > sys.maxsize or list(n_list) != sorted(set(n_list)):
+            raise ConfigInvalid(f"n_list must be strictly increasing integers in [1, {sys.maxsize}], got {self.n_list!r}")
         object.__setattr__(self, "n_list", n_list)
         for name in ("n_particles", "n_steps", "n_draws", "seeds_per_n", "m_paths", "workers"):
             require_int(name, getattr(self, name), 1)
         require_real("phi_radius", self.phi_radius, 0.0)
         check_cutoff_radii(self.phi_radius, 2.0 * self.phi_radius, ConfigInvalid)
-        require_int("seed", self.seed, None)
+        require_int("seed", self.seed, None, None)
         check_law(self.model, self.initial_law)
 
     def to_dict(self):

@@ -49,7 +49,7 @@ class FixedPointConfig:
         require_int("fixed_point.mc_paths", self.mc_paths, 1)
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)
-        require_int("fixed_point.seed", self.seed, None)
+        require_int("fixed_point.seed", self.seed, None, None)
         require_real("fixed_point.outer_tol", self.outer_tol, 0.0)
 
 

@@ -118,12 +118,12 @@ class TestFunction:
     def _poly(self, s, w, second):
         """Value, s-derivative, gradient and, if second, Hessian (else None)
         of the polynomial factor in the joint variable w = (x, z), at w
-        (nodes, N, d+q) with node k at time s[k]."""
+        (nodes, N, d+q) with node k at time s[k]; both coordinate-major."""
         m = w.shape[-1]
         val = np.zeros(w.shape[:-1])
         ds = np.zeros(w.shape[:-1])
-        grad = np.zeros(w.shape)
-        hess = np.zeros(w.shape + (m,)) if second else None
+        grad = np.zeros((m,) + w.shape[:-1]).transpose(1, 2, 0)
+        hess = np.zeros((m, m) + w.shape[:-1]).transpose(2, 3, 0, 1) if second else None
         for coeff, s_pow, x_pows, z_pows in self.terms:
             pows = tuple(x_pows) + tuple(z_pows)
             # time factors per node from numpy scalars: a scalar ** can
@@ -178,18 +178,17 @@ class TestFunction:
                 + psi1[:, None, None] * (2.0 / denom) * np.eye(w.shape[1])[None])
         return b, shell, grad, hess
 
-    def derivs(self, s, x, z=None, *, second=True):
-        """The derivative table the generator needs at the atoms x (N,d) and
-        z (N,q), or at the joint atoms w = (x, z) (N,d+q) passed as x with z
-        None: val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
+    def derivs(self, s, w, *, second=True):
+        """The derivative table the generator needs at the atoms w = (x, z)
+        (N,d+q): val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
         s is one time, or one time per node when the atoms are node-major
         blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k]).
 
-        The blocks are views of one (N,d+q) gradient and one (N,d+q,d+q)
-        Hessian.  Without second no Hessian is allocated or filled, and the
-        table has no dxx, dzz or dzx.  When every atom lies on the cutoff's
-        plateau, where the cutoff is 1, the table is the polynomial's own."""
-        w = x if z is None else np.concatenate([x, z], axis=1)
+        The blocks are views of one coordinate-major (N,d+q) gradient and (N,d+q,d+q)
+        Hessian, each coordinate contiguous; below 3 rows, where einsum's bytes
+        depend on it (_diffusion_trace), the Hessian is row-major.  Without second
+        no Hessian is allocated or filled, and the table has no dxx, dzz or dzx.
+        On the cutoff's plateau the table is the polynomial's own."""
         s = np.atleast_1d(s)
         pval, pds, pg, ph = (a if a is None else a.reshape((w.shape[0],) + a.shape[2:])
                              for a in self._poly(s, w.reshape(s.size, -1, w.shape[1]), second))
@@ -211,6 +210,7 @@ class TestFunction:
         d = self.d
         table = {"val": val, "ds": ds, "dx": g[:, :d], "dz": g[:, d:]}
         if second:
+            h = np.ascontiguousarray(h) if h.shape[0] < 3 else h
             table.update(dxx=h[:, :d, :d], dzz=h[:, d:, d:], dzx=h[:, d:, :d])
         return table
 
@@ -220,28 +220,34 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 # Most atoms in one derivative table of the residual (at least one node's):
-# bounds its temporaries, one (rows, d+q, d+q) Hessian being 512 KB at
-# d+q = 4.
+# bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian
+# being 512 KB at d+q = 4.
 _BLOCK_ROWS = 4096
 
 
 def _diffusion_trace(subscripts, a, b, h):
-    """np.einsum(subscripts, a, b, h) with its bytes, for the diffusion traces
-    "ip,jp,nij->n" and "ip,jp,nji->n": the sum over i, j and p of
-    a[i, p] b[j, p] h[:, i, j], h's first axis paired with a or b as the
+    """np.einsum(subscripts, a, b, h) with its bytes on a row-major h, for the
+    diffusion traces "ip,jp,nij->n" and "ip,jp,nji->n": the sum over i, j and
+    p of a[i, p] b[j, p] h[:, i, j], h's first axis paired with a or b as the
     subscripts say.  From zero, the terms (a b) h are added one at a time in
-    einsum's order, walking h's two axes in turn with p innermost.  Below 3
-    rows einsum groups the sum over p otherwise, and is called itself."""
+    einsum's order, h's two axes in turn with p innermost, whatever h's
+    layout: numpy reduces a C-ordered (i, j, p, rows) table of them along its
+    outer axis in order, in two calls where a loop would make two per term.
+    Below 3 rows einsum groups the sum over p otherwise, and is called itself
+    on the row-major h that derivs returns there."""
     if h.shape[0] < 3:
         return np.einsum(subscripts, a, b, h)
     if subscripts[9] != subscripts[0]:
         a, b = b, a
-    out = np.zeros(h.shape[0])
-    for i in range(h.shape[1]):
-        for j in range(h.shape[2]):
-            for k in range(a.shape[1]):
-                out += (a[i, k] * b[j, k]) * h[:, i, j]
-    return out
+    ab = (a[:, None, :] * b[None, :, :])[..., None]
+    terms = np.multiply(ab, h.transpose(1, 2, 0)[:, :, None, :], order="C")
+    return np.add.reduce(terms.reshape(-1, h.shape[0]), axis=0, initial=0.0)
+
+
+def _dot_rows(a, b):
+    """np.einsum("nd,nd->n", a, b) with its bytes on row-major a and b; from 3 columns they depend on layout."""
+    rows = (np.ascontiguousarray(a), np.ascontiguousarray(b)) if a.shape[1] > 2 else (a, b)
+    return np.einsum("nd,nd->n", *rows)
 
 
 def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
@@ -261,10 +267,10 @@ def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
     no factor one half (checked against the Ito expansion in the tests).
     """
     f = p.activation.drift(theta_val, z, x, eta)
-    out = dv["ds"] + np.einsum("nd,nd->n", f, dv["dx"])
+    out = dv["ds"] + _dot_rows(f, dv["dx"])
     if z.shape[1]:
         phid = p.phi_value(type_vector.gamma, z)
-        out = out + np.einsum("nq,nq->n", phid, dv["dz"])
+        out = out + _dot_rows(phid, dv["dz"])
     if not type_vector.diffuses:
         return out
     eps, sigma = type_vector.epsilon, type_vector.sigma
@@ -282,9 +288,10 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     the control and batch statistic that drove it; returns (sup |R|, R path).
 
     The atoms of up to _BLOCK_ROWS // N nodes form one node-major table
-    w = (x, z), gathered once per block, row k*N + i holding particle i at
-    the block's node k, so each per-node mean runs along the last axis of a
-    (nodes, N) array.  Without diffusion no Hessian is built.  Takes the
+    w = (x, z), row k*N + i holding particle i at the block's node k, so
+    each per-node mean runs along the last axis of a (nodes, N) array.  It
+    is the transposed view of a (d+q, nodes, N) gather, each coordinate
+    contiguous.  Without diffusion no Hessian is built.  Takes the
     ensemble of one problem; a batch raises DimensionMismatch."""
     if path.n_problems > 1:
         raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {path.n_problems}")
@@ -299,10 +306,10 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     for k0 in range(0, n_nodes, per_block):
         nodes = slice(k0, min(k0 + per_block, n_nodes))
         nk = nodes.stop - k0
-        w = np.empty((nk, n, m))
-        w[..., :d] = path.X[:, nodes].swapaxes(0, 1)
-        w[..., d:] = path.Z[:, nodes].swapaxes(0, 1)
-        w = w.reshape(nk * n, m)
+        w = np.empty((m, nk, n))
+        w[:d] = path.X[:, nodes].T
+        w[d:] = path.Z[:, nodes].T
+        w = w.reshape(m, nk * n).T
         theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
         eta_rows = None if path.eta is None else np.repeat(path.eta[nodes], n)[:, None]
         dv = phi.derivs(t_grid[nodes], w, second=second)

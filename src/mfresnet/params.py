@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,41 +34,43 @@ _PHI_KINDS = ("decay", "zero")
 
 
 def sum_last(a):
-    """np.sum(a, axis=-1) with its bytes.  Below 8 entries numpy adds the
-    entries in order, so a short axis is summed column by column, without
-    the reduction's per-call cost; from 8 on numpy's unrolled pairwise sum
-    differs from that, and np.sum is called.  At one entry the result is a
-    view of a."""
+    """np.sum(a, axis=-1) with its bytes on a row-major a.  Below 8 entries
+    numpy adds the entries in order, so a short axis is summed column by
+    column, without the reduction's per-call cost; from 8 on numpy's
+    pairwise sum differs from that (and a column-major np.sum adds in
+    order), so np.sum sums a C-ordered a.  At one entry the result is a view."""
     n = a.shape[-1]
     if not 0 < n < 8:
-        return np.sum(a, axis=-1)
+        return np.sum(np.ascontiguousarray(a), axis=-1)
     out = a[..., 0]
     for j in range(1, n):
         out = out + a[..., j]
     return out
 
 
-def require_int(name, value, low):
-    """Raise ConfigInvalid unless value is an integer, not a bool, and >= low
-    unless low is None (never converts it)."""
-    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
-        raise ConfigInvalid(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+def require_int(name, value, low, high=sys.maxsize):
+    """Raise ConfigInvalid unless value is an integer, not a bool, in [low, high], a bound that
+    is None being absent; high defaults to numpy's largest size (never converts value)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low)
+            or (high is not None and value > high)):
+        raise ConfigInvalid(f"{name} must be an integer{'' if low is None else f' >= {low}'}"
+                            f"{'' if high is None else f' <= {high}'}, got {value!r}")
 
 
 def require_real(name, value, low=-math.inf, high=math.inf):
     """Raise ConfigInvalid unless value is a finite real, not a bool, in the
-    open interval (low, high) (never converts it)."""
+    open interval (low, high) (never converts it); an int too large for a float is not finite."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and low < value < high)):
+            or not (abs(value) <= sys.float_info.max and low < value < high)):
         raise ConfigInvalid(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
 
 
 def require_positive(name, value, error):
     """Raise ConfigInvalid unless value is a real, not a bool, and error
-    unless it is finite and > 0 (never converts it)."""
+    unless it is finite, as in require_real, and > 0 (never converts it)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigInvalid(f"{name} must be a real, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
+    if not (abs(value) <= sys.float_info.max and value > 0):
         raise error(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -210,6 +210,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("gamma", {"n_list": [50.5, 200]}, []),
         ("gamma", {"n_list": [True, 50]}, []),
         ("gamma", {"n_list": "12"}, []),
+        ("gamma", {"n_list": [50, 10**400]}, []),
         ("diagnose-fpk", {}, ["--n-list", "50,20"]),
         ("gamma", {"n_draws": 0}, []),
         ("diagnose-fpk", {"seeds_per_n": 0}, []),
@@ -248,6 +249,11 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         # radii whose squares overflow, or round to zero
         ("diagnose-fpk", {"phi_radius": 1e200}, "ConfigInvalid"),
         ("diagnose-fpk", {"phi_radius": 1e-320}, "ConfigInvalid"),
+        # integers too large for a float, or for a numpy size, each named
+        ("diagnose-fpk", {"phi_radius": 10**400}, "ConfigInvalid: phi_radius"),
+        ("simulate", {"n_particles": 10**400}, "ConfigInvalid: n_particles"),
+        ("simulate", {"model": dict(_default_section("model"), dims={"d": 10**400})}, "ConfigInvalid: dims.d"),
+        ("train", {"model": dict(_default_section("model"), alpha=10**400)}, "NonPositiveWeight: alpha"),
         ("train", {"train": {"armijo_c": "a"}}, "ConfigInvalid"),
         ("simulate", {"model": eta_weight}, "ConfigInvalid"),
         # booleans are not numbers here

@@ -140,11 +140,11 @@ def test_derivatives_match_finite_differences(point):
     phi = _rich_phi()
     s, x, z = point
     x = np.array([x]); z = np.array([z])
-    dv = phi.derivs(s, x, z)
+    dv = phi.derivs(s, np.concatenate([x, z], axis=1))
     h = 1e-5
 
     def val(ss, xx, zz):
-        return float(phi.derivs(ss, xx, zz)["val"][0])
+        return float(phi.derivs(ss, np.concatenate([xx, zz], axis=1))["val"][0])
 
     assert dv["ds"][0] == pytest.approx((val(s + h, x, z) - val(s - h, x, z)) / (2 * h), abs=1e-6)
     for i in range(2):
@@ -194,12 +194,50 @@ def test_block_derivs_equal_per_node_tables():
     w *= (radii / np.linalg.norm(w, axis=1))[:, None]
     assert {"plateau", "shell", "beyond"} == {
         "plateau" if r <= 2.0 else "shell" if r < 5.0 else "beyond" for r in radii}
-    block = phi.derivs(s, w[:, :2], w[:, 2:])
+    block = phi.derivs(s, w)
     for k, sk in enumerate(s):
         rows = slice(k * n, (k + 1) * n)
-        node = phi.derivs(sk, w[rows, :2], w[rows, 2:])
+        node = phi.derivs(sk, w[rows])
         for key, table in node.items():
             assert block[key][rows].tobytes() == table.tobytes(), (k, key)
+
+
+def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypatch):
+    """The tables of a joint block keep each coordinate contiguous: every
+    column of dx and dz and every (i, j) entry of dxx, dzz and dzx, on the
+    plateau and across the cutoff, with and without a Hessian, and every
+    column of the atoms fpk_residual gathers.  Below 3 rows the Hessian
+    blocks are views of one row-major table, the layout whose einsum bytes
+    the diffusion traces keep there."""
+    phi = _rich_phi()   # plateau 2, support 5
+    s = np.array([0.0, 0.35, 1.0])
+    gen = np.random.default_rng(4)
+    across = gen.uniform(-3.0, 3.0, size=(s.size * 7, 4))
+    for w in (across, 0.4 * across, np.asfortranarray(across)):
+        for second in (True, False):
+            dv = phi.derivs(s, w, second=second)
+            for key in ("dx", "dz", "dxx", "dzz", "dzx") if second else ("dx", "dz"):
+                for entry in np.ndindex(dv[key].shape[1:]):
+                    assert dv[key][(slice(None),) + entry].flags.c_contiguous, (key, entry, second)
+    for rows in (1, 2):
+        dv = phi.derivs(0.5, across[:rows])
+        for key in ("dxx", "dzz", "dzx"):
+            assert dv[key].strides == (16 * 8, 4 * 8, 8), (rows, key)
+    gathered = []
+    derivs = TestFunction.derivs
+
+    def recorded(self, s, w, **kw):
+        gathered.append(w)
+        return derivs(self, s, w, **kw)
+
+    monkeypatch.setattr(TestFunction, "derivs", recorded)
+    p = coupled_params
+    samples, types = coupled_law.sample(300, 4)
+    fpk_residual(simulate_particles(p, ControlGrid.zeros(p.T, 20, k_theta=p.k_theta), samples, types, 20, 4), phi, p)
+    assert len(gathered) == 2
+    for w in gathered:
+        for col in range(w.shape[1]):
+            assert w[:, col].flags.c_contiguous, col
 
 
 def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
@@ -214,10 +252,10 @@ def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
         w_off = w.copy()
         w_off[5, 1] = off_plateau
         assert phi._bump(w_off, True)[0] is not None
-    fast = phi.derivs(s, w[:, :2], w[:, 2:])
+    fast = phi.derivs(s, w)
     monkeypatch.setattr(TestFunction, "_bump", lambda self, w, second: (
         np.ones(w.shape[0]), np.empty(0, dtype=np.intp), None, None))
-    general = phi.derivs(s, w[:, :2], w[:, 2:])
+    general = phi.derivs(s, w)
     assert fast.keys() == general.keys()
     for key, table in general.items():
         assert fast[key].tobytes() == table.tobytes(), key
@@ -225,9 +263,9 @@ def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
 
 def test_cutoff_support():
     phi = coordinate_test_function(1, 0, r_plateau=1.0, r_support=2.0)
-    far = phi.derivs(0.0, np.array([[5.0]]), np.zeros((1, 0)))["val"]
+    far = phi.derivs(0.0, np.array([[5.0]]))["val"]
     assert far[0] == 0.0
-    near = phi.derivs(0.0, np.array([[0.5]]), np.zeros((1, 0)))["val"]
+    near = phi.derivs(0.0, np.array([[0.5]]))["val"]
     assert near[0] == pytest.approx(0.5)
 
 
@@ -237,9 +275,10 @@ def test_cutoff_support():
 
 def test_diffusion_trace_matches_einsum():
     """The generator's diffusion traces give np.einsum's bytes for every
-    subscript, with h the strided view derivs returns and a contiguous copy;
-    at 1 and 2 rows, where einsum groups the sum over p otherwise, einsum
-    itself is called."""
+    subscript, with h a strided view of a row-major Hessian and a contiguous
+    copy; at 1 and 2 rows, where einsum groups the sum over p otherwise,
+    einsum itself is called.  From 3 rows the coordinate-major view derivs
+    returns gives the bytes of einsum on the row-major one."""
     rng = np.random.default_rng(15)
 
     def spread(*shape):
@@ -249,15 +288,20 @@ def test_diffusion_trace_matches_einsum():
         for d in (1, 2, 3):
             for q in (1, 2, 3):
                 h = spread(rows, d + q, d + q)
+                h_cm = np.moveaxis(np.moveaxis(h, 0, -1).copy(), -1, 0)
                 for n_noise in (1, 2, 3):
                     eps, sigma = spread(d, n_noise), spread(q, n_noise)
-                    for subscripts, a, b, hab in (("kp,lp,nkl->n", sigma, sigma, h[:, d:, d:]),
-                                                  ("dp,qp,nqd->n", eps, sigma, h[:, d:, :d]),
-                                                  ("dp,ep,nde->n", eps, eps, h[:, :d, :d])):
+                    for subscripts, a, b, block in (("kp,lp,nkl->n", sigma, sigma, np.s_[:, d:, d:]),
+                                                    ("dp,qp,nqd->n", eps, sigma, np.s_[:, d:, :d]),
+                                                    ("dp,ep,nde->n", eps, eps, np.s_[:, :d, :d])):
+                        hab = h[block]
                         for view in (hab, np.ascontiguousarray(hab)):
                             expected = np.einsum(subscripts, a, b, view)
                             got = measures._diffusion_trace(subscripts, a, b, view)
                             assert got.tobytes() == expected.tobytes(), (subscripts, rows, d, q, n_noise)
+                        if rows >= 3:
+                            got = measures._diffusion_trace(subscripts, a, b, h_cm[block])
+                            assert got.tobytes() == np.einsum(subscripts, a, b, hab).tobytes()
 
 
 def generator_apply(phi, s, e, theta_val, eta, p):
@@ -265,8 +309,8 @@ def generator_apply(phi, s, e, theta_val, eta, p):
     tv, _y, z, x = e
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    out = generator_apply_batch(phi.derivs(s, x, z), x, z, tv, np.asarray(theta_val, dtype=float),
-                                float(eta), p)
+    dv = phi.derivs(s, np.concatenate([x, z], axis=1))
+    out = generator_apply_batch(dv, x, z, tv, np.asarray(theta_val, dtype=float), float(eta), p)
     return float(out[0])
 
 
@@ -374,6 +418,63 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
 
 
+def _spread_phi(d, q, r_plateau, r_support):
+    """A test function whose gradient and Hessian reach every coordinate of
+    w = (x, z): a square per coordinate (every other one with a time
+    factor), a product of each neighbouring pair, and one quartic and one
+    cubic term across the first and last coordinates."""
+    m = d + q
+
+    def unit(*powers):
+        pows = [0] * m
+        for j, pw in powers:
+            pows[j] += pw
+        return tuple(pows[:d]), tuple(pows[d:])
+
+    terms = [(0.1 * (j + 1), j % 2) + unit((j, 2)) for j in range(m)]
+    terms += [((-1) ** j * 0.2, 0) + unit((j, 1), (j + 1, 1)) for j in range(m - 1)]
+    terms += [(0.05, 0) + unit((0, 2), (m - 1, 2)), (-0.3, 1) + unit((m - 1, 1), (m // 2, 1), (0, 1))]
+    return TestFunction(terms=tuple(terms), d=d, q=q, r_plateau=r_plateau, r_support=r_support)
+
+
+@pytest.mark.parametrize("d, q, r_plateau, r_support, digest", [
+    (3, 2, 0.9, 1.4,
+     "256499584332bc807774f274132ef8620ec33de502e3e649ef2d69617e1fa8ba"),
+    (2, 3, 0.8, 1.3,
+     "068449a5857139ed465416970e83e5f533953c3919874343b5506925312cd96b"),
+    (5, 4, 1.2, 1.8,
+     "6764d0c2ef90e5416247c071fe31af068d83862c7c0ef8440897a3661d0e2ce2"),
+    (9, 0, 1.5, 2.1,
+     "086fc39ead3a6dd647af5b9df91d759e8f88c5c2c8f2ba2a5dd56d33723827ee"),
+])
+def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support, digest):
+    """Byte pins for the residual where a sum over d, q or d+q has 3 or more
+    entries, so that its grouping could depend on the layout of the tables:
+    a sigmoid drift coupled to z (when q > 0) and to eta, two noise
+    dimensions, atoms on the plateau, in the cutoff shell and beyond.  The
+    digests were recorded from the particle-major tables that preceded the
+    coordinate-major ones."""
+    from mfresnet import Dims, InitialLaw, ModelParams
+
+    p = ModelParams(activation=ActivationSpec(kind="sigmoid", z_weight=0.3 if q else 0.0, eta_weight=0.4),
+                    rho="tanh_mean", phi="decay", dims=Dims(d=d, q=q, p=2, m=2, l=q))
+    gen = np.random.default_rng(d * 10 + q)
+    tv = TypeVector(epsilon=gen.uniform(0.05, 0.25, size=(d, 2)), gamma=gen.uniform(0.3, 1.2, size=q),
+                    sigma=gen.uniform(0.05, 0.2, size=(q, 2)))
+    law = InitialLaw.uniform(x_low=[-1.0] * d, x_high=[1.0] * d, y_low=[-1.0] * d, y_high=[1.0] * d,
+                             z_low=[-0.5] * q, z_high=[0.5] * q, type_vector=tv)
+    n, n_steps = 300, 20
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
+                        k_theta=p.k_theta)
+    samples, types = law.sample(n, 5)
+    ens = simulate_particles(p, theta, samples, types, n_steps, 5)
+    r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
+    assert np.any(r <= r_plateau) and np.any((r > r_plateau) & (r < r_support)) and np.any(r >= r_support)
+    _, res = fpk_residual(ens, _spread_phi(d, q, r_plateau, r_support), p)
+    assert hashlib.sha256(res.tobytes()).hexdigest() == digest
+
+
 def _residual_per_node(path, phi, p):
     """The residual path from one derivative table per node."""
     t_grid = path.t_grid
@@ -381,7 +482,7 @@ def _residual_per_node(path, phi, p):
     mean_gen = np.empty(t_grid.size)
     for k in range(t_grid.size):
         xk, zk = path.X[:, k], path.Z[:, k]
-        dv = phi.derivs(t_grid[k], xk, zk)
+        dv = phi.derivs(t_grid[k], np.concatenate([xk, zk], axis=1))
         mean_phi[k] = np.mean(dv["val"])
         mean_gen[k] = np.mean(generator_apply_batch(
             dv, xk, zk, path.type_vector, path.theta.values[k], path.eta[k], p))

@@ -168,7 +168,9 @@ def test_zero_and_constant_kinds():
 def test_sum_last_has_the_bytes_of_numpy(n):
     """sum_last and sum_last / n give np.sum's and np.mean's bytes over the
     last axis, on magnitudes from 1e-5 to 1e5 of both signs, for contiguous
-    and strided arrays of two and three axes; so do both batch functions."""
+    and strided arrays of two and three axes; so do both batch functions.
+    On a column-major array, where np.sum adds in order, they give the
+    bytes of its row-major copy."""
     gen = np.random.default_rng(n)
     full = gen.normal(size=(40, 3, 2 * n)) * 10.0 ** gen.uniform(-5, 5, size=(40, 3, 2 * n))
     for a in (full[:, :, :n], full[:, :, ::2], full[:, 0, :n].copy(), full[::3, 1, n:]):
@@ -177,6 +179,13 @@ def test_sum_last_has_the_bytes_of_numpy(n):
     x = full[:, 0, :n].copy()
     assert ModelParams(rho="mean").rho_value(x).tobytes() == np.mean(x, axis=1).tobytes()
     assert ModelParams(rho="tanh_mean").rho_value(x).tobytes() == np.mean(np.tanh(x), axis=1).tobytes()
+    for a in (full[:, :, :n], full[:, 0, :n], full[::3, 1, n:]):
+        column_major = np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1)
+        assert sum_last(column_major).tobytes() == np.sum(a, axis=-1).tobytes()
+        assert (sum_last(column_major) / n).tobytes() == np.mean(a, axis=-1).tobytes()
+    x_cm = np.asfortranarray(x)
+    assert ModelParams(rho="mean").rho_value(x_cm).tobytes() == np.mean(x, axis=1).tobytes()
+    assert ModelParams(rho="tanh_mean").rho_value(x_cm).tobytes() == np.mean(np.tanh(x), axis=1).tobytes()
 
 
 def eval_drift(p, theta, z, x, eta):
