@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight
+from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight, ScalarConfigRequired
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_real
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
@@ -170,8 +170,11 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     returned path is the full (undamped) image of the last iterate, so it
     satisfies the discrete characterization up to the change tolerance and
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
-    otherwise.
+    otherwise, and ScalarConfigRequired, before it draws anything, unless p
+    is the scalar two-weight configuration.
     """
+    if not p.is_scalar_two_weight():
+        raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None

@@ -47,18 +47,6 @@ def wasserstein2_1d(a, b) -> float:
 # test functions
 # ---------------------------------------------------------------------------
 
-def _smoothstep(u):
-    return 6.0 * u**5 - 15.0 * u**4 + 10.0 * u**3
-
-
-def _smoothstep_d1(u):
-    return 30.0 * u**4 - 60.0 * u**3 + 30.0 * u**2
-
-
-def _smoothstep_d2(u):
-    return 120.0 * u**3 - 180.0 * u**2 + 60.0 * u
-
-
 def _monomial(w, pows, axes=()):
     """The monomial prod_j w_j**pows[j], differentiated once along each index
     in axes, at the points w[..., :]; None where the derivative vanishes."""
@@ -154,7 +142,9 @@ class TestFunction:
         rows in its transition shell, and its gradient and, if second,
         Hessian at those rows (None if there are none; elsewhere both
         vanish).  The value is None when every row lies on the plateau,
-        where the cutoff is 1; a NaN radius is not on it."""
+        where the cutoff is 1; a NaN radius is not on it.  The cutoff is
+        1 - S(u), S(u) = 6u^5 - 15u^4 + 10u^3, at u = (|w|^2 - r_plateau^2)
+        / (r_support^2 - r_plateau^2); S'' is evaluated only if second."""
         r2 = sum_last(w * w)
         lo2 = self.r_plateau**2
         hi2 = self.r_support**2
@@ -168,12 +158,12 @@ class TestFunction:
             return b, shell, None, None
         us = u[shell]
         ws = w[shell]
-        b[shell] = 1.0 - _smoothstep(us)
-        psi1 = -_smoothstep_d1(us)
-        psi2 = -_smoothstep_d2(us)
+        b[shell] = 1.0 - (6.0 * us**5 - 15.0 * us**4 + 10.0 * us**3)
+        psi1 = -(30.0 * us**4 - 60.0 * us**3 + 30.0 * us**2)
         grad = psi1[:, None] * 2.0 * ws / denom
         if not second:
             return b, shell, grad, None
+        psi2 = -(120.0 * us**3 - 180.0 * us**2 + 60.0 * us)
         hess = (psi2[:, None, None] * 4.0 * ws[:, :, None] * ws[:, None, :] / denom**2
                 + psi1[:, None, None] * (2.0 / denom) * np.eye(w.shape[1])[None])
         return b, shell, grad, hess

@@ -165,17 +165,14 @@ class ActivationSpec:
         raise AssertionError(self.kind)
 
     def _g_prime(self, u):
+        g = self._g(u)
         if self.kind == "tanh":
-            t = np.tanh(u)
-            return 1.0 - t * t
+            return 1.0 - g * g
         if self.kind == "sigmoid":
-            s = 1.0 / (1.0 + np.exp(-u))
-            return s * (1.0 - s)
+            return g * (1.0 - g)
         if self.kind == "gaussian":
-            return -2.0 * u * np.exp(-u * u)
-        if self.kind == "affine":
-            return np.ones_like(u)
-        raise AssertionError(self.kind)
+            return -2.0 * u * g
+        return np.ones_like(u)
 
     def _preactivation(self, theta, z, x, eta):
         # x: (..., d); z: (..., q) or None; theta[j] and eta broadcast against x
@@ -214,7 +211,8 @@ class ActivationSpec:
 @dataclass(frozen=True)
 class ControlGrid:
     """Piecewise-linear weight path on a uniform depth grid, clamped to a box;
-    or a batch of B such paths on one grid, one per independent problem."""
+    or a batch of B such paths on one grid, one per independent problem.
+    values of any other rank is a DimensionMismatch."""
 
     t_grid: np.ndarray   # (M+1,)
     values: np.ndarray   # (M+1, m), or (B, M+1, m) for a batch
@@ -223,12 +221,10 @@ class ControlGrid:
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
         if t.ndim != 1 or t.size < 2:
             raise GridTooSmall("control grid needs at least two nodes")
-        if v.ndim > 3 or v.shape[-2] != t.size:
-            raise DimensionMismatch("values must have one row per grid node")
+        if v.ndim not in (2, 3) or v.shape[-2] != t.size:
+            raise DimensionMismatch("values must be (M+1, m) or (B, M+1, m), one row per grid node")
         steps = np.diff(t)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) or steps[0] <= 0:
             raise GridMismatch("grid must be uniform and increasing")

@@ -48,6 +48,30 @@ def wasserstein2_exact_small(a, b):
     return math.sqrt(float(costs.min()) / n)
 
 
+def spearman_negative_p_enumerated(values):
+    """Spearman rank correlation of values against their index and its exact
+    one-sided p-value, by a loop over the n! rankings that compares each
+    ranking's rho with a float tolerance; the oracle the library's integer
+    count is tested against."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    ranks = np.argsort(np.argsort(values))
+
+    def rho(r):
+        idx = np.arange(n)
+        d = np.asarray(r) - idx
+        return 1.0 - 6.0 * float(np.sum(d * d)) / (n * (n * n - 1))
+
+    observed = rho(ranks)
+    count = 0
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        total += 1
+        if rho(perm) <= observed + 1e-12:
+            count += 1
+    return observed, count / total
+
+
 def residual_first_order(theta, p, law, n_paths, seed):
     """Convergence certificate of the limit solver: interior sup-norm of
     lambda1 theta - lambda2 D2 theta - G(theta) plus the boundary derivative

@@ -12,6 +12,7 @@ import mfresnet.cli as cli
 import mfresnet.trainer as trainer
 from mfresnet import FixedPointConfig, ModelParams, TrainConfig
 from mfresnet.cli import (
+    SPEARMAN_MAX_N,
     ExperimentConfig,
     default_law,
     main,
@@ -20,6 +21,8 @@ from mfresnet.cli import (
 )
 from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch
 from mfresnet.rng import split_seed
+
+from conftest import spearman_negative_p_enumerated
 
 
 def _small_cfg(tmp_path, **overrides):
@@ -157,6 +160,11 @@ def test_spearman_exact_p_values():
     rho_up, p_up = spearman_negative_p([1.0, 2.0, 3.0, 4.0])
     assert rho_up == pytest.approx(1.0)
     assert p_up == pytest.approx(1.0)
+    # the integer count gives the enumeration's (rho, p) exactly, ties included
+    gen = np.random.default_rng(17)
+    for n in range(2, SPEARMAN_MAX_N + 1):
+        for values in (gen.integers(0, n, size=n).astype(float), gen.normal(size=n)):
+            assert repr(spearman_negative_p(values)) == repr(spearman_negative_p_enumerated(values)), values
 
 
 def test_simulate_writes_outputs(tmp_path):
@@ -230,6 +238,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
                       activation=dict(_default_section("model")["activation"], eta_weight="a"))
     law = _default_section("initial_law")
     type_vector = dict(law, type_vector=dict(law["type_vector"], foo=1))
+    coupled = dict(json.loads((ROOT / "scripts/coupled_simulation.json").read_text()),
+                   fixed_point={"mc_paths": 400000})
     malformed = [
         ("train", {"train": {"foo": 1}}, "ConfigInvalid"),
         ("train", {"fixed_point": {"bar": 2}}, "ConfigInvalid"),
@@ -273,6 +283,9 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
         # a fixed-point seed that is not an integer, though the CLI derives its own
         ("solve-limit", {"fixed_point": {"seed": "a", "mc_paths": 50, "outer_iters": 2}}, "ConfigInvalid"),
+        # a model outside the limit problem, refused before the fixed point draws its paths
+        ("solve-limit", coupled, "ScalarConfigRequired"),
+        ("gamma", coupled, "ScalarConfigRequired"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))
@@ -367,10 +380,13 @@ def test_gradcheck_cli(tmp_path, capsys):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg1 = _small_cfg(tmp_path, n_particles=10, n_steps=8, out=str(tmp_path / "a"))
-    cfg2 = _small_cfg(tmp_path, n_particles=10, n_steps=8, out=str(tmp_path / "b"))
-    run_experiment("simulate", cfg1)
-    run_experiment("simulate", cfg2)
-    a = (pathlib.Path(cfg1.out) / "cost.csv").read_bytes()
-    b = (pathlib.Path(cfg2.out) / "cost.csv").read_bytes()
-    assert a == b
+    runs = [("simulate", {}, ["cost.csv"]),
+            ("solve-limit", {"m_paths": 500, "fixed_point": FixedPointConfig(mc_paths=300, n_intervals=8)},
+             ["theta_star.csv", "trace.csv"])]
+    for command, overrides, names in runs:
+        outs = []
+        for run in ("a", "b"):
+            cfg = _small_cfg(tmp_path, n_particles=10, n_steps=8, out=str(tmp_path / command / run), **overrides)
+            run_experiment(command, cfg)
+            outs.append([(pathlib.Path(cfg.out) / name).read_bytes() for name in names])
+        assert outs[0] == outs[1], command

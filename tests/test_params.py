@@ -220,6 +220,14 @@ def test_control_grid_rejects_nonuniform():
         ControlGrid(np.array([0.0, 0.1, 0.5]), np.zeros((3, 2)))
 
 
+def test_control_grid_values_are_one_path_or_a_batch():
+    """values is (M+1, m) or (B, M+1, m); every other shape is refused."""
+    t = np.linspace(0.0, 1.0, 3)
+    for shape in ((), (3,), (2, 2), (1, 1, 3, 2)):
+        with pytest.raises(DimensionMismatch):
+            ControlGrid(t, np.zeros(shape))
+
+
 def test_project_to_box_clamps():
     c = ControlGrid(np.linspace(0, 1, 3), np.array([[3.0, -3.0], [0.5, 0.0], [1.0, 1.0]]),
                     k_theta=1.0)

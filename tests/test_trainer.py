@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -98,10 +99,14 @@ def test_forward_sensitivity_matches_finite_differences(coupled_params, coupled_
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
-def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law):
+@pytest.mark.parametrize("rho", ["tanh_mean", "mean", "zero"])
+@pytest.mark.parametrize("kind", ["sigmoid", "affine"])
+def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law, rho, kind):
     """The reverse-sweep gradient contracted with any direction reproduces the
-    forward directional derivative to machine precision."""
-    p = coupled_params
+    forward directional derivative to machine precision, for every batch
+    function and for a bounded and the affine nonlinearity."""
+    p = dataclasses.replace(coupled_params, rho=rho,
+                            activation=dataclasses.replace(coupled_params.activation, kind=kind))
     samples, types, theta, direction = _setup(p, coupled_law, 5, 10, 4)
     _, grad = value_and_gradient(p, theta, samples, types, 4)
     noises = replication_noise(p, 5, 10, 4, 1)
