@@ -101,6 +101,10 @@ class ExperimentConfig:
         require_real("phi_radius", self.phi_radius, 0.0)
         check_cutoff_radii(self.phi_radius, 2.0 * self.phi_radius, ConfigInvalid)
         require_int("seed", self.seed, None, None)
+        if not (isinstance(self.out, str) and self.out):
+            raise ConfigInvalid(f"out must be a non-empty path, got {self.out!r}")
+        if not isinstance(self.dump_trajectories, bool):
+            raise ConfigInvalid(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
         check_law(self.model, self.initial_law)
 
     def to_dict(self):
@@ -165,7 +169,7 @@ def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
     values[:, 0] = 0.6 * np.cos(np.pi * t / p.T)
     if p.dims.m > 1:
         values[:, 1] = 0.3 * np.sin(np.pi * t / p.T) - 0.2
-    return ControlGrid(t_grid=t, values=values, k_theta=p.k_theta)
+    return ControlGrid(p.T, values)
 
 
 def _nonoise_law(law: InitialLaw) -> InitialLaw:
@@ -305,9 +309,8 @@ def _random_gradcheck_case(case_idx, root_seed):
     )
     case_seed = split_seed(root_seed, f"gradcheck-sim-{case_idx}")
     samples, tv = law.sample(n_samples, case_seed)
-    t = np.linspace(0.0, p.T, n_intervals + 1)
-    theta = ControlGrid(t, gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2)), k_theta=p.k_theta)
-    direction = ControlGrid(t, gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2)), k_theta=p.k_theta)
+    theta = ControlGrid(p.T, gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2)))
+    direction = gen.uniform(-1.0, 1.0, size=(n_intervals + 1, 2))
     return p, samples, tv, theta, direction, n_intervals, case_seed
 
 
@@ -317,10 +320,10 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     difference, for one randomized configuration."""
     p, samples, tv, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
     ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed)
-    analytic = float(np.sum(_adjoint_gradient(ens, p) * direction.values))
+    analytic = float(np.sum(_adjoint_gradient(ens, p) * direction))
     h = fd_epsilon
-    up = theta.with_values(theta.values + h * direction.values)
-    dn = theta.with_values(theta.values - h * direction.values)
+    up = theta.with_values(theta.values + h * direction)
+    dn = theta.with_values(theta.values - h * direction)
     j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed), p).total
     j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed), p).total
     fd = (j_up - j_dn) / (2.0 * h)
@@ -366,9 +369,9 @@ def _gamma_unit(cfg, theta_star, n):
 def run_gamma(cfg: ExperimentConfig):
     """Value and minimizer convergence of the sampled problem to the limit."""
     p = cfg.model
-    if len(cfg.n_list) > SPEARMAN_MAX_N:
-        raise ConfigInvalid(f"gamma takes at most {SPEARMAN_MAX_N} sample sizes in n_list (its exact "
-                            f"Spearman test enumerates n! rankings), got {len(cfg.n_list)}")
+    if not 2 <= len(cfg.n_list) <= SPEARMAN_MAX_N:
+        raise ConfigInvalid(f"gamma takes 2 to {SPEARMAN_MAX_N} sample sizes in n_list (its exact Spearman "
+                            f"test ranks them and enumerates n! rankings), got {len(cfg.n_list)}")
     fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
                                  seed=split_seed(cfg.seed, "fpk"))
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)

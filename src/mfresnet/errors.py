@@ -17,13 +17,8 @@ class DimensionMismatch(MfresnetError):
     """Array shapes are inconsistent with the declared dimensions."""
 
 
-class GridTooSmall(MfresnetError):
-    """A time grid needs at least two nodes."""
-
-
 class GridMismatch(MfresnetError):
-    """A grid is not uniform, or a control's interval count or horizon does
-    not match the simulation."""
+    """A control's interval count or horizon does not match the simulation."""
 
 
 class ScalarConfigRequired(MfresnetError):

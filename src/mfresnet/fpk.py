@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight, ScalarConfigRequired
-from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_real
+from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_positive, require_real
 from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
 
@@ -40,8 +40,9 @@ class FixedPointConfig:
     seed_policy: str = "fixed"   # "fixed": same MC seed each iteration; "refresh": new seed per iteration
 
     def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise NonPositiveWeight("damping must lie in (0, 1]")
+        require_positive("fixed_point.damping", self.damping, NonPositiveWeight)
+        if self.damping > 1.0:
+            raise NonPositiveWeight(f"fixed_point.damping must lie in (0, 1], got {self.damping!r}")
         if self.mc_paths < 1:
             raise NonPositiveWeight("mc_paths must be >= 1")
         if self.seed_policy not in ("fixed", "refresh"):
@@ -129,12 +130,12 @@ def solve_tridiagonal(ab, rhs) -> np.ndarray:
     return np.array(cols).T.reshape(rhs.shape)   # column-major, as solve_banded returns it
 
 
-def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float,
-                      k_theta: float = np.inf) -> ControlGrid:
+def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float) -> ControlGrid:
     """Solve lambda1 theta - lambda2 theta'' = G with theta'(0) = theta'(T) = 0.
 
     Central second differences with symmetric ghost nodes at the ends; the
-    tridiagonal system is strictly diagonally dominant for lambda1 > 0.
+    tridiagonal system is strictly diagonally dominant for lambda1 > 0.  The
+    path, on G's grid, is not clamped into the model's box.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise NonPositiveWeight("lambda1 and lambda2 must be positive")
@@ -149,7 +150,7 @@ def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float,
     ab[0, 1] = -2.0 * r   # ghost closure at t=0
     ab[2, -2] = -2.0 * r  # ghost closure at t=T
     theta = solve_tridiagonal(ab, G.values)
-    return ControlGrid(t_grid=t, values=theta, k_theta=k_theta)
+    return ControlGrid(float(t[-1]), theta)
 
 
 def neumann_derivatives(theta: ControlGrid):
@@ -175,7 +176,7 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")
-    theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
     noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed) if fixed else None
@@ -183,7 +184,7 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     for it in range(cfg.outer_iters):
         seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")
         G = estimate_G(theta, p, law, cfg.mc_paths, seed_it, draws=draws, noise=noise)
-        cand = project_to_box(solve_neumann_bvp(G, p.lambda1, p.lambda2, k_theta=p.k_theta))
+        cand = project_to_box(solve_neumann_bvp(G, p.lambda1, p.lambda2), p.k_theta)
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))
         trace.append(change)

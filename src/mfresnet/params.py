@@ -15,17 +15,11 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    ConfigInvalid,
-    DimensionMismatch,
-    GridMismatch,
-    GridTooSmall,
-    NonPositiveWeight,
-)
+from .errors import BoundViolation, ConfigInvalid, DimensionMismatch, NonPositiveWeight
 from .rng import make_generator
 
 _ACTIVATION_KINDS = ("tanh", "sigmoid", "gaussian", "zero", "constant", "affine")
@@ -210,26 +204,23 @@ class ActivationSpec:
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Piecewise-linear weight path on a uniform depth grid, clamped to a box;
-    or a batch of B such paths on one grid, one per independent problem.
-    values of any other rank is a DimensionMismatch."""
+    """Piecewise-linear weight path by its values at the nodes of the uniform
+    grid of [0, horizon], one row per node (the box is the model's); or a batch
+    of B such paths on one grid, one per independent problem.  values of any
+    other rank, or with fewer than two nodes, is a DimensionMismatch."""
 
-    t_grid: np.ndarray   # (M+1,)
+    horizon: float
     values: np.ndarray   # (M+1, m), or (B, M+1, m) for a batch
-    k_theta: float = 10.0
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise GridTooSmall("control grid needs at least two nodes")
-        if v.ndim not in (2, 3) or v.shape[-2] != t.size:
-            raise DimensionMismatch("values must be (M+1, m) or (B, M+1, m), one row per grid node")
-        steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12) or steps[0] <= 0:
-            raise GridMismatch("grid must be uniform and increasing")
-        object.__setattr__(self, "t_grid", t)
+        if v.ndim not in (2, 3) or v.shape[-2] < 2:
+            raise DimensionMismatch("values must be (M+1, m) or (B, M+1, m), one row per grid node, M >= 1")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def t_grid(self):
+        return np.linspace(0.0, self.horizon, self.values.shape[-2])
 
     @property
     def dt(self):
@@ -245,25 +236,21 @@ class ControlGrid:
         return self.values.shape[0] if self.values.ndim == 3 else 1
 
     @property
-    def horizon(self):
-        return float(self.t_grid[-1])
-
-    @property
     def n_intervals(self):
-        return self.t_grid.size - 1
+        return self.values.shape[-2] - 1
 
     def with_values(self, values):
-        return replace(self, values=np.asarray(values, dtype=float))
+        return replace(self, values=values)
 
     @classmethod
-    def zeros(cls, horizon, n_intervals, m=2, k_theta=10.0):
-        t = np.linspace(0.0, horizon, n_intervals + 1)
-        return cls(t_grid=t, values=np.zeros((n_intervals + 1, m)), k_theta=k_theta)
+    def zeros(cls, horizon, n_intervals, m=2):
+        return cls(horizon, np.zeros((n_intervals + 1, m)))
 
 
-def project_to_box(c: ControlGrid) -> ControlGrid:
-    """Coordinatewise clamp of the weight path into [-k_theta, k_theta]."""
-    clipped = np.clip(c.values, -c.k_theta, c.k_theta)
+def project_to_box(c: ControlGrid, k_theta: float) -> ControlGrid:
+    """Coordinatewise clamp of the weight path into the model's box
+    [-k_theta, k_theta]; c itself when it already lies there."""
+    clipped = np.clip(c.values, -k_theta, k_theta)
     if np.array_equal(clipped, c.values):
         return c
     return c.with_values(clipped)

@@ -83,7 +83,7 @@ def control_nodes(theta: ControlGrid):
     """theta's node values as (S+1, m, B, 1, 1): entry [k][j] is weight j of
     each problem at node k, shaped to broadcast over a (B, N, d) block of
     particles."""
-    values = theta.values.reshape(theta.n_problems, theta.t_grid.size, theta.m)
+    values = theta.values.reshape(theta.n_problems, theta.n_intervals + 1, theta.m)
     return np.moveaxis(values, 0, -1)[..., None, None]
 
 

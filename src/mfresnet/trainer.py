@@ -205,7 +205,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     """
     seeds = problem_seeds(seed)
     n = len(samples) // len(seeds)
-    zero = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m, k_theta=p.k_theta)
+    zero = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
     values = np.zeros((len(seeds),) + zero.values.shape)
     noises = replication_noise(p, n, cfg.n_intervals, seeds, cfg.replications)
 
@@ -231,7 +231,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
                 raise NoDescentProgress(f"line search floor reached at grad_norm={gnorm[b]:.3e}",
                                         seed=seeds[b], iteration=len(history[b]) - 1)
         rows = slice(None) if len(active) == len(seeds) else problem_rows(active, n)
-        cand = project_to_box(zero.with_values(values[active] - step[active, None, None] * direction[active]))
+        cand = project_to_box(zero.with_values(values[active] - step[active, None, None] * direction[active]), p.k_theta)
         cand_vals, ensembles = _replicate(
             p, cand, SampleBatch(samples.x0[rows], samples.y0[rows], samples.z0[rows]), type_vector,
             [seeds[b] for b in active], [noise[rows] for noise in noises])

@@ -17,9 +17,9 @@ from mfresnet.errors import SizeMismatch
 from mfresnet.fpk import neumann_derivatives
 
 
-def in_box(theta):
-    """Whether every control value lies in [-k_theta, k_theta]."""
-    return bool(np.all(np.abs(theta.values) <= theta.k_theta + 1e-15))
+def in_box(theta, k_theta):
+    """Whether every control value lies in the model's box [-k_theta, k_theta]."""
+    return bool(np.all(np.abs(theta.values) <= k_theta + 1e-15))
 
 
 def dirac_law(x0, y0, type_vector, z0=()):

@@ -250,6 +250,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"n_particles": 20, "train": {"n_intervals": 4, "shrink": 1.0, "step_size": 1e9}},
          "NonPositiveWeight"),
         ("solve-limit", {"fixed_point": {"mc_paths": 0}}, "NonPositiveWeight"),
+        ("solve-limit", {"fixed_point": {"damping": 0}}, "NonPositiveWeight"),
+        ("solve-limit", {"fixed_point": {"damping": 1.5}}, "NonPositiveWeight"),
         ("train", {"train": {"max_iters": "5"}}, "ConfigInvalid"),
         ("train", {"train": {"n_intervals": 2.5}}, "ConfigInvalid"),
         ("solve-limit", {"fixed_point": {"outer_iters": "3"}}, "ConfigInvalid"),
@@ -273,9 +275,15 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("simulate", {"seed": True}, "ConfigInvalid"),
         ("simulate", {"model": dict(_default_section("model"), alpha=True)}, "ConfigInvalid"),
         ("simulate", {"model": dict(_default_section("model"), dims={"p": True})}, "ConfigInvalid"),
+        ("solve-limit", {"fixed_point": {"damping": True}}, "ConfigInvalid"),
+        ("simulate", {"dump_trajectories": "no"}, "ConfigInvalid"),
+        # an output directory that is not a non-empty path
+        ("simulate", {"out": 5}, "ConfigInvalid"),
+        ("simulate", {"out": ""}, "ConfigInvalid"),
         # JSON NaN, which every comparison with a bound lets through
         ("train", {"train": {"step_size": math.nan}}, "NonPositiveWeight"),
         ("train", {"train": {"grad_tol": math.nan}}, "NonPositiveWeight"),
+        ("solve-limit", {"fixed_point": {"damping": math.nan}}, "NonPositiveWeight"),
         ("simulate", {"model": dict(_default_section("model"), K=math.nan)}, "BoundViolation"),
         ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
         # a bad enumeration value, and an unknown key inside the type vector
@@ -295,6 +303,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, (command, bad)
         assert error in err and "Traceback" not in err, (command, bad, err)
+    # damping 1 is the undamped map, and valid
+    assert ExperimentConfig.from_dict({"fixed_point": {"damping": 1.0}}).fixed_point.damping == 1.0
     # a config file that is not JSON, and one that does not exist
     cfgfile.write_text("{not json")
     for path in (cfgfile, tmp_path / "missing.json"):
@@ -305,13 +315,16 @@ def test_main_reports_domain_errors(tmp_path, capsys):
 
 
 def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):
-    """The exact Spearman test enumerates n! rankings, so gamma refuses more
-    than eight sample sizes before doing any work."""
-    start = time.perf_counter()
-    code = main(["gamma", "--out", str(tmp_path / "o"), "--n-list", "1,2,3,4,5,6,7,8,9"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 1
-    assert "ConfigInvalid" in capsys.readouterr().err
+    """The exact Spearman test ranks the sample sizes and enumerates n!
+    rankings, so gamma refuses fewer than two or more than eight sample
+    sizes before doing any work."""
+    for n_list in ("1,2,3,4,5,6,7,8,9", "20"):
+        start = time.perf_counter()
+        code = main(["gamma", "--out", str(tmp_path / "o"), "--n-list", n_list])
+        assert time.perf_counter() - start < 1.0, n_list
+        assert code == 1, n_list
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and "Traceback" not in err, (n_list, err)
 
 
 def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monkeypatch,

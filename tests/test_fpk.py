@@ -149,7 +149,7 @@ def test_bvp_discrete_maximum_principle():
 
 def test_neumann_derivatives_vanish_for_even_profile():
     t = np.linspace(0.0, 1.0, 101)
-    c = ControlGrid(t, np.stack([np.cos(math.pi * t), np.cos(math.pi * t)], axis=1))
+    c = ControlGrid(1.0, np.stack([np.cos(math.pi * t), np.cos(math.pi * t)], axis=1))
     d0, dT = neumann_derivatives(c)
     assert np.max(d0) < 1e-3 and np.max(dT) < 1e-3
 
@@ -163,9 +163,10 @@ def _dirac_noise_free_law():
     return dirac_law(x0=[1.2], y0=[0.3], type_vector=tv)
 
 
-def _theta_profile(t, k_theta):
+def _theta_profile(t):
+    """A smooth control on the uniform grid t of [0, t[-1]]."""
     vals = np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1)
-    return ControlGrid(t, vals, k_theta=k_theta)
+    return ControlGrid(t[-1], vals)
 
 
 def _g_oracle(p, t_nodes, x0, y):
@@ -203,7 +204,7 @@ def test_estimate_g_matches_quadrature_oracle(scalar_params):
     errs = []
     for n_steps in (100, 200, 400):
         t = np.linspace(0.0, p.T, n_steps + 1)
-        theta = _theta_profile(t, p.k_theta)
+        theta = _theta_profile(t)
         G = estimate_G(theta, p, law, 4, 0)
         oracle = _g_oracle(p, t, 1.2, 0.3)
         errs.append(np.max(np.abs(G.values - oracle)))
@@ -223,7 +224,7 @@ def test_estimate_g_agrees_with_adjoint_route(scalar_params):
     diffs = []
     for n_steps in (100, 200, 400):
         t = np.linspace(0.0, p.T, n_steps + 1)
-        theta = _theta_profile(t, p.k_theta)
+        theta = _theta_profile(t)
         _, grad = value_and_gradient(p, theta, samples, types, 0)
         w = _trapezoid_weights(t)
         h1g = np.zeros_like(theta.values)
@@ -238,14 +239,13 @@ def test_estimate_g_agrees_with_adjoint_route(scalar_params):
 
 
 def test_estimate_g_requires_scalar_configuration(coupled_params, coupled_law):
-    t = np.linspace(0.0, 1.0, 9)
-    theta = ControlGrid.zeros(1.0, 8, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(1.0, 8)
     with pytest.raises(ScalarConfigRequired):
         estimate_G(theta, coupled_params, coupled_law, 4, 0)
 
 
 def test_estimate_g_std_errors_shrink(scalar_params, scalar_law):
-    theta = ControlGrid.zeros(scalar_params.T, 16, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 16)
     small = estimate_G(theta, scalar_params, scalar_law, 200, 1)
     big = estimate_G(theta, scalar_params, scalar_law, 3200, 1)
     assert np.mean(big.std_errors) < 0.5 * np.mean(small.std_errors)
@@ -256,7 +256,7 @@ def test_estimate_g_uses_given_draws_and_noise(scalar_params, scalar_law):
     under the same seed, and the noise passed in is the noise used."""
     p = scalar_params
     t = np.linspace(0.0, p.T, 17)
-    theta = _theta_profile(t, p.k_theta)
+    theta = _theta_profile(t)
     own = estimate_G(theta, p, scalar_law, 300, 7)
     draws = scalar_law.sample(300, 7)
     given = estimate_G(theta, p, scalar_law, 300, 7, draws=draws, noise=euler_noise(p, 300, 16, 7))
@@ -316,7 +316,7 @@ def test_estimate_g_equals_augmented_recursion(scalar_params, scalar_law, kind):
     for p, law, n_steps, m in ((p1, scalar_law, 32, 400), (p1, scalar_law, 16, 300),
                                (p1, scalar_law, 8, 1), (p3, law3, 16, 200)):
         t = np.linspace(0.0, p.T, n_steps + 1)
-        theta = _theta_profile(t, p.k_theta)
+        theta = _theta_profile(t)
         G = estimate_G(theta, p, law, m, 4)
         noise = noise_table(4, np.arange(m), n_steps, t[1] - t[0], p.dims.p)
         values, std_errors = _augmented_recursion_G(theta, p, law.sample(m, 4), n_steps, noise)
@@ -350,7 +350,7 @@ def test_fixed_point_refresh_policy_converges(scalar_params, scalar_law):
     cfg = FixedPointConfig(mc_paths=4000, outer_iters=150, seed=6,
                            seed_policy="refresh", outer_tol=5e-3)
     theta, _ = fixed_point_solve(scalar_params, scalar_law, cfg)
-    assert in_box(theta)
+    assert in_box(theta, scalar_params.k_theta)
 
 
 def test_fixed_point_solution_in_box(scalar_params, scalar_law):

@@ -233,7 +233,7 @@ def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypa
     monkeypatch.setattr(TestFunction, "derivs", recorded)
     p = coupled_params
     samples, types = coupled_law.sample(300, 4)
-    fpk_residual(simulate_particles(p, ControlGrid.zeros(p.T, 20, k_theta=p.k_theta), samples, types, 20, 4), phi, p)
+    fpk_residual(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4), phi, p)
     assert len(gathered) == 2
     for w in gathered:
         for col in range(w.shape[1]):
@@ -360,7 +360,7 @@ def test_generator_cross_term_matches_ito_expansion():
     # Monte Carlo confirmation of the Ito constant
     law = dirac_law(x0=[0.5], y0=[0.0], z0=[0.3], type_vector=tv)
     samples, types = law.sample(200000, 0)
-    theta = ControlGrid.zeros(p.T, 1, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 1)
     ens = simulate_particles(p, theta, samples, types, 1, 12)
     inc = ens.X[:, 1, 0] * ens.Z[:, 1, 0] - ens.X[:, 0, 0] * ens.Z[:, 0, 0]
     dt = ens.dt
@@ -374,7 +374,7 @@ def test_generator_cross_term_matches_ito_expansion():
 
 def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
     samples, types = scalar_law.sample(20, 1)
-    theta = ControlGrid.zeros(scalar_params.T, 16, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 16)
     ens = simulate_particles(scalar_params, theta, samples, types, 16, 1)
     phi = constant_test_function(1, 0)
     sup, res = fpk_residual(ens, phi, scalar_params)
@@ -390,8 +390,7 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
     for n_steps in (16, 64, 256):
         samples, types = quiet_scalar_law.sample(50, 2)
         t = np.linspace(0.0, scalar_params.T, n_steps + 1)
-        theta = ControlGrid(t, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1),
-                            k_theta=scalar_params.k_theta)
+        theta = ControlGrid(scalar_params.T, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1))
         ens = simulate_particles(scalar_params, theta, samples, types, n_steps, 2)
         sup, _ = fpk_residual(ens, phi, scalar_params)
         sups.append(sup)
@@ -406,8 +405,7 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     per-block derivative code, so the joint (x, z) calculus reproduces it."""
     p = coupled_params
     t = np.linspace(0.0, p.T, 21)
-    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = coupled_law.sample(200, 7)
     ens = simulate_particles(p, theta, samples, types, 20, 7)
     phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
@@ -465,8 +463,7 @@ def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support,
                              z_low=[-0.5] * q, z_high=[0.5] * q, type_vector=tv)
     n, n_steps = 300, 20
     t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = law.sample(n, 5)
     ens = simulate_particles(p, theta, samples, types, n_steps, 5)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
@@ -498,8 +495,7 @@ def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law):
     n, n_steps = 300, 20
     assert (n_steps + 1) % (measures._BLOCK_ROWS // n) != 0
     t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = coupled_law.sample(n, 4)
     ens = simulate_particles(p, theta, samples, types, n_steps, 4)
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
@@ -518,8 +514,7 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
     p = coupled_params
     n_steps = 20
     t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = coupled_law.sample(300, 4)
     quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
                        sigma=np.zeros_like(types.sigma))
@@ -537,7 +532,7 @@ def test_residual_without_diffusion_builds_no_hessian(coupled_params, coupled_la
     fpk_residual neither allocates nor fills a Hessian, of the polynomial or
     of the cutoff; with diffusion it builds both."""
     p = coupled_params
-    theta = ControlGrid.zeros(p.T, 10, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 10)
     samples, types = coupled_law.sample(300, 4)
     quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
                        sigma=np.zeros_like(types.sigma))
@@ -575,7 +570,7 @@ def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
     DimensionMismatch, not as a numpy broadcasting error."""
     p = coupled_params
     samples, types = coupled_law.sample(40, 3)
-    theta = ControlGrid.zeros(p.T, 10, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 10)
     batch = theta.with_values(np.zeros((2,) + theta.values.shape))
     ens = simulate_particles(p, batch, samples, types, 10, [3, 4])
     assert (ens.n_problems, ens.n_particles) == (2, 20)

@@ -49,7 +49,7 @@ def test_cost_breakdown_total():
 def test_sampled_objective_closed_form(scalar_params):
     p, law = _frozen_setup(scalar_params)
     samples, types = law.sample(4, 0)
-    theta = ControlGrid.zeros(p.T, 8, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 8)
     ens = simulate_particles(p, theta, samples, types, 8, 0)
     bd = evaluate_JN(ens, p)
     assert bd.terminal == pytest.approx(p.alpha)
@@ -63,8 +63,7 @@ def test_control_costs_constant_path(scalar_params):
     samples, types = law.sample(1, 0)
     n = 8
     t = np.linspace(0.0, p.T, n + 1)
-    theta = ControlGrid(t, np.stack([2.0 * np.ones_like(t), np.zeros_like(t)], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([2.0 * np.ones_like(t), np.zeros_like(t)], axis=1))
     ens = simulate_particles(p, theta, samples, types, n, 0)
     bd = evaluate_JN(ens, p)
     assert bd.control_l2 == pytest.approx(p.lambda1 * 4.0 * p.T)
@@ -73,7 +72,7 @@ def test_control_costs_constant_path(scalar_params):
 
 def test_limit_objective_matches_closed_form(scalar_params):
     p, law = _frozen_setup(scalar_params)
-    theta = ControlGrid.zeros(p.T, 16, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 16)
     est, se = evaluate_Jd(theta, p, law, 64, 3)
     assert est == pytest.approx(p.alpha + p.beta * p.T)
     assert se == 0.0
@@ -82,7 +81,7 @@ def test_limit_objective_matches_closed_form(scalar_params):
 def test_limit_objective_equals_sampled_for_shared_draws(scalar_params, scalar_law):
     """For the decoupled drift the limiting estimator over M draws is exactly
     the sampled objective of the M-particle system with the same seed."""
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 8)
     seed = 17
     est, _ = evaluate_Jd(theta, scalar_params, scalar_law, 32, seed)
     samples, types = scalar_law.sample(32, seed)
@@ -106,14 +105,14 @@ def test_objectives_have_the_bytes_of_the_summed_state_error(d):
                              type_vector=tv)
     t = np.linspace(0.0, p.T, 9)
     values = np.random.default_rng(d).uniform(-1.0, 1.0, size=(2, 9, 2))
-    batch = ControlGrid(t, values, k_theta=p.k_theta)
+    batch = ControlGrid(p.T, values)
     ens = simulate_particles(p, batch, SampleBatch.stack([law.sample(12, s)[0] for s in (5, 6)]), tv, 8, [5, 6])
     sq = np.mean(_squared_error_oracle(ens).reshape(2, 12, -1), axis=1)
     expected = np.stack([p.alpha * sq[:, -1], p.beta * np.trapezoid(sq, t, axis=-1)], axis=1)
     costs = evaluate_JN(ens, p)
     assert np.array([[bd.terminal, bd.running_state] for bd in costs]).tobytes() == expected.tobytes()
 
-    theta = ControlGrid(t, values[0], k_theta=p.k_theta)
+    theta = ControlGrid(p.T, values[0])
     ens = simulate_particles(p, theta, *law.sample(40, 7), 8, 7)
     sq = _squared_error_oracle(ens)
     per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, t, axis=1)

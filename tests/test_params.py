@@ -21,7 +21,6 @@ from mfresnet.errors import (
     BoundViolation,
     ConfigInvalid,
     DimensionMismatch,
-    GridMismatch,
     NonPositiveWeight,
 )
 from mfresnet.params import check_law, check_type, sum_last
@@ -209,38 +208,35 @@ def test_eval_drift_matches_batched(scalar_params):
 def test_control_grid_interpolation():
     t = np.linspace(0.0, 1.0, 5)
     vals = np.stack([t, 2 * t], axis=1)
-    c = ControlGrid(t, vals)
+    c = ControlGrid(1.0, vals)
     assert c.n_intervals == 4 and c.horizon == 1.0
+    assert c.t_grid.tobytes() == t.tobytes()
     slopes = np.diff(c.values, axis=0) / c.dt
     assert np.allclose(slopes, np.tile([1.0, 2.0], (4, 1)))
 
 
-def test_control_grid_rejects_nonuniform():
-    with pytest.raises(GridMismatch):
-        ControlGrid(np.array([0.0, 0.1, 0.5]), np.zeros((3, 2)))
-
-
 def test_control_grid_values_are_one_path_or_a_batch():
-    """values is (M+1, m) or (B, M+1, m); every other shape is refused."""
-    t = np.linspace(0.0, 1.0, 3)
-    for shape in ((), (3,), (2, 2), (1, 1, 3, 2)):
+    """values is (M+1, m) or (B, M+1, m) with M >= 1; every other shape,
+    one-node paths and batches included, is refused."""
+    for shape in ((), (3,), (1, 2), (3, 1, 2), (1, 1, 3, 2)):
         with pytest.raises(DimensionMismatch):
-            ControlGrid(t, np.zeros(shape))
+            ControlGrid(1.0, np.zeros(shape))
+    assert ControlGrid(1.0, np.zeros((2, 2))).n_intervals == 1
+    assert ControlGrid(1.0, np.zeros((3, 2, 2))).n_problems == 3
 
 
 def test_project_to_box_clamps():
-    c = ControlGrid(np.linspace(0, 1, 3), np.array([[3.0, -3.0], [0.5, 0.0], [1.0, 1.0]]),
-                    k_theta=1.0)
-    proj = project_to_box(c)
-    assert in_box(proj)
+    c = ControlGrid(1.0, np.array([[3.0, -3.0], [0.5, 0.0], [1.0, 1.0]]))
+    proj = project_to_box(c, 1.0)
+    assert in_box(proj, 1.0)
     assert np.allclose(proj.values, [[1.0, -1.0], [0.5, 0.0], [1.0, 1.0]])
     # already-feasible grids are returned unchanged
-    assert project_to_box(proj) is proj
+    assert project_to_box(proj, 1.0) is proj
 
 
 def test_control_h1_norms_linear_path():
     t = np.linspace(0.0, 2.0, 9)
-    c = ControlGrid(t, np.stack([3.0 * t, np.zeros_like(t)], axis=1))
+    c = ControlGrid(2.0, np.stack([3.0 * t, np.zeros_like(t)], axis=1))
     l2_sq, h1_sq = control_h1_norms(c)
     # trapezoid rule is exact-ish for t^2 up to the standard h^2 correction
     assert abs(l2_sq - 24.0) < 0.6
@@ -251,7 +247,7 @@ def test_control_h1_norms_linear_path():
 @given(st.integers(2, 20), st.floats(0.1, 5.0))
 def test_h1_norms_nonnegative_and_zero_for_constant(n_nodes, horizon):
     t = np.linspace(0.0, horizon, n_nodes)
-    c = ControlGrid(t, np.full((n_nodes, 2), 0.7))
+    c = ControlGrid(horizon, np.full((n_nodes, 2), 0.7))
     l2_sq, h1_sq = control_h1_norms(c)
     assert l2_sq >= 0.0 and h1_sq == 0.0
     assert abs(l2_sq - 2 * 0.49 * horizon) < 1e-9

@@ -36,14 +36,14 @@ def _scalar_batch(*x0):
 
 def test_simulation_requires_one_step_per_control_interval(scalar_params, scalar_law):
     samples, types = scalar_law.sample(3, 0)
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 8)
     with pytest.raises(GridMismatch):
         simulate_particles(scalar_params, theta, samples, types, 16, 0)
 
 
 def test_simulation_requires_the_model_horizon(scalar_params, scalar_law):
     samples, types = scalar_law.sample(3, 0)
-    theta = ControlGrid.zeros(2.0 * scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(2.0 * scalar_params.T, 8)
     with pytest.raises(GridMismatch):
         simulate_particles(scalar_params, theta, samples, types, 8, 0)
 
@@ -52,7 +52,7 @@ def test_ensemble_records_its_control_and_batch_statistic(coupled_params, couple
     """The ensemble carries the control that drove it, and eta at every node
     including the last is the batch mean of rho over the particles there."""
     samples, types = coupled_law.sample(4, 3)
-    theta = ControlGrid.zeros(coupled_params.T, 6, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(coupled_params.T, 6)
     ens = simulate_particles(coupled_params, theta, samples, types, 6, 2)
     assert ens.theta is theta
     assert np.array_equal(ens.t_grid, theta.t_grid) and ens.dt == theta.dt
@@ -80,7 +80,7 @@ def test_affine_drift_matches_explicit_recursion(scalar_params):
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"))
     n_steps = 16
     t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.8 * np.ones_like(t), -0.3 * np.ones_like(t)], axis=1))
+    theta = ControlGrid(p.T, np.stack([0.8 * np.ones_like(t), -0.3 * np.ones_like(t)], axis=1))
     samples = _scalar_batch(1.2)
     ens = simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 0)
     dt = p.T / n_steps
@@ -98,7 +98,7 @@ def test_no_diffusion_draws_no_noise(coupled_params, coupled_law, monkeypatch):
     quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
                        sigma=np.zeros_like(types.sigma))
     t = np.linspace(0.0, p.T, 9)
-    theta = ControlGrid(t, np.stack([np.cos(t), 0.5 - t], axis=1), k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([np.cos(t), 0.5 - t], axis=1))
     drawn = simulate_particles(p, theta, samples, quiet, 8, 2, noise=euler_noise(p, 30, 8, 2))
 
     def refuse(*args, **kwargs):
@@ -123,7 +123,7 @@ def test_input_only_diffusion_draws_noise(coupled_params, coupled_law, monkeypat
                        sigma=np.zeros_like(types.sigma))
     assert types.sigma.any() and input_only.diffuses
     t = np.linspace(0.0, p.T, 9)
-    theta = ControlGrid(t, np.stack([np.cos(t), 0.5 - t], axis=1), k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([np.cos(t), 0.5 - t], axis=1))
     still = simulate_particles(p, theta, samples, quiet, 8, 2)
     drawn = []
 
@@ -151,7 +151,7 @@ def test_drift_without_batch_coupling_never_evaluates_rho(scalar_params, scalar_
     monkeypatch.setattr(ModelParams, "rho_grad", refuse)
     p = scalar_params
     samples = SampleBatch.stack([scalar_law.sample(20, s)[0] for s in (1, 2)])
-    theta = ControlGrid.zeros(p.T, 8, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, 8)
     batch = theta.with_values(np.stack([theta.values + 0.5, theta.values - 0.5]))
     ens = simulate_particles(p, batch, samples, scalar_law.type_vector, 8, [1, 2])
     assert ens.eta is None and ens.problems([1]).eta is None
@@ -161,7 +161,7 @@ def test_drift_without_batch_coupling_never_evaluates_rho(scalar_params, scalar_
 
 def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scalar_law):
     samples, types = scalar_law.sample(4, 11)
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 8)
     full = simulate_particles(scalar_params, theta, samples, types, 8, 5)
     # resimulating only the last particle on the noise keyed by its id, 3, matches exactly
     last = SampleBatch(samples.x0[3:], samples.y0[3:], samples.z0[3:])
@@ -174,7 +174,7 @@ def test_state_and_input_share_the_increment(coupled_params, coupled_law):
     """Both equations of a particle are driven by the same Brownian path."""
     samples, types = coupled_law.sample(3, 2)
     n_steps = 6
-    theta = ControlGrid.zeros(coupled_params.T, n_steps, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(coupled_params.T, n_steps)
     ens = simulate_particles(coupled_params, theta, samples, types, n_steps, 9)
     dt = ens.dt
     table = noise_table(9, np.arange(3), n_steps, dt, coupled_params.dims.p)
@@ -191,7 +191,7 @@ def test_state_and_input_share_the_increment(coupled_params, coupled_law):
 def test_batch_coupling_feeds_the_drift(coupled_params, coupled_law):
     """Changing one particle's start changes every other particle's path."""
     samples, types = coupled_law.sample(4, 1)
-    theta = ControlGrid.zeros(coupled_params.T, 8, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(coupled_params.T, 8)
     base = simulate_particles(coupled_params, theta, samples, types, 8, 2)
     x0 = samples.x0.copy()
     x0[0] += 0.5
@@ -205,14 +205,14 @@ def test_limit_sde_decouples_without_batch_coupling(scalar_params, scalar_law):
     more paths never changes existing ones."""
     draws_small = scalar_law.sample(3, 7)
     draws_big = scalar_law.sample(6, 7)
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 8)
     small = simulate_particles(scalar_params, theta, *draws_small, 8, 1)
     big = simulate_particles(scalar_params, theta, *draws_big, 8, 1)
     assert np.array_equal(big.X[:3], small.X)
 
 
 def test_augmented_requires_scalar_configuration(coupled_params, coupled_law):
-    theta = ControlGrid.zeros(coupled_params.T, 4, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(coupled_params.T, 4)
     with pytest.raises(ScalarConfigRequired):
         simulate_augmented(coupled_params, theta, coupled_law.sample(2, 0), 4, 0)
 
@@ -222,8 +222,7 @@ def test_augmented_state_matches_particle_state(scalar_params, scalar_law):
     draws = scalar_law.sample(5, 3)
     n_steps = 12
     t = np.linspace(0.0, scalar_params.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.4 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1),
-                        k_theta=scalar_params.k_theta)
+    theta = ControlGrid(scalar_params.T, np.stack([0.4 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1))
     aug, _, _, _ = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
     ens = simulate_particles(scalar_params, theta, draws[0], draws[1], n_steps, 8)
     assert np.allclose(aug.X[:, :, 0], ens.X[:, :, 0], atol=1e-14)
@@ -234,8 +233,7 @@ def test_augmented_recursions(scalar_params, scalar_law):
     draws = scalar_law.sample(4, 5)
     n_steps = 10
     t = np.linspace(0.0, scalar_params.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([0.6 * np.ones_like(t), -0.2 * np.ones_like(t)], axis=1),
-                        k_theta=scalar_params.k_theta)
+    theta = ControlGrid(scalar_params.T, np.stack([0.6 * np.ones_like(t), -0.2 * np.ones_like(t)], axis=1))
     ens, X1, X2, _ = simulate_augmented(scalar_params, theta, draws, n_steps, 8)
     X3, Y0 = ens.X[:, :, 0], ens.y0[:, 0]
     dt = t[1] - t[0]
@@ -255,8 +253,7 @@ def test_divergence_raises(scalar_params):
                             k_theta=1e9)
     n_steps = 64
     t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(t, np.stack([1e8 * np.ones_like(t), np.zeros_like(t)], axis=1),
-                        k_theta=p.k_theta)
+    theta = ControlGrid(p.T, np.stack([1e8 * np.ones_like(t), np.zeros_like(t)], axis=1))
     samples = _scalar_batch(0.0, 1.0)
     dt = t[1] - t[0]
     x, first = 1.0, 0
@@ -275,16 +272,15 @@ def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
                             k_theta=1e9)
     n_steps = 64
-    t = np.linspace(0.0, p.T, n_steps + 1)
     values = np.zeros((2, n_steps + 1, 2))
     values[1, :, 0] = 1e8
     samples = _scalar_batch(0.5, 0.7, 0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Diverged) as batch:
-            simulate_particles(p, ControlGrid(t, values, k_theta=p.k_theta), samples,
+            simulate_particles(p, ControlGrid(p.T, values), samples,
                                _quiet_type(p), n_steps, [3, 8])
         with pytest.raises(Diverged) as alone:
-            simulate_particles(p, ControlGrid(t, values[1], k_theta=p.k_theta), _scalar_batch(0.0, 1.0),
+            simulate_particles(p, ControlGrid(p.T, values[1]), _scalar_batch(0.0, 1.0),
                                _quiet_type(p), n_steps, 8)
     assert (batch.value.seed, batch.value.particle) == (8, 1)
     assert batch.value.step == alone.value.step
@@ -292,7 +288,7 @@ def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
 
 def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
     samples, types = coupled_law.sample(3, 4)
-    theta = ControlGrid.zeros(coupled_params.T, 5, k_theta=coupled_params.k_theta)
+    theta = ControlGrid.zeros(coupled_params.T, 5)
     ens = simulate_particles(coupled_params, theta, samples, types, 5, 6)
     path = tmp_path / "traj.csv"
     dump_trajectories(ens, path)

@@ -31,6 +31,26 @@ def test_every_library_definition_is_used_in_the_library():
     assert not unused, f"defined in src/mfresnet but never used there: {unused}"
 
 
+def test_every_library_parameter_is_read():
+    """Every parameter of every function, method and lambda in src/mfresnet
+    is read in its body, so a caller that stops reaching a value through it
+    leaves no dead parameter behind."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({name})"
+                       for name in params if name not in read]
+    assert not unread, f"parameters never read: {unread}"
+
+
 def test_library_loads_no_scipy():
     """scipy is a test dependency only: no library module imports it, even
     inside a function, and a fresh `import mfresnet.cli` loads no scipy

@@ -21,9 +21,9 @@ from conftest import dirac_law, in_box
 
 def _control_cost_directional(theta, direction, p):
     w = _trapezoid_weights(theta.t_grid)
-    l2 = 2.0 * p.lambda1 * float(np.sum(w[:, None] * theta.values * direction.values))
+    l2 = 2.0 * p.lambda1 * float(np.sum(w[:, None] * theta.values * direction))
     dthe = np.diff(theta.values, axis=0)
-    ddir = np.diff(direction.values, axis=0)
+    ddir = np.diff(direction, axis=0)
     h1 = 2.0 * p.lambda2 * float(np.sum(dthe * ddir) / theta.dt)
     return l2 + h1
 
@@ -38,7 +38,7 @@ def forward_sensitivity(ensemble, direction, p):
     into the terminal, running and control costs.
     """
     theta = ensemble.theta
-    assert np.array_equal(direction.t_grid, theta.t_grid), "direction must live on the control grid"
+    assert direction.shape == theta.values.shape, "direction must live on the control grid"
     dt = ensemble.dt
     n_steps = ensemble.n_steps
     n = ensemble.n_particles
@@ -56,7 +56,7 @@ def forward_sensitivity(ensemble, direction, p):
         eta = float(np.mean(p.rho_value(xk)))
         dfdx, dftheta, dfeta = act.drift_partials(theta.values[k], zk, xk, eta)
         deta = float(np.mean(np.sum(p.rho_grad(xk) * phi, axis=1)))
-        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, direction.values[k]) + dfeta * deta)
+        phi = phi + dt * (dfdx * phi + np.einsum("ndm,m->nd", dftheta, direction[k]) + dfeta * deta)
     running += w[n_steps] * np.sum(err[:, -1] * phi)
 
     terminal = (2.0 * p.alpha / n) * float(np.sum(err[:, -1] * phi))
@@ -66,10 +66,9 @@ def forward_sensitivity(ensemble, direction, p):
 
 def _setup(p, law, n, n_steps, seed):
     samples, types = law.sample(n, seed)
-    t = np.linspace(0.0, p.T, n_steps + 1)
     gen = np.random.default_rng(seed)
-    theta = ControlGrid(t, gen.uniform(-1, 1, size=(n_steps + 1, 2)), k_theta=p.k_theta)
-    direction = ControlGrid(t, gen.uniform(-1, 1, size=(n_steps + 1, 2)), k_theta=p.k_theta)
+    theta = ControlGrid(p.T, gen.uniform(-1, 1, size=(n_steps + 1, 2)))
+    direction = gen.uniform(-1, 1, size=(n_steps + 1, 2))
     return samples, types, theta, direction
 
 
@@ -92,8 +91,8 @@ def test_forward_sensitivity_matches_finite_differences(coupled_params, coupled_
     ens = simulate_particles(p, theta, samples, types, 12, 1)
     analytic = forward_sensitivity(ens, direction, p)
     h = 1e-6
-    up = theta.with_values(theta.values + h * direction.values)
-    dn = theta.with_values(theta.values - h * direction.values)
+    up = theta.with_values(theta.values + h * direction)
+    dn = theta.with_values(theta.values - h * direction)
     fd = (evaluate_JN(simulate_particles(p, up, samples, types, 12, 1), p).total
           - evaluate_JN(simulate_particles(p, dn, samples, types, 12, 1), p).total) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-6)
@@ -112,7 +111,7 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law, rho
     noises = replication_noise(p, 5, 10, 4, 1)
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
     forward = forward_sensitivity(ens, direction, p)
-    assert float(np.sum(grad * direction.values)) == pytest.approx(forward, rel=1e-10)
+    assert float(np.sum(grad * direction)) == pytest.approx(forward, rel=1e-10)
 
 
 def test_randomized_gradient_checks():
@@ -125,7 +124,7 @@ def test_randomized_gradient_checks():
 def test_precondition_solves_the_control_hessian(scalar_params):
     p = scalar_params
     n = 9
-    theta = ControlGrid.zeros(p.T, n - 1, k_theta=p.k_theta)
+    theta = ControlGrid.zeros(p.T, n - 1)
     w = _trapezoid_weights(theta.t_grid)
     dt = theta.dt
     dense = np.diag(2.0 * p.lambda1 * w)
@@ -149,7 +148,17 @@ def test_training_decreases_the_objective(scalar_params, scalar_law):
     totals = [bd.total for bd in result.history]
     assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
     assert totals[-1] < totals[0]
-    assert in_box(result.theta_star)
+    assert in_box(result.theta_star, scalar_params.k_theta)
+
+
+def test_training_stays_in_a_binding_box(scalar_params, scalar_law):
+    """The box is the model's: under a k_theta small enough to bind, every
+    trained value lies in [-k_theta, k_theta] and some value reaches it."""
+    p = dataclasses.replace(scalar_params, k_theta=0.05)
+    samples, types = scalar_law.sample(64, 5)
+    result = train(p, samples, types, TrainConfig(n_intervals=16, max_iters=40), split_seed(5, "t"))
+    assert in_box(result.theta_star, p.k_theta)
+    assert np.any(np.abs(result.theta_star.values) == p.k_theta)
 
 
 def test_training_is_deterministic(scalar_params, scalar_law):
@@ -164,7 +173,7 @@ def test_training_is_deterministic(scalar_params, scalar_law):
 def test_replication_average(scalar_params, scalar_law):
     """The averaged value equals the mean of the per-replication values."""
     samples, types = scalar_law.sample(16, 1)
-    theta = ControlGrid.zeros(scalar_params.T, 8, k_theta=scalar_params.k_theta)
+    theta = ControlGrid.zeros(scalar_params.T, 8)
     noises = replication_noise(scalar_params, 16, 8, 3, 3)
     avg, _ = value_and_gradient(scalar_params, theta, samples, types, 3, replications=3)
     singles = []
@@ -222,9 +231,8 @@ def test_line_search_floor_names_the_problem(scalar_params):
 def _batched_ensemble(p, law, n, seeds, n_steps):
     """A batch of problems, one per seed, simulated under random controls."""
     draws = [law.sample(n, s) for s in seeds]
-    t = np.linspace(0.0, p.T, n_steps + 1)
     values = np.random.default_rng(seeds[0]).uniform(-1.0, 1.0, size=(len(seeds), n_steps + 1, 2))
-    theta = ControlGrid(t, values, k_theta=p.k_theta)
+    theta = ControlGrid(p.T, values)
     return simulate_particles(p, theta, SampleBatch.stack([s for s, _ in draws]), draws[0][1], n_steps, seeds)
 
 
