@@ -44,7 +44,7 @@ from .params import (
     require_real,
 )
 from .rng import make_generator, split_seed
-from .sde import dump_trajectories, simulate_particles
+from .sde import euler_noise, simulate_particles
 from .trainer import TrainConfig, _adjoint_gradient, train
 
 
@@ -140,18 +140,28 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, lines):
+    """Stream the lines, each with its line ending, into path.tmp and rename it to path."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(lines)
     os.replace(tmp, path)
 
 
-def _csv_text(cfg, columns, rows):
-    lines = [f"# config_hash={cfg.config_hash()}", ",".join(columns)]
+def _csv_lines(cfg, columns, rows):
+    yield f"# config_hash={cfg.config_hash()}\n"
+    yield ",".join(columns) + "\n"
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def _trajectory_lines(ens):
+    """One row per (t, particle), as csv.writer writes them: no field needs quoting, CRLF line ends."""
+    yield ",".join(["t", "particle_id"] + [f"x{j}" for j in range(ens.X.shape[2])]
+                   + [f"z{j}" for j in range(ens.Z.shape[2])]) + "\r\n"
+    for k, t in enumerate(ens.t_grid):
+        for i in range(ens.n_particles):
+            yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
 def _run_units(units, fn, workers):
@@ -219,8 +229,10 @@ def run_simulate(cfg: ExperimentConfig):
     bd = evaluate_JN(ens, p)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
-        "cost.csv": _csv_text(cfg, ["terminal", "running_state", "control_l2", "control_h1", "total"], rows),
+        "cost.csv": _csv_lines(cfg, ["terminal", "running_state", "control_l2", "control_h1", "total"], rows),
     }
+    if cfg.dump_trajectories:
+        outputs["trajectories.csv"] = _trajectory_lines(ens)
     summary = [
         f"simulated {cfg.n_particles} particles over {cfg.n_steps} steps",
         f"pathwise objective {bd.total!r}",
@@ -242,8 +254,8 @@ def run_train(cfg: ExperimentConfig):
     ]
     m = result.theta_star.m
     outputs = {
-        "history.csv": _csv_text(cfg, ["iter", "total", "terminal", "running_state", "control_l2", "control_h1"], hist_rows),
-        "theta.csv": _csv_text(cfg, ["t"] + [f"theta{j}" for j in range(m)], theta_rows),
+        "history.csv": _csv_lines(cfg, ["iter", "total", "terminal", "running_state", "control_l2", "control_h1"], hist_rows),
+        "theta.csv": _csv_lines(cfg, ["t"] + [f"theta{j}" for j in range(m)], theta_rows),
     }
     summary = [
         f"trained on {cfg.n_particles} samples, {len(result.history) - 1} accepted steps",
@@ -265,9 +277,9 @@ def run_solve_limit(cfg: ExperimentConfig):
     ]
     trace_rows = list(enumerate(map(float, trace)))
     outputs = {
-        "theta_star.csv": _csv_text(
+        "theta_star.csv": _csv_lines(
             cfg, ["t"] + [f"theta{j}" for j in range(m)] + [f"G{j}" for j in range(m)], theta_rows),
-        "trace.csv": _csv_text(cfg, ["iter", "sup_change"], trace_rows),
+        "trace.csv": _csv_lines(cfg, ["iter", "sup_change"], trace_rows),
     }
     d0, dT = neumann_derivatives(theta_star)
     summary = [
@@ -317,15 +329,16 @@ def _random_gradcheck_case(case_idx, root_seed):
 def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     """Relative error between the adjoint gradient that train uses, contracted
     with a random direction, and a common-random-number central finite
-    difference, for one randomized configuration."""
+    difference (three simulations of one noise table), for one randomized configuration."""
     p, samples, tv, theta, direction, n_steps, case_seed = _random_gradcheck_case(case_idx, root_seed)
-    ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed)
+    noise = euler_noise(p, len(samples), n_steps, case_seed)
+    ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed, noise=noise)
     analytic = float(np.sum(_adjoint_gradient(ens, p) * direction))
     h = fd_epsilon
     up = theta.with_values(theta.values + h * direction)
     dn = theta.with_values(theta.values - h * direction)
-    j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed), p).total
-    j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed), p).total
+    j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed, noise=noise), p).total
+    j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed, noise=noise), p).total
     fd = (j_up - j_dn) / (2.0 * h)
     rel = abs(analytic - fd) / max(abs(fd), 1e-12)
     return rel, analytic, fd, case_seed
@@ -343,7 +356,7 @@ def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
         rows.append((c, case_seed, analytic, fd, rel))
         worst = max(worst, rel)
     outputs = {
-        "gradcheck.csv": _csv_text(cfg, ["case", "case_seed", "directional_derivative", "central_fd", "rel_error"], rows),
+        "gradcheck.csv": _csv_lines(cfg, ["case", "case_seed", "directional_derivative", "central_fd", "rel_error"], rows),
     }
     summary = [f"gradcheck over {n_cases} configurations, worst relative error {worst!r}"]
     if worst > 1e-3:
@@ -385,7 +398,7 @@ def run_gamma(cfg: ExperimentConfig):
             w2 = wasserstein2_1d(cloud, ref_cloud)
             rows.append((n, draw, min_jn, abs(min_jn - jd), sup_diff, w2))
     outputs = {
-        "gamma.csv": _csv_text(cfg, ["N", "draw", "min_JN", "abs_gap", "theta_supnorm_diff", "w2_terminal"], rows),
+        "gamma.csv": _csv_lines(cfg, ["N", "draw", "min_JN", "abs_gap", "theta_supnorm_diff", "w2_terminal"], rows),
     }
     mean_gap = [float(np.mean([r[3] for r in rows if r[0] == n])) for n in cfg.n_list]
     rho, pval = spearman_negative_p(mean_gap)
@@ -428,6 +441,8 @@ def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
 def run_diagnose_fpk(cfg: ExperimentConfig):
     """Residual decay of the empirical measure against the limiting equation."""
     p = cfg.model
+    if len(cfg.n_list) < 2:
+        raise ConfigInvalid(f"diagnose-fpk fits its slope through 2 or more n_list sizes, got {len(cfg.n_list)}")
     phi = _residual_test_function(cfg)
     theta = _reference_theta(p, cfg.n_steps)
     law = cfg.initial_law
@@ -451,7 +466,7 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
         w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
         rows.append((label, n, s, sup_res, w2))
     outputs = {
-        "diagnose_fpk.csv": _csv_text(cfg, ["case", "N", "seed", "sup_residual", "w2_terminal"], rows),
+        "diagnose_fpk.csv": _csv_lines(cfg, ["case", "N", "seed", "sup_residual", "w2_terminal"], rows),
     }
     mean_res = [float(np.mean([r[3] for r in rows if r[0] == "noisy" and r[1] == n])) for n in cfg.n_list]
     slope = float(np.polyfit(np.log(np.asarray(cfg.n_list, dtype=float)), np.log(mean_res), 1)[0])
@@ -480,18 +495,15 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 def run_experiment(kind: str, cfg: ExperimentConfig):
-    """Run one experiment and write its CSV outputs plus summary.txt."""
+    """Run one experiment and stream each of its outputs, summary.txt last,
+    into name.tmp, renamed to name when written."""
     outputs, summary, payload = EXPERIMENTS[kind](cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    for name, text in outputs.items():
-        _write_atomic(os.path.join(cfg.out, name), text)
-    if kind == "simulate" and cfg.dump_trajectories:
-        dump_trajectories(payload["ensemble"], os.path.join(cfg.out, "trajectories.csv"))
-    summary_text = "\n".join(
-        [f"experiment: {kind}", f"config_hash: {cfg.config_hash()}", f"seed: {cfg.seed}"] + summary
-    ) + "\n"
-    _write_atomic(os.path.join(cfg.out, "summary.txt"), summary_text)
-    return payload, summary_text
+    header = [f"experiment: {kind}", f"config_hash: {cfg.config_hash()}", f"seed: {cfg.seed}"]
+    outputs["summary.txt"] = [f"{line}\n" for line in header + summary]
+    for name, lines in outputs.items():
+        _write_atomic(os.path.join(cfg.out, name), lines)
+    return payload, "".join(outputs["summary.txt"])
 
 
 def build_parser():

@@ -58,7 +58,8 @@ class NoConvergence(MfresnetError):
 
 
 class SizeMismatch(MfresnetError):
-    """Point clouds for exact assignment must have equal (small) size."""
+    """A test function's term does not match (d, q) or exceeds degree 4, or its cutoff
+    radii are not 0 < r_plateau < r_support with r_support**2 - r_plateau**2 finite and > 0."""
 
 
 class GradCheckFailed(MfresnetError):

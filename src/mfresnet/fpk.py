@@ -24,7 +24,6 @@ from .sde import euler_noise, simulate_augmented
 class GridFunction:
     """Node values of a vector function on the control grid, with MC errors."""
 
-    t_grid: np.ndarray     # (M+1,)
     values: np.ndarray     # (M+1, m)
     std_errors: np.ndarray  # (M+1, m)
 
@@ -81,7 +80,7 @@ def estimate_G(theta: ControlGrid, p: ModelParams, law: InitialLaw,
         std_errors = np.std(integrand, axis=0, ddof=1) / math.sqrt(n_paths)
     else:
         std_errors = np.zeros_like(values)
-    return GridFunction(t_grid=ens.t_grid, values=values, std_errors=std_errors)
+    return GridFunction(values=values, std_errors=std_errors)
 
 
 def solve_tridiagonal(ab, rhs) -> np.ndarray:
@@ -130,27 +129,24 @@ def solve_tridiagonal(ab, rhs) -> np.ndarray:
     return np.array(cols).T.reshape(rhs.shape)   # column-major, as solve_banded returns it
 
 
-def solve_neumann_bvp(G: GridFunction, lambda1: float, lambda2: float) -> ControlGrid:
-    """Solve lambda1 theta - lambda2 theta'' = G with theta'(0) = theta'(T) = 0.
+def solve_neumann_bvp(G: GridFunction, p: ModelParams) -> ControlGrid:
+    """Solve the model's lambda1 theta - lambda2 theta'' = G with theta'(0) =
+    theta'(T) = 0 on the grid of [0, T] with one node per row of G.
 
     Central second differences with symmetric ghost nodes at the ends; the
-    tridiagonal system is strictly diagonally dominant for lambda1 > 0.  The
-    path, on G's grid, is not clamped into the model's box.
+    tridiagonal system is strictly diagonally dominant, since lambda1 > 0.
+    The path is not clamped into the model's box.
     """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise NonPositiveWeight("lambda1 and lambda2 must be positive")
-    t = G.t_grid
-    n = t.size
-    h = t[1] - t[0]
-    r = lambda2 / (h * h)
-    ab = np.zeros((3, n))
-    ab[1, :] = lambda1 + 2.0 * r
+    grid = ControlGrid(p.T, G.values)
+    h = grid.dt
+    r = p.lambda2 / (h * h)
+    ab = np.zeros((3, len(G.values)))
+    ab[1, :] = p.lambda1 + 2.0 * r
     ab[0, 1:] = -r
     ab[2, :-1] = -r
     ab[0, 1] = -2.0 * r   # ghost closure at t=0
     ab[2, -2] = -2.0 * r  # ghost closure at t=T
-    theta = solve_tridiagonal(ab, G.values)
-    return ControlGrid(float(t[-1]), theta)
+    return grid.with_values(solve_tridiagonal(ab, G.values))
 
 
 def neumann_derivatives(theta: ControlGrid):
@@ -184,7 +180,7 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     for it in range(cfg.outer_iters):
         seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")
         G = estimate_G(theta, p, law, cfg.mc_paths, seed_it, draws=draws, noise=noise)
-        cand = project_to_box(solve_neumann_bvp(G, p.lambda1, p.lambda2), p.k_theta)
+        cand = project_to_box(solve_neumann_bvp(G, p), p.k_theta)
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))
         trace.append(change)

@@ -306,7 +306,6 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
         gen = generator_apply_batch(dv, w[:, :d], w[:, d:], path.type_vector, theta_rows, eta_rows, p)
         mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)
         mean_gen[nodes] = np.mean(gen.reshape(nk, n), axis=-1)
-    dt = t_grid[1] - t_grid[0]
-    cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
+    cumint = np.concatenate([[0.0], np.cumsum(0.5 * path.dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint
     return float(np.max(np.abs(residual))), residual

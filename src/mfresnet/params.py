@@ -192,11 +192,11 @@ class ActivationSpec:
         """Return (df_dx_diag, df_dtheta, df_deta).
 
         df_dx_diag: (..., d) diagonal of the state Jacobian (cross terms vanish);
-        df_dtheta: (..., d, 2); df_deta: (..., d).
+        df_dtheta: (..., d, m) for the m weights theta[0..m-1]; df_deta: (..., d).
         """
         if self.kind in ("zero", "constant"):
             zeros = np.zeros_like(x)
-            return zeros, np.zeros(x.shape + (2,)), zeros
+            return zeros, np.zeros(x.shape + (len(theta),)), zeros
         gp = self._g_prime(self._preactivation(theta, z, x, eta))
         dtheta = np.stack([gp * x, gp], axis=-1)
         return gp * theta[0], dtheta, gp * self.eta_weight

@@ -11,7 +11,6 @@ that problem's seed, so a problem's paths do not depend on its batch.
 """
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass
 
@@ -214,18 +213,3 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     _check_finite([seed], X1, X2)
     return ens, X1, X2, dtheta_f
 
-
-def dump_trajectories(ensemble: ParticleEnsemble, path):
-    """Columnar CSV dump: one row per (t, particle)."""
-    d = ensemble.X.shape[2]
-    q = ensemble.Z.shape[2]
-    header = ["t", "particle_id"] + [f"x{j}" for j in range(d)] + [f"z{j}" for j in range(q)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, t in enumerate(ensemble.t_grid):
-            for i in range(ensemble.n_particles):
-                row = [repr(float(t)), i]
-                row += [repr(float(v)) for v in ensemble.X[i, k]]
-                row += [repr(float(v)) for v in ensemble.Z[i, k]]
-                writer.writerow(row)

@@ -85,6 +85,71 @@ def residual_first_order(theta, p, law, n_paths, seed):
     return float(np.max(np.abs(interior)) + np.max(d0) + np.max(dT))
 
 
+def _affine_euler_moments(theta, law):
+    """Exact moments of the Euler scheme X_{k+1} = a_k X_k + b_k + eps dW_k of
+    the affine drift (g(u) = u, d = 1), a_k = 1 + theta1_k dt, b_k =
+    theta2_k dt, from a uniform or point-mass initial law with Y independent
+    of X_0 and of the noise: E X_k, E X_k^2, E Y and E Y^2."""
+    v, dt = theta.values, theta.dt
+    a, b = 1.0 + v[:-1, 0] * dt, v[:-1, 1] * dt
+    noise = dt * float(np.sum(law.type_vector.epsilon ** 2))
+
+    def first_two(lo, hi):
+        return (lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0
+
+    m, s = (np.empty(theta.n_intervals + 1) for _ in range(2))
+    m[0], s[0] = first_two(float(law.x_low[0]), float(law.x_high[0]))
+    for k in range(theta.n_intervals):
+        m[k + 1] = a[k] * m[k] + b[k]
+        s[k + 1] = a[k] * a[k] * s[k] + 2.0 * a[k] * b[k] * m[k] + b[k] * b[k] + noise
+    return (m, s) + first_two(float(law.y_low[0]), float(law.y_high[0]))
+
+
+def affine_controls(n_intervals):
+    """Three controls for the affine oracle: zero, a smooth path and a rough one."""
+    t = np.linspace(0.0, 1.0, n_intervals + 1)
+    smooth = np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1)
+    rough = np.random.default_rng(n_intervals).uniform(-1.0, 1.0, size=(n_intervals + 1, 2))
+    return {"zero": np.zeros((n_intervals + 1, 2)), "smooth": smooth, "rough": rough}
+
+
+def affine_exact_Jd(theta, p, law):
+    """The exact limiting objective of the Euler-discretized affine model at
+    theta, the value evaluate_Jd estimates: alpha E|X_S - Y|^2 plus beta
+    times the trapezoid of E|X_k - Y|^2, plus the control costs."""
+    m, s, my, sy = _affine_euler_moments(theta, law)
+    err = s - 2.0 * m * my + sy
+    v, t = theta.values, theta.t_grid
+    control = (p.lambda1 * np.trapezoid(np.sum(v * v, axis=1), t)
+               + p.lambda2 * float(np.sum(np.diff(v, axis=0) ** 2)) / theta.dt)
+    return float(p.alpha * err[-1] + p.beta * np.trapezoid(err, t) + control)
+
+
+def affine_exact_G(theta, p, law):
+    """The exact first-order right-hand side G(theta) of the Euler-discretized
+    affine model, the (S+1, 2) node values estimate_G estimates.  There
+    X1_k = sum_{i<k} theta1_i dt is deterministic, so at node k the weight
+    is -sum_{j>=k} c_kj (X_j - Y), with c_kj = beta exp(X1_j - X1_k) dt for
+    j < S plus alpha exp(X1_S - X1_k) at j = S, and grad_theta f = (X_k, 1);
+    G needs only the two-time moments E X_j X_k = a_{j-1} E X_{j-1} X_k +
+    b_{j-1} E X_k for j > k."""
+    m, s, my, _ = _affine_euler_moments(theta, law)
+    v, dt, n = theta.values, theta.dt, theta.n_intervals
+    a, b = 1.0 + v[:-1, 0] * dt, v[:-1, 1] * dt
+    x1 = np.concatenate([[0.0], np.cumsum(v[:-1, 0] * dt)])
+    G = np.empty((n + 1, 2))
+    for k in range(n + 1):
+        c = p.beta * dt * np.exp(x1[k:] - x1[k])
+        c[-1] = p.alpha * np.exp(x1[n] - x1[k])
+        cross = np.empty(n + 1 - k)   # E X_j X_k for j = k..S
+        cross[0] = s[k]
+        for j in range(k, n):
+            cross[j + 1 - k] = a[j] * cross[j - k] + b[j] * m[k]
+        G[k, 0] = -float(np.sum(c * (cross - my * m[k])))
+        G[k, 1] = -float(np.sum(c * (m[k:] - my)))
+    return G
+
+
 @pytest.fixture
 def scalar_params():
     """Scalar two-weight configuration with moderate costs."""

@@ -73,9 +73,8 @@ def test_criterion_2_bvp_second_order_convergence():
     for n in (40, 80, 160, 320):
         t = np.linspace(0.0, T, n + 1)
         exact = np.cos(math.pi * t / T)
-        src = GridFunction(t_grid=t, values=(factor * exact)[:, None],
-                           std_errors=np.zeros((n + 1, 1)))
-        theta = solve_neumann_bvp(src, lam1, lam2)
+        src = GridFunction(values=(factor * exact)[:, None], std_errors=np.zeros((n + 1, 1)))
+        theta = solve_neumann_bvp(src, ModelParams(T=T, lambda1=lam1, lambda2=lam2))
         errs.append(float(np.max(np.abs(theta.values[:, 0] - exact))))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     for r in ratios:

@@ -1,5 +1,7 @@
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -9,12 +11,14 @@ import numpy as np
 import pytest
 
 import mfresnet.cli as cli
+import mfresnet.sde as sde
 import mfresnet.trainer as trainer
 from mfresnet import FixedPointConfig, ModelParams, TrainConfig
 from mfresnet.cli import (
     SPEARMAN_MAX_N,
     ExperimentConfig,
     default_law,
+    gradcheck_case_error,
     main,
     run_experiment,
     spearman_negative_p,
@@ -178,6 +182,32 @@ def test_simulate_writes_outputs(tmp_path):
     assert header == f"# config_hash={cfg.config_hash()}"
 
 
+def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
+    """trajectories.csv reads back as the ensemble's states, and has the
+    bytes csv.writer writes for its rows: CRLF line ends, no quoting."""
+    cfg = _small_cfg(tmp_path, model=coupled_params, initial_law=coupled_law,
+                     n_particles=3, n_steps=5, dump_trajectories=True)
+    payload, _ = run_experiment("simulate", cfg)
+    ens = payload["ensemble"]
+    path = pathlib.Path(cfg.out) / "trajectories.csv"
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3
+    for row in rows:
+        k = int(round(float(row["t"]) / ens.dt))
+        i = int(row["particle_id"])
+        assert float(row["x0"]) == ens.X[i, k, 0]
+        assert float(row["z1"]) == ens.Z[i, k, 1]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "particle_id", "x0", "x1", "z0", "z1"])
+    for k, t in enumerate(ens.t_grid):
+        for i in range(ens.n_particles):
+            writer.writerow([repr(float(t)), i] + [repr(float(v)) for v in ens.X[i, k]]
+                            + [repr(float(v)) for v in ens.Z[i, k]])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_train_outputs_and_history(tmp_path):
     cfg = _small_cfg(tmp_path, n_particles=20, train=TrainConfig(n_intervals=8, max_iters=10))
     payload, _ = run_experiment("train", cfg)
@@ -220,6 +250,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("gamma", {"n_list": "12"}, []),
         ("gamma", {"n_list": [50, 10**400]}, []),
         ("diagnose-fpk", {}, ["--n-list", "50,20"]),
+        # one size gives no log-log slope
+        ("diagnose-fpk", {"n_list": [20]}, []),
         ("gamma", {"n_draws": 0}, []),
         ("diagnose-fpk", {"seeds_per_n": 0}, []),
         ("simulate", {"n_particles": 0}, []),
@@ -381,6 +413,22 @@ def test_gamma_trains_the_draws_of_each_sample_size_as_one_batch(tmp_path, monke
         terminal = [seed for name, rows, seed in calls
                     if name == "mfresnet.cli" and rows == n * cfg.n_draws]
         assert terminal == [[split_seed(s, "terminal") for s in draws[n]]]
+
+
+def test_gradcheck_draws_one_noise_table_per_case(monkeypatch):
+    """The adjoint run and the two finite-difference runs of a case share
+    one noise table, drawn once under the case's seed."""
+    seeds = []
+    table = sde.noise_table
+
+    def counted(root_seed, *args):
+        seeds.append(root_seed)
+        return table(root_seed, *args)
+
+    monkeypatch.setattr(sde, "noise_table", counted)
+    cases = range(4)
+    case_seeds = [gradcheck_case_error(c, 11)[3] for c in cases]
+    assert seeds == case_seeds
 
 
 def test_gradcheck_cli(tmp_path, capsys):

@@ -17,9 +17,10 @@ from mfresnet import (
     evaluate_JN,
     simulate_particles,
 )
+from mfresnet.cli import _nonoise_law, default_law
 from mfresnet.objective import control_costs
 
-from conftest import dirac_law
+from conftest import affine_controls, affine_exact_Jd, dirac_law
 
 
 def loss(p, x, y):
@@ -119,3 +120,19 @@ def test_objectives_have_the_bytes_of_the_summed_state_error(d):
     l2_cost, h1_cost = control_costs(theta, p)
     expected = np.array([np.mean(per_path) + l2_cost + h1_cost, np.std(per_path, ddof=1) / math.sqrt(40)])
     assert np.array(evaluate_Jd(theta, p, law, 40, 7)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("control", ["zero", "smooth", "rough"])
+def test_limit_objective_is_within_4_se_of_the_exact_affine_value(control):
+    """evaluate_Jd on the affine model estimates the exact discrete limit
+    objective of its Euler scheme (tests/conftest.py) within 4 standard
+    errors at M = 20000 paths; without noise, from a point mass, it is the
+    exact value up to rounding."""
+    p = ModelParams(activation=ActivationSpec(kind="affine"))
+    law = default_law()
+    theta = ControlGrid(p.T, affine_controls(16)[control])
+    exact = affine_exact_Jd(theta, p, law)
+    estimate, se = evaluate_Jd(theta, p, law, 20000, 31)
+    assert abs(estimate - exact) <= 4.0 * se
+    point = dirac_law([0.8], [0.1], _nonoise_law(law).type_vector)
+    assert evaluate_Jd(theta, p, point, 3, 31)[0] == pytest.approx(affine_exact_Jd(theta, p, point), rel=1e-12)

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -18,7 +17,7 @@ from mfresnet import (
 from mfresnet.errors import Diverged, GridMismatch, ScalarConfigRequired
 from mfresnet.rng import noise_table
 from mfresnet import sde
-from mfresnet.sde import dump_trajectories, euler_noise
+from mfresnet.sde import euler_noise
 from mfresnet.trainer import _adjoint_gradient
 
 
@@ -285,18 +284,3 @@ def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
     assert (batch.value.seed, batch.value.particle) == (8, 1)
     assert batch.value.step == alone.value.step
 
-
-def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
-    samples, types = coupled_law.sample(3, 4)
-    theta = ControlGrid.zeros(coupled_params.T, 5)
-    ens = simulate_particles(coupled_params, theta, samples, types, 5, 6)
-    path = tmp_path / "traj.csv"
-    dump_trajectories(ens, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6 * 3
-    for row in rows:
-        k = int(round(float(row["t"]) / ens.dt))
-        i = int(row["particle_id"])
-        assert float(row["x0"]) == ens.X[i, k, 0]
-        assert float(row["z1"]) == ens.Z[i, k, 1]

@@ -51,6 +51,28 @@ def test_every_library_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
+def test_only_the_cli_writes_files():
+    """No library module but cli.py calls open (a builtin or any .open
+    method) or imports csv: the experiments return their outputs as lines,
+    and the CLI alone writes them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "open") or (
+                        isinstance(func, ast.Attribute) and func.attr == "open"):
+                    found.append(f"{path.name}:{node.lineno} calls open")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} imports csv"
+                          for alias in node.names if alias.name.split(".")[0] == "csv"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "csv":
+                found.append(f"{path.name}:{node.lineno} imports csv")
+    assert not found, found
+
+
 def test_library_loads_no_scipy():
     """scipy is a test dependency only: no library module imports it, even
     inside a function, and a fresh `import mfresnet.cli` loads no scipy

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfresnet import ControlGrid, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train, trainer
+from mfresnet import ActivationSpec, ControlGrid, Dims, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train, trainer
 from mfresnet.cli import gradcheck_case_error
 from mfresnet.errors import ConfigInvalid, NoDescentProgress, NonPositiveWeight
 from mfresnet.rng import split_seed
@@ -119,6 +119,27 @@ def test_randomized_gradient_checks():
     for case in range(5):
         rel, _, _, _ = gradcheck_case_error(case, 2024)
         assert rel < 1e-6
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_constant_drift_trains_with_any_number_of_weights(scalar_params, scalar_law, m):
+    """A constant drift reads no weight, so the model takes any m; its
+    gradient is the control-cost gradient, component by component, and
+    training from the zero control stops at once."""
+    p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="constant", c=0.5),
+                            dims=Dims(d=1, q=0, p=1, m=m, l=0))
+    samples, tv = scalar_law.sample(6, 3)
+    theta = ControlGrid(p.T, np.random.default_rng(m).uniform(-1.0, 1.0, size=(9, m)))
+    grad = _adjoint_gradient(simulate_particles(p, theta, samples, tv, 8, 4), p)
+    assert grad.shape == (9, m)
+    for k in range(9):
+        for j in range(m):
+            unit = np.zeros((9, m))
+            unit[k, j] = 1.0
+            assert grad[k, j] == pytest.approx(_control_cost_directional(theta, unit, p), rel=1e-10, abs=1e-14)
+    result = train(p, samples, tv, TrainConfig(n_intervals=8, max_iters=5), 5)
+    assert result.theta_star.values.shape == (9, m) and not result.theta_star.values.any()
+    assert len(result.history) == 1 and result.grad_norm_final == 0.0
 
 
 def test_precondition_solves_the_control_hessian(scalar_params):
