@@ -211,8 +211,8 @@ class TestFunction:
 
 # Most atoms in one derivative table of the residual (at least one node's):
 # bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian
-# being 512 KB at d+q = 4.
-_BLOCK_ROWS = 4096
+# being 1 MB at d+q = 4.
+_BLOCK_ROWS = 8192
 
 
 def _diffusion_trace(subscripts, a, b, h):
@@ -280,9 +280,9 @@ def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
     The atoms of up to _BLOCK_ROWS // N nodes form one node-major table
     w = (x, z), row k*N + i holding particle i at the block's node k, so
     each per-node mean runs along the last axis of a (nodes, N) array.  It
-    is the transposed view of a (d+q, nodes, N) gather, each coordinate
-    contiguous.  Without diffusion no Hessian is built.  Takes the
-    ensemble of one problem; a batch raises DimensionMismatch."""
+    is the transposed view of a (d+q, nodes, N) gather from the ensemble's
+    contiguous node slabs, each coordinate contiguous.  Without diffusion no
+    Hessian is built.  Takes one problem's ensemble; a batch raises DimensionMismatch."""
     if path.n_problems > 1:
         raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {path.n_problems}")
     t_grid = path.t_grid

@@ -36,7 +36,7 @@ def control_costs(theta: ControlGrid, p: ModelParams):
 
 def _squared_error(ensemble: ParticleEnsemble):
     """|X(t_k) - Y|^2 per particle and node, (rows, S+1)."""
-    err = ensemble.X - ensemble.y0[:, None, :]
+    err = np.subtract(ensemble.X, ensemble.y0[:, None, :], order="C")  # row-major, as the means' bytes need
     return sum_last(err * err)
 
 

@@ -5,9 +5,10 @@ augmented paths of the limiting first-order condition built from it.
 One Brownian path drives both the state and the exogenous input of a
 particle (the two equations share the increment).  Particle i is row i,
 and its noise stream is keyed by i, so results do not depend on evaluation
-order or worker partitioning.  A batch of independent problems stacks their
-particles as row blocks; particle i of each problem draws stream i under
-that problem's seed, so a problem's paths do not depend on its batch.
+order or worker partitioning; paths and noise are stored node-major, one
+contiguous slab of rows per node.  A batch of independent problems stacks
+their particles as row blocks; particle i of each problem draws stream i
+under that problem's seed, so a problem's paths do not depend on its batch.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from .rng import noise_table
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """The record of one forward pass: N simulated trajectories (particle i
-    is row i), the control that drove them and the batch statistic they saw.
+    is row i; X and Z are views of node-major buffers, so X[:, k] is
+    contiguous), the control that drove them and the batch statistic they saw.
 
     A batch of B independent problems is one ensemble: theta holds the B
     controls, problem b is the row block b*N .. (b+1)*N - 1 and eta has one
@@ -59,12 +61,13 @@ class ParticleEnsemble:
         return self.theta.dt
 
     def problems(self, idx):
-        """The batch of problems idx (increasing indices) of a batched ensemble."""
+        """The batch of problems idx (increasing indices) of a batched ensemble, gathered node-major."""
         if len(idx) == self.n_problems:
             return self
         rows = problem_rows(idx, self.n_particles)
-        return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]),
-                                X=self.X[rows], Z=self.Z[rows], eta=None if self.eta is None else self.eta[idx],
+        X, Z = (np.take(a.swapaxes(0, 1), rows, axis=1).swapaxes(0, 1) for a in (self.X, self.Z))
+        return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]), X=X, Z=Z,
+                                eta=None if self.eta is None else self.eta[idx],
                                 y0=self.y0[rows], type_vector=self.type_vector)
 
 
@@ -99,12 +102,13 @@ def _check_finite(seeds, *paths):
 
 
 def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
-    """The increments simulate_particles draws when given no noise: (N, n_steps, p)
-    for particles 0..n_paths-1; for a sequence of seeds, one such block per
-    seed, stacked."""
+    """The increments simulate_particles draws when given no noise, node-major:
+    (n_steps, N, p) for particles 0..n_paths-1, row i of noise_table at
+    [:, i]; for a sequence of seeds, one such block of rows per seed, stacked."""
     tables = [noise_table(s, np.arange(n_paths), n_steps, p.T / n_steps, p.dims.p)
               for s in problem_seeds(seed)]
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
 def simulate_particles(
@@ -128,12 +132,13 @@ def simulate_particles(
     statistic approximated by the empirical mean over the M paths.
 
     B independent problems run as one batch when theta holds B controls and
-    `seed` is a sequence of B seeds: `samples` (and `noise`) stack the
-    problems' N rows each as contiguous blocks, and each problem has its own
-    control, noise and batch statistic.  Raises GridMismatch unless n_steps
-    is the control's interval count and its horizon is p.T, DimensionMismatch
-    unless the seeds and rows split into the control's problems, and Diverged
-    if a path is not finite at the end.
+    `seed` is a sequence of B seeds: `samples` and each node of the
+    node-major `noise` (n_steps, B*N, p) stack the problems' N rows each as
+    contiguous blocks, and each problem has its own control, noise and batch
+    statistic.  Raises GridMismatch unless n_steps is the control's interval
+    count and its horizon is p.T, DimensionMismatch unless the seeds and rows
+    split into the control's problems and the noise has that shape, and
+    Diverged if a path is not finite at the end.
     """
     if n_steps != theta.n_intervals:
         raise GridMismatch(f"simulation needs one step per control interval: "
@@ -152,15 +157,17 @@ def simulate_particles(
     diffuses = type_vector.diffuses
     if noise is None and diffuses:
         noise = euler_noise(p, n, n_steps, seeds)
+    if diffuses and np.shape(noise) != (n_steps, rows, p.dims.p):
+        raise DimensionMismatch(f"noise must be node-major {(n_steps, rows, p.dims.p)}, got {np.shape(noise)}")
 
     act = p.activation
-    X = np.empty((rows, n_steps + 1, d))
-    Z = np.empty((rows, n_steps + 1, q))
+    # node-major buffers: each step writes its node's contiguous slab in place
+    X = np.empty((n_steps + 1, rows, d))
+    Z = np.empty((n_steps + 1, rows, q))
     eta = np.empty((b, n_steps + 1)) if act.eta_weight != 0.0 else None
-    X[:, 0] = samples.x0
-    Z[:, 0] = samples.z0
-    # the state at the current node, kept contiguous (rows of X are strided)
-    x, z = X[:, 0].copy(), Z[:, 0].copy()
+    X[0] = samples.x0
+    Z[0] = samples.z0
+    x, z = X[0], Z[0]
     nodes = control_nodes(theta)
     eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
     eta_k = None
@@ -169,18 +176,17 @@ def simulate_particles(
             eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
             eta_k = eta[:, k, None, None]
         f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta_k)
-        x = x + f.reshape(rows, d) * dt
+        x = np.add(x, f.reshape(rows, d) * dt, out=X[k + 1])
         if diffuses:
-            x = x + np.einsum("dp,np->nd", eps, noise[:, k])
-        X[:, k + 1] = x
+            x += np.einsum("dp,np->nd", eps, noise[k])
         if q:
-            z = z + p.phi_value(gamma, z) * dt
+            z = np.add(z, p.phi_value(gamma, z) * dt, out=Z[k + 1])
             if diffuses:
-                z = z + np.einsum("qp,np->nq", sigma, noise[:, k])
-            Z[:, k + 1] = z
+                z += np.einsum("qp,np->nq", sigma, noise[k])
     if eta is not None:
         eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
+    X, Z = X.transpose(1, 0, 2), Z.transpose(1, 0, 2)
     _check_finite(seeds, X, Z)
     return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, type_vector=type_vector)
 
@@ -202,7 +208,7 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("augmented system requires the scalar two-weight configuration")
     ens = simulate_particles(p, theta, *init_draws, n_steps, seed, noise=noise)
-    x3 = ens.X[:, :, 0]
+    x3 = np.ascontiguousarray(ens.X[:, :, 0])  # (M, S+1) row-major: the path sums run along rows
     # The drift acts coordinate by coordinate, so the depth axis can stand in
     # for the state axis: one call gives the partials at every (path, node).
     dfdx, dtheta_f, _ = p.activation.drift_partials(theta.values.T, None, x3, 0.0)

@@ -96,9 +96,9 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     b, n, s = ensemble.n_problems, ensemble.n_particles, ensemble.n_steps
     dt = ensemble.dt
     w = _trapezoid_weights(ensemble.t_grid)
-    # node-major copies (S+1, B, N, .), so each step reads contiguous blocks
-    X = np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0).copy()
-    Z = np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0).copy()
+    # node-major (S+1, B, N, .) views of the ensemble's buffers (copies from another layout)
+    X = np.ascontiguousarray(np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0))
+    Z = np.ascontiguousarray(np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0))
     err = X - ensemble.y0.reshape(b, n, -1)
     eta = None if ensemble.eta is None else ensemble.eta.reshape(b, s + 1).T[:, :, None, None]
     values = ensemble.theta.values.reshape(b, s + 1, -1)
@@ -231,10 +231,11 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
                 raise NoDescentProgress(f"line search floor reached at grad_norm={gnorm[b]:.3e}",
                                         seed=seeds[b], iteration=len(history[b]) - 1)
         rows = slice(None) if len(active) == len(seeds) else problem_rows(active, n)
+        subset_noises = noises if len(active) == len(seeds) else [np.take(nz, rows, axis=1) for nz in noises]
         cand = project_to_box(zero.with_values(values[active] - step[active, None, None] * direction[active]), p.k_theta)
         cand_vals, ensembles = _replicate(
             p, cand, SampleBatch(samples.x0[rows], samples.y0[rows], samples.z0[rows]), type_vector,
-            [seeds[b] for b in active], [noise[rows] for noise in noises])
+            [seeds[b] for b in active], subset_noises)
         accepted = []
         for i, b in enumerate(active):
             move = cand.values[i] - values[b]

@@ -231,6 +231,7 @@ def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypa
         return derivs(self, s, w, **kw)
 
     monkeypatch.setattr(TestFunction, "derivs", recorded)
+    monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
     p = coupled_params
     samples, types = coupled_law.sample(300, 4)
     fpk_residual(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4), phi, p)
@@ -488,9 +489,10 @@ def _residual_per_node(path, phi, p):
     return mean_phi - mean_phi[0] - cumint
 
 
-def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law):
+def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law, monkeypatch):
     """The node blocks of fpk_residual, the last one partial, give the bytes
     of a per-node loop, with atoms on the plateau, in the shell and beyond."""
+    monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
     p = coupled_params
     n, n_steps = 300, 20
     assert (n_steps + 1) % (measures._BLOCK_ROWS // n) != 0

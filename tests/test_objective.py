@@ -91,8 +91,9 @@ def test_limit_objective_equals_sampled_for_shared_draws(scalar_params, scalar_l
 
 
 def _squared_error_oracle(ens):
-    """|X - Y|^2 per particle and node by numpy's sum over the state axis, at any d."""
-    err = ens.X - ens.y0[:, None, :]
+    """|X - Y|^2 per particle and node by numpy's sum over the state axis, at any d,
+    on the row-major X the library's bytes come from."""
+    err = np.ascontiguousarray(ens.X) - ens.y0[:, None, :]
     return np.sum(err * err, axis=2)
 
 

@@ -164,7 +164,7 @@ def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scala
     full = simulate_particles(scalar_params, theta, samples, types, 8, 5)
     # resimulating only the last particle on the noise keyed by its id, 3, matches exactly
     last = SampleBatch(samples.x0[3:], samples.y0[3:], samples.z0[3:])
-    noise = noise_table(5, [3], 8, theta.dt, scalar_params.dims.p)
+    noise = noise_table(5, [3], 8, theta.dt, scalar_params.dims.p).transpose(1, 0, 2)
     sub = simulate_particles(scalar_params, theta, last, types, 8, 5, noise=noise)
     assert np.array_equal(full.X[3], sub.X[0])
 
