@@ -166,7 +166,9 @@ def _trajectory_lines(ens):
 
 def _run_units(units, fn, workers):
     """Evaluate fn on every unit, possibly concurrently; returns results in
-    unit order so output bytes do not depend on the worker count."""
+    unit order so output bytes do not depend on the worker count.  Threads
+    overlap only while numpy works on long vectors, and a result should own
+    its arrays, so that a finished unit frees its trajectory buffer."""
     if workers <= 1:
         return [fn(u) for u in units]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -195,7 +197,7 @@ def _reference_cloud(cfg, theta, label):
     samples, tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, label))
     ens = simulate_particles(cfg.model, theta, samples, tv, theta.n_intervals,
                              split_seed(cfg.seed, f"{label}-sim"))
-    return ens.X[:, -1, 0]
+    return ens.X[:, -1, 0].copy()
 
 
 SPEARMAN_MAX_N = 8
@@ -375,7 +377,7 @@ def _gamma_unit(cfg, theta_star, n):
     ens = simulate_particles(p, result.theta_star, samples, tv, result.theta_star.n_intervals,
                              [split_seed(s, "terminal") for s in draw_seeds])
     clouds = ens.X[:, -1, 0].reshape(cfg.n_draws, n)
-    return [(history[-1].total, float(np.max(np.abs(values - theta_star.values))), cloud)
+    return [(history[-1].total, float(np.max(np.abs(values - theta_star.values))), cloud.copy())
             for history, values, cloud in zip(result.history, result.theta_star.values, clouds)]
 
 
@@ -435,7 +437,7 @@ def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
     ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
     sup_res, _ = fpk_residual(ens, phi, p)
-    return sup_res, ens.X[:, -1, 0]
+    return sup_res, ens.X[:, -1, 0].copy()
 
 
 def run_diagnose_fpk(cfg: ExperimentConfig):

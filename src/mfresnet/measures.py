@@ -211,8 +211,11 @@ class TestFunction:
 
 # Most atoms in one derivative table of the residual (at least one node's):
 # bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian
-# being 1 MB at d+q = 4.
-_BLOCK_ROWS = 8192
+# being 3 MiB at d+q = 4, and a call's peak about 8.5 MiB.  Blocks must be
+# long for units on threads to overlap: numpy releases the interpreter lock
+# only inside a call, and blocks of one node at N = 6400 ran slower on two
+# threads than in series.  At 24576 rows a block holds 3 nodes at N = 6400.
+_BLOCK_ROWS = 24576
 
 
 def _diffusion_trace(subscripts, a, b, h):

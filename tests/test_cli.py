@@ -379,6 +379,21 @@ def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monke
     assert all(np.isnan(row[4]) for row in payload["rows"])
 
 
+def test_unit_results_own_their_data(tmp_path):
+    """The reference cloud and every cloud a gamma or diagnose-fpk unit
+    returns are copies, so that a finished unit frees its trajectory buffer
+    before the others finish."""
+    cfg = _small_cfg(tmp_path, n_draws=2, m_paths=50, n_steps=4,
+                     train=TrainConfig(n_intervals=4, max_iters=2))
+    theta = cli._reference_theta(cfg.model, 4)
+    clouds = [cli._reference_cloud(cfg, theta, "ref")]
+    clouds += [cloud for _, _, cloud in cli._gamma_unit(cfg, theta, 5)]
+    phi = cli._residual_test_function(cfg)
+    clouds.append(cli._diagnose_unit(cfg, phi, theta, cfg.initial_law, "noisy", 5, 0)[1])
+    assert len(clouds) == 4
+    assert all(cloud.base is None for cloud in clouds)
+
+
 def test_gamma_trains_the_draws_of_each_sample_size_as_one_batch(tmp_path, monkeypatch):
     """Every training simulation of gamma carries all draws of one N that are
     still training, and the terminal ensembles of one N are one simulation."""

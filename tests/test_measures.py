@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mfresnet import (
     wasserstein2_1d,
 )
 from mfresnet import measures
+from mfresnet.cli import ExperimentConfig, _reference_theta, _residual_test_function
 from mfresnet.errors import DimensionMismatch, SizeMismatch
 from mfresnet.measures import generator_apply_batch
 
@@ -489,16 +491,13 @@ def _residual_per_node(path, phi, p):
     return mean_phi - mean_phi[0] - cumint
 
 
-def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law, monkeypatch):
-    """The node blocks of fpk_residual, the last one partial, give the bytes
-    of a per-node loop, with atoms on the plateau, in the shell and beyond."""
-    monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
-    p = coupled_params
-    n, n_steps = 300, 20
-    assert (n_steps + 1) % (measures._BLOCK_ROWS // n) != 0
+def _assert_blocks_equal_per_node_loop(p, law, n, n_steps):
+    """fpk_residual on a diffusing ensemble of n particles over n_steps steps,
+    with atoms on the plateau, in the shell and beyond, gives the bytes of
+    the per-node loop."""
     t = np.linspace(0.0, p.T, n_steps + 1)
     theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
-    samples, types = coupled_law.sample(n, 4)
+    samples, types = law.sample(n, 4)
     ens = simulate_particles(p, theta, samples, types, n_steps, 4)
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
@@ -507,6 +506,43 @@ def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law, monkey
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))
+
+
+def test_residual_blocks_equal_per_node_loop(coupled_params, coupled_law, monkeypatch):
+    """The node blocks of fpk_residual, the last one partial, give the bytes
+    of a per-node loop, with atoms on the plateau, in the shell and beyond."""
+    monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
+    n, n_steps = 300, 20
+    assert (n_steps + 1) % (measures._BLOCK_ROWS // n) != 0
+    _assert_blocks_equal_per_node_loop(coupled_params, coupled_law, n, n_steps)
+
+
+def test_residual_blocks_of_the_shipped_size_equal_per_node_loop(coupled_params, coupled_law):
+    """At the shipped block size a block holds several nodes and the last
+    one is partial, and the residual keeps the bytes of the per-node loop."""
+    n, n_steps = 300, 100
+    per_block = measures._BLOCK_ROWS // n
+    assert 1 < per_block < n_steps + 1 and (n_steps + 1) % per_block != 0
+    _assert_blocks_equal_per_node_loop(coupled_params, coupled_law, n, n_steps)
+
+
+def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
+    """One residual call on an N = 6400, 100-step ensemble of the
+    fpk-coupled-w2 model peaks at 8.50 MiB of allocations (tracemalloc,
+    numpy 2.4) with blocks of 24576 rows, 3 nodes each.  The bound adds 25%
+    to that; blocks of 65536 rows peak at 28.3 MiB."""
+    p = coupled_params
+    cfg = ExperimentConfig(model=p, initial_law=coupled_law, phi_radius=12.0)
+    samples, types = coupled_law.sample(6400, 2)
+    ens = simulate_particles(p, _reference_theta(p, 100), samples, types, 100, 2)
+    phi = _residual_test_function(cfg)
+    tracemalloc.start()
+    try:
+        fpk_residual(ens, phi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8.50 * 2**20, peak / 2**20
 
 
 def test_residual_without_diffusion_equals_full_generator(coupled_params, coupled_law, monkeypatch):
