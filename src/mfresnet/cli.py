@@ -44,7 +44,7 @@ from .params import (
     require_real,
 )
 from .rng import make_generator, split_seed
-from .sde import euler_noise, simulate_particles
+from .sde import euler_noise, simulate_particles, stream_particles
 from .trainer import TrainConfig, _adjoint_gradient, train
 
 
@@ -167,8 +167,11 @@ def _trajectory_lines(ens):
 def _run_units(units, fn, workers):
     """Evaluate fn on every unit, possibly concurrently; returns results in
     unit order so output bytes do not depend on the worker count.  Threads
-    overlap only while numpy works on long vectors, and a result should own
-    its arrays, so that a finished unit frees its trajectory buffer."""
+    overlap only while numpy works on long vectors, so no more start than
+    the cores this process may run on; and a result should own its arrays,
+    so that a finished unit frees its buffers."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cores or 1)
     if workers <= 1:
         return [fn(u) for u in units]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -432,12 +435,23 @@ def _residual_test_function(cfg):
 
 
 def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
+    """The sup FPK residual of one simulated ensemble and its terminal first
+    coordinates.  The Euler nodes stream straight into the residual, so the
+    unit holds its noise table, one residual block and the last node read,
+    never a whole path."""
     p = cfg.model
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
-    ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
-    sup_res, _ = fpk_residual(ens, phi, p)
-    return sup_res, ens.X[:, -1, 0].copy()
+    stream = stream_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
+    last = []
+
+    def nodes():
+        for x, z, eta in stream.nodes:
+            last[:] = [x]
+            yield x, z, eta
+
+    sup_res, _ = fpk_residual(dataclasses.replace(stream, nodes=nodes()), phi, p)
+    return sup_res, last[0][:, 0].copy()
 
 
 def run_diagnose_fpk(cfg: ExperimentConfig):

@@ -1,6 +1,6 @@
 """The one-dimensional Wasserstein-2 distance, the generator of the state
 dynamics, and the weak-form FPK residual of a simulated ensemble's
-empirical measure.
+empirical measure, read node by node from a stream.
 
 Test functions are polynomials (degree <= 4 in time, state and exogenous
 input) multiplied by a C^2 radial cutoff whose plateau is meant to cover
@@ -9,6 +9,7 @@ form and plateau-covered cases are exact.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SizeMismatch
 from .params import ModelParams, TypeVector, sum_last
-from .sde import ParticleEnsemble
+from .sde import ParticleStream
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +275,52 @@ def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
     return out
 
 
-def fpk_residual(path: ParticleEnsemble, phi: TestFunction, p: ModelParams):
+def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
     """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
     trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
-    weighted atoms of the ensemble at node t and the generator A taken under
-    the control and batch statistic that drove it; returns (sup |R|, R path).
+    weighted atoms of the streamed ensemble at node t and the generator A
+    taken under the control and batch statistic that drove it; returns
+    (sup |R|, R path).
 
-    The atoms of up to _BLOCK_ROWS // N nodes form one node-major table
-    w = (x, z), row k*N + i holding particle i at the block's node k, so
-    each per-node mean runs along the last axis of a (nodes, N) array.  It
-    is the transposed view of a (d+q, nodes, N) gather from the ensemble's
-    contiguous node slabs, each coordinate contiguous.  Without diffusion no
-    Hessian is built.  Takes one problem's ensemble; a batch raises DimensionMismatch."""
-    if path.n_problems > 1:
-        raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {path.n_problems}")
-    t_grid = path.t_grid
+    Each node is read once, in order: the atoms of up to _BLOCK_ROWS // N
+    nodes form one node-major table w = (x, z), row k*N + i holding particle
+    i at the block's node k, so each per-node mean runs along the last axis
+    of a (nodes, N) array.  It is the transposed view of a (d+q, nodes, N)
+    gather of the nodes, each coordinate contiguous, and only one block is
+    held at a time.  Without diffusion no Hessian is built.  Takes one
+    problem's stream; a batch, or a stream that ends early (one already
+    read), raises DimensionMismatch."""
+    theta = path.theta
+    if theta.n_problems > 1:
+        raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {theta.n_problems}")
+    t_grid = theta.t_grid
     n_nodes = t_grid.size
-    n, _, d = path.X.shape
-    m = d + path.Z.shape[2]
+    n = path.n_particles
+    d = p.dims.d
+    m = d + p.dims.q
     second = path.type_vector.diffuses
     per_block = max(1, _BLOCK_ROWS // n)
     mean_phi = np.empty(n_nodes)
     mean_gen = np.empty(n_nodes)
+    nodes = iter(path.nodes)
     for k0 in range(0, n_nodes, per_block):
-        nodes = slice(k0, min(k0 + per_block, n_nodes))
-        nk = nodes.stop - k0
+        block = slice(k0, min(k0 + per_block, n_nodes))
+        nk = block.stop - k0
         w = np.empty((m, nk, n))
-        w[:d] = path.X[:, nodes].T
-        w[d:] = path.Z[:, nodes].T
+        etas = []
+        for j, (x, z, eta) in enumerate(itertools.islice(nodes, nk)):
+            w[:d, j] = x.T
+            w[d:, j] = z.T
+            etas.append(eta)
+        if len(etas) < nk:
+            raise DimensionMismatch(f"the stream ended after {k0 + len(etas)} of its {n_nodes} nodes")
         w = w.reshape(m, nk * n).T
-        theta_rows = np.repeat(path.theta.values[nodes].T, n, axis=1)[:, :, None]
-        eta_rows = None if path.eta is None else np.repeat(path.eta[nodes], n)[:, None]
-        dv = phi.derivs(t_grid[nodes], w, second=second)
+        theta_rows = np.repeat(theta.values[block].T, n, axis=1)[:, :, None]
+        eta_rows = None if etas[0] is None else np.repeat(np.concatenate(etas), n)[:, None]
+        dv = phi.derivs(t_grid[block], w, second=second)
         gen = generator_apply_batch(dv, w[:, :d], w[:, d:], path.type_vector, theta_rows, eta_rows, p)
-        mean_phi[nodes] = np.mean(dv["val"].reshape(nk, n), axis=-1)
-        mean_gen[nodes] = np.mean(gen.reshape(nk, n), axis=-1)
-    cumint = np.concatenate([[0.0], np.cumsum(0.5 * path.dt * (mean_gen[1:] + mean_gen[:-1]))])
+        mean_phi[block] = np.mean(dv["val"].reshape(nk, n), axis=-1)
+        mean_gen[block] = np.mean(gen.reshape(nk, n), axis=-1)
+    cumint = np.concatenate([[0.0], np.cumsum(0.5 * theta.dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint
     return float(np.max(np.abs(residual))), residual

@@ -9,10 +9,16 @@ order or worker partitioning; paths and noise are stored node-major, one
 contiguous slab of rows per node.  A batch of independent problems stacks
 their particles as row blocks; particle i of each problem draws stream i
 under that problem's seed, so a problem's paths do not depend on its batch.
+
+The one Euler loop, euler_nodes, hands out the nodes in order:
+simulate_particles stores them all, and stream_particles hands each one on
+without storing it.
 """
 from __future__ import annotations
 
+import collections
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +95,17 @@ def control_nodes(theta: ControlGrid):
     return np.moveaxis(values, 0, -1)[..., None, None]
 
 
-def _check_finite(seeds, *paths):
-    """Raise Diverged at the first (step, row) where a path (B*N, S+1, ...) is
-    not finite, naming the seed of the row's problem and its row within it."""
+def _check_finite(seeds, *paths, first_step=0):
+    """Raise Diverged at the first (step, row) where a path (B*N, nodes, ...),
+    its nodes from first_step on, is not finite, naming the seed of the row's
+    problem and its row within it."""
     if all(np.isfinite(a).all() for a in paths):
         return
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in paths])
     step, row = np.argwhere(~finite.T)[0]
     problem, particle = divmod(int(row), paths[0].shape[0] // len(seeds))
     raise Diverged("trajectories diverged; reduce the step size",
-                   seed=int(seeds[problem]), step=int(step), particle=particle)
+                   seed=int(seeds[problem]), step=first_step + int(step), particle=particle)
 
 
 def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
@@ -111,34 +118,37 @@ def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
-def simulate_particles(
-    p: ModelParams,
-    theta: ControlGrid,
-    samples: SampleBatch,
-    type_vector: TypeVector,
-    n_steps: int,
-    seed,
-    noise=None,
-) -> ParticleEnsemble:
+def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,
+                n_steps: int, seed, noise=None, out=None):
     """Euler-Maruyama for the N-particle system with batch coupling, one step
-    per interval of the control grid.
+    per interval of the control grid, node by node: yields (x_k, z_k, eta_k)
+    for k = 0..n_steps, with x_k (B*N, d) and z_k (B*N, q), which it does not
+    touch again, and eta_k (B,), each problem's batch statistic
+    mean_j rho(X_k^j), or None for a drift that ignores it (eta_weight == 0).
 
     The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
-    mean_j rho(X_k^j)); the exogenous input uses the decay drift; both use
-    the same Brownian increment of the particle.  All particles share
-    `type_vector`, which the ensemble carries as it is; when it does not
-    diffuse, no increment is drawn or contracted and `noise` is not read.
-    Driven by M draws from the initial law this is the limiting SDE, its batch
-    statistic approximated by the empirical mean over the M paths.
+    eta_k); the exogenous input uses the decay drift; both use the same
+    Brownian increment of the particle.  All particles share `type_vector`;
+    when it does not diffuse, no increment is drawn or contracted and `noise`
+    is not read.  Driven by M draws from the initial law this is the
+    limiting SDE, its batch statistic approximated by the empirical mean over
+    the M paths.
 
     B independent problems run as one batch when theta holds B controls and
     `seed` is a sequence of B seeds: `samples` and each node of the
     node-major `noise` (n_steps, B*N, p) stack the problems' N rows each as
     contiguous blocks, and each problem has its own control, noise and batch
-    statistic.  Raises GridMismatch unless n_steps is the control's interval
-    count and its horizon is p.T, DimensionMismatch unless the seeds and rows
-    split into the control's problems and the noise has that shape, and
-    Diverged if a path is not finite at the end.
+    statistic.  Before the first node, raises GridMismatch unless n_steps is
+    the control's interval count and its horizon is p.T, and
+    DimensionMismatch unless the seeds and rows split into the control's
+    problems and the noise has that shape.  No node is checked for
+    finiteness: simulate_particles checks its stored paths once, and
+    stream_particles checks each node it hands out.
+
+    Given `out` = (X, Z, E), node-major buffers (n_steps+1, B*N, d) and
+    (n_steps+1, B*N, q) and E (B, n_steps+1) or None, node k is written into
+    the slabs X[k] and Z[k] and yielded as them, and eta_k into E[:, k];
+    otherwise each node is a new array.
     """
     if n_steps != theta.n_intervals:
         raise GridMismatch(f"simulation needs one step per control interval: "
@@ -161,34 +171,88 @@ def simulate_particles(
         raise DimensionMismatch(f"noise must be node-major {(n_steps, rows, p.dims.p)}, got {np.shape(noise)}")
 
     act = p.activation
-    # node-major buffers: each step writes its node's contiguous slab in place
-    X = np.empty((n_steps + 1, rows, d))
-    Z = np.empty((n_steps + 1, rows, q))
-    eta = np.empty((b, n_steps + 1)) if act.eta_weight != 0.0 else None
-    X[0] = samples.x0
-    Z[0] = samples.z0
-    x, z = X[0], Z[0]
+    coupled = act.eta_weight != 0.0
+    X, Z, E = (None, None, None) if out is None else out
+    if X is None:
+        x, z = (np.array(a, dtype=float, order="C") for a in (samples.x0, samples.z0))
+    else:
+        X[0], Z[0] = samples.x0, samples.z0
+        x, z = X[0], Z[0]
     nodes = control_nodes(theta)
     eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
-    eta_k = None
-    for k in range(n_steps):
-        if eta is not None:
-            eta[:, k] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
-            eta_k = eta[:, k, None, None]
-        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d), eta_k)
-        x = np.add(x, f.reshape(rows, d) * dt, out=X[k + 1])
+    for k in range(n_steps + 1):
+        eta_k = None
+        if coupled:
+            eta_k = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+            if E is not None:
+                E[:, k] = eta_k
+        yield x, z, eta_k
+        if k == n_steps:
+            return
+        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d),
+                      None if eta_k is None else eta_k[:, None, None])
+        x = np.add(x, f.reshape(rows, d) * dt, out=None if X is None else X[k + 1])
         if diffuses:
             x += np.einsum("dp,np->nd", eps, noise[k])
         if q:
-            z = np.add(z, p.phi_value(gamma, z) * dt, out=Z[k + 1])
+            z = np.add(z, p.phi_value(gamma, z) * dt, out=None if Z is None else Z[k + 1])
             if diffuses:
                 z += np.einsum("qp,np->nq", sigma, noise[k])
+
+
+def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,
+                       n_steps: int, seed, noise=None) -> ParticleEnsemble:
+    """The ensemble of euler_nodes (which see for the dynamics, a batch of
+    problems and the checks of the inputs), every node stored; it carries
+    `type_vector` as it is.  Raises Diverged if a path is not finite at the end."""
+    rows, b = len(samples), theta.n_problems
+    # node-major buffers: euler_nodes writes each node as one contiguous slab
+    X = np.empty((theta.n_intervals + 1, rows, p.dims.d))
+    Z = np.empty((theta.n_intervals + 1, rows, p.dims.q))
+    eta = np.empty((b, theta.n_intervals + 1)) if p.activation.eta_weight != 0.0 else None
+    nodes = euler_nodes(p, theta, samples, type_vector, n_steps, seed, noise, (X, Z, eta))
+    collections.deque(nodes, maxlen=0)   # run the loop; every node is already in the buffers
     if eta is not None:
-        eta[:, -1] = np.mean(p.rho_value(x).reshape(b, n), axis=1)
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
     X, Z = X.transpose(1, 0, 2), Z.transpose(1, 0, 2)
-    _check_finite(seeds, X, Z)
+    _check_finite(problem_seeds(seed), X, Z)
     return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, type_vector=type_vector)
+
+
+@dataclass(frozen=True)
+class ParticleStream:
+    """One problem's Euler pass handed out node by node, for a consumer that
+    reads each node once and in order: `nodes` yields (x_k (N, d), z_k (N, q),
+    eta_k (1,) or None) for k = 0..S, driven by the control `theta`, every
+    particle of type `type_vector`.  No node is stored."""
+
+    theta: ControlGrid
+    type_vector: TypeVector
+    n_particles: int
+    nodes: Iterator
+
+    @property
+    def X(self):
+        """A zero-width (N, S+1, 0) array where a stored ensemble holds its
+        states, for code that sizes an ensemble by X.shape (the benchmark
+        tracer counts the residual's atoms so).  It holds no state."""
+        return np.empty((self.n_particles, self.theta.n_intervals + 1, 0))
+
+
+def stream_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
+                     type_vector: TypeVector, n_steps: int, seed) -> ParticleStream:
+    """The nodes of euler_nodes (which see) as a ParticleStream, each checked
+    before it is handed out: a node that is not finite raises Diverged with
+    the seed, step and particle that simulate_particles names on the same
+    inputs, and no drift is evaluated past it."""
+    seeds = problem_seeds(seed)
+
+    def checked():
+        for k, (x, z, eta) in enumerate(euler_nodes(p, theta, samples, type_vector, n_steps, seed)):
+            _check_finite(seeds, x[:, None], z[:, None], first_step=k)
+            yield x, z, eta
+
+    return ParticleStream(theta, type_vector, len(samples) // theta.n_problems, checked())
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,

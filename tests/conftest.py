@@ -15,6 +15,7 @@ from mfresnet import (
 )
 from mfresnet.errors import SizeMismatch
 from mfresnet.fpk import neumann_derivatives
+from mfresnet.sde import ParticleStream
 
 
 def in_box(theta, k_theta):
@@ -26,6 +27,16 @@ def dirac_law(x0, y0, type_vector, z0=()):
     """The point-mass initial law: every sample equals (x0, y0, z0)."""
     z0 = np.asarray(z0, dtype=float)
     return InitialLaw("dirac", x0, x0, y0, y0, z0, z0, type_vector)
+
+
+def streamed(ens):
+    """A stored ensemble's nodes, in order, as the ParticleStream that
+    fpk_residual reads: (X[:, k], Z[:, k], eta at node k) for k = 0..S, with
+    the ensemble's control and type vector."""
+    eta = ens.eta
+    nodes = ((ens.X[:, k], ens.Z[:, k], None if eta is None else eta[..., k:k + 1])
+             for k in range(ens.n_steps + 1))
+    return ParticleStream(ens.theta, ens.type_vector, ens.n_particles, nodes)
 
 
 def wasserstein2_exact_small(a, b):

@@ -1,10 +1,13 @@
+import concurrent.futures
 import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import threading
 import time
 
 import numpy as np
@@ -362,21 +365,57 @@ def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):
 def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monkeypatch,
                                                                  coupled_params, coupled_law):
     """W2 is one-dimensional, so a d=2 run writes nan there and simulates no
-    reference ensemble: one simulation per (case, N, seed) unit."""
+    reference ensemble: one Euler pass per (case, N, seed) unit."""
     calls = []
-    simulate = cli.simulate_particles
+    euler = sde.euler_nodes
 
     def counting(*args, **kwargs):
         calls.append(len(args[2]))
-        return simulate(*args, **kwargs)
+        return euler(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "simulate_particles", counting)
+    monkeypatch.setattr(sde, "euler_nodes", counting)
     cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, out=str(tmp_path / "d"),
                            n_list=(5, 10), seeds_per_n=2, n_steps=4, m_paths=50)
     payload, _ = run_experiment("diagnose-fpk", cfg)
     assert len(payload["rows"]) == 8
     assert sorted(calls) == [5] * 4 + [10] * 4
     assert all(np.isnan(row[4]) for row in payload["rows"])
+
+
+def test_run_units_starts_no_more_threads_than_usable_cores(tmp_path, monkeypatch, capsys,
+                                                           coupled_params, coupled_law):
+    """Asked for 4 workers on 2 usable cores, _run_units starts a pool of 2
+    threads, and on 1 core none; diagnose-fpk writes the same bytes at
+    --workers 1 and --workers 4."""
+    pools = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli._run_units(range(6), lambda u: u * u, 4) == [0, 1, 4, 9, 16, 25]
+    assert pools == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    threads = set()
+    assert cli._run_units(range(6), lambda u: threads.add(threading.get_ident()) or u, 4) == list(range(6))
+    assert pools == [2] and threads == {threading.get_ident()}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfgfile = tmp_path / "cfg.json"
+    cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, n_list=(5, 10), seeds_per_n=2,
+                           n_steps=4, m_paths=50)
+    cfgfile.write_text(json.dumps(cfg.to_dict()))
+    written = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"w{workers}"
+        assert main(["diagnose-fpk", str(cfgfile), "--out", str(out), "--workers", workers]) == 0
+        written.append((out / "diagnose_fpk.csv").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert pools == [2, 2]
 
 
 def test_unit_results_own_their_data(tmp_path):

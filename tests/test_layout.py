@@ -29,6 +29,8 @@ from mfresnet.rng import noise_table
 from mfresnet.sde import euler_noise
 from mfresnet.trainer import _adjoint_gradient
 
+from conftest import streamed
+
 N_STEPS = 10
 
 
@@ -84,8 +86,8 @@ def test_consumers_give_the_bytes_of_a_row_major_ensemble(d, q, diffuses, monkey
     phi = TestFunction(terms=((1.0, 1, (2,) + (0,) * (d - 1), (0,) * q),
                               (0.5, 0, (1,) * d, (1,) + (0,) * (q - 1) if q else ())),
                        d=d, q=q, r_plateau=0.8, r_support=1.6)
-    sup, res = fpk_residual(one, phi, p)
-    sup_rows, res_rows = fpk_residual(_row_major(one), phi, p)
+    sup, res = fpk_residual(streamed(one), phi, p)
+    sup_rows, res_rows = fpk_residual(streamed(_row_major(one)), phi, p)
     assert sup == sup_rows and res.tobytes() == res_rows.tobytes()
 
     theta = ControlGrid(p.T, values[0])

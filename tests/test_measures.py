@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -18,11 +19,18 @@ from mfresnet import (
     wasserstein2_1d,
 )
 from mfresnet import measures
-from mfresnet.cli import ExperimentConfig, _reference_theta, _residual_test_function
+from mfresnet.cli import (
+    ExperimentConfig,
+    _diagnose_unit,
+    _nonoise_law,
+    _reference_theta,
+    _residual_test_function,
+)
 from mfresnet.errors import DimensionMismatch, SizeMismatch
 from mfresnet.measures import generator_apply_batch
+from mfresnet.sde import stream_particles
 
-from conftest import dirac_law, wasserstein2_exact_small
+from conftest import dirac_law, streamed, wasserstein2_exact_small
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypa
     monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
     p = coupled_params
     samples, types = coupled_law.sample(300, 4)
-    fpk_residual(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4), phi, p)
+    fpk_residual(streamed(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4)), phi, p)
     assert len(gathered) == 2
     for w in gathered:
         for col in range(w.shape[1]):
@@ -380,7 +388,7 @@ def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 16)
     ens = simulate_particles(scalar_params, theta, samples, types, 16, 1)
     phi = constant_test_function(1, 0)
-    sup, res = fpk_residual(ens, phi, scalar_params)
+    sup, res = fpk_residual(streamed(ens), phi, scalar_params)
     assert sup < 1e-14
     assert res.shape == (17,)
 
@@ -395,7 +403,7 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
         t = np.linspace(0.0, scalar_params.T, n_steps + 1)
         theta = ControlGrid(scalar_params.T, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1))
         ens = simulate_particles(scalar_params, theta, samples, types, n_steps, 2)
-        sup, _ = fpk_residual(ens, phi, scalar_params)
+        sup, _ = fpk_residual(streamed(ens), phi, scalar_params)
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-3
@@ -414,7 +422,7 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
                               (0.5, 0, (1, 0), (1, 0)), (0.5, 0, (0, 0), (1, 1))),
                        d=2, q=2, r_plateau=1.0, r_support=2.0)
-    _, res = fpk_residual(ens, phi, p)
+    _, res = fpk_residual(streamed(ens), phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
 
@@ -438,6 +446,24 @@ def _spread_phi(d, q, r_plateau, r_support):
     return TestFunction(terms=tuple(terms), d=d, q=q, r_plateau=r_plateau, r_support=r_support)
 
 
+def _pinned_model(d, q, n_steps):
+    """The model, initial law and control of the residual byte pins: a
+    sigmoid drift coupled to z (when q > 0) and to eta, two noise
+    dimensions."""
+    from mfresnet import Dims, InitialLaw, ModelParams
+
+    p = ModelParams(activation=ActivationSpec(kind="sigmoid", z_weight=0.3 if q else 0.0, eta_weight=0.4),
+                    rho="tanh_mean", phi="decay", dims=Dims(d=d, q=q, p=2, m=2, l=q))
+    gen = np.random.default_rng(d * 10 + q)
+    tv = TypeVector(epsilon=gen.uniform(0.05, 0.25, size=(d, 2)), gamma=gen.uniform(0.3, 1.2, size=q),
+                    sigma=gen.uniform(0.05, 0.2, size=(q, 2)))
+    law = InitialLaw.uniform(x_low=[-1.0] * d, x_high=[1.0] * d, y_low=[-1.0] * d, y_high=[1.0] * d,
+                             z_low=[-0.5] * q, z_high=[0.5] * q, type_vector=tv)
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
+    return p, law, theta
+
+
 @pytest.mark.parametrize("d, q, r_plateau, r_support, digest", [
     (3, 2, 0.9, 1.4,
      "256499584332bc807774f274132ef8620ec33de502e3e649ef2d69617e1fa8ba"),
@@ -455,23 +481,12 @@ def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support,
     dimensions, atoms on the plateau, in the cutoff shell and beyond.  The
     digests were recorded from the particle-major tables that preceded the
     coordinate-major ones."""
-    from mfresnet import Dims, InitialLaw, ModelParams
-
-    p = ModelParams(activation=ActivationSpec(kind="sigmoid", z_weight=0.3 if q else 0.0, eta_weight=0.4),
-                    rho="tanh_mean", phi="decay", dims=Dims(d=d, q=q, p=2, m=2, l=q))
-    gen = np.random.default_rng(d * 10 + q)
-    tv = TypeVector(epsilon=gen.uniform(0.05, 0.25, size=(d, 2)), gamma=gen.uniform(0.3, 1.2, size=q),
-                    sigma=gen.uniform(0.05, 0.2, size=(q, 2)))
-    law = InitialLaw.uniform(x_low=[-1.0] * d, x_high=[1.0] * d, y_low=[-1.0] * d, y_high=[1.0] * d,
-                             z_low=[-0.5] * q, z_high=[0.5] * q, type_vector=tv)
-    n, n_steps = 300, 20
-    t = np.linspace(0.0, p.T, n_steps + 1)
-    theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
-    samples, types = law.sample(n, 5)
-    ens = simulate_particles(p, theta, samples, types, n_steps, 5)
+    p, law, theta = _pinned_model(d, q, 20)
+    samples, types = law.sample(300, 5)
+    ens = simulate_particles(p, theta, samples, types, 20, 5)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
     assert np.any(r <= r_plateau) and np.any((r > r_plateau) & (r < r_support)) and np.any(r >= r_support)
-    _, res = fpk_residual(ens, _spread_phi(d, q, r_plateau, r_support), p)
+    _, res = fpk_residual(streamed(ens), _spread_phi(d, q, r_plateau, r_support), p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == digest
 
 
@@ -502,7 +517,7 @@ def _assert_blocks_equal_per_node_loop(p, law, n, n_steps):
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
     assert np.any(r <= 0.8) and np.any((r > 0.8) & (r < 1.6)) and np.any(r >= 1.6)
-    sup, res = fpk_residual(ens, phi, p)
+    sup, res = fpk_residual(streamed(ens), phi, p)
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))
@@ -538,11 +553,62 @@ def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
     phi = _residual_test_function(cfg)
     tracemalloc.start()
     try:
-        fpk_residual(ens, phi, p)
+        fpk_residual(streamed(ens), phi, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8.50 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("d, q, r_plateau, r_support, n_steps, diffuses", [
+    (3, 2, 0.9, 1.4, 20, True),
+    (2, 3, 0.8, 1.3, 20, True),
+    (5, 4, 1.2, 1.8, 20, True),
+    (9, 0, 1.5, 2.1, 20, True),
+    (2, 3, 0.8, 1.3, 100, True),    # shipped blocks of 81 nodes: 81 + 20
+    (3, 2, 0.9, 1.4, 20, False),
+])
+def test_streamed_residual_gives_the_per_node_bytes(d, q, r_plateau, r_support, n_steps, diffuses):
+    """fpk_residual fed straight from the Euler generator, no node stored,
+    gives the bytes of the per-node loop over the stored ensemble of the
+    same inputs: at the four (d, q) pairs of the byte pins, at the shipped
+    block size with a partial last block, and on a type vector with no
+    diffusion."""
+    p, law, theta = _pinned_model(d, q, n_steps)
+    samples, types = law.sample(300, 5)
+    if not diffuses:
+        types = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
+                           sigma=np.zeros_like(types.sigma))
+    if n_steps == 100:
+        per_block = measures._BLOCK_ROWS // 300
+        assert 1 < per_block < n_steps + 1 and (n_steps + 1) % per_block != 0
+    phi = _spread_phi(d, q, r_plateau, r_support)
+    sup, res = fpk_residual(stream_particles(p, theta, samples, types, n_steps, 5), phi, p)
+    expected = _residual_per_node(simulate_particles(p, theta, samples, types, n_steps, 5), phi, p)
+    assert res.tobytes() == expected.tobytes()
+    assert sup == np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("noisy, measured_mib", [(True, 21.04), (False, 4.41)])
+def test_diagnose_unit_memory_is_bounded(coupled_params, coupled_law, noisy, measured_mib):
+    """One diagnose-fpk unit at N = 6400 over 100 steps of the fpk-coupled-w2
+    model streams its Euler nodes into the residual, so it holds its noise
+    table (10 MiB) and one residual block, never X and Z.  Its allocations
+    peak at 21.04 MiB with noise and 4.41 MiB without (tracemalloc, numpy
+    2.4, the first unit in a process); storing the paths first peaked at
+    31.74 and 23.84 MiB.  The bound adds 25%."""
+    p = coupled_params
+    cfg = ExperimentConfig(model=p, initial_law=coupled_law, n_steps=100, phi_radius=12.0)
+    law = coupled_law if noisy else _nonoise_law(coupled_law)
+    phi = _residual_test_function(cfg)
+    theta = _reference_theta(p, 100)
+    tracemalloc.start()
+    try:
+        _diagnose_unit(cfg, phi, theta, law, "noisy" if noisy else "nonoise", 6400, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * measured_mib * 2**20, peak / 2**20
 
 
 def test_residual_without_diffusion_equals_full_generator(coupled_params, coupled_law, monkeypatch):
@@ -558,7 +624,7 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
                        sigma=np.zeros_like(types.sigma))
     ens = simulate_particles(p, theta, samples, quiet, n_steps, 4)
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
-    sup, res = fpk_residual(ens, phi, p)
+    sup, res = fpk_residual(streamed(ens), phi, p)
     monkeypatch.setattr(TypeVector, "diffuses", property(lambda tv: True))
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
@@ -597,10 +663,26 @@ def test_residual_without_diffusion_builds_no_hessian(coupled_params, coupled_la
     for type_vector, builds in ((quiet, False), (types, True)):
         hessians.clear()
         second_derivatives.clear()
-        fpk_residual(simulate_particles(p, theta, samples, type_vector, 10, 4), phi, p)
+        fpk_residual(streamed(simulate_particles(p, theta, samples, type_vector, 10, 4)), phi, p)
         # one block: one _poly and one _bump, whose shell holds atoms
         assert [h is not None for h in hessians] == [builds, builds]
         assert bool(second_derivatives) == builds
+
+
+def test_residual_refuses_a_stream_that_ends_early(coupled_params, coupled_law):
+    """A stream is read once: a second residual on it finds no nodes and
+    ends as DimensionMismatch, as does a stream that stops one node short."""
+    p = coupled_params
+    samples, types = coupled_law.sample(40, 3)
+    theta = ControlGrid.zeros(p.T, 10)
+    stream = stream_particles(p, theta, samples, types, 10, 3)
+    fpk_residual(stream, _rich_phi(), p)
+    with pytest.raises(DimensionMismatch, match="after 0 of its 11 nodes"):
+        fpk_residual(stream, _rich_phi(), p)
+    short = streamed(simulate_particles(p, theta, samples, types, 10, 3))
+    short = dataclasses.replace(short, nodes=itertools.islice(short.nodes, 10))
+    with pytest.raises(DimensionMismatch, match="after 10 of its 11 nodes"):
+        fpk_residual(short, _rich_phi(), p)
 
 
 def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
@@ -613,4 +695,4 @@ def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
     ens = simulate_particles(p, batch, samples, types, 10, [3, 4])
     assert (ens.n_problems, ens.n_particles) == (2, 20)
     with pytest.raises(DimensionMismatch):
-        fpk_residual(ens, _rich_phi(), p)
+        fpk_residual(streamed(ens), _rich_phi(), p)

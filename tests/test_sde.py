@@ -9,8 +9,10 @@ from mfresnet import (
     Dims,
     ModelParams,
     SampleBatch,
+    TestFunction,
     TypeVector,
     evaluate_JN,
+    fpk_residual,
     simulate_augmented,
     simulate_particles,
 )
@@ -263,6 +265,45 @@ def test_divergence_raises(scalar_params):
             simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3)
     assert 0 < first < n_steps
     assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, first, 1)
+
+
+def test_stream_diverges_where_the_simulation_does_and_stops_there(scalar_params, monkeypatch):
+    """A diverging stream raises the Diverged of simulate_particles on the
+    same inputs, with its seed, step and particle, before it hands out the
+    node that is not finite: it evaluates the drift at the nodes before
+    that one only, where the stored simulation runs all 64 steps, so a
+    diverged residual stops early."""
+    p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
+                            k_theta=1e9)
+    n_steps = 64
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(p.T, np.stack([1e8 * np.ones_like(t), np.zeros_like(t)], axis=1))
+    samples = _scalar_batch(0.0, 1.0)
+    drifts = []
+    drift = ActivationSpec.drift
+
+    def counted(self, *args):
+        drifts.append(1)
+        return drift(self, *args)
+
+    monkeypatch.setattr(ActivationSpec, "drift", counted)
+    phi = TestFunction(terms=((1.0, 0, (2,), ()),), d=1, q=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Diverged) as stored:
+            simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3)
+        assert len(drifts) == n_steps
+        drifts.clear()
+        with pytest.raises(Diverged) as streamed:
+            for _ in sde.stream_particles(p, theta, samples, _quiet_type(p), n_steps, 3).nodes:
+                pass
+        assert len(drifts) == stored.value.step
+        drifts.clear()
+        with pytest.raises(Diverged) as residual:
+            fpk_residual(sde.stream_particles(p, theta, samples, _quiet_type(p), n_steps, 3), phi, p)
+    assert 0 < stored.value.step < n_steps
+    assert len(drifts) == stored.value.step
+    for exc in (streamed, residual):
+        assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, stored.value.step, 1)
 
 
 def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
