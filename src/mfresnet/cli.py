@@ -88,10 +88,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            if isinstance(self.n_list, str) or any(isinstance(n, bool) for n in self.n_list):
-                raise TypeError("neither a string nor a boolean is a list of sample sizes")
-            n_list = tuple(int(n) if isinstance(n, str) else operator.index(n) for n in self.n_list)
-        except (TypeError, ValueError):
+            n_list = () if any(isinstance(n, bool) for n in self.n_list) else tuple(map(operator.index, self.n_list))
+        except TypeError:
             n_list = ()
         if not n_list or n_list[0] < 1 or n_list[-1] > sys.maxsize or list(n_list) != sorted(set(n_list)):
             raise ConfigInvalid(f"n_list must be strictly increasing integers in [1, {sys.maxsize}], got {self.n_list!r}")
@@ -164,18 +162,19 @@ def _trajectory_lines(ens):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
-def _run_units(units, fn, workers):
-    """Evaluate fn on every unit, possibly concurrently; returns results in
-    unit order so output bytes do not depend on the worker count.  Threads
+def _run_units(fn, units, workers):
+    """fn(*unit) for every unit, possibly concurrently: fn is a module-level
+    function and each unit a tuple of its picklable arguments.  Results come
+    in unit order, so output bytes do not depend on the worker count.  Threads
     overlap only while numpy works on long vectors, so no more start than
     the cores this process may run on; and a result should own its arrays,
     so that a finished unit frees its buffers."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cores or 1)
     if workers <= 1:
-        return [fn(u) for u in units]
+        return [fn(*u) for u in units]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units))
+        return list(pool.map(fn, *zip(*units)))
 
 
 def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
@@ -351,11 +350,8 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
 
 def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
     rows = []
-    results = _run_units(
-        range(n_cases),
-        lambda c: gradcheck_case_error(c, cfg.seed, cfg.train.fd_epsilon),
-        cfg.workers,
-    )
+    results = _run_units(gradcheck_case_error, [(c, cfg.seed, cfg.train.fd_epsilon) for c in range(n_cases)],
+                         cfg.workers)
     worst = 0.0
     for c, (rel, analytic, fd, case_seed) in enumerate(results):
         rows.append((c, case_seed, analytic, fd, rel))
@@ -369,9 +365,10 @@ def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
     return outputs, summary, {"worst": worst, "rows": rows}
 
 
-def _gamma_unit(cfg, theta_star, n):
-    """Train the n_draws sampled problems of size n as one batch; per draw,
-    (min J_N, sup |theta_N - theta*|, terminal first coordinates)."""
+def _gamma_unit(cfg, n):
+    """Train the n_draws sampled problems of size n as one batch: per draw
+    min J_N, the trained node values (n_draws, S+1, m) and the terminal
+    first coordinates."""
     p = cfg.model
     draw_seeds = [split_seed(cfg.seed, f"gamma-{n}-{draw}") for draw in range(cfg.n_draws)]
     batches, type_vectors = zip(*(cfg.initial_law.sample(n, split_seed(s, "data")) for s in draw_seeds))
@@ -379,9 +376,8 @@ def _gamma_unit(cfg, theta_star, n):
     result = train(p, samples, tv, cfg.train, [split_seed(s, "train") for s in draw_seeds])
     ens = simulate_particles(p, result.theta_star, samples, tv, result.theta_star.n_intervals,
                              [split_seed(s, "terminal") for s in draw_seeds])
-    clouds = ens.X[:, -1, 0].reshape(cfg.n_draws, n)
-    return [(history[-1].total, float(np.max(np.abs(values - theta_star.values))), cloud.copy())
-            for history, values, cloud in zip(result.history, result.theta_star.values, clouds)]
+    clouds = [cloud.copy() for cloud in ens.X[:, -1, 0].reshape(cfg.n_draws, n)]
+    return [history[-1].total for history in result.history], result.theta_star.values, clouds
 
 
 def run_gamma(cfg: ExperimentConfig):
@@ -396,10 +392,11 @@ def run_gamma(cfg: ExperimentConfig):
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
     ref_cloud = _reference_cloud(cfg, theta_star, "ref-cloud")
 
-    results = _run_units(cfg.n_list, lambda n: _gamma_unit(cfg, theta_star, n), cfg.workers)
+    results = _run_units(_gamma_unit, [(cfg, n) for n in cfg.n_list], cfg.workers)
     rows = []
     for n, draws in zip(cfg.n_list, results):
-        for draw, (min_jn, sup_diff, cloud) in enumerate(draws):
+        for draw, (min_jn, values, cloud) in enumerate(zip(*draws)):
+            sup_diff = float(np.max(np.abs(values - theta_star.values)))
             w2 = wasserstein2_1d(cloud, ref_cloud)
             rows.append((n, draw, min_jn, abs(min_jn - jd), sup_diff, w2))
     outputs = {
@@ -434,15 +431,17 @@ def _residual_test_function(cfg):
                         r_plateau=cfg.phi_radius, r_support=2.0 * cfg.phi_radius)
 
 
-def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
-    """The sup FPK residual of one simulated ensemble and its terminal first
-    coordinates.  The Euler nodes stream straight into the residual, so the
-    unit holds its noise table, one residual block and the last node read,
-    never a whole path."""
+def _diagnose_unit(cfg, label, n, seed_idx):
+    """The sup FPK residual of one ensemble under the reference control and
+    its terminal first coordinates; the "nonoise" case draws from the
+    initial law without diffusion.  The Euler nodes stream straight into
+    the residual, so the unit holds its noise table, one residual block and
+    the last node read, never a whole path."""
     p = cfg.model
+    law = cfg.initial_law if label == "noisy" else _nonoise_law(cfg.initial_law)
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
-    stream = stream_particles(p, theta, samples, tv, cfg.n_steps, run_seed)
+    stream = stream_particles(p, _reference_theta(p, cfg.n_steps), samples, tv, cfg.n_steps, run_seed)
     last = []
 
     def nodes():
@@ -450,7 +449,7 @@ def _diagnose_unit(cfg, phi, theta, law, label, n, seed_idx):
             last[:] = [x]
             yield x, z, eta
 
-    sup_res, _ = fpk_residual(dataclasses.replace(stream, nodes=nodes()), phi, p)
+    sup_res, _ = fpk_residual(dataclasses.replace(stream, nodes=nodes()), _residual_test_function(cfg), p)
     return sup_res, last[0][:, 0].copy()
 
 
@@ -459,26 +458,16 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     p = cfg.model
     if len(cfg.n_list) < 2:
         raise ConfigInvalid(f"diagnose-fpk fits its slope through 2 or more n_list sizes, got {len(cfg.n_list)}")
-    phi = _residual_test_function(cfg)
-    theta = _reference_theta(p, cfg.n_steps)
-    law = cfg.initial_law
-    quiet_law = _nonoise_law(law)
     # W2 is taken in one dimension only; for d > 1 the column is nan
-    ref_cloud = _reference_cloud(cfg, theta, "diag-ref") if p.dims.d == 1 else None
+    ref_cloud = _reference_cloud(cfg, _reference_theta(p, cfg.n_steps), "diag-ref") if p.dims.d == 1 else None
 
-    units = [(label, n, s)
+    units = [(cfg, label, n, s)
              for label in ("noisy", "nonoise")
              for n in cfg.n_list
              for s in range(cfg.seeds_per_n)]
-
-    def unit(u):
-        label, n, s = u
-        law_u = law if label == "noisy" else quiet_law
-        return _diagnose_unit(cfg, phi, theta, law_u, label, n, s)
-
-    results = _run_units(units, unit, cfg.workers)
+    results = _run_units(_diagnose_unit, units, cfg.workers)
     rows = []
-    for (label, n, s), (sup_res, cloud) in zip(units, results):
+    for (_, label, n, s), (sup_res, cloud) in zip(units, results):
         w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
         rows.append((label, n, s, sup_res, w2))
     outputs = {
@@ -540,8 +529,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-        overrides = {"seed": args.seed, "out": args.out, "workers": args.workers,
-                     "n_list": None if args.n_list is None else args.n_list.split(","),
+        try:
+            n_list = None if args.n_list is None else [int(n) for n in args.n_list.split(",")]
+        except ValueError:
+            raise ConfigInvalid(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
+        overrides = {"seed": args.seed, "out": args.out, "workers": args.workers, "n_list": n_list,
                      "dump_trajectories": args.dump_trajectories or None}
         cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         _, summary_text = run_experiment(args.command, cfg)

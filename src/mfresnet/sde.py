@@ -108,14 +108,21 @@ def _check_finite(seeds, *paths, first_step=0):
                    seed=int(seeds[problem]), step=first_step + int(step), particle=particle)
 
 
+_NOISE_BLOCK = 1024  # particles per noise_table call: the block held beside the table is 1.6 MiB at S=100, p=2
+
+
 def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
     """The increments simulate_particles draws when given no noise, node-major:
     (n_steps, N, p) for particles 0..n_paths-1, row i of noise_table at
-    [:, i]; for a sequence of seeds, one such block of rows per seed, stacked."""
-    tables = [noise_table(s, np.arange(n_paths), n_steps, p.T / n_steps, p.dims.p)
-              for s in problem_seeds(seed)]
-    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    return np.ascontiguousarray(table.transpose(1, 0, 2))
+    [:, i]; for a sequence of seeds, one such block of rows per seed, stacked.
+    Streams are keyed by particle id, so the table is filled block by block."""
+    seeds = problem_seeds(seed)
+    out = np.empty((n_steps, len(seeds), n_paths, p.dims.p))
+    for b, s in enumerate(seeds):
+        for start in range(0, n_paths, _NOISE_BLOCK):
+            ids = np.arange(start, min(start + _NOISE_BLOCK, n_paths))
+            out[:, b, start:start + len(ids)] = noise_table(s, ids, n_steps, p.T / n_steps, p.dims.p).transpose(1, 0, 2)
+    return out.reshape(n_steps, len(seeds) * n_paths, p.dims.p)
 
 
 def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,

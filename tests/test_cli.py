@@ -5,8 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import pathlib
+import pickle
+import sys
 import threading
 import time
 
@@ -251,6 +254,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("gamma", {"n_list": [50.5, 200]}, []),
         ("gamma", {"n_list": [True, 50]}, []),
         ("gamma", {"n_list": "12"}, []),
+        ("gamma", {"n_list": ["5", "10"]}, []),
         ("gamma", {"n_list": [50, 10**400]}, []),
         ("diagnose-fpk", {}, ["--n-list", "50,20"]),
         # one size gives no log-log slope
@@ -396,11 +400,12 @@ def test_run_units_starts_no_more_threads_than_usable_cores(tmp_path, monkeypatc
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert cli._run_units(range(6), lambda u: u * u, 4) == [0, 1, 4, 9, 16, 25]
+    assert cli._run_units(operator.mul, [(u, u) for u in range(6)], 4) == [0, 1, 4, 9, 16, 25]
     assert pools == [2]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
     threads = set()
-    assert cli._run_units(range(6), lambda u: threads.add(threading.get_ident()) or u, 4) == list(range(6))
+    assert cli._run_units(lambda u: threads.add(threading.get_ident()) or u,
+                          [(u,) for u in range(6)], 4) == list(range(6))
     assert pools == [2] and threads == {threading.get_ident()}
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -418,19 +423,47 @@ def test_run_units_starts_no_more_threads_than_usable_cores(tmp_path, monkeypatc
     assert pools == [2, 2]
 
 
+def test_units_are_picklable_module_level_functions(tmp_path, monkeypatch):
+    """gamma, diagnose-fpk and gradcheck hand _run_units a module-level
+    function and tuples of picklable arguments, so that the units could run
+    in worker processes under any start method: both survive pickling, and
+    the unpickled function on the first unpickled unit gives the bytes of
+    the result computed in this process."""
+    calls = []
+    run_units = cli._run_units
+
+    def recording(fn, units, workers):
+        results = run_units(fn, units, workers)
+        calls.append((fn, units, results))
+        return results
+
+    monkeypatch.setattr(cli, "_run_units", recording)
+    cfg = _small_cfg(tmp_path, n_list=(5, 10), n_draws=2, seeds_per_n=1, m_paths=50, n_steps=4,
+                     fixed_point=FixedPointConfig(mc_paths=50), train=TrainConfig(n_intervals=4, max_iters=2))
+    run_experiment("gamma", cfg)
+    run_experiment("diagnose-fpk", cfg)
+    cli.run_gradcheck(cfg, n_cases=2)
+    assert [fn.__name__ for fn, _, _ in calls] == ["_gamma_unit", "_diagnose_unit", "gradcheck_case_error"]
+    for fn, units, results in calls:
+        assert vars(sys.modules[fn.__module__]).get(fn.__qualname__) is fn
+        fn_again, units_again = pickle.loads(pickle.dumps((fn, units)))
+        assert fn_again is fn and len(units_again) == len(units) == len(results)
+        assert pickle.dumps(fn_again(*units_again[0])) == pickle.dumps(results[0])
+
+
 def test_unit_results_own_their_data(tmp_path):
-    """The reference cloud and every cloud a gamma or diagnose-fpk unit
-    returns are copies, so that a finished unit frees its trajectory buffer
-    before the others finish."""
+    """The reference cloud, every cloud a gamma or diagnose-fpk unit returns
+    and the trained node values of a gamma unit own their data, so that a
+    finished unit frees its trajectory buffer before the others finish."""
     cfg = _small_cfg(tmp_path, n_draws=2, m_paths=50, n_steps=4,
                      train=TrainConfig(n_intervals=4, max_iters=2))
-    theta = cli._reference_theta(cfg.model, 4)
-    clouds = [cli._reference_cloud(cfg, theta, "ref")]
-    clouds += [cloud for _, _, cloud in cli._gamma_unit(cfg, theta, 5)]
-    phi = cli._residual_test_function(cfg)
-    clouds.append(cli._diagnose_unit(cfg, phi, theta, cfg.initial_law, "noisy", 5, 0)[1])
+    clouds = [cli._reference_cloud(cfg, cli._reference_theta(cfg.model, 4), "ref")]
+    _, values, gamma_clouds = cli._gamma_unit(cfg, 5)
+    clouds += gamma_clouds
+    clouds.append(cli._diagnose_unit(cfg, "noisy", 5, 0)[1])
     assert len(clouds) == 4
     assert all(cloud.base is None for cloud in clouds)
+    assert values.shape == (2, 5, cfg.model.dims.m) and values.base is None
 
 
 def test_gamma_trains_the_draws_of_each_sample_size_as_one_batch(tmp_path, monkeypatch):

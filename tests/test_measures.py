@@ -22,7 +22,6 @@ from mfresnet import measures
 from mfresnet.cli import (
     ExperimentConfig,
     _diagnose_unit,
-    _nonoise_law,
     _reference_theta,
     _residual_test_function,
 )
@@ -589,22 +588,20 @@ def test_streamed_residual_gives_the_per_node_bytes(d, q, r_plateau, r_support, 
     assert sup == np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("noisy, measured_mib", [(True, 21.04), (False, 4.41)])
+@pytest.mark.parametrize("noisy, measured_mib", [(True, 18.86), (False, 4.41)])
 def test_diagnose_unit_memory_is_bounded(coupled_params, coupled_law, noisy, measured_mib):
     """One diagnose-fpk unit at N = 6400 over 100 steps of the fpk-coupled-w2
     model streams its Euler nodes into the residual, so it holds its noise
-    table (10 MiB) and one residual block, never X and Z.  Its allocations
-    peak at 21.04 MiB with noise and 4.41 MiB without (tracemalloc, numpy
-    2.4, the first unit in a process); storing the paths first peaked at
-    31.74 and 23.84 MiB.  The bound adds 25%."""
-    p = coupled_params
-    cfg = ExperimentConfig(model=p, initial_law=coupled_law, n_steps=100, phi_radius=12.0)
-    law = coupled_law if noisy else _nonoise_law(coupled_law)
-    phi = _residual_test_function(cfg)
-    theta = _reference_theta(p, 100)
+    table (10 MiB, drawn into place a block of particles at a time) and one
+    residual block, never X and Z.  Its allocations peak at 18.86 MiB with
+    noise and 4.41 MiB without (tracemalloc, numpy 2.4, the first unit in a
+    process); storing the paths first peaked at 31.74 and 23.84 MiB, and a
+    noise table transposed from a particle-major copy at 21.04 MiB with
+    noise.  The bound adds 25%."""
+    cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, n_steps=100, phi_radius=12.0)
     tracemalloc.start()
     try:
-        _diagnose_unit(cfg, phi, theta, law, "noisy" if noisy else "nonoise", 6400, 0)
+        _diagnose_unit(cfg, "noisy" if noisy else "nonoise", 6400, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -171,6 +171,20 @@ def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scala
     assert np.array_equal(full.X[3], sub.X[0])
 
 
+@pytest.mark.parametrize("seed", [5, [5, 6, 7]], ids=["one-seed", "three-seeds"])
+def test_euler_noise_is_the_stacked_transposed_noise_table(coupled_params, seed):
+    """euler_noise fills its node-major table a block of particles at a time;
+    with a last block shorter than the others it still holds the bytes of
+    each seed's whole noise_table, stacked and transposed."""
+    p = coupled_params
+    n = sde._NOISE_BLOCK + 300
+    tables = [noise_table(s, np.arange(n), 6, p.T / 6, p.dims.p) for s in sde.problem_seeds(seed)]
+    expected = np.concatenate(tables).transpose(1, 0, 2)
+    noise = euler_noise(p, n, 6, seed)
+    assert noise.shape == expected.shape and noise.flags.c_contiguous
+    assert noise.tobytes() == expected.tobytes()
+
+
 def test_state_and_input_share_the_increment(coupled_params, coupled_law):
     """Both equations of a particle are driven by the same Brownian path."""
     samples, types = coupled_law.sample(3, 2)
