@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Reproduce the headline experiments. Outputs land in results/<name>/.
-# Every run is deterministic in the config seed; pass --workers N to
-# parallelize without changing a single output byte. The run ends by
-# checking the CSVs against the digests in scripts/outputs.sha256.
+# Every run is deterministic in the config seed; extra arguments such as
+# --workers N are passed to every command (units run in series at any N, and
+# no output byte changes). The run ends by checking the CSVs against the
+# digests in scripts/outputs.sha256.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -10,7 +10,6 @@ written in a fixed order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -74,7 +73,7 @@ class ExperimentConfig:
     initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
     seed: int = 20240815
     out: str = "results"
-    workers: int = 1
+    workers: int = 1           # checked, not hashed; units run in series at any value (_run_units)
     n_particles: int = 100
     n_steps: int = 32
     n_list: tuple = (50, 200, 800, 3200)
@@ -162,19 +161,12 @@ def _trajectory_lines(ens):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
-def _run_units(fn, units, workers):
-    """fn(*unit) for every unit, possibly concurrently: fn is a module-level
-    function and each unit a tuple of its picklable arguments.  Results come
-    in unit order, so output bytes do not depend on the worker count.  Threads
-    overlap only while numpy works on long vectors, so no more start than
-    the cores this process may run on; and a result should own its arrays,
-    so that a finished unit frees its buffers."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cores or 1)
-    if workers <= 1:
-        return [fn(*u) for u in units]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*units)))
+def _run_units(fn, units):
+    """fn(*unit) for every unit, in series and in order (on threads they ran
+    slower): fn is a module-level function and each unit a tuple of its
+    picklable arguments, so that units could run in worker processes, and a
+    result should own its arrays, so that a finished unit frees its buffers."""
+    return [fn(*u) for u in units]
 
 
 def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
@@ -350,8 +342,7 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
 
 def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
     rows = []
-    results = _run_units(gradcheck_case_error, [(c, cfg.seed, cfg.train.fd_epsilon) for c in range(n_cases)],
-                         cfg.workers)
+    results = _run_units(gradcheck_case_error, [(c, cfg.seed, cfg.train.fd_epsilon) for c in range(n_cases)])
     worst = 0.0
     for c, (rel, analytic, fd, case_seed) in enumerate(results):
         rows.append((c, case_seed, analytic, fd, rel))
@@ -392,7 +383,7 @@ def run_gamma(cfg: ExperimentConfig):
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
     ref_cloud = _reference_cloud(cfg, theta_star, "ref-cloud")
 
-    results = _run_units(_gamma_unit, [(cfg, n) for n in cfg.n_list], cfg.workers)
+    results = _run_units(_gamma_unit, [(cfg, n) for n in cfg.n_list])
     rows = []
     for n, draws in zip(cfg.n_list, results):
         for draw, (min_jn, values, cloud) in enumerate(zip(*draws)):
@@ -445,12 +436,12 @@ def _diagnose_unit(cfg, label, n, seed_idx):
     last = []
 
     def nodes():
-        for x, z, eta in stream.nodes:
-            last[:] = [x]
-            yield x, z, eta
+        for node in stream.nodes:
+            last[:] = node[:1]
+            yield node
 
     sup_res, _ = fpk_residual(dataclasses.replace(stream, nodes=nodes()), _residual_test_function(cfg), p)
-    return sup_res, last[0][:, 0].copy()
+    return sup_res, last[0][0].copy()
 
 
 def run_diagnose_fpk(cfg: ExperimentConfig):
@@ -465,7 +456,7 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
              for label in ("noisy", "nonoise")
              for n in cfg.n_list
              for s in range(cfg.seeds_per_n)]
-    results = _run_units(_diagnose_unit, units, cfg.workers)
+    results = _run_units(_diagnose_unit, units)
     rows = []
     for (_, label, n, s), (sup_res, cloud) in zip(units, results):
         w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
@@ -519,7 +510,8 @@ def build_parser():
         sp.add_argument("config", nargs="?", help="JSON experiment configuration (defaults used if omitted)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None,
+                        help="a positive integer; units run in series at any value")
         sp.add_argument("--n-list", default=None, help="comma-separated sample sizes")
         sp.add_argument("--dump-trajectories", action="store_true")
     return parser

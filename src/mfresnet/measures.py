@@ -9,7 +9,6 @@ form and plateau-covered cases are exact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -212,11 +211,10 @@ class TestFunction:
 
 # Most atoms in one derivative table of the residual (at least one node's):
 # bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian
-# being 3 MiB at d+q = 4, and a call's peak about 8.5 MiB.  Blocks must be
-# long for units on threads to overlap: numpy releases the interpreter lock
-# only inside a call, and blocks of one node at N = 6400 ran slower on two
-# threads than in series.  At 24576 rows a block holds 3 nodes at N = 6400.
-_BLOCK_ROWS = 24576
+# being 1.6 MiB at d+q = 4.  At N = 6400 a block holds 2 nodes; a noisy and
+# a quiet unit in series there took a median 212 ms, against 219 ms with
+# blocks of 6400 rows and 225 ms with 24576 (15 rounds, 2 vCPUs).
+_BLOCK_ROWS = 12800
 
 
 def _diffusion_trace(subscripts, a, b, h):
@@ -244,15 +242,15 @@ def _dot_rows(a, b):
     return np.einsum("nd,nd->n", *rows)
 
 
-def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
-                          theta_val, eta, p: ModelParams) -> np.ndarray:
+def generator_apply_batch(dv: dict, f, phid, type_vector: TypeVector) -> np.ndarray:
     """Generator applied to a test function at each atom, vectorized:
     returns (N,).  dv is the function's derivative table at the atoms
-    (TestFunction.derivs); the drift reads depth only through theta_val.
-    Every atom shares type_vector; without diffusion its second-order terms
-    vanish and are skipped, and dv needs no Hessian.  The diffusion traces
-    are sums of one small product per term (_diffusion_trace), which give
-    the bytes of the three-operand einsums they stand for.
+    (TestFunction.derivs), and f (N, d) and phid (N, q) the drift and the
+    exogenous drift there, as the Euler step evaluated them.  Every atom
+    shares type_vector; without diffusion its second-order terms vanish and
+    are skipped, and dv needs no Hessian.  The diffusion traces are sums of
+    one small product per term (_diffusion_trace), which give the bytes of
+    the three-operand einsums they stand for.
 
     Sum of the time derivative, the drift and exogenous-drift first-order
     terms, and the diffusion second-order terms.  The mixed state/input
@@ -260,15 +258,14 @@ def generator_apply_batch(dv: dict, x, z, type_vector: TypeVector,
     the joint diffusion are equal, and folding them into one trace leaves
     no factor one half (checked against the Ito expansion in the tests).
     """
-    f = p.activation.drift(theta_val, z, x, eta)
+    q = phid.shape[1]
     out = dv["ds"] + _dot_rows(f, dv["dx"])
-    if z.shape[1]:
-        phid = p.phi_value(type_vector.gamma, z)
+    if q:
         out = out + _dot_rows(phid, dv["dz"])
     if not type_vector.diffuses:
         return out
     eps, sigma = type_vector.epsilon, type_vector.sigma
-    if z.shape[1]:
+    if q:
         out = out + 0.5 * _diffusion_trace("kp,lp,nkl->n", sigma, sigma, dv["dzz"])
         out = out + _diffusion_trace("dp,qp,nqd->n", eps, sigma, dv["dzx"])
     out = out + 0.5 * _diffusion_trace("dp,ep,nde->n", eps, eps, dv["dxx"])
@@ -279,17 +276,17 @@ def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
     """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
     trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
     weighted atoms of the streamed ensemble at node t and the generator A
-    taken under the control and batch statistic that drove it; returns
-    (sup |R|, R path).
+    taken with the drifts that the stream's Euler step evaluated at each
+    node; returns (sup |R|, R path).
 
     Each node is read once, in order: the atoms of up to _BLOCK_ROWS // N
     nodes form one node-major table w = (x, z), row k*N + i holding particle
     i at the block's node k, so each per-node mean runs along the last axis
-    of a (nodes, N) array.  It is the transposed view of a (d+q, nodes, N)
-    gather of the nodes, each coordinate contiguous, and only one block is
-    held at a time.  Without diffusion no Hessian is built.  Takes one
-    problem's stream; a batch, or a stream that ends early (one already
-    read), raises DimensionMismatch."""
+    of a (nodes, N) array.  It is the transposed view of a (2(d+q), nodes,
+    N) gather of the nodes' coordinate-major states and drifts, each
+    coordinate contiguous, and only one block is held at a time.  Without
+    diffusion no Hessian is built.  Takes one problem's stream; a batch, or
+    a stream that ends early (one already read), raises DimensionMismatch."""
     theta = path.theta
     if theta.n_problems > 1:
         raise DimensionMismatch(f"fpk_residual takes the ensemble of one problem, got {theta.n_problems}")
@@ -306,19 +303,15 @@ def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
     for k0 in range(0, n_nodes, per_block):
         block = slice(k0, min(k0 + per_block, n_nodes))
         nk = block.stop - k0
-        w = np.empty((m, nk, n))
-        etas = []
-        for j, (x, z, eta) in enumerate(itertools.islice(nodes, nk)):
-            w[:d, j] = x.T
-            w[d:, j] = z.T
-            etas.append(eta)
-        if len(etas) < nk:
-            raise DimensionMismatch(f"the stream ended after {k0 + len(etas)} of its {n_nodes} nodes")
-        w = w.reshape(m, nk * n).T
-        theta_rows = np.repeat(theta.values[block].T, n, axis=1)[:, :, None]
-        eta_rows = None if etas[0] is None else np.repeat(np.concatenate(etas), n)[:, None]
-        dv = phi.derivs(t_grid[block], w, second=second)
-        gen = generator_apply_batch(dv, w[:, :d], w[:, d:], path.type_vector, theta_rows, eta_rows, p)
+        w = np.empty((2 * m, nk, n))  # x, z, f, phi
+        for j in range(nk):
+            node = next(nodes, None)
+            if node is None:
+                raise DimensionMismatch(f"the stream ended after {k0 + j} of its {n_nodes} nodes")
+            w[:d, j], w[d:m, j], w[m:m + d, j], w[m + d:, j] = node
+        w = w.reshape(2 * m, nk * n).T
+        dv = phi.derivs(t_grid[block], w[:, :m], second=second)
+        gen = generator_apply_batch(dv, w[:, m:m + d], w[:, m + d:], path.type_vector)
         mean_phi[block] = np.mean(dv["val"].reshape(nk, n), axis=-1)
         mean_gen[block] = np.mean(gen.reshape(nk, n), axis=-1)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * theta.dt * (mean_gen[1:] + mean_gen[:-1]))])

@@ -5,14 +5,14 @@ augmented paths of the limiting first-order condition built from it.
 One Brownian path drives both the state and the exogenous input of a
 particle (the two equations share the increment).  Particle i is row i,
 and its noise stream is keyed by i, so results do not depend on evaluation
-order or worker partitioning; paths and noise are stored node-major, one
-contiguous slab of rows per node.  A batch of independent problems stacks
-their particles as row blocks; particle i of each problem draws stream i
-under that problem's seed, so a problem's paths do not depend on its batch.
+order or worker partitioning; paths and noise are stored node-major, node
+k one contiguous (coordinates, rows) slab.  A batch of independent problems
+stacks their particles as row blocks; particle i of each problem draws
+stream i under that problem's seed, so its paths do not depend on its batch.
 
-The one Euler loop, euler_nodes, hands out the nodes in order:
-simulate_particles stores them all, and stream_particles hands each one on
-without storing it.
+The one Euler loop, euler_nodes, hands out the nodes in order, each with
+the drifts its step evaluates: simulate_particles stores them all, and
+stream_particles hands each one on without storing it.
 """
 from __future__ import annotations
 
@@ -31,8 +31,9 @@ from .rng import noise_table
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """The record of one forward pass: N simulated trajectories (particle i
-    is row i; X and Z are views of node-major buffers, so X[:, k] is
-    contiguous), the control that drove them and the batch statistic they saw.
+    is row i; X and Z are views of node-major, coordinate-major buffers
+    (S+1, d, rows), so X[:, k].T is contiguous), the control that drove
+    them and the batch statistic they saw.
 
     A batch of B independent problems is one ensemble: theta holds the B
     controls, problem b is the row block b*N .. (b+1)*N - 1 and eta has one
@@ -67,11 +68,11 @@ class ParticleEnsemble:
         return self.theta.dt
 
     def problems(self, idx):
-        """The batch of problems idx (increasing indices) of a batched ensemble, gathered node-major."""
+        """The batch of problems idx (increasing indices) of a batched ensemble, gathered along the buffers' row axis."""
         if len(idx) == self.n_problems:
             return self
         rows = problem_rows(idx, self.n_particles)
-        X, Z = (np.take(a.swapaxes(0, 1), rows, axis=1).swapaxes(0, 1) for a in (self.X, self.Z))
+        X, Z = (np.take(a.transpose(1, 2, 0), rows, axis=-1).transpose(2, 0, 1) for a in (self.X, self.Z))
         return ParticleEnsemble(theta=self.theta.with_values(self.theta.values[idx]), X=X, Z=Z,
                                 eta=None if self.eta is None else self.eta[idx],
                                 y0=self.y0[rows], type_vector=self.type_vector)
@@ -112,50 +113,67 @@ _NOISE_BLOCK = 1024  # particles per noise_table call: the block held beside the
 
 
 def euler_noise(p: ModelParams, n_paths, n_steps, seed) -> np.ndarray:
-    """The increments simulate_particles draws when given no noise, node-major:
-    (n_steps, N, p) for particles 0..n_paths-1, row i of noise_table at
-    [:, i]; for a sequence of seeds, one such block of rows per seed, stacked.
-    Streams are keyed by particle id, so the table is filled block by block."""
+    """The increments simulate_particles draws when given no noise, node-major
+    and coordinate-major: (n_steps, p, N) for particles 0..n_paths-1, row i
+    of noise_table at [:, :, i]; for a sequence of seeds, one such block of
+    rows per seed, stacked.  Streams are keyed by particle id, so the table
+    is filled block by block."""
     seeds = problem_seeds(seed)
-    out = np.empty((n_steps, len(seeds), n_paths, p.dims.p))
+    out = np.empty((n_steps, p.dims.p, len(seeds), n_paths))
     for b, s in enumerate(seeds):
         for start in range(0, n_paths, _NOISE_BLOCK):
             ids = np.arange(start, min(start + _NOISE_BLOCK, n_paths))
-            out[:, b, start:start + len(ids)] = noise_table(s, ids, n_steps, p.T / n_steps, p.dims.p).transpose(1, 0, 2)
-    return out.reshape(n_steps, len(seeds) * n_paths, p.dims.p)
+            out[:, :, b, start:start + len(ids)] = noise_table(s, ids, n_steps, p.T / n_steps, p.dims.p).transpose(1, 2, 0)
+    return out.reshape(n_steps, p.dims.p, len(seeds) * n_paths)
+
+
+def _diffusion(coef, noise_k):
+    """np.einsum("dp,np->nd", coef, noise_k.T) with its bytes, coordinate-major:
+    the (d, rows) increment of one node's (p, rows) noise.  Up to 2 columns
+    einsum adds the products in order to +0.0 (so a -0.0 product gives
+    +0.0), and so do the column sums here; from 3 it groups them by layout,
+    and is called on a row-major copy of the node."""
+    if coef.shape[1] > 2:
+        return np.einsum("dp,np->nd", coef, np.ascontiguousarray(noise_k.T)).T
+    inc = coef[:, :1] * noise_k[0]
+    for j in range(1, coef.shape[1]):
+        inc += coef[:, j:j + 1] * noise_k[j]
+    inc += 0.0
+    return inc
 
 
 def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,
                 n_steps: int, seed, noise=None, out=None):
     """Euler-Maruyama for the N-particle system with batch coupling, one step
-    per interval of the control grid, node by node: yields (x_k, z_k, eta_k)
-    for k = 0..n_steps, with x_k (B*N, d) and z_k (B*N, q), which it does not
-    touch again, and eta_k (B,), each problem's batch statistic
-    mean_j rho(X_k^j), or None for a drift that ignores it (eta_weight == 0).
+    per interval of the control grid, node by node: yields (x_k, z_k, f_k,
+    phi_k) for k = 0..n_steps, coordinate-major, with x_k (d, B*N) and z_k
+    (q, B*N), which it does not touch again, and f_k (d, B*N) and phi_k
+    (q, B*N) the drift and the exogenous drift that step k evaluates.
 
     The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
-    eta_k); the exogenous input uses the decay drift; both use the same
-    Brownian increment of the particle.  All particles share `type_vector`;
-    when it does not diffuse, no increment is drawn or contracted and `noise`
-    is not read.  Driven by M draws from the initial law this is the
-    limiting SDE, its batch statistic approximated by the empirical mean over
-    the M paths.
+    eta_k), eta_k each problem's batch statistic mean_j rho(X_k^j) (computed
+    only for a drift that reads it, eta_weight != 0); the exogenous input
+    uses the decay drift; both use the same Brownian increment of the
+    particle.  All particles share `type_vector`; when it does not diffuse,
+    no increment is drawn or contracted and `noise` is not read.  Driven by
+    M draws from the initial law this is the limiting SDE, its batch
+    statistic approximated by the empirical mean over the M paths.
 
     B independent problems run as one batch when theta holds B controls and
-    `seed` is a sequence of B seeds: `samples` and each node of the
-    node-major `noise` (n_steps, B*N, p) stack the problems' N rows each as
-    contiguous blocks, and each problem has its own control, noise and batch
-    statistic.  Before the first node, raises GridMismatch unless n_steps is
-    the control's interval count and its horizon is p.T, and
-    DimensionMismatch unless the seeds and rows split into the control's
-    problems and the noise has that shape.  No node is checked for
-    finiteness: simulate_particles checks its stored paths once, and
-    stream_particles checks each node it hands out.
+    `seed` is a sequence of B seeds: `samples` and each node of the `noise`
+    (n_steps, p, B*N) stack the problems' N rows each as contiguous blocks,
+    and each problem has its own control, noise and batch statistic.  Before
+    the first node, raises GridMismatch unless n_steps is the control's
+    interval count and its horizon is p.T, and DimensionMismatch unless the
+    seeds and rows split into the control's problems and the noise has that
+    shape.
 
-    Given `out` = (X, Z, E), node-major buffers (n_steps+1, B*N, d) and
-    (n_steps+1, B*N, q) and E (B, n_steps+1) or None, node k is written into
-    the slabs X[k] and Z[k] and yielded as them, and eta_k into E[:, k];
-    otherwise each node is a new array.
+    Given `out` = (X, Z, E), buffers (n_steps+1, d, B*N) and (n_steps+1, q,
+    B*N) and E (B, n_steps+1) or None, node k is written into the slabs
+    X[k] and Z[k] and yielded as them, and eta_k into E[:, k]; no node is
+    checked (the caller checks the stored paths once), and the last node,
+    where no step follows, has no drifts (None, None).  Otherwise each node
+    is a new array, checked as stream_particles says.
     """
     if n_steps != theta.n_intervals:
         raise GridMismatch(f"simulation needs one step per control interval: "
@@ -174,37 +192,44 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
     diffuses = type_vector.diffuses
     if noise is None and diffuses:
         noise = euler_noise(p, n, n_steps, seeds)
-    if diffuses and np.shape(noise) != (n_steps, rows, p.dims.p):
-        raise DimensionMismatch(f"noise must be node-major {(n_steps, rows, p.dims.p)}, got {np.shape(noise)}")
+    if diffuses and np.shape(noise) != (n_steps, p.dims.p, rows):
+        raise DimensionMismatch(f"noise must be node-major {(n_steps, p.dims.p, rows)}, got {np.shape(noise)}")
 
     act = p.activation
     coupled = act.eta_weight != 0.0
     X, Z, E = (None, None, None) if out is None else out
     if X is None:
-        x, z = (np.array(a, dtype=float, order="C") for a in (samples.x0, samples.z0))
+        x, z = (np.array(a.T, dtype=float, order="C") for a in (samples.x0, samples.z0))
     else:
-        X[0], Z[0] = samples.x0, samples.z0
+        X[0], Z[0] = samples.x0.T, samples.z0.T
         x, z = X[0], Z[0]
     nodes = control_nodes(theta)
     eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
     for k in range(n_steps + 1):
+        if X is None:
+            _check_finite(seeds, x.T[:, None], z.T[:, None], first_step=k)
         eta_k = None
         if coupled:
-            eta_k = np.mean(p.rho_value(x).reshape(b, n), axis=1)
+            eta_k = np.mean(p.rho_value(x.T).reshape(b, n), axis=1)
             if E is not None:
                 E[:, k] = eta_k
-        yield x, z, eta_k
+        if k == n_steps and X is not None:
+            yield x, z, None, None
+            return
+        # the row-major drifts on transposed views: numpy keeps the coordinate-major layout
+        f = act.drift(nodes[k], z.T.reshape(b, n, q), x.T.reshape(b, n, d),
+                      None if eta_k is None else eta_k[:, None, None]).reshape(rows, d).T
+        phid = p.phi_value(gamma, z.T).T if q else z
+        yield x, z, f, phid
         if k == n_steps:
             return
-        f = act.drift(nodes[k], z.reshape(b, n, q), x.reshape(b, n, d),
-                      None if eta_k is None else eta_k[:, None, None])
-        x = np.add(x, f.reshape(rows, d) * dt, out=None if X is None else X[k + 1])
+        x = np.add(x, f * dt, out=None if X is None else X[k + 1])
         if diffuses:
-            x += np.einsum("dp,np->nd", eps, noise[k])
+            x += _diffusion(eps, noise[k])
         if q:
-            z = np.add(z, p.phi_value(gamma, z) * dt, out=None if Z is None else Z[k + 1])
+            z = np.add(z, phid * dt, out=None if Z is None else Z[k + 1])
             if diffuses:
-                z += np.einsum("qp,np->nq", sigma, noise[k])
+                z += _diffusion(sigma, noise[k])
 
 
 def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,
@@ -213,15 +238,15 @@ def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
     problems and the checks of the inputs), every node stored; it carries
     `type_vector` as it is.  Raises Diverged if a path is not finite at the end."""
     rows, b = len(samples), theta.n_problems
-    # node-major buffers: euler_nodes writes each node as one contiguous slab
-    X = np.empty((theta.n_intervals + 1, rows, p.dims.d))
-    Z = np.empty((theta.n_intervals + 1, rows, p.dims.q))
+    # euler_nodes writes each node as one contiguous (coordinates, rows) slab
+    X = np.empty((theta.n_intervals + 1, p.dims.d, rows))
+    Z = np.empty((theta.n_intervals + 1, p.dims.q, rows))
     eta = np.empty((b, theta.n_intervals + 1)) if p.activation.eta_weight != 0.0 else None
     nodes = euler_nodes(p, theta, samples, type_vector, n_steps, seed, noise, (X, Z, eta))
     collections.deque(nodes, maxlen=0)   # run the loop; every node is already in the buffers
     if eta is not None:
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
-    X, Z = X.transpose(1, 0, 2), Z.transpose(1, 0, 2)
+    X, Z = X.transpose(2, 0, 1), Z.transpose(2, 0, 1)
     _check_finite(problem_seeds(seed), X, Z)
     return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, type_vector=type_vector)
 
@@ -229,9 +254,10 @@ def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
 @dataclass(frozen=True)
 class ParticleStream:
     """One problem's Euler pass handed out node by node, for a consumer that
-    reads each node once and in order: `nodes` yields (x_k (N, d), z_k (N, q),
-    eta_k (1,) or None) for k = 0..S, driven by the control `theta`, every
-    particle of type `type_vector`.  No node is stored."""
+    reads each node once and in order: `nodes` yields (x_k (d, N), z_k (q, N),
+    f_k (d, N), phi_k (q, N)) for k = 0..S, the states and the drift and
+    exogenous drift at node k, coordinate-major, driven by the control
+    `theta`, every particle of type `type_vector`.  No node is stored."""
 
     theta: ControlGrid
     type_vector: TypeVector
@@ -248,18 +274,11 @@ class ParticleStream:
 
 def stream_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
                      type_vector: TypeVector, n_steps: int, seed) -> ParticleStream:
-    """The nodes of euler_nodes (which see) as a ParticleStream, each checked
-    before it is handed out: a node that is not finite raises Diverged with
-    the seed, step and particle that simulate_particles names on the same
-    inputs, and no drift is evaluated past it."""
-    seeds = problem_seeds(seed)
-
-    def checked():
-        for k, (x, z, eta) in enumerate(euler_nodes(p, theta, samples, type_vector, n_steps, seed)):
-            _check_finite(seeds, x[:, None], z[:, None], first_step=k)
-            yield x, z, eta
-
-    return ParticleStream(theta, type_vector, len(samples) // theta.n_problems, checked())
+    """The nodes of euler_nodes (which see) as a ParticleStream: a node that
+    is not finite raises Diverged, with the seed, step and particle that
+    simulate_particles names on the same inputs, before its drifts are evaluated."""
+    return ParticleStream(theta, type_vector, len(samples) // theta.n_problems,
+                          euler_nodes(p, theta, samples, type_vector, n_steps, seed))
 
 
 def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, seed, *,

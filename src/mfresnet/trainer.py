@@ -96,7 +96,8 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     b, n, s = ensemble.n_problems, ensemble.n_particles, ensemble.n_steps
     dt = ensemble.dt
     w = _trapezoid_weights(ensemble.t_grid)
-    # node-major (S+1, B, N, .) views of the ensemble's buffers (copies from another layout)
+    # node-major (S+1, B, N, .) copies of the ensemble's paths (at d = 1, views of its buffers):
+    # the gradient's einsum groups its sum by layout
     X = np.ascontiguousarray(np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0))
     Z = np.ascontiguousarray(np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0))
     err = X - ensemble.y0.reshape(b, n, -1)
@@ -231,7 +232,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
                 raise NoDescentProgress(f"line search floor reached at grad_norm={gnorm[b]:.3e}",
                                         seed=seeds[b], iteration=len(history[b]) - 1)
         rows = slice(None) if len(active) == len(seeds) else problem_rows(active, n)
-        subset_noises = noises if len(active) == len(seeds) else [np.take(nz, rows, axis=1) for nz in noises]
+        subset_noises = noises if len(active) == len(seeds) else [np.take(nz, rows, axis=-1) for nz in noises]
         cand = project_to_box(zero.with_values(values[active] - step[active, None, None] * direction[active]), p.k_theta)
         cand_vals, ensembles = _replicate(
             p, cand, SampleBatch(samples.x0[rows], samples.y0[rows], samples.z0[rows]), type_vector,

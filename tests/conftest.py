@@ -29,12 +29,21 @@ def dirac_law(x0, y0, type_vector, z0=()):
     return InitialLaw("dirac", x0, x0, y0, y0, z0, z0, type_vector)
 
 
-def streamed(ens):
+def node_drifts(ens, p, k):
+    """The drift (N, d) and exogenous drift (N, q) of a one-problem ensemble
+    at node k, from its control, batch statistic and states there."""
+    eta = None if ens.eta is None else ens.eta[k]
+    z = ens.Z[:, k]
+    return (p.activation.drift(ens.theta.values[k], z, ens.X[:, k], eta),
+            p.phi_value(ens.type_vector.gamma, z))
+
+
+def streamed(ens, p):
     """A stored ensemble's nodes, in order, as the ParticleStream that
-    fpk_residual reads: (X[:, k], Z[:, k], eta at node k) for k = 0..S, with
+    fpk_residual reads: (X[:, k], Z[:, k]) and their drifts at node k
+    (node_drifts), each transposed to coordinate-major, for k = 0..S, with
     the ensemble's control and type vector."""
-    eta = ens.eta
-    nodes = ((ens.X[:, k], ens.Z[:, k], None if eta is None else eta[..., k:k + 1])
+    nodes = ((ens.X[:, k].T, ens.Z[:, k].T, *(a.T for a in node_drifts(ens, p, k)))
              for k in range(ens.n_steps + 1))
     return ParticleStream(ens.theta, ens.type_vector, ens.n_particles, nodes)
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -6,11 +5,9 @@ import io
 import json
 import math
 import operator
-import os
 import pathlib
 import pickle
 import sys
-import threading
 import time
 
 import numpy as np
@@ -386,29 +383,15 @@ def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monke
     assert all(np.isnan(row[4]) for row in payload["rows"])
 
 
-def test_run_units_starts_no_more_threads_than_usable_cores(tmp_path, monkeypatch, capsys,
-                                                           coupled_params, coupled_law):
-    """Asked for 4 workers on 2 usable cores, _run_units starts a pool of 2
-    threads, and on 1 core none; diagnose-fpk writes the same bytes at
-    --workers 1 and --workers 4."""
-    pools = []
-    pool = concurrent.futures.ThreadPoolExecutor
+def test_run_units_returns_results_in_unit_order():
+    """_run_units calls the function on each unit's arguments and returns the
+    results in unit order."""
+    assert cli._run_units(operator.mul, [(u, u + 1) for u in range(6)]) == [0, 2, 6, 12, 20, 30]
+    assert cli._run_units(operator.mul, []) == []
 
-    def recording(max_workers):
-        pools.append(max_workers)
-        return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert cli._run_units(operator.mul, [(u, u) for u in range(6)], 4) == [0, 1, 4, 9, 16, 25]
-    assert pools == [2]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    threads = set()
-    assert cli._run_units(lambda u: threads.add(threading.get_ident()) or u,
-                          [(u,) for u in range(6)], 4) == list(range(6))
-    assert pools == [2] and threads == {threading.get_ident()}
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_diagnose_fpk_bytes_do_not_depend_on_workers(tmp_path, capsys, coupled_params, coupled_law):
+    """diagnose-fpk writes the same bytes at --workers 1 and --workers 4."""
     cfgfile = tmp_path / "cfg.json"
     cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, n_list=(5, 10), seeds_per_n=2,
                            n_steps=4, m_paths=50)
@@ -420,7 +403,6 @@ def test_run_units_starts_no_more_threads_than_usable_cores(tmp_path, monkeypatc
         written.append((out / "diagnose_fpk.csv").read_bytes())
     capsys.readouterr()
     assert written[0] == written[1]
-    assert pools == [2, 2]
 
 
 def test_units_are_picklable_module_level_functions(tmp_path, monkeypatch):
@@ -432,8 +414,8 @@ def test_units_are_picklable_module_level_functions(tmp_path, monkeypatch):
     calls = []
     run_units = cli._run_units
 
-    def recording(fn, units, workers):
-        results = run_units(fn, units, workers)
+    def recording(fn, units):
+        results = run_units(fn, units)
         calls.append((fn, units, results))
         return results
 

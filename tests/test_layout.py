@@ -1,6 +1,7 @@
-"""Ensembles are stored node-major.  Every consumer of an ensemble gives the
-bytes it gives on the same trajectories stored row-major, and every node of
-a trajectory and of the Euler noise is one contiguous slab."""
+"""Ensembles are stored node-major and, within a node, coordinate-major.
+Every consumer of an ensemble gives the bytes it gives on the same
+trajectories stored row-major, and every node of a trajectory and of the
+Euler noise is one contiguous (coordinates, rows) slab."""
 import dataclasses
 
 import numpy as np
@@ -57,7 +58,7 @@ def _case(d, q, diffuses):
 
 def _assert_node_slabs(ens):
     for k in range(ens.n_steps + 1):
-        assert ens.X[:, k].flags.c_contiguous and ens.Z[:, k].flags.c_contiguous, k
+        assert ens.X[:, k].T.flags.c_contiguous and ens.Z[:, k].T.flags.c_contiguous, k
 
 
 @pytest.mark.parametrize("diffuses", [True, False])
@@ -86,8 +87,8 @@ def test_consumers_give_the_bytes_of_a_row_major_ensemble(d, q, diffuses, monkey
     phi = TestFunction(terms=((1.0, 1, (2,) + (0,) * (d - 1), (0,) * q),
                               (0.5, 0, (1,) * d, (1,) + (0,) * (q - 1) if q else ())),
                        d=d, q=q, r_plateau=0.8, r_support=1.6)
-    sup, res = fpk_residual(streamed(one), phi, p)
-    sup_rows, res_rows = fpk_residual(streamed(_row_major(one)), phi, p)
+    sup, res = fpk_residual(streamed(one, p), phi, p)
+    sup_rows, res_rows = fpk_residual(streamed(_row_major(one), p), phi, p)
     assert sup == sup_rows and res.tobytes() == res_rows.tobytes()
 
     theta = ControlGrid(p.T, values[0])
@@ -111,5 +112,5 @@ def test_noise_of_another_shape_is_refused():
     table = noise_table(5, np.arange(12), N_STEPS, theta.dt, p.dims.p)
     with pytest.raises(DimensionMismatch, match="node-major"):
         simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5, noise=table)
-    ens = simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5, noise=table.transpose(1, 0, 2))
+    ens = simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5, noise=table.transpose(1, 2, 0))
     assert ens.X.tobytes() == simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5).X.tobytes()

@@ -29,7 +29,7 @@ from mfresnet.errors import DimensionMismatch, SizeMismatch
 from mfresnet.measures import generator_apply_batch
 from mfresnet.sde import stream_particles
 
-from conftest import dirac_law, streamed, wasserstein2_exact_small
+from conftest import dirac_law, node_drifts, streamed, wasserstein2_exact_small
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypa
     monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
     p = coupled_params
     samples, types = coupled_law.sample(300, 4)
-    fpk_residual(streamed(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4)), phi, p)
+    fpk_residual(streamed(simulate_particles(p, ControlGrid.zeros(p.T, 20), samples, types, 20, 4), p), phi, p)
     assert len(gathered) == 2
     for w in gathered:
         for col in range(w.shape[1]):
@@ -320,7 +320,8 @@ def generator_apply(phi, s, e, theta_val, eta, p):
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
     dv = phi.derivs(s, np.concatenate([x, z], axis=1))
-    out = generator_apply_batch(dv, x, z, tv, np.asarray(theta_val, dtype=float), float(eta), p)
+    f = p.activation.drift(np.asarray(theta_val, dtype=float), z, x, float(eta))
+    out = generator_apply_batch(dv, f, p.phi_value(tv.gamma, z), tv)
     return float(out[0])
 
 
@@ -387,7 +388,7 @@ def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
     theta = ControlGrid.zeros(scalar_params.T, 16)
     ens = simulate_particles(scalar_params, theta, samples, types, 16, 1)
     phi = constant_test_function(1, 0)
-    sup, res = fpk_residual(streamed(ens), phi, scalar_params)
+    sup, res = fpk_residual(streamed(ens, scalar_params), phi, scalar_params)
     assert sup < 1e-14
     assert res.shape == (17,)
 
@@ -402,7 +403,7 @@ def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scal
         t = np.linspace(0.0, scalar_params.T, n_steps + 1)
         theta = ControlGrid(scalar_params.T, np.stack([0.5 * np.ones_like(t), 0.1 * np.ones_like(t)], axis=1))
         ens = simulate_particles(scalar_params, theta, samples, types, n_steps, 2)
-        sup, _ = fpk_residual(streamed(ens), phi, scalar_params)
+        sup, _ = fpk_residual(streamed(ens, scalar_params), phi, scalar_params)
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 1e-3
@@ -421,7 +422,7 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
                               (0.5, 0, (1, 0), (1, 0)), (0.5, 0, (0, 0), (1, 1))),
                        d=2, q=2, r_plateau=1.0, r_support=2.0)
-    _, res = fpk_residual(streamed(ens), phi, p)
+    _, res = fpk_residual(streamed(ens, p), phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
 
@@ -485,7 +486,7 @@ def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support,
     ens = simulate_particles(p, theta, samples, types, 20, 5)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
     assert np.any(r <= r_plateau) and np.any((r > r_plateau) & (r < r_support)) and np.any(r >= r_support)
-    _, res = fpk_residual(streamed(ens), _spread_phi(d, q, r_plateau, r_support), p)
+    _, res = fpk_residual(streamed(ens, p), _spread_phi(d, q, r_plateau, r_support), p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == digest
 
 
@@ -498,8 +499,7 @@ def _residual_per_node(path, phi, p):
         xk, zk = path.X[:, k], path.Z[:, k]
         dv = phi.derivs(t_grid[k], np.concatenate([xk, zk], axis=1))
         mean_phi[k] = np.mean(dv["val"])
-        mean_gen[k] = np.mean(generator_apply_batch(
-            dv, xk, zk, path.type_vector, path.theta.values[k], path.eta[k], p))
+        mean_gen[k] = np.mean(generator_apply_batch(dv, *node_drifts(path, p, k), path.type_vector))
     dt = t_grid[1] - t_grid[0]
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * dt * (mean_gen[1:] + mean_gen[:-1]))])
     return mean_phi - mean_phi[0] - cumint
@@ -516,7 +516,7 @@ def _assert_blocks_equal_per_node_loop(p, law, n, n_steps):
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
     assert np.any(r <= 0.8) and np.any((r > 0.8) & (r < 1.6)) and np.any(r >= 1.6)
-    sup, res = fpk_residual(streamed(ens), phi, p)
+    sup, res = fpk_residual(streamed(ens, p), phi, p)
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
     assert sup == np.max(np.abs(expected))
@@ -542,8 +542,9 @@ def test_residual_blocks_of_the_shipped_size_equal_per_node_loop(coupled_params,
 
 def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
     """One residual call on an N = 6400, 100-step ensemble of the
-    fpk-coupled-w2 model peaks at 8.50 MiB of allocations (tracemalloc,
-    numpy 2.4) with blocks of 24576 rows, 3 nodes each.  The bound adds 25%
+    fpk-coupled-w2 model peaks at 5.97 MiB of allocations (tracemalloc,
+    numpy 2.4) with blocks of 12800 rows, 2 nodes each; blocks of 24576 rows
+    that evaluated the drifts again peaked at 8.50 MiB.  The bound adds 25%
     to that; blocks of 65536 rows peak at 28.3 MiB."""
     p = coupled_params
     cfg = ExperimentConfig(model=p, initial_law=coupled_law, phi_radius=12.0)
@@ -552,11 +553,11 @@ def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
     phi = _residual_test_function(cfg)
     tracemalloc.start()
     try:
-        fpk_residual(streamed(ens), phi, p)
+        fpk_residual(streamed(ens, p), phi, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8.50 * 2**20, peak / 2**20
+    assert peak <= 1.25 * 5.97 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("d, q, r_plateau, r_support, n_steps, diffuses", [
@@ -564,7 +565,7 @@ def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
     (2, 3, 0.8, 1.3, 20, True),
     (5, 4, 1.2, 1.8, 20, True),
     (9, 0, 1.5, 2.1, 20, True),
-    (2, 3, 0.8, 1.3, 100, True),    # shipped blocks of 81 nodes: 81 + 20
+    (2, 3, 0.8, 1.3, 100, True),    # shipped blocks of 42 nodes: 42 + 42 + 17
     (3, 2, 0.9, 1.4, 20, False),
 ])
 def test_streamed_residual_gives_the_per_node_bytes(d, q, r_plateau, r_support, n_steps, diffuses):
@@ -588,16 +589,17 @@ def test_streamed_residual_gives_the_per_node_bytes(d, q, r_plateau, r_support, 
     assert sup == np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("noisy, measured_mib", [(True, 18.86), (False, 4.41)])
+@pytest.mark.parametrize("noisy, measured_mib", [(True, 16.23), (False, 3.34)])
 def test_diagnose_unit_memory_is_bounded(coupled_params, coupled_law, noisy, measured_mib):
     """One diagnose-fpk unit at N = 6400 over 100 steps of the fpk-coupled-w2
     model streams its Euler nodes into the residual, so it holds its noise
     table (10 MiB, drawn into place a block of particles at a time) and one
-    residual block, never X and Z.  Its allocations peak at 18.86 MiB with
-    noise and 4.41 MiB without (tracemalloc, numpy 2.4, the first unit in a
-    process); storing the paths first peaked at 31.74 and 23.84 MiB, and a
-    noise table transposed from a particle-major copy at 21.04 MiB with
-    noise.  The bound adds 25%."""
+    residual block, never X and Z.  Its allocations peak at 16.23 MiB with
+    noise and 3.34 MiB without (tracemalloc, numpy 2.4, the first unit in a
+    process, residual blocks of 12800 rows); blocks of 24576 rows that
+    evaluated the drifts again peaked at 18.86 and 4.41 MiB, storing the
+    paths first at 31.74 and 23.84 MiB, and a noise table transposed from a
+    particle-major copy at 21.04 MiB with noise.  The bound adds 25%."""
     cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, n_steps=100, phi_radius=12.0)
     tracemalloc.start()
     try:
@@ -621,7 +623,7 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
                        sigma=np.zeros_like(types.sigma))
     ens = simulate_particles(p, theta, samples, quiet, n_steps, 4)
     phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
-    sup, res = fpk_residual(streamed(ens), phi, p)
+    sup, res = fpk_residual(streamed(ens, p), phi, p)
     monkeypatch.setattr(TypeVector, "diffuses", property(lambda tv: True))
     expected = _residual_per_node(ens, phi, p)
     assert res.tobytes() == expected.tobytes()
@@ -660,7 +662,7 @@ def test_residual_without_diffusion_builds_no_hessian(coupled_params, coupled_la
     for type_vector, builds in ((quiet, False), (types, True)):
         hessians.clear()
         second_derivatives.clear()
-        fpk_residual(streamed(simulate_particles(p, theta, samples, type_vector, 10, 4)), phi, p)
+        fpk_residual(streamed(simulate_particles(p, theta, samples, type_vector, 10, 4), p), phi, p)
         # one block: one _poly and one _bump, whose shell holds atoms
         assert [h is not None for h in hessians] == [builds, builds]
         assert bool(second_derivatives) == builds
@@ -676,7 +678,7 @@ def test_residual_refuses_a_stream_that_ends_early(coupled_params, coupled_law):
     fpk_residual(stream, _rich_phi(), p)
     with pytest.raises(DimensionMismatch, match="after 0 of its 11 nodes"):
         fpk_residual(stream, _rich_phi(), p)
-    short = streamed(simulate_particles(p, theta, samples, types, 10, 3))
+    short = streamed(simulate_particles(p, theta, samples, types, 10, 3), p)
     short = dataclasses.replace(short, nodes=itertools.islice(short.nodes, 10))
     with pytest.raises(DimensionMismatch, match="after 10 of its 11 nodes"):
         fpk_residual(short, _rich_phi(), p)
@@ -692,4 +694,4 @@ def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
     ens = simulate_particles(p, batch, samples, types, 10, [3, 4])
     assert (ens.n_problems, ens.n_particles) == (2, 20)
     with pytest.raises(DimensionMismatch):
-        fpk_residual(streamed(ens), _rich_phi(), p)
+        fpk_residual(streamed(ens, p), _rich_phi(), p)

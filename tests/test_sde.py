@@ -166,23 +166,62 @@ def test_particle_id_keyed_noise_gives_partition_invariance(scalar_params, scala
     full = simulate_particles(scalar_params, theta, samples, types, 8, 5)
     # resimulating only the last particle on the noise keyed by its id, 3, matches exactly
     last = SampleBatch(samples.x0[3:], samples.y0[3:], samples.z0[3:])
-    noise = noise_table(5, [3], 8, theta.dt, scalar_params.dims.p).transpose(1, 0, 2)
+    noise = noise_table(5, [3], 8, theta.dt, scalar_params.dims.p).transpose(1, 2, 0)
     sub = simulate_particles(scalar_params, theta, last, types, 8, 5, noise=noise)
     assert np.array_equal(full.X[3], sub.X[0])
 
 
 @pytest.mark.parametrize("seed", [5, [5, 6, 7]], ids=["one-seed", "three-seeds"])
 def test_euler_noise_is_the_stacked_transposed_noise_table(coupled_params, seed):
-    """euler_noise fills its node-major table a block of particles at a time;
-    with a last block shorter than the others it still holds the bytes of
-    each seed's whole noise_table, stacked and transposed."""
+    """euler_noise fills its (n_steps, p, rows) table a block of particles at
+    a time; with a last block shorter than the others it still holds the
+    bytes of each seed's whole noise_table, stacked and transposed."""
     p = coupled_params
     n = sde._NOISE_BLOCK + 300
     tables = [noise_table(s, np.arange(n), 6, p.T / 6, p.dims.p) for s in sde.problem_seeds(seed)]
-    expected = np.concatenate(tables).transpose(1, 0, 2)
+    expected = np.concatenate(tables).transpose(1, 2, 0)
     noise = euler_noise(p, n, 6, seed)
     assert noise.shape == expected.shape and noise.flags.c_contiguous
     assert noise.tobytes() == expected.tobytes()
+
+
+def test_diffusion_increment_has_the_bytes_of_the_row_major_einsum():
+    """The Euler step's increment of one node, its coefficients contracted
+    with the node's (p, rows) noise, gives the bytes of
+    np.einsum("dp,np->nd", coef, node) on the row-major node, signed zeros
+    included: at p = 1..8 noise dimensions, d = 1..3 and N = 1, 2, 3 and 6400
+    rows, with a zero column of coefficients and zeros of both signs in the
+    noise.  In-order column sums differ from einsum from 3 columns on."""
+    rng = np.random.default_rng(21)
+    for p in range(1, 9):
+        for d in (1, 2, 3):
+            for n in (1, 2, 3, 6400):
+                coef = rng.normal(size=(d, p)) * 10.0 ** rng.uniform(-3, 3, size=(d, p))
+                coef[:, rng.integers(p)] = 0.0
+                node = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=(n, p))
+                node[rng.random(node.shape) < 0.2] = -0.0
+                got = sde._diffusion(coef, np.ascontiguousarray(node.T))
+                assert got.shape == (d, n), (p, d, n)
+                expected = np.einsum("dp,np->nd", coef, node)
+                assert np.ascontiguousarray(got.T).tobytes() == expected.tobytes(), (p, d, n)
+
+
+def test_a_zero_increment_moves_a_negative_zero_state_to_positive_zero():
+    """A state of -0.0 under a -0.0 drift and a zero state diffusion steps to
+    +0.0, as adding einsum's increment, which starts from +0.0, gives; only
+    the exogenous input diffuses."""
+    p = ModelParams(activation=ActivationSpec(kind="constant", c=-0.0), rho="zero", phi="decay",
+                    dims=Dims(d=1, q=1, p=1, m=2, l=1))
+    tv = TypeVector(epsilon=np.zeros((1, 1)), gamma=np.array([0.5]), sigma=np.array([[0.3]]))
+    n = 50
+    samples = SampleBatch(np.full((n, 1), -0.0), np.zeros((n, 1)), np.full((n, 1), 0.2))
+    theta = ControlGrid.zeros(p.T, 4)
+    ens = simulate_particles(p, theta, samples, tv, 4, 3)
+    noise = euler_noise(p, n, 4, 3)
+    expected = (samples.x0 + np.full((n, 1), -0.0) * theta.dt) + np.einsum("dp,np->nd", tv.epsilon, noise[0].T)
+    assert np.signbit(samples.x0 + np.full((n, 1), -0.0) * theta.dt).all() and (noise[0] < 0).any()
+    assert ens.X[:, 1].tobytes() == expected.tobytes()
+    assert not np.signbit(ens.X[:, 1:]).any()
 
 
 def test_state_and_input_share_the_increment(coupled_params, coupled_law):

@@ -73,24 +73,36 @@ def test_only_the_cli_writes_files():
     assert not found, found
 
 
+def _imported_modules(path):
+    """The names of the modules that a source file imports, inside functions too."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
 def test_library_loads_no_scipy():
     """scipy is a test dependency only: no library module imports it, even
     inside a function, and a fresh `import mfresnet.cli` loads no scipy
     module, so no run pays for importing it."""
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "scipy" for name in names), f"{path.name} imports scipy"
+        assert not any(name.split(".")[0] == "scipy" for name in _imported_modules(path)), f"{path.name} imports scipy"
     code = "import sys, mfresnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_library_starts_no_threads():
+    """No library module imports threading or concurrent.futures: units run
+    in series, since on threads they ran slower, and a pool should come back
+    only with a measured case for it."""
+    found = [f"{path.name} imports {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _imported_modules(path)
+             if name == "threading" or name.split(".")[0] == "concurrent"]
+    assert not found, found
 
 
 # Parameters that each count extractor of benchmarks/tracer.py reads by name
