@@ -51,6 +51,12 @@ from .trainer import TrainConfig, _adjoint_gradient, train
 # configuration
 # ---------------------------------------------------------------------------
 
+# The most doubles one path table may hold (2 GiB): a config that asks a
+# command for a larger one is refused before any work.
+MAX_TABLE_DOUBLES = 2**28
+REFERENCE_PATHS = 20000   # paths of the reference cloud of the W2 columns, at most
+
+
 def default_law() -> InitialLaw:
     tv = TypeVector(epsilon=np.array([[0.3]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     return InitialLaw.uniform(x_low=[0.5], x_high=[1.5], y_low=[-0.5], y_high=[0.5], type_vector=tv)
@@ -103,6 +109,32 @@ class ExperimentConfig:
         if not isinstance(self.dump_trajectories, bool):
             raise ConfigInvalid(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
         check_law(self.model, self.initial_law)
+        self._check_cost()
+
+    def _check_cost(self):
+        """Raise ConfigInvalid, naming the fields, if a command would build a
+        path table over MAX_TABLE_DOUBLES: paths x (intervals + 1) x
+        max(d, q, p, m) doubles, for each path count and grid that a
+        command simulates together (train holds the tables of all its
+        replications at once, so they count as one)."""
+        dims = self.model.dims
+        width = max(dims.d, dims.q, dims.p, dims.m)
+        reps, mc = self.train.replications, self.fixed_point.mc_paths
+        steps, train, fixed = (("n_steps", self.n_steps), ("train.n_intervals", self.train.n_intervals),
+                               ("fixed_point.n_intervals", self.fixed_point.n_intervals))
+        tables = [("n_particles", self.n_particles, steps),                                      # simulate
+                  ("n_particles * train.replications", self.n_particles * reps, train),          # train
+                  ("n_list", self.n_list[-1], steps),                                            # diagnose-fpk
+                  (f"min(m_paths, {REFERENCE_PATHS})", min(self.m_paths, REFERENCE_PATHS), steps),  # its W2 cloud
+                  ("n_draws * n_list * train.replications", self.n_draws * self.n_list[-1] * reps, train),  # gamma
+                  ("m_paths", self.m_paths, fixed), ("m_paths", self.m_paths, train),           # J_d of the limit
+                  ("fixed_point.mc_paths", mc, fixed), ("fixed_point.mc_paths", mc, train)]     # G of the limit
+        for name, paths, (grid_name, intervals) in tables:
+            doubles = paths * (intervals + 1) * width
+            if doubles > MAX_TABLE_DOUBLES:
+                raise ConfigInvalid(f"{name} = {paths} paths on {grid_name} = {intervals} intervals make a table of "
+                                    f"{doubles} doubles (paths x (intervals + 1) x max(d, q, p, m) = {width}), "
+                                    f"over MAX_TABLE_DOUBLES = {MAX_TABLE_DOUBLES}")
 
     def to_dict(self):
         """The config as JSON data: every dataclass field, arrays as lists."""
@@ -186,9 +218,9 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
 
 
 def _reference_cloud(cfg, theta, label):
-    """Terminal first coordinates of min(m_paths, 20000) paths drawn from the
-    initial law, the reference for the W2 columns."""
-    samples, tv = cfg.initial_law.sample(min(cfg.m_paths, 20000), split_seed(cfg.seed, label))
+    """Terminal first coordinates of min(m_paths, REFERENCE_PATHS) paths drawn
+    from the initial law, the reference for the W2 columns."""
+    samples, tv = cfg.initial_law.sample(min(cfg.m_paths, REFERENCE_PATHS), split_seed(cfg.seed, label))
     ens = simulate_particles(cfg.model, theta, samples, tv, theta.n_intervals,
                              split_seed(cfg.seed, f"{label}-sim"))
     return ens.X[:, -1, 0].copy()

@@ -138,15 +138,32 @@ def solve_neumann_bvp(G: GridFunction, p: ModelParams) -> ControlGrid:
     The path is not clamped into the model's box.
     """
     grid = ControlGrid(p.T, G.values)
-    h = grid.dt
+    return grid.with_values(solve_tridiagonal(_neumann_band(p, grid), G.values))
+
+
+def _neumann_band(p: ModelParams, grid: ControlGrid) -> np.ndarray:
+    """The band of solve_neumann_bvp's operator on grid, in solve_tridiagonal's layout."""
+    h = np.float64(grid.dt)   # a square that rounds to zero divides to inf, for check_band to see
     r = p.lambda2 / (h * h)
-    ab = np.zeros((3, len(G.values)))
+    ab = np.zeros((3, grid.n_intervals + 1))
     ab[1, :] = p.lambda1 + 2.0 * r
     ab[0, 1:] = -r
     ab[2, :-1] = -r
     ab[0, 1] = -2.0 * r   # ghost closure at t=0
     ab[2, -2] = -2.0 * r  # ghost closure at t=T
-    return grid.with_values(solve_tridiagonal(ab, G.values))
+    return ab
+
+
+def check_band(band, p: ModelParams, grid: ControlGrid):
+    """Raise ConfigInvalid unless band(p, grid), the tridiagonal matrix that a
+    solver builds on grid from the model, is finite.  It is not when T is so
+    small that the grid step (or its square) rounds to zero, or lambda1 or
+    lambda2 so large that an entry overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite = np.isfinite(band(p, grid)).all()
+    if not finite:
+        raise ConfigInvalid(f"T={p.T!r}, lambda1={p.lambda1!r} and lambda2={p.lambda2!r} on {grid.n_intervals} "
+                            f"intervals give {band.__name__.strip('_').replace('_', ' ')} entries that are not finite")
 
 
 def neumann_derivatives(theta: ControlGrid):
@@ -168,11 +185,13 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     satisfies the discrete characterization up to the change tolerance and
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
     otherwise, and ScalarConfigRequired, before it draws anything, unless p
-    is the scalar two-weight configuration.
+    is the scalar two-weight configuration, and ConfigInvalid, as check_band
+    says, when the Neumann band on its grid is not finite.
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
+    check_band(_neumann_band, p, theta)
     fixed = cfg.seed_policy == "fixed"
     draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
     noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed) if fixed else None

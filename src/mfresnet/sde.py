@@ -10,8 +10,8 @@ k one contiguous (coordinates, rows) slab.  A batch of independent problems
 stacks their particles as row blocks; particle i of each problem draws
 stream i under that problem's seed, so its paths do not depend on its batch.
 
-The one Euler loop, euler_nodes, hands out the nodes in order, each with
-the drifts its step evaluates: simulate_particles stores them all, and
+The one Euler loop, euler_nodes, checks each node and hands the nodes out
+in order, each with its drifts: simulate_particles stores them all, and
 stream_particles hands each one on without storing it.
 """
 from __future__ import annotations
@@ -148,7 +148,7 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
     per interval of the control grid, node by node: yields (x_k, z_k, f_k,
     phi_k) for k = 0..n_steps, coordinate-major, with x_k (d, B*N) and z_k
     (q, B*N), which it does not touch again, and f_k (d, B*N) and phi_k
-    (q, B*N) the drift and the exogenous drift that step k evaluates.
+    (q, B*N) the drift and the exogenous drift at node k, which step k uses.
 
     The state step uses the drift evaluated at (theta(t_k), Z_k, X_k,
     eta_k), eta_k each problem's batch statistic mean_j rho(X_k^j) (computed
@@ -168,12 +168,13 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
     seeds and rows split into the control's problems and the noise has that
     shape.
 
-    Given `out` = (X, Z, E), buffers (n_steps+1, d, B*N) and (n_steps+1, q,
-    B*N) and E (B, n_steps+1) or None, node k is written into the slabs
-    X[k] and Z[k] and yielded as them, and eta_k into E[:, k]; no node is
-    checked (the caller checks the stored paths once), and the last node,
-    where no step follows, has no drifts (None, None).  Otherwise each node
-    is a new array, checked as stream_particles says.
+    Every node is checked before its batch statistic and drifts are
+    evaluated: one that is not finite raises Diverged, naming the seed of
+    its problem, the step and the particle's row within the problem, so a
+    diverged pass stops where it diverges.  Given `out` = (X, Z, E),
+    buffers (n_steps+1, d, B*N) and (n_steps+1, q, B*N) and E (B,
+    n_steps+1) or None, node k is written into the slabs X[k] and Z[k] and
+    yielded as them, and eta_k into E[:, k]; otherwise each node is a new array.
     """
     if n_steps != theta.n_intervals:
         raise GridMismatch(f"simulation needs one step per control interval: "
@@ -206,16 +207,13 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
     nodes = control_nodes(theta)
     eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
     for k in range(n_steps + 1):
-        if X is None:
+        if not (np.isfinite(x).all() and (not q or np.isfinite(z).all())):
             _check_finite(seeds, x.T[:, None], z.T[:, None], first_step=k)
         eta_k = None
         if coupled:
             eta_k = np.mean(p.rho_value(x.T).reshape(b, n), axis=1)
             if E is not None:
                 E[:, k] = eta_k
-        if k == n_steps and X is not None:
-            yield x, z, None, None
-            return
         # the row-major drifts on transposed views: numpy keeps the coordinate-major layout
         f = act.drift(nodes[k], z.T.reshape(b, n, q), x.T.reshape(b, n, d),
                       None if eta_k is None else eta_k[:, None, None]).reshape(rows, d).T
@@ -235,8 +233,8 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
 def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_vector: TypeVector,
                        n_steps: int, seed, noise=None) -> ParticleEnsemble:
     """The ensemble of euler_nodes (which see for the dynamics, a batch of
-    problems and the checks of the inputs), every node stored; it carries
-    `type_vector` as it is.  Raises Diverged if a path is not finite at the end."""
+    problems and the checks of the inputs and of each node), every node
+    stored; it carries `type_vector` as it is."""
     rows, b = len(samples), theta.n_problems
     # euler_nodes writes each node as one contiguous (coordinates, rows) slab
     X = np.empty((theta.n_intervals + 1, p.dims.d, rows))
@@ -246,9 +244,8 @@ def simulate_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
     collections.deque(nodes, maxlen=0)   # run the loop; every node is already in the buffers
     if eta is not None:
         eta = eta.reshape(theta.values.shape[:-2] + (n_steps + 1,))
-    X, Z = X.transpose(2, 0, 1), Z.transpose(2, 0, 1)
-    _check_finite(problem_seeds(seed), X, Z)
-    return ParticleEnsemble(theta=theta, X=X, Z=Z, eta=eta, y0=samples.y0, type_vector=type_vector)
+    return ParticleEnsemble(theta=theta, X=X.transpose(2, 0, 1), Z=Z.transpose(2, 0, 1), eta=eta,
+                            y0=samples.y0, type_vector=type_vector)
 
 
 @dataclass(frozen=True)
@@ -274,9 +271,7 @@ class ParticleStream:
 
 def stream_particles(p: ModelParams, theta: ControlGrid, samples: SampleBatch,
                      type_vector: TypeVector, n_steps: int, seed) -> ParticleStream:
-    """The nodes of euler_nodes (which see) as a ParticleStream: a node that
-    is not finite raises Diverged, with the seed, step and particle that
-    simulate_particles names on the same inputs, before its drifts are evaluated."""
+    """The nodes of euler_nodes (which see) as a ParticleStream."""
     return ParticleStream(theta, type_vector, len(samples) // theta.n_problems,
                           euler_nodes(p, theta, samples, type_vector, n_steps, seed))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoDescentProgress, NonPositiveWeight
-from .fpk import solve_tridiagonal
+from .fpk import check_band, solve_tridiagonal
 from .objective import CostBreakdown, evaluate_JN
 from .params import (ControlGrid, ModelParams, SampleBatch, project_to_box, require_int,
                      require_positive, require_real)
@@ -176,17 +176,21 @@ def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.nd
     like 1/dt^2, so plain gradient steps crawl on fine grids; scaling by M
     makes the step size mesh-independent while keeping descent directions.
     """
-    n = theta.t_grid.size
-    dt = theta.dt
+    return solve_tridiagonal(_precondition_band(p, theta), grad)
+
+
+def _precondition_band(p: ModelParams, theta: ControlGrid) -> np.ndarray:
+    """The band of _precondition's matrix M on theta's grid, in solve_tridiagonal's layout."""
+    dt = np.float64(theta.dt)   # a step that rounds to zero divides to inf, for check_band to see
     w = _trapezoid_weights(theta.t_grid)
     r = 2.0 * p.lambda2 / dt
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, theta.t_grid.size))
     ab[1, :] = 2.0 * p.lambda1 * w + 2.0 * r
     ab[1, 0] -= r
     ab[1, -1] -= r
     ab[0, 1:] = -r
     ab[2, :-1] = -r
-    return solve_tridiagonal(ab, grad)
+    return ab
 
 
 def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> TrainResult:
@@ -202,11 +206,14 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     own control, noise, step, acceptance and stop.  Each round simulates the
     current candidate of every problem still running in one call, and the
     problems that accepted get one batched adjoint sweep.  The result holds
-    the B controls and one history per problem.
+    the B controls and one history per problem.  Before any draw, raises
+    ConfigInvalid, as check_band says, when the preconditioner's band on the
+    grid is not finite.
     """
     seeds = problem_seeds(seed)
     n = len(samples) // len(seeds)
     zero = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
+    check_band(_precondition_band, p, zero)
     values = np.zeros((len(seeds),) + zero.values.shape)
     noises = replication_noise(p, n, cfg.n_intervals, seeds, cfg.replications)
 

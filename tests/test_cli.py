@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import mfresnet.cli as cli
+import mfresnet.fpk as fpk
 import mfresnet.sde as sde
 import mfresnet.trainer as trainer
-from mfresnet import FixedPointConfig, ModelParams, TrainConfig
+from mfresnet import ControlGrid, FixedPointConfig, ModelParams, TrainConfig
 from mfresnet.cli import (
     SPEARMAN_MAX_N,
     ExperimentConfig,
@@ -27,6 +28,7 @@ from mfresnet.cli import (
     spearman_negative_p,
 )
 from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch
+from mfresnet.fpk import check_band
 from mfresnet.rng import split_seed
 
 from conftest import spearman_negative_p_enumerated
@@ -330,6 +332,14 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         # a model outside the limit problem, refused before the fixed point draws its paths
         ("solve-limit", coupled, "ScalarConfigRequired"),
         ("gamma", coupled, "ScalarConfigRequired"),
+        # a grid step whose square rounds to zero, or a lambda2 so large that a solver's band overflows
+        ("solve-limit", {"model": {"T": 1e-300}}, "ConfigInvalid: T=1e-300, lambda1=0.1 and lambda2=0.1 on 32"),
+        ("solve-limit", {"model": {"lambda2": 1e308}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+308"),
+        ("train", {"model": {"lambda2": 1e308}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+308"),
+        # a path table over the budget, refused before the first (small) size runs
+        ("simulate", {"n_particles": 10**12}, "ConfigInvalid: n_particles"),
+        ("solve-limit", {"fixed_point": {"mc_paths": 10**12}}, "ConfigInvalid: fixed_point.mc_paths"),
+        ("diagnose-fpk", {"n_list": [10, 10**12]}, "ConfigInvalid: n_list"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))
@@ -348,6 +358,34 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, path
         assert "ConfigInvalid" in err and "Traceback" not in err, (path, err)
+
+
+def test_cost_bound_refuses_only_tables_over_the_budget():
+    """A path table of exactly MAX_TABLE_DOUBLES doubles is accepted and one
+    more path is refused, naming the fields; so are the replications that
+    train holds at once, and a fixed point that gamma runs on the training grid."""
+    n = cli.MAX_TABLE_DOUBLES // (32 * 2)   # 31 intervals give 32 nodes, 2 = max(d, q, p, m)
+    ExperimentConfig(n_particles=n, n_steps=31, train=TrainConfig(n_intervals=31))
+    with pytest.raises(ConfigInvalid, match=r"^n_particles = .* on n_steps = 31"):
+        ExperimentConfig(n_particles=n + 1, n_steps=31, train=TrainConfig(n_intervals=31))
+    with pytest.raises(ConfigInvalid, match=r"^n_particles \* train.replications = 100000000 paths"):
+        ExperimentConfig.from_dict({"train": {"replications": 10**6}})
+    with pytest.raises(ConfigInvalid, match=r"^fixed_point.mc_paths = .* on train.n_intervals = 10000"):
+        ExperimentConfig.from_dict({"n_list": [50, 100], "m_paths": 1000, "train": {"n_intervals": 10000},
+                                    "fixed_point": {"mc_paths": 20000}})
+
+
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("scripts/*.json"), *ROOT.glob("benchmarks/workloads/*.json")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shipped_configs_pass_the_cost_and_band_checks(path):
+    """Every committed config loads, so each path table it asks for fits
+    MAX_TABLE_DOUBLES, and the Neumann and preconditioner bands on both of
+    its grids are finite: neither check refuses a shipped config."""
+    cfg = ExperimentConfig.from_json(path)
+    for n_intervals in (cfg.train.n_intervals, cfg.fixed_point.n_intervals):
+        grid = ControlGrid.zeros(cfg.model.T, n_intervals, m=cfg.model.dims.m)
+        check_band(fpk._neumann_band, cfg.model, grid)
+        check_band(trainer._precondition_band, cfg.model, grid)
 
 
 def test_gamma_rejects_long_n_list_at_once(tmp_path, capsys):

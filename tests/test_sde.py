@@ -323,9 +323,9 @@ def test_divergence_raises(scalar_params):
 def test_stream_diverges_where_the_simulation_does_and_stops_there(scalar_params, monkeypatch):
     """A diverging stream raises the Diverged of simulate_particles on the
     same inputs, with its seed, step and particle, before it hands out the
-    node that is not finite: it evaluates the drift at the nodes before
-    that one only, where the stored simulation runs all 64 steps, so a
-    diverged residual stops early."""
+    node that is not finite: both passes evaluate the drift at the nodes
+    before that one only, not at all 64 steps, so a diverged simulation or
+    residual stops early."""
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"),
                             k_theta=1e9)
     n_steps = 64
@@ -344,7 +344,7 @@ def test_stream_diverges_where_the_simulation_does_and_stops_there(scalar_params
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Diverged) as stored:
             simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3)
-        assert len(drifts) == n_steps
+        assert len(drifts) == stored.value.step
         drifts.clear()
         with pytest.raises(Diverged) as streamed:
             for _ in sde.stream_particles(p, theta, samples, _quiet_type(p), n_steps, 3).nodes:
@@ -357,6 +357,27 @@ def test_stream_diverges_where_the_simulation_does_and_stops_there(scalar_params
     assert len(drifts) == stored.value.step
     for exc in (streamed, residual):
         assert (exc.value.seed, exc.value.step, exc.value.particle) == (3, stored.value.step, 1)
+
+
+@pytest.mark.parametrize("model", ["coupled", "scalar"])
+def test_stored_and_streamed_nodes_are_the_same_bytes(model, request):
+    """euler_nodes given buffers and given none hands out byte-identical
+    (x, z, f, phi) at every node, the last one included, and a stored node
+    is the slab it was written to."""
+    p, law = (request.getfixturevalue(f"{model}_{name}") for name in ("params", "law"))
+    samples, types = law.sample(7, 4)
+    n_steps = 6
+    theta = ControlGrid(p.T, np.random.default_rng(0).uniform(-1.0, 1.0, (n_steps + 1, 2)))
+    X, Z = np.empty((n_steps + 1, p.dims.d, 7)), np.empty((n_steps + 1, p.dims.q, 7))
+    E = np.empty((1, n_steps + 1)) if p.activation.eta_weight else None
+    stored = [tuple(a.copy() for a in node)
+              for node in sde.euler_nodes(p, theta, samples, types, n_steps, 3, out=(X, Z, E))]
+    streamed = list(sde.euler_nodes(p, theta, samples, types, n_steps, 3))
+    assert len(stored) == len(streamed) == n_steps + 1
+    for k, (a, b) in enumerate(zip(stored, streamed)):
+        assert np.array_equal(a[0], X[k]) and np.array_equal(a[1], Z[k]), k
+        for u, v in zip(a, b):
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), k
 
 
 def test_divergence_in_a_batch_names_the_problem_and_its_row(scalar_params):
