@@ -22,7 +22,7 @@ import typing
 import numpy as np
 
 from .errors import ConfigInvalid, GradCheckFailed, MfresnetError
-from .fpk import FixedPointConfig, estimate_G, fixed_point_solve, neumann_derivatives
+from .fpk import FixedPointConfig, check_band, estimate_G, fixed_point_solve, neumann_derivatives
 from .measures import (
     TestFunction,
     check_cutoff_radii,
@@ -44,15 +44,15 @@ from .params import (
 )
 from .rng import make_generator, split_seed
 from .sde import euler_noise, simulate_particles, stream_particles
-from .trainer import TrainConfig, _adjoint_gradient, train
+from .trainer import TrainConfig, _adjoint_gradient, _precondition_band, train
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-# The most doubles one path table may hold (2 GiB): a config that asks a
-# command for a larger one is refused before any work.
+# The most doubles one path table may hold (2 GiB): a command whose config
+# asks it for a larger one is refused before any work (_check_cost).
 MAX_TABLE_DOUBLES = 2**28
 REFERENCE_PATHS = 20000   # paths of the reference cloud of the W2 columns, at most
 
@@ -109,32 +109,6 @@ class ExperimentConfig:
         if not isinstance(self.dump_trajectories, bool):
             raise ConfigInvalid(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
         check_law(self.model, self.initial_law)
-        self._check_cost()
-
-    def _check_cost(self):
-        """Raise ConfigInvalid, naming the fields, if a command would build a
-        path table over MAX_TABLE_DOUBLES: paths x (intervals + 1) x
-        max(d, q, p, m) doubles, for each path count and grid that a
-        command simulates together (train holds the tables of all its
-        replications at once, so they count as one)."""
-        dims = self.model.dims
-        width = max(dims.d, dims.q, dims.p, dims.m)
-        reps, mc = self.train.replications, self.fixed_point.mc_paths
-        steps, train, fixed = (("n_steps", self.n_steps), ("train.n_intervals", self.train.n_intervals),
-                               ("fixed_point.n_intervals", self.fixed_point.n_intervals))
-        tables = [("n_particles", self.n_particles, steps),                                      # simulate
-                  ("n_particles * train.replications", self.n_particles * reps, train),          # train
-                  ("n_list", self.n_list[-1], steps),                                            # diagnose-fpk
-                  (f"min(m_paths, {REFERENCE_PATHS})", min(self.m_paths, REFERENCE_PATHS), steps),  # its W2 cloud
-                  ("n_draws * n_list * train.replications", self.n_draws * self.n_list[-1] * reps, train),  # gamma
-                  ("m_paths", self.m_paths, fixed), ("m_paths", self.m_paths, train),           # J_d of the limit
-                  ("fixed_point.mc_paths", mc, fixed), ("fixed_point.mc_paths", mc, train)]     # G of the limit
-        for name, paths, (grid_name, intervals) in tables:
-            doubles = paths * (intervals + 1) * width
-            if doubles > MAX_TABLE_DOUBLES:
-                raise ConfigInvalid(f"{name} = {paths} paths on {grid_name} = {intervals} intervals make a table of "
-                                    f"{doubles} doubles (paths x (intervals + 1) x max(d, q, p, m) = {width}), "
-                                    f"over MAX_TABLE_DOUBLES = {MAX_TABLE_DOUBLES}")
 
     def to_dict(self):
         """The config as JSON data: every dataclass field, arrays as lists."""
@@ -409,6 +383,8 @@ def run_gamma(cfg: ExperimentConfig):
     if not 2 <= len(cfg.n_list) <= SPEARMAN_MAX_N:
         raise ConfigInvalid(f"gamma takes 2 to {SPEARMAN_MAX_N} sample sizes in n_list (its exact Spearman "
                             f"test ranks them and enumerates n! rankings), got {len(cfg.n_list)}")
+    # the band that train checks, checked here before the limit's work
+    check_band(_precondition_band, p, ControlGrid.zeros(p.T, cfg.train.n_intervals, m=p.dims.m))
     fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
                                  seed=split_seed(cfg.seed, "fpk"))
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
@@ -522,9 +498,42 @@ EXPERIMENTS = {
 # entry point
 # ---------------------------------------------------------------------------
 
+def _path_tables(kind, cfg):
+    """The path tables that the command kind builds from cfg, each as (paths
+    field, paths, grid field, intervals): the path counts and grids it
+    simulates together (train holds the tables of all its replications at
+    once, so they count as one)."""
+    reps, m_paths, mc = cfg.train.replications, cfg.m_paths, cfg.fixed_point.mc_paths
+    steps, train, fixed = (("n_steps", cfg.n_steps), ("train.n_intervals", cfg.train.n_intervals),
+                           ("fixed_point.n_intervals", cfg.fixed_point.n_intervals))
+    cloud = [(f"min(m_paths, {REFERENCE_PATHS})", min(m_paths, REFERENCE_PATHS), steps)] if cfg.model.dims.d == 1 else []
+    return {"simulate": [("n_particles", cfg.n_particles, steps)],
+            "train": [("n_particles * train.replications", cfg.n_particles * reps, train)],
+            "solve-limit": [("fixed_point.mc_paths", mc, fixed), ("m_paths", m_paths, fixed)],
+            "gamma": [("fixed_point.mc_paths", mc, train), ("m_paths", m_paths, train),
+                      ("n_draws * n_list * train.replications", cfg.n_draws * cfg.n_list[-1] * reps, train)],
+            "diagnose-fpk": [("n_list", cfg.n_list[-1], steps)] + cloud,
+            "gradcheck": []}[kind]
+
+
+def _check_cost(kind, cfg):
+    """Raise ConfigInvalid, naming the fields, if the command kind would build
+    a path table (_path_tables) over MAX_TABLE_DOUBLES: paths x (intervals +
+    1) x max(d, q, p, m) doubles."""
+    dims = cfg.model.dims
+    width = max(dims.d, dims.q, dims.p, dims.m)
+    for name, paths, (grid_name, intervals) in _path_tables(kind, cfg):
+        doubles = paths * (intervals + 1) * width
+        if doubles > MAX_TABLE_DOUBLES:
+            raise ConfigInvalid(f"{name} = {paths} paths on {grid_name} = {intervals} intervals make a table of "
+                                f"{doubles} doubles (paths x (intervals + 1) x max(d, q, p, m) = {width}), "
+                                f"over MAX_TABLE_DOUBLES = {MAX_TABLE_DOUBLES}")
+
+
 def run_experiment(kind: str, cfg: ExperimentConfig):
-    """Run one experiment and stream each of its outputs, summary.txt last,
-    into name.tmp, renamed to name when written."""
+    """Run one experiment, after _check_cost, and stream each of its outputs,
+    summary.txt last, into name.tmp, renamed to name when written."""
+    _check_cost(kind, cfg)
     outputs, summary, payload = EXPERIMENTS[kind](cfg)
     os.makedirs(cfg.out, exist_ok=True)
     header = [f"experiment: {kind}", f"config_hash: {cfg.config_hash()}", f"seed: {cfg.seed}"]

@@ -92,7 +92,8 @@ def solve_tridiagonal(ab, rhs) -> np.ndarray:
     elimination with partial pivoting, the fill-in of an interchange kept
     in dl, then back substitution, one right-hand-side column at a time.
     In Python floats this beats per-row numpy calls at these sizes.  Both
-    library matrices are strictly diagonally dominant, so no pivot is zero.
+    library matrices are strictly diagonally dominant (check_band refuses a
+    model whose band is not, in floating point), so no pivot is zero.
     """
     du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
     n = len(d)
@@ -156,14 +157,21 @@ def _neumann_band(p: ModelParams, grid: ControlGrid) -> np.ndarray:
 
 def check_band(band, p: ModelParams, grid: ControlGrid):
     """Raise ConfigInvalid unless band(p, grid), the tridiagonal matrix that a
-    solver builds on grid from the model, is finite.  It is not when T is so
-    small that the grid step (or its square) rounds to zero, or lambda1 or
-    lambda2 so large that an entry overflows."""
+    solver builds on grid from the model, is finite and, in floating point,
+    strictly diagonally dominant, as solve_tridiagonal needs.  It is not
+    finite when T is so small that the grid step (or its square) rounds to
+    zero, or lambda1 or lambda2 so large that an entry overflows, and not
+    dominant when lambda1 is lost in the rounding beside lambda2 / step^2."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = np.isfinite(band(p, grid)).all()
-    if not finite:
+        ab = band(p, grid)
+        off = np.zeros(ab.shape[1])
+        off[:-1] += np.abs(ab[0, 1:])
+        off[1:] += np.abs(ab[2, :-1])
+        ok = np.isfinite(ab).all() and (ab[1] > off).all()
+    if not ok:
         raise ConfigInvalid(f"T={p.T!r}, lambda1={p.lambda1!r} and lambda2={p.lambda2!r} on {grid.n_intervals} "
-                            f"intervals give {band.__name__.strip('_').replace('_', ' ')} entries that are not finite")
+                            f"intervals give a {band.__name__.strip('_').replace('_', ' ')} that is not finite "
+                            f"and strictly diagonally dominant")
 
 
 def neumann_derivatives(theta: ControlGrid):
@@ -186,7 +194,7 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
     otherwise, and ScalarConfigRequired, before it draws anything, unless p
     is the scalar two-weight configuration, and ConfigInvalid, as check_band
-    says, when the Neumann band on its grid is not finite.
+    says, when the Neumann band on its grid is not finite and dominant.
     """
     if not p.is_scalar_two_weight():
         raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")

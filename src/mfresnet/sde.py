@@ -96,17 +96,15 @@ def control_nodes(theta: ControlGrid):
     return np.moveaxis(values, 0, -1)[..., None, None]
 
 
-def _check_finite(seeds, *paths, first_step=0):
-    """Raise Diverged at the first (step, row) where a path (B*N, nodes, ...),
-    its nodes from first_step on, is not finite, naming the seed of the row's
-    problem and its row within it."""
-    if all(np.isfinite(a).all() for a in paths):
-        return
+def _diverged(seeds, *paths, first_step=0):
+    """The Diverged error of the first (step, row) where a path (B*N, nodes,
+    ...), its nodes from first_step on, is not finite, naming the seed of
+    the row's problem and its row within it; some node must not be."""
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in paths])
     step, row = np.argwhere(~finite.T)[0]
     problem, particle = divmod(int(row), paths[0].shape[0] // len(seeds))
-    raise Diverged("trajectories diverged; reduce the step size",
-                   seed=int(seeds[problem]), step=first_step + int(step), particle=particle)
+    return Diverged("trajectories diverged; reduce the step size",
+                    seed=int(seeds[problem]), step=first_step + int(step), particle=particle)
 
 
 _NOISE_BLOCK = 1024  # particles per noise_table call: the block held beside the table is 1.6 MiB at S=100, p=2
@@ -208,7 +206,7 @@ def euler_nodes(p: ModelParams, theta: ControlGrid, samples: SampleBatch, type_v
     eps, gamma, sigma = type_vector.epsilon, type_vector.gamma, type_vector.sigma
     for k in range(n_steps + 1):
         if not (np.isfinite(x).all() and (not q or np.isfinite(z).all())):
-            _check_finite(seeds, x.T[:, None], z.T[:, None], first_step=k)
+            raise _diverged(seeds, x.T[:, None], z.T[:, None], first_step=k)
         eta_k = None
         if coupled:
             eta_k = np.mean(p.rho_value(x.T).reshape(b, n), axis=1)
@@ -301,6 +299,7 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     X2 = np.zeros_like(x3)
     np.cumsum(dfdx[:, :-1] * ens.dt, axis=1, out=X1[:, 1:])
     np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * ens.dt, axis=1, out=X2[:, 1:])
-    _check_finite([seed], X1, X2)
+    if not (np.isfinite(X1).all() and np.isfinite(X2).all()):
+        raise _diverged([seed], X1, X2)
     return ens, X1, X2, dtheta_f
 

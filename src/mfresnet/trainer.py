@@ -208,7 +208,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     problems that accepted get one batched adjoint sweep.  The result holds
     the B controls and one history per problem.  Before any draw, raises
     ConfigInvalid, as check_band says, when the preconditioner's band on the
-    grid is not finite.
+    grid is not finite and dominant.
     """
     seeds = problem_seeds(seed)
     n = len(samples) // len(seeds)

@@ -19,8 +19,10 @@ import mfresnet.sde as sde
 import mfresnet.trainer as trainer
 from mfresnet import ControlGrid, FixedPointConfig, ModelParams, TrainConfig
 from mfresnet.cli import (
+    EXPERIMENTS,
     SPEARMAN_MAX_N,
     ExperimentConfig,
+    _check_cost,
     default_law,
     gradcheck_case_error,
     main,
@@ -336,6 +338,12 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("solve-limit", {"model": {"T": 1e-300}}, "ConfigInvalid: T=1e-300, lambda1=0.1 and lambda2=0.1 on 32"),
         ("solve-limit", {"model": {"lambda2": 1e308}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+308"),
         ("train", {"model": {"lambda2": 1e308}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+308"),
+        # a Neumann band that is finite on the training grid and a preconditioner band that is not
+        ("gamma", {"model": {"T": 40, "lambda2": 1e308}}, "ConfigInvalid: T=40, lambda1=0.1 and lambda2=1e+308 on 32"),
+        # finite bands in which lambda1 is lost beside lambda2 / step^2, so that the matrix is singular
+        ("solve-limit", {"model": {"T": 40, "lambda2": 1e308}}, "ConfigInvalid: T=40, lambda1=0.1 and lambda2=1e+308"),
+        ("solve-limit", {"model": {"lambda2": 1e20}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+20 on 32"),
+        ("train", {"model": {"lambda2": 1e20}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+20 on 32"),
         # a path table over the budget, refused before the first (small) size runs
         ("simulate", {"n_particles": 10**12}, "ConfigInvalid: n_particles"),
         ("solve-limit", {"fixed_point": {"mc_paths": 10**12}}, "ConfigInvalid: fixed_point.mc_paths"),
@@ -365,23 +373,50 @@ def test_cost_bound_refuses_only_tables_over_the_budget():
     more path is refused, naming the fields; so are the replications that
     train holds at once, and a fixed point that gamma runs on the training grid."""
     n = cli.MAX_TABLE_DOUBLES // (32 * 2)   # 31 intervals give 32 nodes, 2 = max(d, q, p, m)
-    ExperimentConfig(n_particles=n, n_steps=31, train=TrainConfig(n_intervals=31))
+    _check_cost("simulate", ExperimentConfig(n_particles=n, n_steps=31))
     with pytest.raises(ConfigInvalid, match=r"^n_particles = .* on n_steps = 31"):
-        ExperimentConfig(n_particles=n + 1, n_steps=31, train=TrainConfig(n_intervals=31))
+        _check_cost("simulate", ExperimentConfig(n_particles=n + 1, n_steps=31))
     with pytest.raises(ConfigInvalid, match=r"^n_particles \* train.replications = 100000000 paths"):
-        ExperimentConfig.from_dict({"train": {"replications": 10**6}})
+        _check_cost("train", ExperimentConfig.from_dict({"train": {"replications": 10**6}}))
     with pytest.raises(ConfigInvalid, match=r"^fixed_point.mc_paths = .* on train.n_intervals = 10000"):
-        ExperimentConfig.from_dict({"n_list": [50, 100], "m_paths": 1000, "train": {"n_intervals": 10000},
-                                    "fixed_point": {"mc_paths": 20000}})
+        _check_cost("gamma", ExperimentConfig.from_dict({"train": {"n_intervals": 10000},
+                                                         "fixed_point": {"mc_paths": 20000}}))
+
+
+def test_cost_bound_reads_only_the_tables_of_its_command():
+    """Each command is held to the tables it builds: 7000 steps are cheap for
+    simulate's 100 particles, though diagnose-fpk's W2 cloud on that grid is
+    over the budget, and 1400 training intervals are cheap for train, which
+    reads no m_paths, though gamma's limit cost of m_paths on them is not."""
+    long_run = ExperimentConfig(n_steps=7000)
+    _check_cost("simulate", long_run)
+    with pytest.raises(ConfigInvalid, match=r"^min\(m_paths, 20000\) = 20000 paths on n_steps = 7000"):
+        _check_cost("diagnose-fpk", long_run)
+    fine_train = ExperimentConfig.from_dict({"train": {"n_intervals": 1400}})
+    _check_cost("train", fine_train)
+    with pytest.raises(ConfigInvalid, match=r"^m_paths = 100000 paths on train.n_intervals = 1400"):
+        _check_cost("gamma", fine_train)
+    for kind in ("solve-limit", "gradcheck"):
+        _check_cost(kind, long_run)
+        _check_cost(kind, fine_train)
+
+
+def test_simulate_runs_a_grid_that_other_commands_could_not_afford(tmp_path, capsys):
+    """The long simulate run is not refused on another command's table."""
+    cfgfile = tmp_path / "long.json"
+    cfgfile.write_text(json.dumps({"n_steps": 7000}))
+    assert main(["simulate", str(cfgfile), "--out", str(tmp_path / "o")]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted([*ROOT.glob("scripts/*.json"), *ROOT.glob("benchmarks/workloads/*.json")]),
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_shipped_configs_pass_the_cost_and_band_checks(path):
-    """Every committed config loads, so each path table it asks for fits
-    MAX_TABLE_DOUBLES, and the Neumann and preconditioner bands on both of
-    its grids are finite: neither check refuses a shipped config."""
+    """Every committed config loads, each path table that any command would
+    build from it fits MAX_TABLE_DOUBLES, and the Neumann and preconditioner
+    bands on both of its grids are finite: neither check refuses a shipped config."""
     cfg = ExperimentConfig.from_json(path)
+    for kind in EXPERIMENTS:
+        _check_cost(kind, cfg)
     for n_intervals in (cfg.train.n_intervals, cfg.fixed_point.n_intervals):
         grid = ControlGrid.zeros(cfg.model.T, n_intervals, m=cfg.model.dims.m)
         check_band(fpk._neumann_band, cfg.model, grid)

@@ -300,6 +300,25 @@ def test_augmented_recursions(scalar_params, scalar_law):
         assert np.allclose(X2[:, k + 1], expected, atol=1e-12)
 
 
+def test_augmented_divergence_names_the_first_step_of_x1_or_x2(scalar_params):
+    """A state path that stays finite while exp(X1) overflows raises Diverged
+    at the first node of X2 that is not finite: under the affine drift X1
+    grows by theta_0 dt a step and the state stays at its fixed point 0."""
+    p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="affine"), k_theta=1e9)
+    n_steps = 64
+    t = np.linspace(0.0, p.T, n_steps + 1)
+    theta = ControlGrid(p.T, np.stack([1e4 * np.ones_like(t), np.zeros_like(t)], axis=1))
+    dt = t[1] - t[0]
+    x1, first = 0.0, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(np.exp(x1)):
+            x1, first = x1 + 1e4 * dt, first + 1
+        with pytest.raises(Diverged) as exc:
+            simulate_augmented(p, theta, (_scalar_batch(0.0, 0.0), _quiet_type(p)), n_steps, 5)
+    assert 1 < first < n_steps
+    assert (exc.value.seed, exc.value.step, exc.value.particle) == (5, first, 0)
+
+
 def test_divergence_raises(scalar_params):
     """Diverged names the seed, the first grid step that is not finite and
     the row of the particle there; a particle at the fixed point 0 stays finite."""
