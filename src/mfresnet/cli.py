@@ -54,7 +54,9 @@ from .trainer import TrainConfig, _adjoint_gradient, _precondition_band, train
 # The most doubles one path table may hold (2 GiB): a command whose config
 # asks it for a larger one is refused before any work (_check_cost).
 MAX_TABLE_DOUBLES = 2**28
+MAX_UNITS = 2**16         # units of one function a plan may list; more are refused before any is listed
 REFERENCE_PATHS = 20000   # paths of the reference cloud of the W2 columns, at most
+GRADCHECK_SAMPLES, GRADCHECK_INTERVALS = 16, (8, 16, 32, 64)   # a random gradcheck case's sizes, drawn from these
 
 
 def default_law() -> InitialLaw:
@@ -79,7 +81,7 @@ class ExperimentConfig:
     initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
     seed: int = 20240815
     out: str = "results"
-    workers: int = 1           # checked, not hashed; units run in series at any value (_run_units)
+    workers: int = 1           # checked, not hashed; _run_units runs a plan's units in series at any value
     n_particles: int = 100
     n_steps: int = 32
     n_list: tuple = (50, 200, 800, 3200)
@@ -167,12 +169,12 @@ def _trajectory_lines(ens):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
-def _run_units(fn, units):
-    """fn(*unit) for every unit, in series and in order (on threads they ran
-    slower): fn is a module-level function and each unit a tuple of its
-    picklable arguments, so that units could run in worker processes, and a
+def _run_units(units):
+    """fn(*args) for every (fn, args, tables) unit of a plan, in series and in
+    order (on threads they ran slower): fn is module-level and args a tuple of
+    picklable values, so that units could run in worker processes, and a
     result should own its arrays, so that a finished unit frees its buffers."""
-    return [fn(*u) for u in units]
+    return [fn(*args) for fn, args, _ in units]
 
 
 def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
@@ -192,8 +194,9 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
 
 
 def _reference_cloud(cfg, theta, label):
-    """Terminal first coordinates of min(m_paths, REFERENCE_PATHS) paths drawn
-    from the initial law, the reference for the W2 columns."""
+    """Terminal first coordinates of min(m_paths, REFERENCE_PATHS) paths drawn from the initial law
+    under theta (None: the reference control on n_steps), the reference for the W2 columns."""
+    theta = _reference_theta(cfg.model, cfg.n_steps) if theta is None else theta
     samples, tv = cfg.initial_law.sample(min(cfg.m_paths, REFERENCE_PATHS), split_seed(cfg.seed, label))
     ens = simulate_particles(cfg.model, theta, samples, tv, theta.n_intervals,
                              split_seed(cfg.seed, f"{label}-sim"))
@@ -223,12 +226,15 @@ def spearman_negative_p(values):
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_simulate(cfg: ExperimentConfig):
-    p = cfg.model
+def _simulate_unit(cfg):
     samples, tv = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "simulate-draw"))
-    theta = _reference_theta(p, cfg.n_steps)
-    ens = simulate_particles(p, theta, samples, tv, cfg.n_steps, split_seed(cfg.seed, "simulate"))
-    bd = evaluate_JN(ens, p)
+    theta = _reference_theta(cfg.model, cfg.n_steps)
+    return simulate_particles(cfg.model, theta, samples, tv, cfg.n_steps, split_seed(cfg.seed, "simulate"))
+
+
+def run_simulate(cfg: ExperimentConfig):
+    [ens] = _run_units(_plan("simulate", cfg))
+    bd = evaluate_JN(ens, cfg.model)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
         "cost.csv": _csv_lines(cfg, ["terminal", "running_state", "control_l2", "control_h1", "total"], rows),
@@ -242,10 +248,13 @@ def run_simulate(cfg: ExperimentConfig):
     return outputs, summary, {"ensemble": ens, "breakdown": bd}
 
 
-def run_train(cfg: ExperimentConfig):
-    p = cfg.model
+def _train_unit(cfg):
     samples, tv = cfg.initial_law.sample(cfg.n_particles, split_seed(cfg.seed, "train-draw"))
-    result = train(p, samples, tv, cfg.train, split_seed(cfg.seed, "train"))
+    return train(cfg.model, samples, tv, cfg.train, split_seed(cfg.seed, "train"))
+
+
+def run_train(cfg: ExperimentConfig):
+    [result] = _run_units(_plan("train", cfg))
     hist_rows = [
         (i, bd.total, bd.terminal, bd.running_state, bd.control_l2, bd.control_h1)
         for i, bd in enumerate(result.history)
@@ -266,12 +275,17 @@ def run_train(cfg: ExperimentConfig):
     return outputs, summary, {"result": result}
 
 
-def run_solve_limit(cfg: ExperimentConfig):
-    p = cfg.model
+def _solve_limit_unit(cfg):
+    """The fixed point θ* with its trace, G at θ*, and J_d at θ* with its standard error."""
     fp_cfg = dataclasses.replace(cfg.fixed_point, seed=split_seed(cfg.seed, "fpk"))
-    theta_star, trace = fixed_point_solve(p, cfg.initial_law, fp_cfg)
-    G = estimate_G(theta_star, p, cfg.initial_law, fp_cfg.mc_paths, split_seed(cfg.seed, "limit-G"))
-    jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "limit-jd"))
+    theta_star, trace = fixed_point_solve(cfg.model, cfg.initial_law, fp_cfg)
+    G = estimate_G(theta_star, cfg.model, cfg.initial_law, fp_cfg.mc_paths, split_seed(cfg.seed, "limit-G"))
+    jd, jd_se = evaluate_Jd(theta_star, cfg.model, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "limit-jd"))
+    return theta_star, trace, G, jd, jd_se
+
+
+def run_solve_limit(cfg: ExperimentConfig):
+    [(theta_star, trace, G, jd, jd_se)] = _run_units(_plan("solve-limit", cfg))
     m = theta_star.m
     theta_rows = [
         (float(t),) + tuple(float(v) for v in vals) + tuple(float(g) for g in gv)
@@ -297,8 +311,8 @@ def _random_gradcheck_case(case_idx, root_seed):
     d = int(gen.integers(1, 4))
     q = int(gen.integers(0, 3))
     p_noise = int(gen.integers(1, 3))
-    n_samples = int(gen.integers(1, 17))
-    n_intervals = int(gen.choice([8, 16, 32, 64]))
+    n_samples = int(gen.integers(1, GRADCHECK_SAMPLES + 1))
+    n_intervals = int(gen.choice(GRADCHECK_INTERVALS))
     kind = str(gen.choice(["tanh", "sigmoid", "gaussian"]))
     act = ActivationSpec(
         kind=kind,
@@ -346,17 +360,14 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     return rel, analytic, fd, case_seed
 
 
-def run_gradcheck(cfg: ExperimentConfig, n_cases=20):
-    rows = []
-    results = _run_units(gradcheck_case_error, [(c, cfg.seed, cfg.train.fd_epsilon) for c in range(n_cases)])
-    worst = 0.0
-    for c, (rel, analytic, fd, case_seed) in enumerate(results):
-        rows.append((c, case_seed, analytic, fd, rel))
-        worst = max(worst, rel)
+def run_gradcheck(cfg: ExperimentConfig):
+    rows = [(c, case_seed, analytic, fd, rel)
+            for c, (rel, analytic, fd, case_seed) in enumerate(_run_units(_plan("gradcheck", cfg)))]
+    worst = max([0.0] + [row[4] for row in rows])
     outputs = {
         "gradcheck.csv": _csv_lines(cfg, ["case", "case_seed", "directional_derivative", "central_fd", "rel_error"], rows),
     }
-    summary = [f"gradcheck over {n_cases} configurations, worst relative error {worst!r}"]
+    summary = [f"gradcheck over {len(rows)} configurations, worst relative error {worst!r}"]
     if worst > 1e-3:
         raise GradCheckFailed(f"worst relative error {worst:.3e} exceeds 1e-3")
     return outputs, summary, {"worst": worst, "rows": rows}
@@ -377,21 +388,21 @@ def _gamma_unit(cfg, n):
     return [history[-1].total for history in result.history], result.theta_star.values, clouds
 
 
-def run_gamma(cfg: ExperimentConfig):
-    """Value and minimizer convergence of the sampled problem to the limit."""
+def _gamma_limit(cfg):
+    """gamma's limit on the training grid: θ*, J_d at θ* with its standard error, and the reference cloud."""
     p = cfg.model
-    if not 2 <= len(cfg.n_list) <= SPEARMAN_MAX_N:
-        raise ConfigInvalid(f"gamma takes 2 to {SPEARMAN_MAX_N} sample sizes in n_list (its exact Spearman "
-                            f"test ranks them and enumerates n! rankings), got {len(cfg.n_list)}")
     # the band that train checks, checked here before the limit's work
     check_band(_precondition_band, p, ControlGrid.zeros(p.T, cfg.train.n_intervals, m=p.dims.m))
     fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
                                  seed=split_seed(cfg.seed, "fpk"))
     theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
-    ref_cloud = _reference_cloud(cfg, theta_star, "ref-cloud")
+    return theta_star, jd, jd_se, _reference_cloud(cfg, theta_star, "ref-cloud")
 
-    results = _run_units(_gamma_unit, [(cfg, n) for n in cfg.n_list])
+
+def run_gamma(cfg: ExperimentConfig):
+    """Value and minimizer convergence of the sampled problem to the limit."""
+    (theta_star, jd, jd_se, ref_cloud), *results = _run_units(_plan("gamma", cfg))
     rows = []
     for n, draws in zip(cfg.n_list, results):
         for draw, (min_jn, values, cloud) in enumerate(zip(*draws)):
@@ -454,19 +465,12 @@ def _diagnose_unit(cfg, label, n, seed_idx):
 
 def run_diagnose_fpk(cfg: ExperimentConfig):
     """Residual decay of the empirical measure against the limiting equation."""
-    p = cfg.model
-    if len(cfg.n_list) < 2:
-        raise ConfigInvalid(f"diagnose-fpk fits its slope through 2 or more n_list sizes, got {len(cfg.n_list)}")
-    # W2 is taken in one dimension only; for d > 1 the column is nan
-    ref_cloud = _reference_cloud(cfg, _reference_theta(p, cfg.n_steps), "diag-ref") if p.dims.d == 1 else None
-
-    units = [(cfg, label, n, s)
-             for label in ("noisy", "nonoise")
-             for n in cfg.n_list
-             for s in range(cfg.seeds_per_n)]
-    results = _run_units(_diagnose_unit, units)
+    units = _plan("diagnose-fpk", cfg)
+    results = _run_units(units)
+    # W2 is taken in one dimension only; for d > 1 the column is nan and the plan has no reference cloud
+    ref_cloud = results.pop(0) if cfg.model.dims.d == 1 else None
     rows = []
-    for (_, label, n, s), (sup_res, cloud) in zip(units, results):
+    for (_, (_, label, n, s), _), (sup_res, cloud) in zip(units[-len(results):], results):
         w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
         rows.append((label, n, s, sup_res, w2))
     outputs = {
@@ -498,31 +502,52 @@ EXPERIMENTS = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def _path_tables(kind, cfg):
-    """The path tables that the command kind builds from cfg, each as (paths
-    field, paths, grid field, intervals): the path counts and grids it
-    simulates together (train holds the tables of all its replications at
-    once, so they count as one)."""
+def _plan(kind, cfg):
+    """The units of the command kind in run order, each (fn, args, tables): a module-level function, its
+    picklable arguments, sized by nothing in cfg, and the path tables it may build, each as (paths field, paths,
+    (grid field, intervals)), train's replications as one table.  A config that the command cannot run, or
+    whose plan would list over MAX_UNITS units, is ConfigInvalid here, before any unit is listed."""
     reps, m_paths, mc = cfg.train.replications, cfg.m_paths, cfg.fixed_point.mc_paths
-    steps, train, fixed = (("n_steps", cfg.n_steps), ("train.n_intervals", cfg.train.n_intervals),
-                           ("fixed_point.n_intervals", cfg.fixed_point.n_intervals))
-    cloud = [(f"min(m_paths, {REFERENCE_PATHS})", min(m_paths, REFERENCE_PATHS), steps)] if cfg.model.dims.d == 1 else []
-    return {"simulate": [("n_particles", cfg.n_particles, steps)],
-            "train": [("n_particles * train.replications", cfg.n_particles * reps, train)],
-            "solve-limit": [("fixed_point.mc_paths", mc, fixed), ("m_paths", m_paths, fixed)],
-            "gamma": [("fixed_point.mc_paths", mc, train), ("m_paths", m_paths, train),
-                      ("n_draws * n_list * train.replications", cfg.n_draws * cfg.n_list[-1] * reps, train)],
-            "diagnose-fpk": [("n_list", cfg.n_list[-1], steps)] + cloud,
-            "gradcheck": []}[kind]
+    steps, grid, fixed = (("n_steps", cfg.n_steps), ("train.n_intervals", cfg.train.n_intervals),
+                          ("fixed_point.n_intervals", cfg.fixed_point.n_intervals))
+    if kind == "simulate":
+        return [(_simulate_unit, (cfg,), [("n_particles", cfg.n_particles, steps)])]
+    if kind == "train":
+        return [(_train_unit, (cfg,), [("n_particles * train.replications", cfg.n_particles * reps, grid)])]
+    if kind == "solve-limit":
+        if fixed[1] < 2:
+            raise ConfigInvalid(f"fixed_point.n_intervals = {fixed[1]}, under the 2 that the boundary derivatives need")
+        return [(_solve_limit_unit, (cfg,), [("fixed_point.mc_paths", mc, fixed), ("m_paths", m_paths, fixed)])]
+    if kind == "gamma":
+        if not 2 <= len(cfg.n_list) <= SPEARMAN_MAX_N:
+            raise ConfigInvalid(f"gamma takes 2 to {SPEARMAN_MAX_N} sample sizes in n_list (its exact Spearman "
+                                f"test ranks them and enumerates n! rankings), got {len(cfg.n_list)}")
+        return [(_gamma_limit, (cfg,), [("fixed_point.mc_paths", mc, grid), ("m_paths", m_paths, grid)])] + [
+            (_gamma_unit, (cfg, n), [("n_draws * n_list * train.replications", cfg.n_draws * n * reps, grid)])
+            for n in cfg.n_list]
+    if kind == "diagnose-fpk":
+        if len(cfg.n_list) < 2:
+            raise ConfigInvalid(f"diagnose-fpk fits its slope through 2 or more n_list sizes, got {len(cfg.n_list)}")
+        if 2 * len(cfg.n_list) * cfg.seeds_per_n > MAX_UNITS:
+            raise ConfigInvalid(f"seeds_per_n = {cfg.seeds_per_n} seeds for each of the {len(cfg.n_list)} n_list "
+                                f"sizes, in 2 cases, make more units than MAX_UNITS = {MAX_UNITS}")
+        cloud = [(_reference_cloud, (cfg, None, "diag-ref"),
+                  [(f"min(m_paths, {REFERENCE_PATHS})", min(m_paths, REFERENCE_PATHS), steps)])]
+        return (cloud if cfg.model.dims.d == 1 else []) + [
+            (_diagnose_unit, (cfg, label, n, s), [("n_list", n, steps)])
+            for label in ("noisy", "nonoise") for n in cfg.n_list for s in range(cfg.seeds_per_n)]
+    return [(gradcheck_case_error, (c, cfg.seed, cfg.train.fd_epsilon),
+             [("GRADCHECK_SAMPLES", GRADCHECK_SAMPLES, ("GRADCHECK_INTERVALS", s)) for s in GRADCHECK_INTERVALS])
+            for c in range(20)]
 
 
 def _check_cost(kind, cfg):
-    """Raise ConfigInvalid, naming the fields, if the command kind would build
-    a path table (_path_tables) over MAX_TABLE_DOUBLES: paths x (intervals +
-    1) x max(d, q, p, m) doubles."""
+    """Raise ConfigInvalid, naming the fields, if a unit of the command kind's
+    plan (_plan) would build a path table over MAX_TABLE_DOUBLES: paths x
+    (intervals + 1) x max(d, q, p, m) doubles."""
     dims = cfg.model.dims
     width = max(dims.d, dims.q, dims.p, dims.m)
-    for name, paths, (grid_name, intervals) in _path_tables(kind, cfg):
+    for name, paths, (grid_name, intervals) in (table for _, _, tables in _plan(kind, cfg) for table in tables):
         doubles = paths * (intervals + 1) * width
         if doubles > MAX_TABLE_DOUBLES:
             raise ConfigInvalid(f"{name} = {paths} paths on {grid_name} = {intervals} intervals make a table of "

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 
 import mfresnet.cli as cli
 import mfresnet.fpk as fpk
+import mfresnet.objective as objective
 import mfresnet.sde as sde
 import mfresnet.trainer as trainer
 from mfresnet import ControlGrid, FixedPointConfig, ModelParams, TrainConfig
@@ -348,6 +350,11 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("simulate", {"n_particles": 10**12}, "ConfigInvalid: n_particles"),
         ("solve-limit", {"fixed_point": {"mc_paths": 10**12}}, "ConfigInvalid: fixed_point.mc_paths"),
         ("diagnose-fpk", {"n_list": [10, 10**12]}, "ConfigInvalid: n_list"),
+        # a plan of more units than MAX_UNITS, refused before it is listed
+        ("diagnose-fpk", {"n_list": [5, 10], "seeds_per_n": 10**12, "n_steps": 4, "m_paths": 50},
+         "ConfigInvalid: seeds_per_n"),
+        # boundary derivatives of one interval, refused before the fixed point runs
+        ("solve-limit", {"fixed_point": {"n_intervals": 1}}, "ConfigInvalid: fixed_point.n_intervals"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))
@@ -357,6 +364,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, (command, bad)
         assert error in err and "Traceback" not in err, (command, bad, err)
+    # gamma reads no fixed_point.n_intervals and takes no boundary derivative, so one interval is valid there
+    _check_cost("gamma", ExperimentConfig.from_dict({"fixed_point": {"n_intervals": 1}, "train": {"n_intervals": 1}}))
     # damping 1 is the undamped map, and valid
     assert ExperimentConfig.from_dict({"fixed_point": {"damping": 1.0}}).fixed_point.damping == 1.0
     # a config file that is not JSON, and one that does not exist
@@ -457,10 +466,10 @@ def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monke
 
 
 def test_run_units_returns_results_in_unit_order():
-    """_run_units calls the function on each unit's arguments and returns the
-    results in unit order."""
-    assert cli._run_units(operator.mul, [(u, u + 1) for u in range(6)]) == [0, 2, 6, 12, 20, 30]
-    assert cli._run_units(operator.mul, []) == []
+    """_run_units calls each unit's function on the unit's arguments and
+    returns the results in unit order."""
+    assert cli._run_units([(operator.mul, (u, u + 1), []) for u in range(6)]) == [0, 2, 6, 12, 20, 30]
+    assert cli._run_units([]) == []
 
 
 def test_diagnose_fpk_bytes_do_not_depend_on_workers(tmp_path, capsys, coupled_params, coupled_law):
@@ -478,32 +487,102 @@ def test_diagnose_fpk_bytes_do_not_depend_on_workers(tmp_path, capsys, coupled_p
     assert written[0] == written[1]
 
 
+def _leaves(result):
+    """A unit result as a flat list, each array as its dtype, shape and bytes
+    and each other value by repr, so that two results compare byte for byte
+    however their objects share references (an array unpickled from a
+    config does not share its dtype object with a new array)."""
+    if dataclasses.is_dataclass(result):
+        return _leaves([getattr(result, field.name) for field in dataclasses.fields(result)])
+    if isinstance(result, np.ndarray):
+        return [(result.dtype.str, result.shape, result.tobytes())]
+    if isinstance(result, (list, tuple)):
+        return [(type(result).__name__, len(result))] + [leaf for item in result for leaf in _leaves(item)]
+    return [repr(result)]
+
+
 def test_units_are_picklable_module_level_functions(tmp_path, monkeypatch):
-    """gamma, diagnose-fpk and gradcheck hand _run_units a module-level
-    function and tuples of picklable arguments, so that the units could run
-    in worker processes under any start method: both survive pickling, and
-    the unpickled function on the first unpickled unit gives the bytes of
-    the result computed in this process."""
+    """Every command hands _run_units module-level functions and tuples of
+    picklable arguments, so that the units could run in worker processes
+    under any start method: both survive pickling, and each unpickled
+    function on its first unpickled arguments gives the bytes of the result
+    computed in this process, which survives pickling too."""
     calls = []
     run_units = cli._run_units
 
-    def recording(fn, units):
-        results = run_units(fn, units)
-        calls.append((fn, units, results))
+    def recording(units):
+        results = run_units(units)
+        calls.append((units, list(results)))
         return results
 
     monkeypatch.setattr(cli, "_run_units", recording)
-    cfg = _small_cfg(tmp_path, n_list=(5, 10), n_draws=2, seeds_per_n=1, m_paths=50, n_steps=4,
-                     fixed_point=FixedPointConfig(mc_paths=50), train=TrainConfig(n_intervals=4, max_iters=2))
-    run_experiment("gamma", cfg)
-    run_experiment("diagnose-fpk", cfg)
-    cli.run_gradcheck(cfg, n_cases=2)
-    assert [fn.__name__ for fn, _, _ in calls] == ["_gamma_unit", "_diagnose_unit", "gradcheck_case_error"]
-    for fn, units, results in calls:
-        assert vars(sys.modules[fn.__module__]).get(fn.__qualname__) is fn
-        fn_again, units_again = pickle.loads(pickle.dumps((fn, units)))
-        assert fn_again is fn and len(units_again) == len(units) == len(results)
-        assert pickle.dumps(fn_again(*units_again[0])) == pickle.dumps(results[0])
+    cfg = _small_cfg(tmp_path, n_list=(5, 10), n_draws=2, seeds_per_n=1, m_paths=50, n_steps=4, n_particles=6,
+                     fixed_point=FixedPointConfig(mc_paths=50, n_intervals=4),
+                     train=TrainConfig(n_intervals=4, max_iters=2))
+    for kind in EXPERIMENTS:
+        run_experiment(kind, cfg)
+    assert [[fn.__name__ for fn in dict.fromkeys(fn for fn, _, _ in units)] for units, _ in calls] == [
+        ["_simulate_unit"], ["_train_unit"], ["_solve_limit_unit"], ["_gamma_limit", "_gamma_unit"],
+        ["_reference_cloud", "_diagnose_unit"], ["gradcheck_case_error"]]
+    replayed = set()
+    for units, results in calls:
+        units_again = pickle.loads(pickle.dumps(units))
+        assert len(units_again) == len(units) == len(results)
+        for (fn, _, _), (fn_again, args_again, _), result in zip(units, units_again, results):
+            assert vars(sys.modules[fn.__module__]).get(fn.__qualname__) is fn and fn_again is fn
+            if fn not in replayed:
+                replayed.add(fn)
+                assert _leaves(fn_again(*args_again)) == _leaves(pickle.loads(pickle.dumps(result))), fn.__name__
+    assert len(replayed) == 8
+
+
+def test_each_plan_lists_every_table_its_units_build(tmp_path, monkeypatch):
+    """Every Euler table that a command builds, stored, streamed or drawn as
+    noise, is built inside a unit of the command's plan and fits a table
+    that the unit lists: the same intervals and at least as many paths as
+    rows.  So the cost bound, which reads the plans, bounds what each
+    command runs."""
+    calls, current = [], [None]
+
+    def wrap(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs).arguments
+            rows = (bound["n_paths"] * len(sde.problem_seeds(bound["seed"])) if name == "euler_noise"
+                    else len(bound["samples"]))
+            calls.append((kind, name, rows, bound["n_steps"], current[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, sde, objective, trainer, fpk):
+        for name in ("simulate_particles", "stream_particles", "euler_noise"):
+            if hasattr(module, name):
+                wrap(module, name)
+    run_units = cli._run_units
+
+    def entered(fn, tables):
+        def unit(*args):
+            current[0] = tables
+            try:
+                return fn(*args)
+            finally:
+                current[0] = None
+        return unit
+
+    monkeypatch.setattr(cli, "_run_units",
+                        lambda units: run_units([(entered(fn, tables), args, tables) for fn, args, tables in units]))
+    # a distinct grid and path count for every field the plans read
+    cfg = _small_cfg(tmp_path, n_list=(5, 7), n_draws=2, seeds_per_n=1, m_paths=45, n_steps=5, n_particles=6,
+                     fixed_point=FixedPointConfig(mc_paths=40, n_intervals=6),
+                     train=TrainConfig(n_intervals=3, max_iters=2, replications=2))
+    for kind in EXPERIMENTS:
+        run_experiment(kind, cfg)
+    assert {call[0] for call in calls} == set(EXPERIMENTS)
+    for kind, name, rows, intervals, tables in calls:
+        assert tables is not None, (kind, name, rows, intervals)
+        assert any(grid == intervals and paths >= rows for _, paths, (_, grid) in tables), (
+            kind, name, rows, intervals, tables)
 
 
 def test_unit_results_own_their_data(tmp_path):

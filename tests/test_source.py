@@ -105,6 +105,21 @@ def test_library_starts_no_threads():
     assert not found, found
 
 
+def test_no_command_simulates_outside_its_plan():
+    """No run_* function of cli.py calls a routine that simulates paths
+    itself: only the units of a command's plan do, so that the cost bound,
+    which reads the plan, bounds every simulation the command runs."""
+    simulating = {"simulate_particles", "stream_particles", "train", "fixed_point_solve", "estimate_G",
+                  "evaluate_Jd", "_reference_cloud"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")]
+    assert len(commands) == 7   # the six commands and run_experiment
+    found = [f"{command.name}:{call.lineno} calls {name}" for command in commands
+             for call in ast.walk(command) if isinstance(call, ast.Call)
+             for name in [getattr(call.func, "id", getattr(call.func, "attr", None))] if name in simulating]
+    assert not found, found
+
+
 # Parameters that each count extractor of benchmarks/tracer.py reads by name
 # from the bound arguments of the function it wraps.
 TRACER_BINDS = {
