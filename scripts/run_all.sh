@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Reproduce the headline experiments. Outputs land in results/<name>/.
 # Every run is deterministic in the config seed; extra arguments such as
-# --workers N are passed to every command (units run in series at any N, and
-# no output byte changes). The run ends by checking the CSVs against the
+# --workers N are passed to every command (its units run on up to N worker
+# processes, and no output byte changes). The run ends by checking the CSVs against the
 # digests in scripts/outputs.sha256.
 set -euo pipefail
 cd "$(dirname "$0")/.."

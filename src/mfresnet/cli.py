@@ -81,7 +81,7 @@ class ExperimentConfig:
     initial_law: InitialLaw = dataclasses.field(default_factory=default_law)
     seed: int = 20240815
     out: str = "results"
-    workers: int = 1           # checked, not hashed; _run_units runs a plan's units in series at any value
+    workers: int = 1           # checked, not hashed; the most processes _run_units runs a plan's units on
     n_particles: int = 100
     n_steps: int = 32
     n_list: tuple = (50, 200, 800, 3200)
@@ -169,12 +169,25 @@ def _trajectory_lines(ens):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
-def _run_units(units):
-    """fn(*args) for every (fn, args, tables) unit of a plan, in series and in
-    order (on threads they ran slower): fn is module-level and args a tuple of
-    picklable values, so that units could run in worker processes, and a
-    result should own its arrays, so that a finished unit frees its buffers."""
-    return [fn(*args) for fn, args, _ in units]
+def _run_units(units, workers):
+    """fn(*args) for every (fn, args, tables) unit of a plan, results in plan
+    order.  With min(workers, usable cores, units) > 1 processes, a fork pool
+    runs the units (module-level functions of picklable arguments) one at a
+    time in plan order, and the results are read in plan order, so the error
+    raised is the one a serial run raises first.  Fork, because a spawn or
+    forkserver worker imports numpy again (~0.1 s each) and Python 3.14 makes
+    forkserver the Linux default; the pool forks before it starts its own
+    threads, numpy's OpenBLAS stops its threads at a fork, and this package
+    starts none.  A result should own its arrays, so that a finished unit
+    frees its buffers."""
+    processes = min(workers, len(os.sched_getaffinity(0)), len(units))
+    if processes <= 1:
+        return [fn(*args) for fn, args, _ in units]
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        pending = [pool.apply_async(fn, args) for fn, args, _ in units]
+        return [result.get() for result in pending]
 
 
 def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
@@ -195,12 +208,12 @@ def _nonoise_law(law: InitialLaw) -> InitialLaw:
 
 def _reference_cloud(cfg, theta, label):
     """Terminal first coordinates of min(m_paths, REFERENCE_PATHS) paths drawn from the initial law
-    under theta (None: the reference control on n_steps), the reference for the W2 columns."""
+    under theta (None: the reference control on n_steps), sorted once, the reference for the W2 columns."""
     theta = _reference_theta(cfg.model, cfg.n_steps) if theta is None else theta
     samples, tv = cfg.initial_law.sample(min(cfg.m_paths, REFERENCE_PATHS), split_seed(cfg.seed, label))
     ens = simulate_particles(cfg.model, theta, samples, tv, theta.n_intervals,
                              split_seed(cfg.seed, f"{label}-sim"))
-    return ens.X[:, -1, 0].copy()
+    return np.sort(ens.X[:, -1, 0], kind="stable")
 
 
 SPEARMAN_MAX_N = 8
@@ -233,7 +246,7 @@ def _simulate_unit(cfg):
 
 
 def run_simulate(cfg: ExperimentConfig):
-    [ens] = _run_units(_plan("simulate", cfg))
+    [ens] = _run_units(_plan("simulate", cfg), cfg.workers)
     bd = evaluate_JN(ens, cfg.model)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
@@ -254,7 +267,7 @@ def _train_unit(cfg):
 
 
 def run_train(cfg: ExperimentConfig):
-    [result] = _run_units(_plan("train", cfg))
+    [result] = _run_units(_plan("train", cfg), cfg.workers)
     hist_rows = [
         (i, bd.total, bd.terminal, bd.running_state, bd.control_l2, bd.control_h1)
         for i, bd in enumerate(result.history)
@@ -285,7 +298,7 @@ def _solve_limit_unit(cfg):
 
 
 def run_solve_limit(cfg: ExperimentConfig):
-    [(theta_star, trace, G, jd, jd_se)] = _run_units(_plan("solve-limit", cfg))
+    [(theta_star, trace, G, jd, jd_se)] = _run_units(_plan("solve-limit", cfg), cfg.workers)
     m = theta_star.m
     theta_rows = [
         (float(t),) + tuple(float(v) for v in vals) + tuple(float(g) for g in gv)
@@ -362,7 +375,7 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
 
 def run_gradcheck(cfg: ExperimentConfig):
     rows = [(c, case_seed, analytic, fd, rel)
-            for c, (rel, analytic, fd, case_seed) in enumerate(_run_units(_plan("gradcheck", cfg)))]
+            for c, (rel, analytic, fd, case_seed) in enumerate(_run_units(_plan("gradcheck", cfg), cfg.workers))]
     worst = max([0.0] + [row[4] for row in rows])
     outputs = {
         "gradcheck.csv": _csv_lines(cfg, ["case", "case_seed", "directional_derivative", "central_fd", "rel_error"], rows),
@@ -402,7 +415,7 @@ def _gamma_limit(cfg):
 
 def run_gamma(cfg: ExperimentConfig):
     """Value and minimizer convergence of the sampled problem to the limit."""
-    (theta_star, jd, jd_se, ref_cloud), *results = _run_units(_plan("gamma", cfg))
+    (theta_star, jd, jd_se, ref_cloud), *results = _run_units(_plan("gamma", cfg), cfg.workers)
     rows = []
     for n, draws in zip(cfg.n_list, results):
         for draw, (min_jn, values, cloud) in enumerate(zip(*draws)):
@@ -466,7 +479,7 @@ def _diagnose_unit(cfg, label, n, seed_idx):
 def run_diagnose_fpk(cfg: ExperimentConfig):
     """Residual decay of the empirical measure against the limiting equation."""
     units = _plan("diagnose-fpk", cfg)
-    results = _run_units(units)
+    results = _run_units(units, cfg.workers)
     # W2 is taken in one dimension only; for d > 1 the column is nan and the plan has no reference cloud
     ref_cloud = results.pop(0) if cfg.model.dims.d == 1 else None
     rows = []
@@ -577,7 +590,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--workers", type=int, default=None,
-                        help="a positive integer; units run in series at any value")
+                        help="the most processes a command's units run on, capped by the usable cores")
         sp.add_argument("--n-list", default=None, help="comma-separated sample sizes")
         sp.add_argument("--dump-trajectories", action="store_true")
     return parser

@@ -1,8 +1,14 @@
 """Exception types shared across the package."""
+import copyreg
 
 
 class MfresnetError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # rebuilt from its message and fields without __init__, whose keyword-only
+        # fields a pickle cannot pass, so that an error raised in a worker reaches the parent
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NonPositiveWeight(MfresnetError):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -5,9 +6,13 @@ import inspect
 import io
 import json
 import math
+import multiprocessing
 import operator
+import os
 import pathlib
 import pickle
+import signal
+import subprocess
 import sys
 import time
 
@@ -31,7 +36,7 @@ from mfresnet.cli import (
     run_experiment,
     spearman_negative_p,
 )
-from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch
+from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch, Diverged, NoConvergence, NoDescentProgress
 from mfresnet.fpk import check_band
 from mfresnet.rng import split_seed
 
@@ -465,11 +470,125 @@ def test_diagnose_fpk_simulates_once_per_unit_when_d_exceeds_one(tmp_path, monke
     assert all(np.isnan(row[4]) for row in payload["rows"])
 
 
-def test_run_units_returns_results_in_unit_order():
+def test_run_units_returns_results_in_unit_order(monkeypatch):
     """_run_units calls each unit's function on the unit's arguments and
-    returns the results in unit order."""
-    assert cli._run_units([(operator.mul, (u, u + 1), []) for u in range(6)]) == [0, 2, 6, 12, 20, 30]
-    assert cli._run_units([]) == []
+    returns the results in unit order, in series and on two processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for workers in (1, 2):
+        assert cli._run_units([(operator.mul, (u, u + 1), []) for u in range(6)], workers) == [0, 2, 6, 12, 20, 30]
+        assert cli._run_units([], workers) == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block, which a hang would otherwise never leave, after seconds."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_numerical_errors_survive_a_pickle_round_trip():
+    """Diverged, NoDescentProgress and NoConvergence rebuild from their
+    pickle with their message and fields, so that an error raised in a worker
+    process reaches the parent."""
+    for exc in (Diverged("paths diverged", seed=3, step=4, particle=5),
+                NoDescentProgress("no descent", seed=[3, 8], iteration=7),
+                NoConvergence("no convergence", [0.5, 0.25])):
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc) and again.args == exc.args and vars(again) == vars(exc), exc
+        assert str(again) == str(exc)
+
+
+def _diverging_unit(seed):
+    raise Diverged("paths diverged", seed=seed, step=2, particle=1)
+
+
+def test_a_worker_error_reaches_the_parent(monkeypatch):
+    """A unit that raises Diverged in a worker process raises the same
+    Diverged, with its fields, in the parent, and does not hang it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    units = [(operator.neg, (1,), []), (_diverging_unit, (7,), []), (operator.neg, (2,), [])]
+    with _deadline(20), pytest.raises(Diverged) as exc:
+        cli._run_units(units, 2)
+    assert (exc.value.seed, exc.value.step, exc.value.particle) == (7, 2, 1)
+    assert str(exc.value) == "paths diverged (seed 7, step 2, particle 1)"
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_a_worker_ends_main_as_in_series(tmp_path, capsys, monkeypatch):
+    """A config whose paths diverge ends main with exit 1 and the one stderr
+    line of a serial run at --workers 2 too: no traceback and no hang."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n_list": [5, 10], "seeds_per_n": 2, "n_steps": 4, "m_paths": 50,
+                                   "model": {"activation": {"kind": "affine"}, "T": 1e100}}))
+    errors = []
+    for workers in ("1", "2"):
+        with _deadline(60), np.errstate(over="ignore", invalid="ignore"):
+            code = main(["diagnose-fpk", str(cfgfile), "--out", str(tmp_path / "o"), "--workers", workers])
+        errors.append(capsys.readouterr().err)
+        assert code == 1, workers
+    assert errors[0] == errors[1] and errors[0].startswith("Diverged: ") and errors[0].count("\n") == 1, errors
+
+
+def test_a_pooled_run_leaves_no_worker_behind(tmp_path, monkeypatch, coupled_params, coupled_law):
+    """After a diagnose-fpk on two worker processes no child process is left
+    running: a benchmark would count a leftover worker as a failure."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, out=str(tmp_path / "d"), workers=2,
+                           n_list=(5, 10), seeds_per_n=2, n_steps=4, m_paths=50)
+    with _deadline(60):
+        run_experiment("diagnose-fpk", cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_imports_no_multiprocessing(tmp_path):
+    """A diagnose-fpk at --workers 1, in a fresh interpreter, runs its units
+    in series and never imports multiprocessing."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n_list": [5, 10], "seeds_per_n": 2, "n_steps": 4, "m_paths": 50}))
+    argv = ["diagnose-fpk", str(cfgfile), "--out", str(tmp_path / "o"), "--workers", "1"]
+    code = f"import sys; from mfresnet.cli import main; code = main({argv!r}); print(code, 'multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(pathlib.Path(cli.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_run_units_starts_at_most_one_process_per_core_and_unit(monkeypatch):
+    """workers = 10**6 asks the fork pool for no more processes than the
+    usable cores, nor more than the plan has units, and one unit runs in
+    series; a fake Pool records the count and starts no process."""
+    class Asked(Exception):
+        pass
+
+    asked = []
+
+    def pool(processes=None, *args, **kwargs):
+        asked.append(processes)
+        raise Asked
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", pool)
+    for cores in (len(os.sched_getaffinity(0)), 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+        for n_units in (1, 3, 20):
+            asked.clear()
+            units = [(operator.neg, (u,), []) for u in range(n_units)]
+            expected = min(cores, n_units)
+            if expected == 1:
+                assert cli._run_units(units, 10**6) == [-u for u in range(n_units)]
+            else:
+                with pytest.raises(Asked):
+                    cli._run_units(units, 10**6)
+            assert asked == ([expected] if expected > 1 else []), (cores, n_units)
 
 
 def test_diagnose_fpk_bytes_do_not_depend_on_workers(tmp_path, capsys, coupled_params, coupled_law):
@@ -510,8 +629,8 @@ def test_units_are_picklable_module_level_functions(tmp_path, monkeypatch):
     calls = []
     run_units = cli._run_units
 
-    def recording(units):
-        results = run_units(units)
+    def recording(units, workers):
+        results = run_units(units, workers)
         calls.append((units, list(results)))
         return results
 
@@ -570,8 +689,8 @@ def test_each_plan_lists_every_table_its_units_build(tmp_path, monkeypatch):
                 current[0] = None
         return unit
 
-    monkeypatch.setattr(cli, "_run_units",
-                        lambda units: run_units([(entered(fn, tables), args, tables) for fn, args, tables in units]))
+    monkeypatch.setattr(cli, "_run_units", lambda units, workers: run_units(
+        [(entered(fn, tables), args, tables) for fn, args, tables in units], workers))
     # a distinct grid and path count for every field the plans read
     cfg = _small_cfg(tmp_path, n_list=(5, 7), n_draws=2, seeds_per_n=1, m_paths=45, n_steps=5, n_particles=6,
                      fixed_point=FixedPointConfig(mc_paths=40, n_intervals=6),
