@@ -21,7 +21,7 @@ import typing
 
 import numpy as np
 
-from .errors import ConfigInvalid, GradCheckFailed, MfresnetError
+from .errors import ConfigInvalid, GradCheckFailed, MfresnetError, WorkerLost
 from .fpk import FixedPointConfig, check_band, estimate_G, fixed_point_solve, neumann_derivatives
 from .measures import (
     TestFunction,
@@ -169,25 +169,77 @@ def _trajectory_lines(ens):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
 
+def _serve_units(k, links, units):
+    """A worker's loop: run the unit of each index that arrives on the child
+    end of links[k] and send back (result, None) or (None, the exception),
+    until None arrives or the parent is gone.  It closes its copies of the
+    parent's ends first, so that the parent's death ends its pipe."""
+    for parent_end, _ in links:
+        parent_end.close()
+    conn = links[k][1]
+    try:
+        for i in iter(conn.recv, None):
+            fn, args, _ = units[i]
+            try:
+                reply = fn(*args), None
+            except Exception as exc:
+                reply = None, exc
+            conn.send(reply)
+    except (EOFError, OSError):   # the parent is gone
+        pass
+
+
 def _run_units(units, workers):
     """fn(*args) for every (fn, args, tables) unit of a plan, results in plan
-    order.  With min(workers, usable cores, units) > 1 processes, a fork pool
-    runs the units (module-level functions of picklable arguments) one at a
-    time in plan order, and the results are read in plan order, so the error
-    raised is the one a serial run raises first.  Fork, because a spawn or
-    forkserver worker imports numpy again (~0.1 s each) and Python 3.14 makes
-    forkserver the Linux default; the pool forks before it starts its own
-    threads, numpy's OpenBLAS stops its threads at a fork, and this package
-    starts none.  A result should own its arrays, so that a finished unit
-    frees its buffers."""
+    order.  With min(workers, usable cores, units) > 1 processes, forked
+    workers, each with a pipe of its own and no lock shared, are sent the
+    index of the next unit when idle, and the results are read in plan
+    order, so the error raised is the one a serial run raises first.  Fork,
+    because a spawn or forkserver worker (Python 3.14's Linux default)
+    imports numpy again (~0.1 s); numpy's OpenBLAS stops its threads at a
+    fork, and this package starts none.  A worker that ends before it
+    returns its unit raises WorkerLost, and every worker is killed and
+    reaped before this returns.  A result should own its arrays, so that a
+    finished unit frees its buffers."""
     processes = min(workers, len(os.sched_getaffinity(0)), len(units))
     if processes <= 1:
         return [fn(*args) for fn, args, _ in units]
-    import multiprocessing
+    import multiprocessing.connection
 
-    with multiprocessing.get_context("fork").Pool(processes) as pool:
-        pending = [pool.apply_async(fn, args) for fn, args, _ in units]
-        return [result.get() for result in pending]
+    ctx = multiprocessing.get_context("fork")
+    links = [ctx.Pipe() for _ in range(processes)]
+    workers = [ctx.Process(target=_serve_units, args=(k, links, units)) for k in range(processes)]
+    todo, running, replies, results = iter(range(len(units))), {}, {}, []
+    try:
+        for worker, (conn, _) in zip(workers, links):
+            worker.start()
+            running[conn] = next(todo)
+            conn.send(running[conn])
+        for i, (fn, _, _) in enumerate(units):
+            while i not in replies:
+                ready = multiprocessing.connection.wait(list(running) + [worker.sentinel for worker in workers])
+                for worker in workers:
+                    if worker.sentinel in ready:
+                        worker.join()
+                        raise WorkerLost(f"worker process {worker.pid} ended with exit code {worker.exitcode} "
+                                         f"before unit {i} of {len(units)} ({fn.__name__}) returned")
+                for conn in ready:
+                    replies[running.pop(conn)] = conn.recv()
+                    if (j := next(todo, None)) is not None:
+                        running[conn] = j
+                        conn.send(j)
+            result, error = replies.pop(i)
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
+    finally:
+        for worker in workers:
+            if worker.pid is not None:
+                worker.kill()
+                worker.join()
+        for conn in itertools.chain.from_iterable(links):
+            conn.close()
 
 
 def _reference_theta(p: ModelParams, n_intervals: int) -> ControlGrid:
@@ -458,22 +510,15 @@ def _diagnose_unit(cfg, label, n, seed_idx):
     """The sup FPK residual of one ensemble under the reference control and
     its terminal first coordinates; the "nonoise" case draws from the
     initial law without diffusion.  The Euler nodes stream straight into
-    the residual, so the unit holds its noise table, one residual block and
-    the last node read, never a whole path."""
+    the residual, so the unit holds its noise table and one residual block,
+    never a whole path."""
     p = cfg.model
     law = cfg.initial_law if label == "noisy" else _nonoise_law(cfg.initial_law)
     run_seed = split_seed(cfg.seed, f"diag-{label}-{n}-{seed_idx}")
     samples, tv = law.sample(n, split_seed(run_seed, "data"))
     stream = stream_particles(p, _reference_theta(p, cfg.n_steps), samples, tv, cfg.n_steps, run_seed)
-    last = []
-
-    def nodes():
-        for node in stream.nodes:
-            last[:] = node[:1]
-            yield node
-
-    sup_res, _ = fpk_residual(dataclasses.replace(stream, nodes=nodes()), _residual_test_function(cfg), p)
-    return sup_res, last[0][0].copy()
+    sup_res, _, x_last = fpk_residual(stream, _residual_test_function(cfg), p)
+    return sup_res, x_last[0].copy()
 
 
 def run_diagnose_fpk(cfg: ExperimentConfig):

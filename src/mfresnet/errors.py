@@ -70,3 +70,7 @@ class SizeMismatch(MfresnetError):
 
 class GradCheckFailed(MfresnetError):
     """The derivative check suite exceeded its error budget."""
+
+
+class WorkerLost(MfresnetError):
+    """A worker process that runs a plan's units ended, killed by a signal say, before it returned its unit."""

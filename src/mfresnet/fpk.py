@@ -42,11 +42,11 @@ class FixedPointConfig:
         require_positive("fixed_point.damping", self.damping, NonPositiveWeight)
         if self.damping > 1.0:
             raise NonPositiveWeight(f"fixed_point.damping must lie in (0, 1], got {self.damping!r}")
+        require_int("fixed_point.mc_paths", self.mc_paths, None)
         if self.mc_paths < 1:
-            raise NonPositiveWeight("mc_paths must be >= 1")
+            raise NonPositiveWeight(f"fixed_point.mc_paths must be >= 1, got {self.mc_paths!r}")
         if self.seed_policy not in ("fixed", "refresh"):
             raise ConfigInvalid(f"seed_policy must be 'fixed' or 'refresh', got {self.seed_policy!r}")
-        require_int("fixed_point.mc_paths", self.mc_paths, 1)
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)
         require_int("fixed_point.seed", self.seed, None, None)
@@ -155,13 +155,14 @@ def _neumann_band(p: ModelParams, grid: ControlGrid) -> np.ndarray:
     return ab
 
 
-def check_band(band, p: ModelParams, grid: ControlGrid):
-    """Raise ConfigInvalid unless band(p, grid), the tridiagonal matrix that a
-    solver builds on grid from the model, is finite and, in floating point,
-    strictly diagonally dominant, as solve_tridiagonal needs.  It is not
-    finite when T is so small that the grid step (or its square) rounds to
-    zero, or lambda1 or lambda2 so large that an entry overflows, and not
-    dominant when lambda1 is lost in the rounding beside lambda2 / step^2."""
+def check_band(band, p: ModelParams, grid: ControlGrid) -> np.ndarray:
+    """Return band(p, grid), the tridiagonal matrix that a solver builds on
+    grid from the model, after raising ConfigInvalid unless it is finite
+    and, in floating point, strictly diagonally dominant, as
+    solve_tridiagonal needs.  It is not finite when T is so small that the
+    grid step (or its square) rounds to zero, or lambda1 or lambda2 so large
+    that an entry overflows, and not dominant when lambda1 is lost in the
+    rounding beside lambda2 / step^2."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ab = band(p, grid)
         off = np.zeros(ab.shape[1])
@@ -172,6 +173,7 @@ def check_band(band, p: ModelParams, grid: ControlGrid):
         raise ConfigInvalid(f"T={p.T!r}, lambda1={p.lambda1!r} and lambda2={p.lambda2!r} on {grid.n_intervals} "
                             f"intervals give a {band.__name__.strip('_').replace('_', ' ')} that is not finite "
                             f"and strictly diagonally dominant")
+    return ab
 
 
 def neumann_derivatives(theta: ControlGrid):

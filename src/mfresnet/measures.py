@@ -277,7 +277,8 @@ def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
     trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
     weighted atoms of the streamed ensemble at node t and the generator A
     taken with the drifts that the stream's Euler step evaluated at each
-    node; returns (sup |R|, R path).
+    node; returns (sup |R|, R path, the states x_S (d, N) read at the last
+    node, which the result owns).
 
     Each node is read once, in order: the atoms of up to _BLOCK_ROWS // N
     nodes form one node-major table w = (x, z), row k*N + i holding particle
@@ -316,4 +317,4 @@ def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
         mean_gen[block] = np.mean(gen.reshape(nk, n), axis=-1)
     cumint = np.concatenate([[0.0], np.cumsum(0.5 * theta.dt * (mean_gen[1:] + mean_gen[:-1]))])
     residual = mean_phi - mean_phi[0] - cumint
-    return float(np.max(np.abs(residual))), residual
+    return float(np.max(np.abs(residual))), residual, w[-n:, :d].T.copy()

@@ -43,12 +43,13 @@ class TrainConfig:
     def __post_init__(self):
         require_positive("train.step_size", self.step_size, NonPositiveWeight)
         require_positive("train.grad_tol", self.grad_tol, NonPositiveWeight)
+        require_int("train.replications", self.replications, None)
         if self.replications < 1:
-            raise NonPositiveWeight("replications must be >= 1")
-        if not (0.0 < self.shrink < 1.0):
-            raise NonPositiveWeight("shrink must lie in (0, 1)")
+            raise NonPositiveWeight(f"train.replications must be >= 1, got {self.replications!r}")
+        require_positive("train.shrink", self.shrink, NonPositiveWeight)
+        if self.shrink >= 1.0:
+            raise NonPositiveWeight(f"train.shrink must lie in (0, 1), got {self.shrink!r}")
         require_int("train.n_intervals", self.n_intervals, 1)
-        require_int("train.replications", self.replications, 1)
         require_int("train.max_iters", self.max_iters, 0)
         require_real("train.step_floor", self.step_floor, 0.0)
         require_real("train.fd_epsilon", self.fd_epsilon, 0.0)
@@ -148,14 +149,11 @@ def _mean_gradient(ensembles, p):
     return sum(_adjoint_gradient(ens, p) for ens in ensembles) / len(ensembles)
 
 
-def value_and_gradient(p, theta, samples, type_vector, seed, replications=1, noises=None):
-    """Objective and gradient averaged over noise replications (common random
-    numbers: the same noise tables are reused for every theta).  A batch of
-    controls with one seed per problem gives one value and one gradient per
-    problem."""
-    if noises is None:
-        noises = replication_noise(p, len(samples) // theta.n_problems, theta.n_intervals, seed,
-                                   replications)
+def value_and_gradient(p, theta, samples, type_vector, seed, noises):
+    """Objective and gradient averaged over the noise tables of the
+    replications, as replication_noise draws them (common random numbers:
+    the same tables are reused for every theta).  A batch of controls with
+    one seed per problem gives one value and one gradient per problem."""
     batch = theta if theta.values.ndim == 3 else theta.with_values(theta.values[None])
     values, ensembles = _replicate(p, batch, samples, type_vector, problem_seeds(seed), noises)
     grad = _mean_gradient(ensembles, p)
@@ -169,18 +167,14 @@ def replication_noise(p, n_particles, n_steps, seed, replications):
             for r in range(replications)]
 
 
-def _precondition(theta: ControlGrid, p: ModelParams, grad: np.ndarray) -> np.ndarray:
-    """Solve M s = grad with M the control-cost Hessian (SPD tridiagonal).
+def _precondition_band(p: ModelParams, theta: ControlGrid) -> np.ndarray:
+    """The band of the control-cost Hessian M (SPD tridiagonal) on theta's
+    grid, in solve_tridiagonal's layout: train steps along M^-1 grad.
 
     The quadratic penalty dominates the curvature and its stiffness grows
     like 1/dt^2, so plain gradient steps crawl on fine grids; scaling by M
     makes the step size mesh-independent while keeping descent directions.
     """
-    return solve_tridiagonal(_precondition_band(p, theta), grad)
-
-
-def _precondition_band(p: ModelParams, theta: ControlGrid) -> np.ndarray:
-    """The band of _precondition's matrix M on theta's grid, in solve_tridiagonal's layout."""
     dt = np.float64(theta.dt)   # a step that rounds to zero divides to inf, for check_band to see
     w = _trapezoid_weights(theta.t_grid)
     r = 2.0 * p.lambda2 / dt
@@ -213,12 +207,11 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
     seeds = problem_seeds(seed)
     n = len(samples) // len(seeds)
     zero = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
-    check_band(_precondition_band, p, zero)
+    band = check_band(_precondition_band, p, zero)
     values = np.zeros((len(seeds),) + zero.values.shape)
     noises = replication_noise(p, n, cfg.n_intervals, seeds, cfg.replications)
 
-    current, grad = value_and_gradient(p, zero.with_values(values.copy()), samples, type_vector,
-                                       seeds, noises=noises)
+    current, grad = value_and_gradient(p, zero.with_values(values.copy()), samples, type_vector, seeds, noises)
     history = [[bd] for bd in current]
     gnorm = [float(np.linalg.norm(g)) for g in grad]
     direction = np.empty_like(values)
@@ -228,7 +221,7 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
         """Start problem b's next line search, unless it has stopped."""
         if len(history[b]) > cfg.max_iters or gnorm[b] < cfg.grad_tol:
             return False
-        direction[b] = _precondition(zero, p, grad[b])
+        direction[b] = solve_tridiagonal(band, grad[b])
         step[b] = cfg.step_size
         return True
 

@@ -125,6 +125,23 @@ def _affine_euler_moments(theta, law):
     return (m, s) + first_two(float(law.y_low[0]), float(law.y_high[0]))
 
 
+def affine_exact_residual(theta, law):
+    """The exact expected weak-form residual path E R_k of the Euler scheme of
+    the affine drift f = theta1_k x + theta2_k (d = 1, q = 0, no batch
+    coupling) for diagnose-fpk's test function phi = x^2 + 0.5 x on its
+    plateau, the path whose sample mean fpk_residual estimates.  E<mu_k, phi>
+    and E<mu_k, A phi>, with A phi = f phi' + eps^2 phi'' / 2 = f (2x + 0.5)
+    + eps^2, are linear in E X_k and E X_k^2 (_affine_euler_moments), so E R_k
+    does not depend on N; it is the trapezoid rule over the same nodes."""
+    m, s, _, _ = _affine_euler_moments(theta, law)
+    v = theta.values
+    mean_phi = s + 0.5 * m
+    mean_gen = (2.0 * v[:, 0] * s + (0.5 * v[:, 0] + 2.0 * v[:, 1]) * m + 0.5 * v[:, 1]
+                + float(np.sum(law.type_vector.epsilon ** 2)))
+    cumint = np.concatenate([[0.0], np.cumsum(0.5 * theta.dt * (mean_gen[1:] + mean_gen[:-1]))])
+    return mean_phi - mean_phi[0] - cumint
+
+
 def affine_controls(n_intervals):
     """Three controls for the affine oracle: zero, a smooth path and a rough one."""
     t = np.linspace(0.0, 1.0, n_intervals + 1)

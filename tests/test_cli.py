@@ -11,13 +11,17 @@ import operator
 import os
 import pathlib
 import pickle
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfresnet.cli as cli
 import mfresnet.fpk as fpk
@@ -36,7 +40,8 @@ from mfresnet.cli import (
     run_experiment,
     spearman_negative_p,
 )
-from mfresnet.errors import BoundViolation, ConfigInvalid, DimensionMismatch, Diverged, NoConvergence, NoDescentProgress
+from mfresnet.errors import (BoundViolation, ConfigInvalid, DimensionMismatch, Diverged, MfresnetError, NoConvergence,
+                             NoDescentProgress, WorkerLost)
 from mfresnet.fpk import check_band
 from mfresnet.rng import split_seed
 
@@ -156,6 +161,36 @@ def test_config_hash_reads_every_leaf():
                 assert changed.config_hash() == cfg.config_hash(), path
             else:
                 assert changed.config_hash() != cfg.config_hash(), path
+
+
+def _leaf(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+# the path of every numeric field (not a list entry) of the default config: top level, train, fixed_point,
+# model, activation and dims
+NUMERIC_FIELDS = [path for path in _leaf_paths(ExperimentConfig().to_dict())
+                  if all(isinstance(key, str) for key in path)
+                  and type(_leaf(ExperimentConfig().to_dict(), path)) in (int, float)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NUMERIC_FIELDS),
+       st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_a_bad_numeric_field_is_refused_by_name(path, value):
+    """A string, None, a bool, nan or an infinity in place of any one numeric
+    field of the default config either builds a config or ends as an
+    MfresnetError whose message names the field: never as a bare TypeError
+    from comparing the value with a bound."""
+    assert len(NUMERIC_FIELDS) == 38
+    data = ExperimentConfig().to_dict()
+    _leaf(data, path[:-1])[path[-1]] = value
+    try:
+        ExperimentConfig.from_dict(data)
+    except MfresnetError as exc:
+        assert re.search(rf"\b{path[-1]}\b", str(exc)) and "TypeError" not in str(exc), (path, value, exc)
 
 
 def test_config_rejects_unknown_keys():
@@ -324,6 +359,13 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("simulate", {"model": dict(_default_section("model"), dims={"p": True})}, "ConfigInvalid"),
         ("solve-limit", {"fixed_point": {"damping": True}}, "ConfigInvalid"),
         ("simulate", {"dump_trajectories": "no"}, "ConfigInvalid"),
+        # a value of the wrong type, checked before any bound is compared with it
+        ("train", {"train": {"shrink": "0.5"}}, "ConfigInvalid: train.shrink"),
+        ("train", {"train": {"replications": "2"}}, "ConfigInvalid: train.replications"),
+        ("solve-limit", {"fixed_point": {"mc_paths": "9"}}, "ConfigInvalid: fixed_point.mc_paths"),
+        ("train", {"train": {"shrink": None}}, "ConfigInvalid: train.shrink"),
+        ("train", {"train": {"replications": None}}, "ConfigInvalid: train.replications"),
+        ("solve-limit", {"fixed_point": {"mc_paths": None}}, "ConfigInvalid: fixed_point.mc_paths"),
         # an output directory that is not a non-empty path
         ("simulate", {"out": 5}, "ConfigInvalid"),
         ("simulate", {"out": ""}, "ConfigInvalid"),
@@ -522,6 +564,88 @@ def test_a_worker_error_reaches_the_parent(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _killed_unit(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_killed_worker_ends_the_run(tmp_path, capsys, monkeypatch):
+    """A unit whose worker process a signal kills raises WorkerLost in the
+    parent, naming the first unit not returned, where a multiprocessing
+    Pool would wait for ever; main ends with exit 1 and one stderr line, and
+    no worker is left running."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    units = [(_killed_unit, (), []), (operator.neg, (1,), []), (operator.neg, (2,), [])]
+    with _deadline(20), pytest.raises(WorkerLost, match=r"exit code -9 before unit 0 of 3 \(_killed_unit\) returned$"):
+        cli._run_units(units, 2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(cli, "_diagnose_unit", _killed_unit)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n_list": [5, 10], "seeds_per_n": 2, "n_steps": 4, "m_paths": 50}))
+    with _deadline(20):
+        code = main(["diagnose-fpk", str(cfgfile), "--out", str(tmp_path / "o"), "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("WorkerLost: worker process ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_killed_while_idle_ends_the_run(monkeypatch):
+    """A worker killed while it waits for its next unit, where a signal from
+    outside may well find it, ends the run as WorkerLost too, naming the
+    unit still running, and no worker is left.  (A multiprocessing Pool hung
+    here: the dead worker held the lock of the task queue, which the Pool's
+    terminate waits for.)  The second worker started runs unit 1 and is then
+    idle."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def kill_idle():
+        os.kill(max(child.pid for child in multiprocessing.active_children()), signal.SIGKILL)
+
+    timer = threading.Timer(0.5, kill_idle)
+    timer.start()
+    try:
+        with _deadline(20), pytest.raises(WorkerLost, match=r"before unit 0 of 2 \(sleep\) returned$"):
+            cli._run_units([(time.sleep, (10,), []), (operator.neg, (1,), [])], 2)
+    finally:
+        timer.join()
+    assert multiprocessing.active_children() == []
+
+
+def _processes_running(marker):
+    """The ids of the processes whose command line holds marker."""
+    found = []
+    for cmdline in pathlib.Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if marker.encode() in cmdline.read_bytes():
+                found.append(int(cmdline.parent.name))
+        except OSError:   # the process ended while it was read
+            pass
+    return found
+
+
+def test_workers_end_when_their_parent_is_killed():
+    """The worker processes of a parent that is killed end on their own:
+    each closes its copies of the parent's pipe ends, so the parent's death
+    ends its pipe.  A fresh interpreter runs two units on two workers, the
+    first of which kills it."""
+    marker = f"mfresnet-orphan-check-{os.getpid()}-{time.monotonic_ns()}"
+    code = (f"# {marker}\nimport operator, os, signal\nfrom mfresnet import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cli._run_units([(os.kill, (os.getpid(), signal.SIGKILL), []), (operator.neg, (1,), [])], 2)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(pathlib.Path(cli.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.DEVNULL, timeout=60)
+    assert run.returncode == -signal.SIGKILL
+    deadline = time.monotonic() + 10
+    try:
+        while _processes_running(marker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _processes_running(marker) == []
+    finally:
+        for pid in _processes_running(marker):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_an_error_in_a_worker_ends_main_as_in_series(tmp_path, capsys, monkeypatch):
     """A config whose paths diverge ends main with exit 1 and the one stderr
     line of a serial run at --workers 2 too: no traceback and no hang."""
@@ -564,19 +688,24 @@ def test_one_worker_imports_no_multiprocessing(tmp_path):
 
 
 def test_run_units_starts_at_most_one_process_per_core_and_unit(monkeypatch):
-    """workers = 10**6 asks the fork pool for no more processes than the
+    """workers = 10**6 asks the fork context for no more processes than the
     usable cores, nor more than the plan has units, and one unit runs in
-    series; a fake Pool records the count and starts no process."""
+    series; a fake Process records each process asked for and starts none."""
     class Asked(Exception):
         pass
 
     asked = []
 
-    def pool(processes=None, *args, **kwargs):
-        asked.append(processes)
-        raise Asked
+    class Process:
+        pid = None
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", pool)
+        def __init__(self, *args, **kwargs):
+            asked.append(1)
+
+        def start(self):
+            raise Asked
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", Process)
     for cores in (len(os.sched_getaffinity(0)), 8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
         for n_units in (1, 3, 20):
@@ -588,7 +717,7 @@ def test_run_units_starts_at_most_one_process_per_core_and_unit(monkeypatch):
             else:
                 with pytest.raises(Asked):
                     cli._run_units(units, 10**6)
-            assert asked == ([expected] if expected > 1 else []), (cores, n_units)
+            assert len(asked) == (expected if expected > 1 else 0), (cores, n_units)
 
 
 def test_diagnose_fpk_bytes_do_not_depend_on_workers(tmp_path, capsys, coupled_params, coupled_law):

@@ -17,13 +17,14 @@ from mfresnet import (
     estimate_G,
     fixed_point_solve,
     solve_neumann_bvp,
+    trainer,
 )
 from mfresnet.cli import _nonoise_law, default_law
 from mfresnet.errors import ScalarConfigRequired, NoConvergence
 from mfresnet.fpk import neumann_derivatives, solve_tridiagonal
 from mfresnet.rng import noise_table
 from mfresnet.sde import euler_noise
-from mfresnet.trainer import _precondition, _trapezoid_weights, value_and_gradient
+from mfresnet.trainer import _trapezoid_weights, replication_noise, value_and_gradient
 
 from conftest import affine_controls, affine_exact_G, dirac_law, in_box, residual_first_order
 
@@ -91,7 +92,8 @@ def test_tridiagonal_solve_has_solve_banded_bytes_on_library_matrices(n):
                            scipy.linalg.solve_banded((1, 1), _bvp_band(t, lambda1, lambda2), G.values))
         grad = rng.normal(size=(n, 2))
         p = ModelParams(lambda1=lambda1, lambda2=lambda2)
-        assert _same_bytes(_precondition(ControlGrid.zeros(1.0, n - 1), p, grad),
+        band = trainer._precondition_band(p, ControlGrid.zeros(1.0, n - 1))
+        assert _same_bytes(solve_tridiagonal(band, grad),
                            scipy.linalg.solve_banded((1, 1), _precondition_band(t, lambda1, lambda2), grad))
 
 
@@ -239,7 +241,7 @@ def test_estimate_g_agrees_with_adjoint_route(scalar_params):
     for n_steps in (100, 200, 400):
         t = np.linspace(0.0, p.T, n_steps + 1)
         theta = _theta_profile(t)
-        _, grad = value_and_gradient(p, theta, samples, types, 0)
+        _, grad = value_and_gradient(p, theta, samples, types, 0, replication_noise(p, 1, n_steps, 0, 1))
         w = _trapezoid_weights(t)
         h1g = np.zeros_like(theta.values)
         d = np.diff(theta.values, axis=0) / theta.dt

@@ -87,8 +87,8 @@ def test_consumers_give_the_bytes_of_a_row_major_ensemble(d, q, diffuses, monkey
     phi = TestFunction(terms=((1.0, 1, (2,) + (0,) * (d - 1), (0,) * q),
                               (0.5, 0, (1,) * d, (1,) + (0,) * (q - 1) if q else ())),
                        d=d, q=q, r_plateau=0.8, r_support=1.6)
-    sup, res = fpk_residual(streamed(one, p), phi, p)
-    sup_rows, res_rows = fpk_residual(streamed(_row_major(one), p), phi, p)
+    sup, res, _ = fpk_residual(streamed(one, p), phi, p)
+    sup_rows, res_rows, _ = fpk_residual(streamed(_row_major(one), p), phi, p)
     assert sup == sup_rows and res.tobytes() == res_rows.tobytes()
 
     theta = ControlGrid(p.T, values[0])

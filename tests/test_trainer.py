@@ -7,10 +7,10 @@ import pytest
 from mfresnet import ActivationSpec, ControlGrid, Dims, SampleBatch, TrainConfig, TypeVector, evaluate_JN, simulate_particles, train, trainer
 from mfresnet.cli import gradcheck_case_error
 from mfresnet.errors import ConfigInvalid, NoDescentProgress, NonPositiveWeight
+from mfresnet.fpk import solve_tridiagonal
 from mfresnet.rng import split_seed
 from mfresnet.trainer import (
     _adjoint_gradient,
-    _precondition,
     _trapezoid_weights,
     replication_noise,
     value_and_gradient,
@@ -107,8 +107,8 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law, rho
     p = dataclasses.replace(coupled_params, rho=rho,
                             activation=dataclasses.replace(coupled_params.activation, kind=kind))
     samples, types, theta, direction = _setup(p, coupled_law, 5, 10, 4)
-    _, grad = value_and_gradient(p, theta, samples, types, 4)
     noises = replication_noise(p, 5, 10, 4, 1)
+    _, grad = value_and_gradient(p, theta, samples, types, 4, noises)
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
     forward = forward_sensitivity(ens, direction, p)
     assert float(np.sum(grad * direction)) == pytest.approx(forward, rel=1e-10)
@@ -158,7 +158,7 @@ def test_precondition_solves_the_control_hessian(scalar_params):
     dense += 2.0 * p.lambda2 * stiff / dt
     rng = np.random.default_rng(0)
     g = rng.normal(size=(n, 2))
-    s = _precondition(theta, p, g)
+    s = solve_tridiagonal(trainer._precondition_band(p, theta), g)
     assert np.allclose(dense @ s, g, atol=1e-10)
 
 
@@ -196,7 +196,7 @@ def test_replication_average(scalar_params, scalar_law):
     samples, types = scalar_law.sample(16, 1)
     theta = ControlGrid.zeros(scalar_params.T, 8)
     noises = replication_noise(scalar_params, 16, 8, 3, 3)
-    avg, _ = value_and_gradient(scalar_params, theta, samples, types, 3, replications=3)
+    avg, _ = value_and_gradient(scalar_params, theta, samples, types, 3, noises)
     singles = []
     for noise in noises:
         ens = simulate_particles(scalar_params, theta, samples, types, 8, 3, noise=noise)
@@ -213,7 +213,7 @@ def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, sc
     result = train(scalar_params, samples, types, cfg, 41)
     assert len(result.history) > 1
     value, grad = value_and_gradient(scalar_params, result.theta_star, samples, types, 41,
-                                     replications=2)
+                                     replication_noise(scalar_params, 24, 8, 41, 2))
     assert value == result.history[-1]
     assert float(np.linalg.norm(grad)) == result.grad_norm_final
 
