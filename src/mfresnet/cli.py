@@ -110,6 +110,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"out must be a non-empty path, got {self.out!r}")
         if not isinstance(self.dump_trajectories, bool):
             raise ConfigInvalid(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
+        if self.fixed_point.seed != 0:
+            raise ConfigInvalid(f"fixed_point.seed must be 0, as every command derives it from seed, "
+                                f"got {self.fixed_point.seed!r}")
         check_law(self.model, self.initial_law)
 
     def to_dict(self):
@@ -172,14 +175,14 @@ def _trajectory_lines(ens):
 def _serve_units(k, links, units):
     """A worker's loop: run the unit of each index that arrives on the child
     end of links[k] and send back (result, None) or (None, the exception),
-    until None arrives or the parent is gone.  It closes its copies of the
-    parent's ends first, so that the parent's death ends its pipe."""
-    for parent_end, _ in links:
-        parent_end.close()
+    until the parent is gone.  It first closes every other end it inherited,
+    so that each pipe end has one owner and the parent's death ends its pipe."""
     conn = links[k][1]
+    for end in set(itertools.chain.from_iterable(links)) - {conn}:
+        end.close()
     try:
-        for i in iter(conn.recv, None):
-            fn, args, _ = units[i]
+        while True:
+            fn, args, _ = units[conn.recv()]
             try:
                 reply = fn(*args), None
             except Exception as exc:
@@ -192,15 +195,14 @@ def _serve_units(k, links, units):
 def _run_units(units, workers):
     """fn(*args) for every (fn, args, tables) unit of a plan, results in plan
     order.  With min(workers, usable cores, units) > 1 processes, forked
-    workers, each with a pipe of its own and no lock shared, are sent the
-    index of the next unit when idle, and the results are read in plan
-    order, so the error raised is the one a serial run raises first.  Fork,
-    because a spawn or forkserver worker (Python 3.14's Linux default)
-    imports numpy again (~0.1 s); numpy's OpenBLAS stops its threads at a
-    fork, and this package starts none.  A worker that ends before it
-    returns its unit raises WorkerLost, and every worker is killed and
-    reaped before this returns.  A result should own its arrays, so that a
-    finished unit frees its buffers."""
+    workers, each with a pipe of its own, are sent the index of the next unit
+    when idle, and the results are read in plan order, so the error raised is
+    the one a serial run raises first.  Fork, because a spawn or forkserver
+    worker (Python 3.14's Linux default) imports numpy again (~0.1 s); numpy's
+    OpenBLAS stops its threads at a fork, and this package starts none.  Each
+    pipe end has one owner, so a worker's death, idle or mid-reply, ends its
+    pipe and raises WorkerLost; every worker is killed and reaped before this
+    returns.  A result should own its arrays, so a finished unit frees its buffers."""
     processes = min(workers, len(os.sched_getaffinity(0)), len(units))
     if processes <= 1:
         return [fn(*args) for fn, args, _ in units]
@@ -208,33 +210,34 @@ def _run_units(units, workers):
 
     ctx = multiprocessing.get_context("fork")
     links = [ctx.Pipe() for _ in range(processes)]
-    workers = [ctx.Process(target=_serve_units, args=(k, links, units)) for k in range(processes)]
+    workers = {conn: ctx.Process(target=_serve_units, args=(k, links, units)) for k, (conn, _) in enumerate(links)}
     todo, running, replies, results = iter(range(len(units))), {}, {}, []
     try:
-        for worker, (conn, _) in zip(workers, links):
+        for conn, worker in workers.items():
             worker.start()
             running[conn] = next(todo)
             conn.send(running[conn])
+        for _, child_end in links:
+            child_end.close()
         for i, (fn, _, _) in enumerate(units):
             while i not in replies:
-                ready = multiprocessing.connection.wait(list(running) + [worker.sentinel for worker in workers])
-                for worker in workers:
-                    if worker.sentinel in ready:
-                        worker.join()
+                for conn in multiprocessing.connection.wait(list(workers)):
+                    try:   # an idle worker's pipe is ready at its end only
+                        replies[running.pop(conn)] = conn.recv()
+                        if (j := next(todo, None)) is not None:
+                            running[conn] = j
+                            conn.send(j)
+                    except (EOFError, OSError):
+                        (worker := workers[conn]).join()
                         raise WorkerLost(f"worker process {worker.pid} ended with exit code {worker.exitcode} "
-                                         f"before unit {i} of {len(units)} ({fn.__name__}) returned")
-                for conn in ready:
-                    replies[running.pop(conn)] = conn.recv()
-                    if (j := next(todo, None)) is not None:
-                        running[conn] = j
-                        conn.send(j)
+                                         f"before unit {i} of {len(units)} ({fn.__name__}) returned") from None
             result, error = replies.pop(i)
             if error is not None:
                 raise error
             results.append(result)
         return results
     finally:
-        for worker in workers:
+        for worker in workers.values():
             if worker.pid is not None:
                 worker.kill()
                 worker.join()
@@ -525,8 +528,8 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
     """Residual decay of the empirical measure against the limiting equation."""
     units = _plan("diagnose-fpk", cfg)
     results = _run_units(units, cfg.workers)
-    # W2 is taken in one dimension only; for d > 1 the column is nan and the plan has no reference cloud
-    ref_cloud = results.pop(0) if cfg.model.dims.d == 1 else None
+    # W2 is taken in one dimension only: _plan lists a reference cloud first for d = 1, none (a nan column) for d > 1
+    ref_cloud = results.pop(0) if units[0][0] is _reference_cloud else None
     rows = []
     for (_, (_, label, n, s), _), (sup_res, cloud) in zip(units[-len(results):], results):
         w2 = float("nan") if ref_cloud is None else wasserstein2_1d(cloud, ref_cloud)
@@ -614,11 +617,15 @@ def _check_cost(kind, cfg):
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig):
-    """Run one experiment, after _check_cost, and stream each of its outputs,
-    summary.txt last, into name.tmp, renamed to name when written."""
+    """Run one experiment, after _check_cost and the making of cfg.out, and
+    stream each of its outputs, summary.txt last, into name.tmp, renamed to
+    name when written."""
     _check_cost(kind, cfg)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"out = {cfg.out!r} cannot be made a directory: {type(exc).__name__}: {exc}") from exc
     outputs, summary, payload = EXPERIMENTS[kind](cfg)
-    os.makedirs(cfg.out, exist_ok=True)
     header = [f"experiment: {kind}", f"config_hash: {cfg.config_hash()}", f"seed: {cfg.seed}"]
     outputs["summary.txt"] = [f"{line}\n" for line in header + summary]
     for name, lines in outputs.items():

@@ -7,12 +7,14 @@ import io
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import operator
 import os
 import pathlib
 import pickle
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -402,6 +404,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
          "ConfigInvalid: seeds_per_n"),
         # boundary derivatives of one interval, refused before the fixed point runs
         ("solve-limit", {"fixed_point": {"n_intervals": 1}}, "ConfigInvalid: fixed_point.n_intervals"),
+        # a fixed-point seed that no command reads, since each derives its own from seed
+        ("solve-limit", {"fixed_point": {"seed": 5}}, "ConfigInvalid: fixed_point.seed"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))
@@ -422,6 +426,21 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, path
         assert "ConfigInvalid" in err and "Traceback" not in err, (path, err)
+
+
+def test_an_out_that_cannot_be_a_directory_ends_before_any_unit_runs(tmp_path, capsys, monkeypatch):
+    """--out naming an existing file, or a path under one, ends as
+    ConfigInvalid naming out, with exit 1 and one stderr line, before any
+    unit runs; the file is left as it was."""
+    ran = []
+    monkeypatch.setattr(cli, "_simulate_unit", ran.append)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    for out in (existing, existing / "sub"):
+        code = main(["simulate", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"ConfigInvalid: out = {str(out)!r} ") and err.count("\n") == 1, err
+    assert ran == [] and existing.read_text() == "kept\n"
 
 
 def test_cost_bound_refuses_only_tables_over_the_budget():
@@ -607,6 +626,35 @@ def test_a_worker_killed_while_idle_ends_the_run(monkeypatch):
             cli._run_units([(time.sleep, (10,), []), (operator.neg, (1,), [])], 2)
     finally:
         timer.join()
+    assert multiprocessing.active_children() == []
+
+
+def _unit_killed_in_its_reply():
+    """A 4 MiB array, whose reply the worker dies in: the next send over
+    1 MiB writes its 4-byte length header and half its payload, and then the
+    worker SIGKILLs itself.  (multiprocessing writes a reply over 16 KiB in
+    two writes, header then payload.)"""
+    def send_half_and_die(self, buf):
+        if len(buf) > 2**20:
+            self._send(struct.pack("!i", len(buf)))
+            self._send(buf[:len(buf) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        send_bytes(self, buf)
+
+    send_bytes = multiprocessing.connection.Connection._send_bytes
+    multiprocessing.connection.Connection._send_bytes = send_half_and_die
+    return np.zeros(2**19)
+
+
+def test_a_worker_killed_in_its_reply_ends_the_run(monkeypatch):
+    """A worker killed halfway through writing its reply ends the run as
+    WorkerLost, naming its unit, and no worker is left: the worker owns the
+    only copy of its pipe end, so the parent's read of the payload meets the
+    end of the pipe instead of waiting for ever."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    units = [(_unit_killed_in_its_reply, (), []), (operator.neg, (1,), [])]
+    with _deadline(20), pytest.raises(WorkerLost, match=r"exit code -9 before unit 0 of 2 \(_unit_killed_in_its_reply\)"):
+        cli._run_units(units, 2)
     assert multiprocessing.active_children() == []
 
 
