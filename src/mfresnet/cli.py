@@ -52,7 +52,7 @@ from .trainer import TrainConfig, _adjoint_gradient, _precondition_band, train
 # ---------------------------------------------------------------------------
 
 # The most doubles one path table may hold (2 GiB): a command whose config
-# asks it for a larger one is refused before any work (_check_cost).
+# asks it for a larger one is refused before any work (_plan).
 MAX_TABLE_DOUBLES = 2**28
 MAX_UNITS = 2**16         # units of one function a plan may list; more are refused before any is listed
 REFERENCE_PATHS = 20000   # paths of the reference cloud of the W2 columns, at most
@@ -300,8 +300,8 @@ def _simulate_unit(cfg):
     return simulate_particles(cfg.model, theta, samples, tv, cfg.n_steps, split_seed(cfg.seed, "simulate"))
 
 
-def run_simulate(cfg: ExperimentConfig):
-    [ens] = _run_units(_plan("simulate", cfg), cfg.workers)
+def run_simulate(cfg: ExperimentConfig, units):
+    [ens] = _run_units(units, cfg.workers)
     bd = evaluate_JN(ens, cfg.model)
     rows = [(bd.terminal, bd.running_state, bd.control_l2, bd.control_h1, bd.total)]
     outputs = {
@@ -321,8 +321,8 @@ def _train_unit(cfg):
     return train(cfg.model, samples, tv, cfg.train, split_seed(cfg.seed, "train"))
 
 
-def run_train(cfg: ExperimentConfig):
-    [result] = _run_units(_plan("train", cfg), cfg.workers)
+def run_train(cfg: ExperimentConfig, units):
+    [result] = _run_units(units, cfg.workers)
     hist_rows = [
         (i, bd.total, bd.terminal, bd.running_state, bd.control_l2, bd.control_h1)
         for i, bd in enumerate(result.history)
@@ -352,8 +352,8 @@ def _solve_limit_unit(cfg):
     return theta_star, trace, G, jd, jd_se
 
 
-def run_solve_limit(cfg: ExperimentConfig):
-    [(theta_star, trace, G, jd, jd_se)] = _run_units(_plan("solve-limit", cfg), cfg.workers)
+def run_solve_limit(cfg: ExperimentConfig, units):
+    [(theta_star, trace, G, jd, jd_se)] = _run_units(units, cfg.workers)
     m = theta_star.m
     theta_rows = [
         (float(t),) + tuple(float(v) for v in vals) + tuple(float(g) for g in gv)
@@ -428,9 +428,9 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     return rel, analytic, fd, case_seed
 
 
-def run_gradcheck(cfg: ExperimentConfig):
+def run_gradcheck(cfg: ExperimentConfig, units):
     rows = [(c, case_seed, analytic, fd, rel)
-            for c, (rel, analytic, fd, case_seed) in enumerate(_run_units(_plan("gradcheck", cfg), cfg.workers))]
+            for c, (rel, analytic, fd, case_seed) in enumerate(_run_units(units, cfg.workers))]
     worst = max([0.0] + [row[4] for row in rows])
     outputs = {
         "gradcheck.csv": _csv_lines(cfg, ["case", "case_seed", "directional_derivative", "central_fd", "rel_error"], rows),
@@ -468,9 +468,9 @@ def _gamma_limit(cfg):
     return theta_star, jd, jd_se, _reference_cloud(cfg, theta_star, "ref-cloud")
 
 
-def run_gamma(cfg: ExperimentConfig):
+def run_gamma(cfg: ExperimentConfig, units):
     """Value and minimizer convergence of the sampled problem to the limit."""
-    (theta_star, jd, jd_se, ref_cloud), *results = _run_units(_plan("gamma", cfg), cfg.workers)
+    (theta_star, jd, jd_se, ref_cloud), *results = _run_units(units, cfg.workers)
     rows = []
     for n, draws in zip(cfg.n_list, results):
         for draw, (min_jn, values, cloud) in enumerate(zip(*draws)):
@@ -524,9 +524,8 @@ def _diagnose_unit(cfg, label, n, seed_idx):
     return sup_res, x_last[0].copy()
 
 
-def run_diagnose_fpk(cfg: ExperimentConfig):
+def run_diagnose_fpk(cfg: ExperimentConfig, units):
     """Residual decay of the empirical measure against the limiting equation."""
-    units = _plan("diagnose-fpk", cfg)
     results = _run_units(units, cfg.workers)
     # W2 is taken in one dimension only: _plan lists a reference cloud first for d = 1, none (a nan column) for d > 1
     ref_cloud = results.pop(0) if units[0][0] is _reference_cloud else None
@@ -538,7 +537,8 @@ def run_diagnose_fpk(cfg: ExperimentConfig):
         "diagnose_fpk.csv": _csv_lines(cfg, ["case", "N", "seed", "sup_residual", "w2_terminal"], rows),
     }
     mean_res = [float(np.mean([r[3] for r in rows if r[0] == "noisy" and r[1] == n])) for n in cfg.n_list]
-    slope = float(np.polyfit(np.log(np.asarray(cfg.n_list, dtype=float)), np.log(mean_res), 1)[0])
+    with np.errstate(divide="ignore"):   # a zero residual's logarithm is -inf, and the slope nan
+        slope = float(np.polyfit(np.log(np.asarray(cfg.n_list, dtype=float)), np.log(mean_res), 1)[0])
     mean_res_quiet = [float(np.mean([r[3] for r in rows if r[0] == "nonoise" and r[1] == n])) for n in cfg.n_list]
     summary = [
         "seed-mean sup residual per N: " + ", ".join(f"{n}:{v!r}" for n, v in zip(cfg.n_list, mean_res)),
@@ -567,26 +567,27 @@ def _plan(kind, cfg):
     """The units of the command kind in run order, each (fn, args, tables): a module-level function, its
     picklable arguments, sized by nothing in cfg, and the path tables it may build, each as (paths field, paths,
     (grid field, intervals)), train's replications as one table.  A config that the command cannot run, or
-    whose plan would list over MAX_UNITS units, is ConfigInvalid here, before any unit is listed."""
+    whose plan would list over MAX_UNITS units, is ConfigInvalid before any unit is listed; so is one with a
+    table over MAX_TABLE_DOUBLES doubles, or on a model grid whose step has no finite reciprocal, before it runs."""
     reps, m_paths, mc = cfg.train.replications, cfg.m_paths, cfg.fixed_point.mc_paths
     steps, grid, fixed = (("n_steps", cfg.n_steps), ("train.n_intervals", cfg.train.n_intervals),
                           ("fixed_point.n_intervals", cfg.fixed_point.n_intervals))
     if kind == "simulate":
-        return [(_simulate_unit, (cfg,), [("n_particles", cfg.n_particles, steps)])]
-    if kind == "train":
-        return [(_train_unit, (cfg,), [("n_particles * train.replications", cfg.n_particles * reps, grid)])]
-    if kind == "solve-limit":
+        units = [(_simulate_unit, (cfg,), [("n_particles", cfg.n_particles, steps)])]
+    elif kind == "train":
+        units = [(_train_unit, (cfg,), [("n_particles * train.replications", cfg.n_particles * reps, grid)])]
+    elif kind == "solve-limit":
         if fixed[1] < 2:
             raise ConfigInvalid(f"fixed_point.n_intervals = {fixed[1]}, under the 2 that the boundary derivatives need")
-        return [(_solve_limit_unit, (cfg,), [("fixed_point.mc_paths", mc, fixed), ("m_paths", m_paths, fixed)])]
-    if kind == "gamma":
+        units = [(_solve_limit_unit, (cfg,), [("fixed_point.mc_paths", mc, fixed), ("m_paths", m_paths, fixed)])]
+    elif kind == "gamma":
         if not 2 <= len(cfg.n_list) <= SPEARMAN_MAX_N:
             raise ConfigInvalid(f"gamma takes 2 to {SPEARMAN_MAX_N} sample sizes in n_list (its exact Spearman "
                                 f"test ranks them and enumerates n! rankings), got {len(cfg.n_list)}")
-        return [(_gamma_limit, (cfg,), [("fixed_point.mc_paths", mc, grid), ("m_paths", m_paths, grid)])] + [
+        units = [(_gamma_limit, (cfg,), [("fixed_point.mc_paths", mc, grid), ("m_paths", m_paths, grid)])] + [
             (_gamma_unit, (cfg, n), [("n_draws * n_list * train.replications", cfg.n_draws * n * reps, grid)])
             for n in cfg.n_list]
-    if kind == "diagnose-fpk":
+    elif kind == "diagnose-fpk":
         if len(cfg.n_list) < 2:
             raise ConfigInvalid(f"diagnose-fpk fits its slope through 2 or more n_list sizes, got {len(cfg.n_list)}")
         if 2 * len(cfg.n_list) * cfg.seeds_per_n > MAX_UNITS:
@@ -594,38 +595,35 @@ def _plan(kind, cfg):
                                 f"sizes, in 2 cases, make more units than MAX_UNITS = {MAX_UNITS}")
         cloud = [(_reference_cloud, (cfg, None, "diag-ref"),
                   [(f"min(m_paths, {REFERENCE_PATHS})", min(m_paths, REFERENCE_PATHS), steps)])]
-        return (cloud if cfg.model.dims.d == 1 else []) + [
+        units = (cloud if cfg.model.dims.d == 1 else []) + [
             (_diagnose_unit, (cfg, label, n, s), [("n_list", n, steps)])
             for label in ("noisy", "nonoise") for n in cfg.n_list for s in range(cfg.seeds_per_n)]
-    return [(gradcheck_case_error, (c, cfg.seed, cfg.train.fd_epsilon),
-             [("GRADCHECK_SAMPLES", GRADCHECK_SAMPLES, ("GRADCHECK_INTERVALS", s)) for s in GRADCHECK_INTERVALS])
-            for c in range(20)]
-
-
-def _check_cost(kind, cfg):
-    """Raise ConfigInvalid, naming the fields, if a unit of the command kind's
-    plan (_plan) would build a path table over MAX_TABLE_DOUBLES: paths x
-    (intervals + 1) x max(d, q, p, m) doubles."""
-    dims = cfg.model.dims
-    width = max(dims.d, dims.q, dims.p, dims.m)
-    for name, paths, (grid_name, intervals) in (table for _, _, tables in _plan(kind, cfg) for table in tables):
-        doubles = paths * (intervals + 1) * width
-        if doubles > MAX_TABLE_DOUBLES:
+    else:   # gradcheck's cases set their own T = 1
+        units = [(gradcheck_case_error, (c, cfg.seed, cfg.train.fd_epsilon),
+                  [("GRADCHECK_SAMPLES", GRADCHECK_SAMPLES, ("GRADCHECK_INTERVALS", s)) for s in GRADCHECK_INTERVALS])
+                 for c in range(20)]
+    T, width = cfg.model.T, max(cfg.model.dims.d, cfg.model.dims.q, cfg.model.dims.p, cfg.model.dims.m)
+    for name, paths, (grid_name, intervals) in (table for _, _, tables in units for table in tables):
+        if kind != "gradcheck" and ((step := T / intervals) == 0.0 or 1.0 / step == float("inf")):
+            raise ConfigInvalid(f"T = {T!r} on {grid_name} = {intervals} intervals makes a step of {step!r}, "
+                                f"which has no finite reciprocal")
+        if (doubles := paths * (intervals + 1) * width) > MAX_TABLE_DOUBLES:
             raise ConfigInvalid(f"{name} = {paths} paths on {grid_name} = {intervals} intervals make a table of "
                                 f"{doubles} doubles (paths x (intervals + 1) x max(d, q, p, m) = {width}), "
                                 f"over MAX_TABLE_DOUBLES = {MAX_TABLE_DOUBLES}")
+    return units
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig):
-    """Run one experiment, after _check_cost and the making of cfg.out, and
-    stream each of its outputs, summary.txt last, into name.tmp, renamed to
-    name when written."""
-    _check_cost(kind, cfg)
+    """Run one experiment on its plan (_plan), after the making of cfg.out,
+    and stream each of its outputs, summary.txt last, into name.tmp, renamed
+    to name when written."""
+    units = _plan(kind, cfg)
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid(f"out = {cfg.out!r} cannot be made a directory: {type(exc).__name__}: {exc}") from exc
-    outputs, summary, payload = EXPERIMENTS[kind](cfg)
+    outputs, summary, payload = EXPERIMENTS[kind](cfg, units)
     header = [f"experiment: {kind}", f"config_hash: {cfg.config_hash()}", f"seed: {cfg.seed}"]
     outputs["summary.txt"] = [f"{line}\n" for line in header + summary]
     for name, lines in outputs.items():

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight, ScalarConfigRequired
 from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_positive, require_real
-from .rng import split_seed
 from .sde import euler_noise, simulate_augmented
 
 
@@ -36,7 +35,7 @@ class FixedPointConfig:
     outer_tol: float = 1e-3
     n_intervals: int = 32
     seed: int = 0
-    seed_policy: str = "fixed"   # "fixed": same MC seed each iteration; "refresh": new seed per iteration
+    seed_policy: str = "fixed"   # the same MC draws every iteration, the only policy; kept as it is hashed
 
     def __post_init__(self):
         require_positive("fixed_point.damping", self.damping, NonPositiveWeight)
@@ -45,8 +44,8 @@ class FixedPointConfig:
         require_int("fixed_point.mc_paths", self.mc_paths, None)
         if self.mc_paths < 1:
             raise NonPositiveWeight(f"fixed_point.mc_paths must be >= 1, got {self.mc_paths!r}")
-        if self.seed_policy not in ("fixed", "refresh"):
-            raise ConfigInvalid(f"seed_policy must be 'fixed' or 'refresh', got {self.seed_policy!r}")
+        if self.seed_policy != "fixed":
+            raise ConfigInvalid(f"seed_policy must be 'fixed', got {self.seed_policy!r}")
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)
         require_int("fixed_point.seed", self.seed, None, None)
@@ -189,8 +188,8 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
     """Damped fixed-point iteration theta <- (1-eta) theta + eta P[BVP(G(theta))]
     from the zero control.
 
-    With the fixed seed policy the map is deterministic and its law sample
-    and noise are drawn once for all iterations.  On convergence the
+    The map is deterministic: its law sample and noise are drawn once, from
+    cfg.seed, for all iterations.  On convergence the
     returned path is the full (undamped) image of the last iterate, so it
     satisfies the discrete characterization up to the change tolerance and
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
@@ -202,13 +201,11 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
         raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
     check_band(_neumann_band, p, theta)
-    fixed = cfg.seed_policy == "fixed"
-    draws = law.sample(cfg.mc_paths, cfg.seed) if fixed else None
-    noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed) if fixed else None
+    draws = law.sample(cfg.mc_paths, cfg.seed)
+    noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed)
     trace = []
-    for it in range(cfg.outer_iters):
-        seed_it = cfg.seed if fixed else split_seed(cfg.seed, f"outer{it}")
-        G = estimate_G(theta, p, law, cfg.mc_paths, seed_it, draws=draws, noise=noise)
+    for _ in range(cfg.outer_iters):
+        G = estimate_G(theta, p, law, cfg.mc_paths, cfg.seed, draws=draws, noise=noise)
         cand = project_to_box(solve_neumann_bvp(G, p), p.k_theta)
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))

@@ -149,15 +149,13 @@ def _mean_gradient(ensembles, p):
     return sum(_adjoint_gradient(ens, p) for ens in ensembles) / len(ensembles)
 
 
-def value_and_gradient(p, theta, samples, type_vector, seed, noises):
-    """Objective and gradient averaged over the noise tables of the
-    replications, as replication_noise draws them (common random numbers:
-    the same tables are reused for every theta).  A batch of controls with
-    one seed per problem gives one value and one gradient per problem."""
-    batch = theta if theta.values.ndim == 3 else theta.with_values(theta.values[None])
-    values, ensembles = _replicate(p, batch, samples, type_vector, problem_seeds(seed), noises)
-    grad = _mean_gradient(ensembles, p)
-    return (values, grad) if batch is theta else (values[0], grad[0])
+def value_and_gradient(p, theta, samples, type_vector, seeds, noises):
+    """One objective and one gradient per problem of a batch of B controls,
+    (B, S+1, m) node values with one seed per problem, averaged over the
+    noise tables of the replications, as replication_noise draws them (common
+    random numbers: the same tables are reused for every theta)."""
+    values, ensembles = _replicate(p, theta, samples, type_vector, seeds, noises)
+    return values, _mean_gradient(ensembles, p)
 
 
 def replication_noise(p, n_particles, n_steps, seed, replications):

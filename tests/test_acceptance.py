@@ -32,9 +32,7 @@ from mfresnet.cli import (
     ExperimentConfig,
     default_law,
     gradcheck_case_error,
-    run_diagnose_fpk,
     run_experiment,
-    run_gamma,
 )
 from mfresnet.fpk import neumann_derivatives
 from mfresnet.rng import split_seed
@@ -102,7 +100,7 @@ def test_criterion_3_fpk_residual_slope(tmp_path):
         seed=2, out=str(tmp_path / "diag"), workers=4,
         n_list=(100, 400, 1600, 6400), seeds_per_n=8, n_steps=200, m_paths=4000,
     )
-    _, _, payload = run_diagnose_fpk(cfg)
+    payload, _ = run_experiment("diagnose-fpk", cfg)
     slope = payload["slope"]
     assert -0.65 <= slope <= -0.35
     for noisy, quiet in zip(payload["mean_res"], payload["mean_res_quiet"]):
@@ -122,7 +120,7 @@ def test_criterion_4_gamma_convergence(tmp_path):
         n_list=(50, 200, 800, 3200), n_draws=10, m_paths=100000,
         fixed_point=FixedPointConfig(mc_paths=20000, outer_iters=200),
     )
-    _, _, payload = run_gamma(cfg)
+    payload, _ = run_experiment("gamma", cfg)
     assert payload["pval"] < 0.05
     assert payload["frac_smaller"] >= 0.8
     _pass(f"criterion 4: mean |min J_N - J_limit| decreasing "

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from mfresnet.cli import (
     EXPERIMENTS,
     SPEARMAN_MAX_N,
     ExperimentConfig,
-    _check_cost,
+    _plan,
     default_law,
     gradcheck_case_error,
     main,
@@ -379,6 +380,8 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
         # a bad enumeration value, and an unknown key inside the type vector
         ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "ConfigInvalid"),
+        # the per-iteration redraw that no command used, now gone
+        ("solve-limit", {"fixed_point": {"seed_policy": "refresh"}}, "ConfigInvalid: seed_policy"),
         ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
         # a fixed-point seed that is not an integer, though the CLI derives its own
         ("solve-limit", {"fixed_point": {"seed": "a", "mc_paths": 50, "outer_iters": 2}}, "ConfigInvalid"),
@@ -395,6 +398,11 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("solve-limit", {"model": {"T": 40, "lambda2": 1e308}}, "ConfigInvalid: T=40, lambda1=0.1 and lambda2=1e+308"),
         ("solve-limit", {"model": {"lambda2": 1e20}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+20 on 32"),
         ("train", {"model": {"lambda2": 1e20}}, "ConfigInvalid: T=1.0, lambda1=0.1 and lambda2=1e+20 on 32"),
+        # a horizon whose grid step is 0, or so small that its reciprocal overflows, refused before any draw
+        ("simulate", {"model": {"T": 5e-324}}, "ConfigInvalid: T = 5e-324 on n_steps = 32"),
+        ("simulate", {"model": {"T": 1e-320}}, "ConfigInvalid: T = 1e-320 on n_steps = 32"),
+        ("diagnose-fpk", {"model": {"T": 5e-324}}, "ConfigInvalid: T = 5e-324 on n_steps = 32"),
+        ("diagnose-fpk", {"model": {"T": 1e-320}}, "ConfigInvalid: T = 1e-320 on n_steps = 32"),
         # a path table over the budget, refused before the first (small) size runs
         ("simulate", {"n_particles": 10**12}, "ConfigInvalid: n_particles"),
         ("solve-limit", {"fixed_point": {"mc_paths": 10**12}}, "ConfigInvalid: fixed_point.mc_paths"),
@@ -416,7 +424,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         assert code == 1, (command, bad)
         assert error in err and "Traceback" not in err, (command, bad, err)
     # gamma reads no fixed_point.n_intervals and takes no boundary derivative, so one interval is valid there
-    _check_cost("gamma", ExperimentConfig.from_dict({"fixed_point": {"n_intervals": 1}, "train": {"n_intervals": 1}}))
+    _plan("gamma", ExperimentConfig.from_dict({"fixed_point": {"n_intervals": 1}, "train": {"n_intervals": 1}}))
     # damping 1 is the undamped map, and valid
     assert ExperimentConfig.from_dict({"fixed_point": {"damping": 1.0}}).fixed_point.damping == 1.0
     # a config file that is not JSON, and one that does not exist
@@ -443,19 +451,60 @@ def test_an_out_that_cannot_be_a_directory_ends_before_any_unit_runs(tmp_path, c
     assert ran == [] and existing.read_text() == "kept\n"
 
 
+def test_run_experiment_builds_each_plan_once(tmp_path, monkeypatch):
+    """run_experiment builds the plan of each of the six commands once and
+    hands that list to the command, whose units run on it; an out that
+    cannot be made a directory still ends after the plan, before any unit runs."""
+    planned, ran = [], []
+    plan, run_units = cli._plan, cli._run_units
+    monkeypatch.setattr(cli, "_plan", lambda kind, cfg: planned.append((kind, plan(kind, cfg))) or planned[-1][1])
+    monkeypatch.setattr(cli, "_run_units", lambda units, workers: ran.append(units) or run_units(units, workers))
+    cfg = _small_cfg(tmp_path, n_list=(5, 10), n_draws=2, seeds_per_n=1, m_paths=50, n_steps=4, n_particles=6,
+                     fixed_point=FixedPointConfig(mc_paths=50, n_intervals=4),
+                     train=TrainConfig(n_intervals=4, max_iters=2))
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    for kind in EXPERIMENTS:
+        with pytest.raises(ConfigInvalid, match=r"^out = .* cannot be made a directory"):
+            run_experiment(kind, dataclasses.replace(cfg, out=str(existing)))
+        assert [k for k, _ in planned] == [kind] and ran == [], kind
+        planned.clear()
+        run_experiment(kind, cfg)
+        assert [k for k, _ in planned] == [kind] and len(ran) == 1 and ran[0] is planned[0][1], kind
+        planned.clear()
+        ran.clear()
+    assert existing.read_text() == "kept\n"
+
+
+def test_a_zero_residual_gives_a_nan_slope_without_a_warning(tmp_path, capsys):
+    """diagnose-fpk with no drift and no noise has a zero residual at every
+    N: its log-log slope is nan, and the logarithm of zero warns nothing."""
+    law = {"kind": "uniform", "x_low": [0.5], "x_high": [1.5], "y_low": [-0.5], "y_high": [0.5],
+           "z_low": [], "z_high": [], "type_vector": {"epsilon": [[0.0]], "gamma": [], "sigma": []}}
+    cfgfile = tmp_path / "zero.json"
+    cfgfile.write_text(json.dumps({"model": {"activation": {"kind": "zero"}}, "initial_law": law,
+                                   "n_list": [10, 20], "seeds_per_n": 1, "n_steps": 8, "m_paths": 50}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["diagnose-fpk", str(cfgfile), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", err
+    assert "seed-mean sup residual per N: 10:0.0, 20:0.0\nlog-log slope nan\n" in out, out
+
+
 def test_cost_bound_refuses_only_tables_over_the_budget():
     """A path table of exactly MAX_TABLE_DOUBLES doubles is accepted and one
     more path is refused, naming the fields; so are the replications that
     train holds at once, and a fixed point that gamma runs on the training grid."""
     n = cli.MAX_TABLE_DOUBLES // (32 * 2)   # 31 intervals give 32 nodes, 2 = max(d, q, p, m)
-    _check_cost("simulate", ExperimentConfig(n_particles=n, n_steps=31))
+    _plan("simulate", ExperimentConfig(n_particles=n, n_steps=31))
     with pytest.raises(ConfigInvalid, match=r"^n_particles = .* on n_steps = 31"):
-        _check_cost("simulate", ExperimentConfig(n_particles=n + 1, n_steps=31))
+        _plan("simulate", ExperimentConfig(n_particles=n + 1, n_steps=31))
     with pytest.raises(ConfigInvalid, match=r"^n_particles \* train.replications = 100000000 paths"):
-        _check_cost("train", ExperimentConfig.from_dict({"train": {"replications": 10**6}}))
+        _plan("train", ExperimentConfig.from_dict({"train": {"replications": 10**6}}))
     with pytest.raises(ConfigInvalid, match=r"^fixed_point.mc_paths = .* on train.n_intervals = 10000"):
-        _check_cost("gamma", ExperimentConfig.from_dict({"train": {"n_intervals": 10000},
-                                                         "fixed_point": {"mc_paths": 20000}}))
+        _plan("gamma", ExperimentConfig.from_dict({"train": {"n_intervals": 10000},
+                                                   "fixed_point": {"mc_paths": 20000}}))
 
 
 def test_cost_bound_reads_only_the_tables_of_its_command():
@@ -464,16 +513,16 @@ def test_cost_bound_reads_only_the_tables_of_its_command():
     over the budget, and 1400 training intervals are cheap for train, which
     reads no m_paths, though gamma's limit cost of m_paths on them is not."""
     long_run = ExperimentConfig(n_steps=7000)
-    _check_cost("simulate", long_run)
+    _plan("simulate", long_run)
     with pytest.raises(ConfigInvalid, match=r"^min\(m_paths, 20000\) = 20000 paths on n_steps = 7000"):
-        _check_cost("diagnose-fpk", long_run)
+        _plan("diagnose-fpk", long_run)
     fine_train = ExperimentConfig.from_dict({"train": {"n_intervals": 1400}})
-    _check_cost("train", fine_train)
+    _plan("train", fine_train)
     with pytest.raises(ConfigInvalid, match=r"^m_paths = 100000 paths on train.n_intervals = 1400"):
-        _check_cost("gamma", fine_train)
+        _plan("gamma", fine_train)
     for kind in ("solve-limit", "gradcheck"):
-        _check_cost(kind, long_run)
-        _check_cost(kind, fine_train)
+        _plan(kind, long_run)
+        _plan(kind, fine_train)
 
 
 def test_simulate_runs_a_grid_that_other_commands_could_not_afford(tmp_path, capsys):
@@ -491,7 +540,7 @@ def test_shipped_configs_pass_the_cost_and_band_checks(path):
     bands on both of its grids are finite: neither check refuses a shipped config."""
     cfg = ExperimentConfig.from_json(path)
     for kind in EXPERIMENTS:
-        _check_cost(kind, cfg)
+        _plan(kind, cfg)
     for n_intervals in (cfg.train.n_intervals, cfg.fixed_point.n_intervals):
         grid = ControlGrid.zeros(cfg.model.T, n_intervals, m=cfg.model.dims.m)
         check_band(fpk._neumann_band, cfg.model, grid)

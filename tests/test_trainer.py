@@ -108,7 +108,7 @@ def test_adjoint_is_dual_to_forward_sensitivity(coupled_params, coupled_law, rho
                             activation=dataclasses.replace(coupled_params.activation, kind=kind))
     samples, types, theta, direction = _setup(p, coupled_law, 5, 10, 4)
     noises = replication_noise(p, 5, 10, 4, 1)
-    _, grad = value_and_gradient(p, theta, samples, types, 4, noises)
+    _, [grad] = value_and_gradient(p, theta.with_values(theta.values[None]), samples, types, [4], noises)
     ens = simulate_particles(p, theta, samples, types, 10, 4, noise=noises[0])
     forward = forward_sensitivity(ens, direction, p)
     assert float(np.sum(grad * direction)) == pytest.approx(forward, rel=1e-10)
@@ -196,7 +196,7 @@ def test_replication_average(scalar_params, scalar_law):
     samples, types = scalar_law.sample(16, 1)
     theta = ControlGrid.zeros(scalar_params.T, 8)
     noises = replication_noise(scalar_params, 16, 8, 3, 3)
-    avg, _ = value_and_gradient(scalar_params, theta, samples, types, 3, noises)
+    [avg], _ = value_and_gradient(scalar_params, theta.with_values(theta.values[None]), samples, types, [3], noises)
     singles = []
     for noise in noises:
         ens = simulate_particles(scalar_params, theta, samples, types, 8, 3, noise=noise)
@@ -212,8 +212,8 @@ def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, sc
     cfg = TrainConfig(n_intervals=8, max_iters=6, replications=2)
     result = train(scalar_params, samples, types, cfg, 41)
     assert len(result.history) > 1
-    value, grad = value_and_gradient(scalar_params, result.theta_star, samples, types, 41,
-                                     replication_noise(scalar_params, 24, 8, 41, 2))
+    [value], [grad] = value_and_gradient(scalar_params, result.theta_star.with_values(result.theta_star.values[None]),
+                                         samples, types, [41], replication_noise(scalar_params, 24, 8, 41, 2))
     assert value == result.history[-1]
     assert float(np.linalg.norm(grad)) == result.grad_norm_final
 
