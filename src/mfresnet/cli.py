@@ -501,10 +501,10 @@ def run_gamma(cfg: ExperimentConfig, units):
 def _residual_test_function(cfg):
     p = cfg.model
     d, q = p.dims.d, p.dims.q
-    x_sq = tuple(2 if j == 0 else 0 for j in range(d))
-    terms = [(1.0, 0, x_sq, (0,) * q), (0.5, 0, tuple(1 if j == 0 else 0 for j in range(d)), (0,) * q)]
+    x0, z = (1,) + (0,) * (d - 1), (0,) * q
+    terms = [(1.0, (2,) + x0[1:], z), (0.5, x0, z)]
     if q:
-        terms.append((0.5, 0, tuple(1 if j == 0 else 0 for j in range(d)), tuple(1 if k == 0 else 0 for k in range(q))))
+        terms.append((0.5, x0, (1,) + z[1:]))
     return TestFunction(terms=tuple(terms), d=d, q=q,
                         r_plateau=cfg.phi_radius, r_support=2.0 * cfg.phi_radius)
 

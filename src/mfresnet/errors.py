@@ -64,7 +64,7 @@ class NoConvergence(MfresnetError):
 
 
 class SizeMismatch(MfresnetError):
-    """A test function's term does not match (d, q) or exceeds degree 4, or its cutoff
+    """A test function's term does not match (d, q) or exceeds degree 2, or its cutoff
     radii are not 0 < r_plateau < r_support with r_support**2 - r_plateau**2 finite and > 0."""
 
 

@@ -2,10 +2,10 @@
 dynamics, and the weak-form FPK residual of a simulated ensemble's
 empirical measure, read node by node from a stream.
 
-Test functions are polynomials (degree <= 4 in time, state and exogenous
-input) multiplied by a C^2 radial cutoff whose plateau is meant to cover
-the simulated support, so that all derivatives are available in closed
-form and plateau-covered cases are exact.
+Test functions are time-free quadratics in the state and exogenous input
+multiplied by a C^2 radial cutoff whose plateau is meant to cover the
+simulated support, so that all derivatives are available in closed form,
+the Hessian is constant on the plateau, and plateau-covered cases are exact.
 """
 from __future__ import annotations
 
@@ -47,25 +47,6 @@ def wasserstein2_1d(a, b) -> float:
 # test functions
 # ---------------------------------------------------------------------------
 
-def _monomial(w, pows, axes=()):
-    """The monomial prod_j w_j**pows[j], differentiated once along each index
-    in axes, at the points w[..., :]; None where the derivative vanishes."""
-    pows = list(pows)
-    coef = 1
-    for j in axes:
-        coef *= pows[j]
-        pows[j] -= 1
-    if coef == 0:
-        return None
-    out = None
-    for j, pw in enumerate(pows):
-        if pw:
-            out = w[..., j] ** pw if out is None else out * w[..., j] ** pw
-    if out is None:
-        out = np.ones(w.shape[:-1])
-    return out if coef == 1 else coef * out
-
-
 def check_cutoff_radii(r_plateau, r_support, error):
     """Raise error unless 0 < r_plateau < r_support and r_support**2 -
     r_plateau**2, the scale of the cutoff's transition, is finite and
@@ -82,9 +63,9 @@ def check_cutoff_radii(r_plateau, r_support, error):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Polynomial-times-cutoff test function with closed-form derivatives.
+    """Quadratic-times-cutoff test function with closed-form derivatives.
 
-    terms: tuple of (coeff, s_power, x_powers, z_powers); total degree <= 4.
+    terms: tuple of (coeff, x_powers, z_powers); total degree <= 2.
     The cutoff equals 1 where |(x,z)|^2 <= r_plateau^2 and 0 where it
     exceeds r_support^2, with a C^2 quintic transition in between.
     """
@@ -96,46 +77,12 @@ class TestFunction:
     r_support: float = 20.0
 
     def __post_init__(self):
-        for coeff, s_pow, x_pows, z_pows in self.terms:
+        for _, x_pows, z_pows in self.terms:
             if len(x_pows) != self.d or len(z_pows) != self.q:
                 raise SizeMismatch("term powers must match (d, q)")
-            if s_pow + sum(x_pows) + sum(z_pows) > 4:
-                raise SizeMismatch("polynomial degree must be <= 4")
+            if sum(x_pows) + sum(z_pows) > 2:
+                raise SizeMismatch("a term's degree must be <= 2")
         check_cutoff_radii(self.r_plateau, self.r_support, SizeMismatch)
-
-    def _poly(self, s, w, second):
-        """Value, s-derivative, gradient and, if second, Hessian (else None)
-        of the polynomial factor in the joint variable w = (x, z), at w
-        (nodes, N, d+q) with node k at time s[k]; both coordinate-major."""
-        m = w.shape[-1]
-        val = np.zeros(w.shape[:-1])
-        ds = np.zeros(w.shape[:-1])
-        grad = np.zeros((m,) + w.shape[:-1]).transpose(1, 2, 0)
-        hess = np.zeros((m, m) + w.shape[:-1]).transpose(2, 3, 0, 1) if second else None
-        for coeff, s_pow, x_pows, z_pows in self.terms:
-            pows = tuple(x_pows) + tuple(z_pows)
-            # time factors per node from numpy scalars: a scalar ** can
-            # differ from the array ** in the last bit
-            c = np.array([coeff * sk ** s_pow for sk in s])[:, None]
-            mono = _monomial(w, pows)
-            val += c * mono
-            if s_pow > 0:
-                ds += np.array([coeff * s_pow * sk ** (s_pow - 1) for sk in s])[:, None] * mono
-            for i in range(m):
-                gi = _monomial(w, pows, (i,))
-                if gi is None:
-                    continue
-                grad[..., i] += c * gi
-                if not second:
-                    continue
-                for j in range(i, m):
-                    hij = _monomial(w, pows, (i, j))
-                    if hij is not None:
-                        chij = c * hij
-                        hess[..., i, j] += chij
-                        if j != i:
-                            hess[..., j, i] += chij
-        return val, ds, grad, hess
 
     def _bump(self, w, second):
         """Value of the radial cutoff at the rows of w, the indices of the
@@ -168,27 +115,48 @@ class TestFunction:
                 + psi1[:, None, None] * (2.0 / denom) * np.eye(w.shape[1])[None])
         return b, shell, grad, hess
 
-    def derivs(self, s, w, *, second=True):
+    def derivs(self, w, *, second=True):
         """The derivative table the generator needs at the atoms w = (x, z)
-        (N,d+q): val, ds, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
-        s is one time, or one time per node when the atoms are node-major
-        blocks of equal size (rows k*n .. (k+1)*n - 1 at time s[k]).
+        (N,d+q): val, dx (N,d), dz (N,q), dxx (N,d,d), dzz (N,q,q), dzx (N,q,d).
 
         The blocks are views of one coordinate-major (N,d+q) gradient and (N,d+q,d+q)
         Hessian, each coordinate contiguous; below 3 rows, where einsum's bytes
         depend on it (_diffusion_trace), the Hessian is row-major.  Without second
         no Hessian is allocated or filled, and the table has no dxx, dzz or dzx.
-        On the cutoff's plateau the table is the polynomial's own."""
-        s = np.atleast_1d(s)
-        pval, pds, pg, ph = (a if a is None else a.reshape((w.shape[0],) + a.shape[2:])
-                             for a in self._poly(s, w.reshape(s.size, -1, w.shape[1]), second))
+        On the cutoff's plateau the table is the quadratic's own, its Hessian the
+        constant one broadcast over the rows.  Each term adds to the value, the
+        gradient and the Hessian in term order."""
+        rows, m = w.shape
+        val = np.zeros(rows)
+        g = np.zeros((m, rows)).T
+        hess = np.zeros((m, m))
+        for coeff, x_pows, z_pows in self.terms:
+            axes = [j for j, pw in enumerate((*x_pows, *z_pows)) for _ in range(pw)]
+            if not axes:
+                val += coeff
+            elif len(axes) == 1:
+                val += coeff * w[:, axes[0]]
+                g[:, axes[0]] += coeff
+            elif axes[0] == axes[1]:
+                i = axes[0]
+                val += coeff * w[:, i] ** 2
+                g[:, i] += coeff * (2 * w[:, i])
+                hess[i, i] += coeff * 2.0
+            else:
+                i, j = axes
+                val += coeff * (w[:, i] * w[:, j])
+                g[:, i] += coeff * w[:, j]
+                g[:, j] += coeff * w[:, i]
+                hess[i, j] += coeff
+                hess[j, i] += coeff
         b, shell, bg, bh = self._bump(w, second)
         if b is None:
-            val, ds, g, h = pval, pds, pg, ph
+            h = np.broadcast_to(hess, (rows, m, m)) if second else None
         else:
-            val, ds = pval * b, pds * b
+            pval, pg = val, g
+            val = pval * b
             g = pg * b[:, None]
-            h = ph * b[:, None, None] if second else None
+            h = (hess[:, :, None] * b).transpose(2, 0, 1) if second else None
             if shell.size:
                 pgs = pg[shell]
                 g[shell] += pval[shell, None] * bg
@@ -198,9 +166,9 @@ class TestFunction:
                                 + bg[:, :, None] * pgs[:, None, :]
                                 + pval[shell, None, None] * bh)
         d = self.d
-        table = {"val": val, "ds": ds, "dx": g[:, :d], "dz": g[:, d:]}
+        table = {"val": val, "dx": g[:, :d], "dz": g[:, d:]}
         if second:
-            h = np.ascontiguousarray(h) if h.shape[0] < 3 else h
+            h = h.copy() if h.shape[0] < 3 else h
             table.update(dxx=h[:, :d, :d], dzz=h[:, d:, d:], dzx=h[:, d:, :d])
         return table
 
@@ -210,10 +178,10 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 # Most atoms in one derivative table of the residual (at least one node's):
-# bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian
-# being 1.6 MiB at d+q = 4.  At N = 6400 a block holds 2 nodes; a noisy and
-# a quiet unit in series there took a median 212 ms, against 219 ms with
-# blocks of 6400 rows and 225 ms with 24576 (15 rounds, 2 vCPUs).
+# bounds its temporaries, one coordinate-major (rows, d+q, d+q) Hessian off
+# the plateau being 1.6 MiB at d+q = 4.  At N = 6400 a block holds 2 nodes;
+# a noisy and a quiet unit in series there took a median 212 ms, against
+# 219 ms with blocks of 6400 rows and 225 ms with 24576 (15 rounds, 2 vCPUs).
 _BLOCK_ROWS = 12800
 
 
@@ -223,8 +191,9 @@ def _diffusion_trace(subscripts, a, b, h):
     p of a[i, p] b[j, p] h[:, i, j], h's first axis paired with a or b as the
     subscripts say.  From zero, the terms (a b) h are added one at a time in
     einsum's order, h's two axes in turn with p innermost, whatever h's
-    layout: numpy reduces a C-ordered (i, j, p, rows) table of them along its
-    outer axis in order, in two calls where a loop would make two per term.
+    layout, a constant broadcast over the rows included: numpy reduces a
+    C-ordered (i, j, p, rows) table of them along its outer axis in order,
+    in two calls where a loop would make two per term.
     Below 3 rows einsum groups the sum over p otherwise, and is called itself
     on the row-major h that derivs returns there."""
     if h.shape[0] < 3:
@@ -252,14 +221,15 @@ def generator_apply_batch(dv: dict, f, phid, type_vector: TypeVector) -> np.ndar
     one small product per term (_diffusion_trace), which give the bytes of
     the three-operand einsums they stand for.
 
-    Sum of the time derivative, the drift and exogenous-drift first-order
-    terms, and the diffusion second-order terms.  The mixed state/input
-    term carries a unit coefficient: the two off-diagonal Hessian blocks of
-    the joint diffusion are equal, and folding them into one trace leaves
-    no factor one half (checked against the Ito expansion in the tests).
+    Sum of the drift and exogenous-drift first-order terms and the
+    diffusion second-order terms; the test function does not depend on
+    time.  The mixed state/input term carries a unit coefficient: the two
+    off-diagonal Hessian blocks of the joint diffusion are equal, and
+    folding them into one trace leaves no factor one half (checked against
+    the Ito expansion in the tests).
     """
     q = phid.shape[1]
-    out = dv["ds"] + _dot_rows(f, dv["dx"])
+    out = _dot_rows(f, dv["dx"])
     if q:
         out = out + _dot_rows(phid, dv["dz"])
     if not type_vector.diffuses:
@@ -273,8 +243,8 @@ def generator_apply_batch(dv: dict, f, phid, type_vector: TypeVector) -> np.ndar
 
 
 def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
-    """Weak-form residual R(t) = <mu(t), phi(t)> - <mu(0), phi(0)> -
-    trapezoid integral of <mu(s), A phi(s)>, with mu(t) the uniformly
+    """Weak-form residual R(t) = <mu(t), phi> - <mu(0), phi> -
+    trapezoid integral of <mu(s), A phi>, with mu(t) the uniformly
     weighted atoms of the streamed ensemble at node t and the generator A
     taken with the drifts that the stream's Euler step evaluated at each
     node; returns (sup |R|, R path, the states x_S (d, N) read at the last
@@ -311,7 +281,7 @@ def fpk_residual(path: ParticleStream, phi: TestFunction, p: ModelParams):
                 raise DimensionMismatch(f"the stream ended after {k0 + j} of its {n_nodes} nodes")
             w[:d, j], w[d:m, j], w[m:m + d, j], w[m + d:, j] = node
         w = w.reshape(2 * m, nk * n).T
-        dv = phi.derivs(t_grid[block], w[:, :m], second=second)
+        dv = phi.derivs(w[:, :m], second=second)
         gen = generator_apply_batch(dv, w[:, m:m + d], w[:, m + d:], path.type_vector)
         mean_phi[block] = np.mean(dv["val"].reshape(nk, n), axis=-1)
         mean_gen[block] = np.mean(gen.reshape(nk, n), axis=-1)

@@ -151,9 +151,11 @@ class ActivationSpec:
         if self.kind == "tanh":
             return np.tanh(u)
         if self.kind == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-u))
+            with np.errstate(over="ignore"):   # exp(-u) is inf below u ~ -709, and g then 0
+                return 1.0 / (1.0 + np.exp(-u))
         if self.kind == "gaussian":
-            return np.exp(-u * u)
+            with np.errstate(over="ignore"):   # u * u is inf above |u| ~ 1.3e154, and g then 0
+                return np.exp(-u * u)
         if self.kind == "affine":
             return u
         raise AssertionError(self.kind)

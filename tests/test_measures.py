@@ -111,29 +111,34 @@ def test_w2_metric_axioms(abc):
 def coordinate_test_function(d, q, axis=0, power=1, r_plateau=10.0, r_support=20.0):
     """phi = x_axis^power times the cutoff."""
     x_pows = tuple(power if j == axis else 0 for j in range(d))
-    return TestFunction(terms=((1.0, 0, x_pows, (0,) * q),), d=d, q=q,
+    return TestFunction(terms=((1.0, x_pows, (0,) * q),), d=d, q=q,
                         r_plateau=r_plateau, r_support=r_support)
 
 
 def constant_test_function(d, q, r_plateau=10.0, r_support=20.0):
     """phi = 1 on the plateau (all derivatives vanish there)."""
-    return TestFunction(terms=((1.0, 0, (0,) * d, (0,) * q),), d=d, q=q,
+    return TestFunction(terms=((1.0, (0,) * d, (0,) * q),), d=d, q=q,
                         r_plateau=r_plateau, r_support=r_support)
 
 
-def _rich_phi(d=2, q=2):
+def _rich_phi():
+    """A quadratic in (x, z) at d = q = 2 with x-x, z-z and x-z cross terms,
+    squares, a linear term and a constant; plateau 2, support 5."""
     terms = (
-        (1.0, 0, (2,) + (0,) * (d - 1), (0,) * q),
-        (0.5, 1, (1,) + (0,) * (d - 1), (1,) + (0,) * (q - 1)),
-        (-0.7, 0, (0, 1) if d > 1 else (1,), (0, 2) if q > 1 else (2,)),
-        (0.3, 2, (0,) * d, (1, 1) if q > 1 else (2,)),
+        (1.0, (2, 0), (0, 0)),
+        (0.5, (1, 0), (1, 0)),
+        (-0.7, (1, 1), (0, 0)),
+        (0.3, (0, 0), (1, 1)),
+        (0.4, (0, 0), (0, 2)),
+        (-0.2, (0, 1), (0, 0)),
+        (0.15, (0, 0), (0, 0)),
     )
-    return TestFunction(terms=terms, d=d, q=q, r_plateau=2.0, r_support=5.0)
+    return TestFunction(terms=terms, d=2, q=2, r_plateau=2.0, r_support=5.0)
 
 
 def test_test_function_degree_cap():
     with pytest.raises(SizeMismatch):
-        TestFunction(terms=((1.0, 3, (2,), ()),), d=1, q=0)
+        TestFunction(terms=((1.0, (2,), (1,)),), d=1, q=1)
 
 
 @pytest.mark.parametrize("r_plateau", [1e200, 1e-320])
@@ -141,107 +146,111 @@ def test_test_function_refuses_radii_whose_squares_overflow_or_vanish(r_plateau)
     """r_support**2 - r_plateau**2 is nan for huge radii (where ** raises
     OverflowError) and 0 for tiny ones (where the residual would be 0)."""
     with pytest.raises(SizeMismatch):
-        TestFunction(terms=((1.0, 0, (1,), ()),), d=1, q=0,
+        TestFunction(terms=((1.0, (1,), ()),), d=1, q=0,
                      r_plateau=r_plateau, r_support=2.0 * r_plateau)
 
 
 @pytest.mark.parametrize("point", [
-    (0.4, [0.3, -0.2], [0.1, 0.5]),        # inside the plateau
-    (0.7, [2.5, 1.0], [1.0, -1.5]),        # in the cutoff transition shell
+    ([0.3, -0.2], [0.1, 0.5]),        # inside the plateau
+    ([2.5, 1.0], [1.0, -1.5]),        # in the cutoff transition shell
 ])
 def test_derivatives_match_finite_differences(point):
     phi = _rich_phi()
-    s, x, z = point
+    x, z = point
     x = np.array([x]); z = np.array([z])
-    dv = phi.derivs(s, np.concatenate([x, z], axis=1))
+    dv = phi.derivs(np.concatenate([x, z], axis=1))
     h = 1e-5
 
-    def val(ss, xx, zz):
-        return float(phi.derivs(ss, np.concatenate([xx, zz], axis=1))["val"][0])
+    def val(xx, zz):
+        return float(phi.derivs(np.concatenate([xx, zz], axis=1))["val"][0])
 
-    assert dv["ds"][0] == pytest.approx((val(s + h, x, z) - val(s - h, x, z)) / (2 * h), abs=1e-6)
     for i in range(2):
         xp = x.copy(); xp[0, i] += h
         xm = x.copy(); xm[0, i] -= h
-        assert dv["dx"][0, i] == pytest.approx((val(s, xp, z) - val(s, xm, z)) / (2 * h), abs=1e-6)
+        assert dv["dx"][0, i] == pytest.approx((val(xp, z) - val(xm, z)) / (2 * h), abs=1e-6)
         assert dv["dxx"][0, i, i] == pytest.approx(
-            (val(s, xp, z) + val(s, xm, z) - 2 * val(s, x, z)) / h**2, abs=1e-4)
+            (val(xp, z) + val(xm, z) - 2 * val(x, z)) / h**2, abs=1e-4)
     for k in range(2):
         zp = z.copy(); zp[0, k] += h
         zm = z.copy(); zm[0, k] -= h
-        assert dv["dz"][0, k] == pytest.approx((val(s, x, zp) - val(s, x, zm)) / (2 * h), abs=1e-6)
+        assert dv["dz"][0, k] == pytest.approx((val(x, zp) - val(x, zm)) / (2 * h), abs=1e-6)
         assert dv["dzz"][0, k, k] == pytest.approx(
-            (val(s, x, zp) + val(s, x, zm) - 2 * val(s, x, z)) / h**2, abs=1e-4)
+            (val(x, zp) + val(x, zm) - 2 * val(x, z)) / h**2, abs=1e-4)
         for i in range(2):
             xpp = x.copy(); xpp[0, i] += h
             xmm = x.copy(); xmm[0, i] -= h
-            cross = (val(s, xpp, zp) - val(s, xpp, zm) - val(s, xmm, zp) + val(s, xmm, zm)) / (4 * h * h)
+            cross = (val(xpp, zp) - val(xpp, zm) - val(xmm, zp) + val(xmm, zm)) / (4 * h * h)
             assert dv["dzx"][0, k, i] == pytest.approx(cross, abs=1e-4)
     # off-diagonal state Hessian via four-point stencil
     xa = x.copy(); xa[0, 0] += h; xa[0, 1] += h
     xb = x.copy(); xb[0, 0] += h; xb[0, 1] -= h
     xc = x.copy(); xc[0, 0] -= h; xc[0, 1] += h
     xd = x.copy(); xd[0, 0] -= h; xd[0, 1] -= h
-    cross = (val(s, xa, z) - val(s, xb, z) - val(s, xc, z) + val(s, xd, z)) / (4 * h * h)
+    cross = (val(xa, z) - val(xb, z) - val(xc, z) + val(xd, z)) / (4 * h * h)
     assert dv["dxx"][0, 0, 1] == pytest.approx(cross, abs=1e-4)
     # off-diagonal input Hessian (the z0 z1 term) via the same stencil
     za = z.copy(); za[0, 0] += h; za[0, 1] += h
     zb = z.copy(); zb[0, 0] += h; zb[0, 1] -= h
     zc = z.copy(); zc[0, 0] -= h; zc[0, 1] += h
     zd = z.copy(); zd[0, 0] -= h; zd[0, 1] -= h
-    cross = (val(s, x, za) - val(s, x, zb) - val(s, x, zc) + val(s, x, zd)) / (4 * h * h)
+    cross = (val(x, za) - val(x, zb) - val(x, zc) + val(x, zd)) / (4 * h * h)
     assert dv["dzz"][0, 0, 1] == pytest.approx(cross, abs=1e-4)
     np.testing.assert_allclose(dv["dxx"], dv["dxx"].transpose(0, 2, 1), rtol=0, atol=1e-12)
     np.testing.assert_allclose(dv["dzz"], dv["dzz"].transpose(0, 2, 1), rtol=0, atol=1e-12)
 
 
 def test_block_derivs_equal_per_node_tables():
-    """A node-major block with one time per node gives the bytes of one
-    table per node, on the plateau, in the cutoff shell and beyond it."""
-    phi = _rich_phi()   # terms with s_pow 0, 1 and 2; plateau 2, support 5
-    s = np.array([0.0, 0.35, 1.0])
-    n = 6
+    """A node-major block gives the bytes of one table per node, on the
+    plateau, in the cutoff shell and beyond it."""
+    phi = _rich_phi()   # plateau 2, support 5
+    n_nodes, n = 3, 6
     rng = np.random.default_rng(3)
-    w = rng.normal(size=(s.size * n, 4))
-    radii = np.tile([0.5, 1.5, 2.5, 3.5, 4.5, 6.0], s.size)
+    w = rng.normal(size=(n_nodes * n, 4))
+    radii = np.tile([0.5, 1.5, 2.5, 3.5, 4.5, 6.0], n_nodes)
     w *= (radii / np.linalg.norm(w, axis=1))[:, None]
     assert {"plateau", "shell", "beyond"} == {
         "plateau" if r <= 2.0 else "shell" if r < 5.0 else "beyond" for r in radii}
-    block = phi.derivs(s, w)
-    for k, sk in enumerate(s):
+    block = phi.derivs(w)
+    for k in range(n_nodes):
         rows = slice(k * n, (k + 1) * n)
-        node = phi.derivs(sk, w[rows])
+        node = phi.derivs(w[rows])
         for key, table in node.items():
             assert block[key][rows].tobytes() == table.tobytes(), (k, key)
 
 
 def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypatch):
     """The tables of a joint block keep each coordinate contiguous: every
-    column of dx and dz and every (i, j) entry of dxx, dzz and dzx, on the
-    plateau and across the cutoff, with and without a Hessian, and every
-    column of the atoms fpk_residual gathers.  Below 3 rows the Hessian
-    blocks are views of one row-major table, the layout whose einsum bytes
-    the diffusion traces keep there."""
+    column of dx and dz, on the plateau and across the cutoff, with and
+    without a Hessian, every (i, j) entry of dxx, dzz and dzx across the
+    cutoff, and every column of the atoms fpk_residual gathers.  On a block
+    wholly on the plateau each Hessian entry is the constant broadcast over
+    the rows.  Below 3 rows the Hessian blocks are views of one row-major
+    table, the layout whose einsum bytes the diffusion traces keep there."""
     phi = _rich_phi()   # plateau 2, support 5
-    s = np.array([0.0, 0.35, 1.0])
     gen = np.random.default_rng(4)
-    across = gen.uniform(-3.0, 3.0, size=(s.size * 7, 4))
+    across = gen.uniform(-3.0, 3.0, size=(21, 4))
+    assert phi._bump(0.4 * across, False)[0] is None and phi._bump(across, False)[0] is not None
     for w in (across, 0.4 * across, np.asfortranarray(across)):
+        on_plateau = phi._bump(w, False)[0] is None
         for second in (True, False):
-            dv = phi.derivs(s, w, second=second)
+            dv = phi.derivs(w, second=second)
             for key in ("dx", "dz", "dxx", "dzz", "dzx") if second else ("dx", "dz"):
                 for entry in np.ndindex(dv[key].shape[1:]):
-                    assert dv[key][(slice(None),) + entry].flags.c_contiguous, (key, entry, second)
+                    column = dv[key][(slice(None),) + entry]
+                    if on_plateau and key not in ("dx", "dz"):
+                        assert column.strides == (0,), (key, entry)
+                    else:
+                        assert column.flags.c_contiguous, (key, entry, second)
     for rows in (1, 2):
-        dv = phi.derivs(0.5, across[:rows])
+        dv = phi.derivs(across[:rows])
         for key in ("dxx", "dzz", "dzx"):
             assert dv[key].strides == (16 * 8, 4 * 8, 8), (rows, key)
     gathered = []
     derivs = TestFunction.derivs
 
-    def recorded(self, s, w, **kw):
+    def recorded(self, w, **kw):
         gathered.append(w)
-        return derivs(self, s, w, **kw)
+        return derivs(self, w, **kw)
 
     monkeypatch.setattr(TestFunction, "derivs", recorded)
     monkeypatch.setattr(measures, "_BLOCK_ROWS", 4096)  # 13 nodes of 300 rows per block
@@ -255,21 +264,20 @@ def test_block_derivs_are_coordinate_major(coupled_params, coupled_law, monkeypa
 
 
 def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
-    """A block that lies all on the plateau takes the polynomial's own table,
+    """A block that lies all on the plateau takes the quadratic's own table,
     with the bytes of the general path forced through the cutoff; one atom
     in the shell, or a NaN radius, takes the general path."""
     phi = _rich_phi()   # plateau 2, support 5
-    s = np.array([0.0, 0.35, 1.0])
-    w = np.random.default_rng(8).uniform(-0.99, 0.99, size=(s.size * 7, 4))
+    w = np.random.default_rng(8).uniform(-0.99, 0.99, size=(21, 4))
     assert phi._bump(w, True)[0] is None
     for off_plateau in (3.0, math.nan):
         w_off = w.copy()
         w_off[5, 1] = off_plateau
         assert phi._bump(w_off, True)[0] is not None
-    fast = phi.derivs(s, w)
+    fast = phi.derivs(w)
     monkeypatch.setattr(TestFunction, "_bump", lambda self, w, second: (
         np.ones(w.shape[0]), np.empty(0, dtype=np.intp), None, None))
-    general = phi.derivs(s, w)
+    general = phi.derivs(w)
     assert fast.keys() == general.keys()
     for key, table in general.items():
         assert fast[key].tobytes() == table.tobytes(), key
@@ -277,9 +285,9 @@ def test_plateau_block_gives_the_general_path_bytes(monkeypatch):
 
 def test_cutoff_support():
     phi = coordinate_test_function(1, 0, r_plateau=1.0, r_support=2.0)
-    far = phi.derivs(0.0, np.array([[5.0]]))["val"]
+    far = phi.derivs(np.array([[5.0]]))["val"]
     assert far[0] == 0.0
-    near = phi.derivs(0.0, np.array([[0.5]]))["val"]
+    near = phi.derivs(np.array([[0.5]]))["val"]
     assert near[0] == pytest.approx(0.5)
 
 
@@ -292,7 +300,10 @@ def test_diffusion_trace_matches_einsum():
     subscript, with h a strided view of a row-major Hessian and a contiguous
     copy; at 1 and 2 rows, where einsum groups the sum over p otherwise,
     einsum itself is called.  From 3 rows the coordinate-major view derivs
-    returns gives the bytes of einsum on the row-major one."""
+    returns gives the bytes of einsum on the row-major one.  From 3 rows a
+    constant Hessian broadcast over the rows, as derivs returns on the
+    plateau (below 3 rows it returns a row-major copy), gives the bytes of
+    einsum on the row-major table of that constant."""
     rng = np.random.default_rng(15)
 
     def spread(*shape):
@@ -303,6 +314,9 @@ def test_diffusion_trace_matches_einsum():
             for q in (1, 2, 3):
                 h = spread(rows, d + q, d + q)
                 h_cm = np.moveaxis(np.moveaxis(h, 0, -1).copy(), -1, 0)
+                constant = np.broadcast_to(spread(d + q, d + q), h.shape)
+                table = constant.copy()
+                returned = constant if rows >= 3 else table
                 for n_noise in (1, 2, 3):
                     eps, sigma = spread(d, n_noise), spread(q, n_noise)
                     for subscripts, a, b, block in (("kp,lp,nkl->n", sigma, sigma, np.s_[:, d:, d:]),
@@ -316,14 +330,17 @@ def test_diffusion_trace_matches_einsum():
                         if rows >= 3:
                             got = measures._diffusion_trace(subscripts, a, b, h_cm[block])
                             assert got.tobytes() == np.einsum(subscripts, a, b, hab).tobytes()
+                        got = measures._diffusion_trace(subscripts, a, b, returned[block])
+                        expected = np.einsum(subscripts, a, b, table[block])
+                        assert got.tobytes() == expected.tobytes(), (subscripts, rows, d, q, n_noise)
 
 
-def generator_apply(phi, s, e, theta_val, eta, p):
+def generator_apply(phi, e, theta_val, eta, p):
     """Generator at a single atom e = (type_vector, y, z, x)."""
     tv, _y, z, x = e
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    dv = phi.derivs(s, np.concatenate([x, z], axis=1))
+    dv = phi.derivs(np.concatenate([x, z], axis=1))
     f = p.activation.drift(np.asarray(theta_val, dtype=float), z, x, float(eta))
     out = generator_apply_batch(dv, f, p.phi_value(tv.gamma, z), tv)
     return float(out[0])
@@ -335,7 +352,7 @@ def test_generator_on_linear_function(scalar_params):
     tv = TypeVector(epsilon=np.array([[0.4]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     theta_val = np.array([0.7, -0.1])
     e = (tv, np.array([0.0]), np.zeros(0), np.array([0.8]))
-    out = generator_apply(phi, 0.3, e, theta_val, 0.0, scalar_params)
+    out = generator_apply(phi, e, theta_val, 0.0, scalar_params)
     assert out == pytest.approx(math.tanh(0.7 * 0.8 - 0.1))
 
 
@@ -349,7 +366,7 @@ def test_generator_second_order_terms(coupled_params):
     z = np.array([0.2, 0.1])
     theta_val = np.array([0.5, 0.2])
     eta = 0.25
-    out = generator_apply(phi, 0.1, (tv, np.zeros(2), z, x), theta_val, eta, p)
+    out = generator_apply(phi, (tv, np.zeros(2), z, x), theta_val, eta, p)
     f = p.activation.drift(theta_val, z[None], x[None], eta)[0]
     expected = 2.0 * x[0] * f[0] + float(np.sum(tv.epsilon[0] ** 2))
     assert out == pytest.approx(expected, rel=1e-12)
@@ -365,11 +382,11 @@ def test_generator_cross_term_matches_ito_expansion():
     p = ModelParams(activation=ActivationSpec(kind="zero"), rho="zero", phi="zero",
                     dims=Dims(d=1, q=1, p=1, m=2, l=1))
     eps, sig = 0.7, 0.4
-    phi = TestFunction(terms=((1.0, 0, (1,), (1,)),), d=1, q=1,
+    phi = TestFunction(terms=((1.0, (1,), (1,)),), d=1, q=1,
                        r_plateau=10.0, r_support=20.0)
     tv = TypeVector(epsilon=np.array([[eps]]), gamma=np.array([0.0]),
                     sigma=np.array([[sig]]))
-    out = generator_apply(phi, 0.0, (tv, np.zeros(1), np.array([0.3]), np.array([0.5])),
+    out = generator_apply(phi, (tv, np.zeros(1), np.array([0.3]), np.array([0.5])),
                           np.zeros(2), 0.0, p)
     assert out == pytest.approx(eps * sig, rel=1e-12)
     # Monte Carlo confirmation of the Ito constant
@@ -423,30 +440,29 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = coupled_law.sample(200, 7)
     ens = simulate_particles(p, theta, samples, types, 20, 7)
-    phi = TestFunction(terms=((1.0, 0, (2, 0), (0, 0)), (0.5, 0, (1, 0), (0, 0)),
-                              (0.5, 0, (1, 0), (1, 0)), (0.5, 0, (0, 0), (1, 1))),
+    phi = TestFunction(terms=((1.0, (2, 0), (0, 0)), (0.5, (1, 0), (0, 0)),
+                              (0.5, (1, 0), (1, 0)), (0.5, (0, 0), (1, 1))),
                        d=2, q=2, r_plateau=1.0, r_support=2.0)
     _, res, _ = fpk_residual(streamed(ens, p), phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
         "228f89fa2e69b0c899c801b440aa73b758a796dcb8dfed8209f743dfddbdf0b7")
 
 
-def _spread_phi(d, q, r_plateau, r_support):
-    """A test function whose gradient and Hessian reach every coordinate of
-    w = (x, z): a square per coordinate (every other one with a time
-    factor), a product of each neighbouring pair, and one quartic and one
-    cubic term across the first and last coordinates."""
+def _quadratic_phi(d, q, r_plateau, r_support):
+    """A quadratic test function whose gradient and Hessian reach every
+    coordinate of w = (x, z): a square per coordinate, a product of each
+    neighbouring pair, one linear term and a constant."""
     m = d + q
 
-    def unit(*powers):
+    def term(coeff, *axes):
         pows = [0] * m
-        for j, pw in powers:
-            pows[j] += pw
-        return tuple(pows[:d]), tuple(pows[d:])
+        for j in axes:
+            pows[j] += 1
+        return coeff, tuple(pows[:d]), tuple(pows[d:])
 
-    terms = [(0.1 * (j + 1), j % 2) + unit((j, 2)) for j in range(m)]
-    terms += [((-1) ** j * 0.2, 0) + unit((j, 1), (j + 1, 1)) for j in range(m - 1)]
-    terms += [(0.05, 0) + unit((0, 2), (m - 1, 2)), (-0.3, 1) + unit((m - 1, 1), (m // 2, 1), (0, 1))]
+    terms = [term(0.1 * (j + 1), j, j) for j in range(m)]
+    terms += [term((-1) ** j * 0.2, j, j + 1) for j in range(m - 1)]
+    terms += [term(-0.3, m // 2), term(0.25)]
     return TestFunction(terms=tuple(terms), d=d, q=q, r_plateau=r_plateau, r_support=r_support)
 
 
@@ -470,27 +486,27 @@ def _pinned_model(d, q, n_steps):
 
 @pytest.mark.parametrize("d, q, r_plateau, r_support, digest", [
     (3, 2, 0.9, 1.4,
-     "256499584332bc807774f274132ef8620ec33de502e3e649ef2d69617e1fa8ba"),
+     "009f297e3f41218803ec692912d5c26e248dedead00e8ed0b459f08a120d471c"),
     (2, 3, 0.8, 1.3,
-     "068449a5857139ed465416970e83e5f533953c3919874343b5506925312cd96b"),
+     "65857d9ff20fb720aafc278a1388f3ddd3f18947e265b191c5ef25234c4ada7d"),
     (5, 4, 1.2, 1.8,
-     "6764d0c2ef90e5416247c071fe31af068d83862c7c0ef8440897a3661d0e2ce2"),
+     "60c473d6bcabc4779ddf703a65c7e7e42f1e6b0d310e908e93ef3a7ec947df4f"),
     (9, 0, 1.5, 2.1,
-     "086fc39ead3a6dd647af5b9df91d759e8f88c5c2c8f2ba2a5dd56d33723827ee"),
+     "5e5a26ca06d8b1b3d44e1ae95dca7da42ca425adabdd139b4fe365b22e583484"),
 ])
 def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support, digest):
     """Byte pins for the residual where a sum over d, q or d+q has 3 or more
     entries, so that its grouping could depend on the layout of the tables:
     a sigmoid drift coupled to z (when q > 0) and to eta, two noise
     dimensions, atoms on the plateau, in the cutoff shell and beyond.  The
-    digests were recorded from the particle-major tables that preceded the
-    coordinate-major ones."""
+    digests were recorded from the general-polynomial test function that
+    preceded the quadratic one."""
     p, law, theta = _pinned_model(d, q, 20)
     samples, types = law.sample(300, 5)
     ens = simulate_particles(p, theta, samples, types, 20, 5)
     r = np.linalg.norm(np.concatenate([ens.X, ens.Z], axis=2), axis=2)
     assert np.any(r <= r_plateau) and np.any((r > r_plateau) & (r < r_support)) and np.any(r >= r_support)
-    _, res, _ = fpk_residual(streamed(ens, p), _spread_phi(d, q, r_plateau, r_support), p)
+    _, res, _ = fpk_residual(streamed(ens, p), _quadratic_phi(d, q, r_plateau, r_support), p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == digest
 
 
@@ -501,7 +517,7 @@ def _residual_per_node(path, phi, p):
     mean_gen = np.empty(t_grid.size)
     for k in range(t_grid.size):
         xk, zk = path.X[:, k], path.Z[:, k]
-        dv = phi.derivs(t_grid[k], np.concatenate([xk, zk], axis=1))
+        dv = phi.derivs(np.concatenate([xk, zk], axis=1))
         mean_phi[k] = np.mean(dv["val"])
         mean_gen[k] = np.mean(generator_apply_batch(dv, *node_drifts(path, p, k), path.type_vector))
     dt = t_grid[1] - t_grid[0]
@@ -546,10 +562,11 @@ def test_residual_blocks_of_the_shipped_size_equal_per_node_loop(coupled_params,
 
 def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
     """One residual call on an N = 6400, 100-step ensemble of the
-    fpk-coupled-w2 model peaks at 5.97 MiB of allocations (tracemalloc,
-    numpy 2.4) with blocks of 12800 rows, 2 nodes each; blocks of 24576 rows
-    that evaluated the drifts again peaked at 8.50 MiB.  The bound adds 25%
-    to that; blocks of 65536 rows peak at 28.3 MiB."""
+    fpk-coupled-w2 model peaks at 2.64 MiB of allocations (tracemalloc,
+    numpy 2.4) with blocks of 12800 rows, 2 nodes each, all on the plateau.
+    A per-atom plateau Hessian took it to 5.97 MiB, and blocks of 24576 rows
+    that evaluated the drifts again to 8.50 MiB.  The bound adds 25% to
+    2.64 MiB; blocks of 65536 rows peaked at 28.3 MiB."""
     p = coupled_params
     cfg = ExperimentConfig(model=p, initial_law=coupled_law, phi_radius=12.0)
     samples, types = coupled_law.sample(6400, 2)
@@ -561,7 +578,7 @@ def test_residual_block_memory_is_bounded(coupled_params, coupled_law):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 5.97 * 2**20, peak / 2**20
+    assert peak <= 1.25 * 2.64 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("d, q, r_plateau, r_support, n_steps, diffuses", [
@@ -586,7 +603,7 @@ def test_streamed_residual_gives_the_per_node_bytes(d, q, r_plateau, r_support, 
     if n_steps == 100:
         per_block = measures._BLOCK_ROWS // 300
         assert 1 < per_block < n_steps + 1 and (n_steps + 1) % per_block != 0
-    phi = _spread_phi(d, q, r_plateau, r_support)
+    phi = _quadratic_phi(d, q, r_plateau, r_support)
     sup, res, _ = fpk_residual(stream_particles(p, theta, samples, types, n_steps, 5), phi, p)
     expected = _residual_per_node(simulate_particles(p, theta, samples, types, n_steps, 5), phi, p)
     assert res.tobytes() == expected.tobytes()
@@ -605,7 +622,7 @@ def test_residual_returns_the_last_node_states(d, q, diffuses):
     if not diffuses:
         types = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
                            sigma=np.zeros_like(types.sigma))
-    _, _, x_last = fpk_residual(stream_particles(p, theta, samples, types, 100, 6), _spread_phi(d, q, 0.9, 1.4), p)
+    _, _, x_last = fpk_residual(stream_particles(p, theta, samples, types, 100, 6), _quadratic_phi(d, q, 0.9, 1.4), p)
     expected = simulate_particles(p, theta, samples, types, 100, 6).X[:, -1].T
     assert x_last.shape == expected.shape == (d, 300) and x_last.base is None
     assert x_last.tobytes() == np.ascontiguousarray(expected).tobytes()
@@ -675,17 +692,18 @@ def test_exact_affine_residual_has_an_o_dt_floor():
     assert floors[1] / floors[0] == pytest.approx(0.25, rel=0.01)
 
 
-@pytest.mark.parametrize("noisy, measured_mib", [(True, 16.23), (False, 3.34)])
+@pytest.mark.parametrize("noisy, measured_mib", [(True, 12.90), (False, 3.14)])
 def test_diagnose_unit_memory_is_bounded(coupled_params, coupled_law, noisy, measured_mib):
     """One diagnose-fpk unit at N = 6400 over 100 steps of the fpk-coupled-w2
     model streams its Euler nodes into the residual, so it holds its noise
     table (10 MiB, drawn into place a block of particles at a time) and one
-    residual block, never X and Z.  Its allocations peak at 16.23 MiB with
-    noise and 3.34 MiB without (tracemalloc, numpy 2.4, the first unit in a
-    process, residual blocks of 12800 rows); blocks of 24576 rows that
-    evaluated the drifts again peaked at 18.86 and 4.41 MiB, storing the
-    paths first at 31.74 and 23.84 MiB, and a noise table transposed from a
-    particle-major copy at 21.04 MiB with noise.  The bound adds 25%."""
+    residual block, never X and Z.  Its allocations peak at 12.90 MiB with
+    noise and 3.14 MiB without (tracemalloc, numpy 2.4, the first unit in a
+    process, residual blocks of 12800 rows).  A per-atom plateau Hessian
+    took them to 16.23 and 3.34 MiB, blocks of 24576 rows that evaluated the
+    drifts again to 18.86 and 4.41 MiB, storing the paths first to 31.74 and
+    23.84 MiB, and a noise table transposed from a particle-major copy to
+    21.04 MiB with noise.  The bound adds 25%."""
     cfg = ExperimentConfig(model=coupled_params, initial_law=coupled_law, n_steps=100, phi_radius=12.0)
     tracemalloc.start()
     try:
@@ -718,40 +736,42 @@ def test_residual_without_diffusion_equals_full_generator(coupled_params, couple
 
 def test_residual_without_diffusion_builds_no_hessian(coupled_params, coupled_law, monkeypatch):
     """Without diffusion the generator reads no second derivative, and
-    fpk_residual neither allocates nor fills a Hessian, of the polynomial or
-    of the cutoff; with diffusion it builds both."""
+    fpk_residual neither allocates nor fills a Hessian, of the quadratic or
+    of the cutoff: its tables have no Hessian key.  With diffusion it builds
+    both; on a block wholly on the plateau the Hessian is the quadratic's
+    constant one broadcast over the rows, not a filled (rows, m, m) table."""
     p = coupled_params
     theta = ControlGrid.zeros(p.T, 10)
     samples, types = coupled_law.sample(300, 4)
     quiet = TypeVector(epsilon=np.zeros_like(types.epsilon), gamma=types.gamma,
                        sigma=np.zeros_like(types.sigma))
-    phi = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
-    hessians = []
-    second_derivatives = []
-    monomial, poly, bump = measures._monomial, TestFunction._poly, TestFunction._bump
+    tables, hessians = [], []
+    derivs, bump = TestFunction.derivs, TestFunction._bump
 
-    def counted_monomial(w, pows, axes=()):
-        if len(axes) == 2:
-            second_derivatives.append(axes)
-        return monomial(w, pows, axes)
+    def recorded_derivs(self, w, **kw):
+        tables.append(derivs(self, w, **kw))
+        return tables[-1]
 
-    def recorded(method):
-        def wrapper(self, *args):
-            out = method(self, *args)
-            hessians.append(out[3])
-            return out
-        return wrapper
+    def recorded_bump(self, *args):
+        out = bump(self, *args)
+        hessians.append(out[3])
+        return out
 
-    monkeypatch.setattr(measures, "_monomial", counted_monomial)
-    monkeypatch.setattr(TestFunction, "_poly", recorded(poly))
-    monkeypatch.setattr(TestFunction, "_bump", recorded(bump))
-    for type_vector, builds in ((quiet, False), (types, True)):
+    monkeypatch.setattr(TestFunction, "derivs", recorded_derivs)
+    monkeypatch.setattr(TestFunction, "_bump", recorded_bump)
+    shell = dataclasses.replace(_rich_phi(), r_plateau=0.8, r_support=1.6)
+    plateau = dataclasses.replace(_rich_phi(), r_plateau=50.0, r_support=100.0)
+    constant = np.array([[2.0, -0.7, 0.5, 0.0], [-0.7, 0.0, 0.0, 0.0],
+                         [0.5, 0.0, 0.0, 0.3], [0.0, 0.0, 0.3, 0.8]])   # _rich_phi's Hessian
+    for phi, type_vector, builds in ((shell, quiet, False), (shell, types, True), (plateau, types, True)):
+        tables.clear()
         hessians.clear()
-        second_derivatives.clear()
         fpk_residual(streamed(simulate_particles(p, theta, samples, type_vector, 10, 4), p), phi, p)
-        # one block: one _poly and one _bump, whose shell holds atoms
-        assert [h is not None for h in hessians] == [builds, builds]
-        assert bool(second_derivatives) == builds
+        # one block: one table and one _bump, whose shell holds atoms unless on the plateau
+        assert len(tables) == 1 and ({"dxx", "dzz", "dzx"} <= tables[0].keys()) == builds
+        assert [h is not None for h in hessians] == [builds and phi is shell]
+    for key, block in (("dxx", np.s_[:2, :2]), ("dzz", np.s_[2:, 2:]), ("dzx", np.s_[2:, :2])):
+        assert tables[0][key].strides[0] == 0 and np.array_equal(tables[0][key][0], constant[block]), key
 
 
 def test_residual_refuses_a_stream_that_ends_early(coupled_params, coupled_law):

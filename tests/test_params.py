@@ -153,6 +153,19 @@ def test_drift_partials_match_finite_differences():
     assert np.allclose(fd, dfeta, atol=1e-7)
 
 
+@pytest.mark.parametrize("kind", ["sigmoid", "gaussian"])
+def test_saturated_activation_is_finite_and_silent(kind):
+    """Far out, sigmoid's exp(-u) and gaussian's u * u overflow to inf, where
+    g is 0 (or 1) and g' is 0: the drift and its partials stay finite and
+    print no overflow warning, which the test run would turn into a failure."""
+    act = ActivationSpec(kind=kind)
+    x = np.array([[800.0], [-800.0], [1e200], [-1e200]])
+    f = act.drift(np.array([1.0, 0.0]), None, x, 0.0)
+    assert np.all(np.isfinite(f)) and np.all((f == 0.0) | (f == 1.0))
+    for table in act.drift_partials(np.array([1.0, 0.0]), None, x, 0.0):
+        assert np.all(table == 0.0)
+
+
 def test_zero_and_constant_kinds():
     x = np.ones((3, 2))
     z = np.zeros((3, 0))
