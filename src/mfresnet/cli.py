@@ -110,9 +110,6 @@ class ExperimentConfig:
             raise ConfigInvalid(f"out must be a non-empty path, got {self.out!r}")
         if not isinstance(self.dump_trajectories, bool):
             raise ConfigInvalid(f"dump_trajectories must be true or false, got {self.dump_trajectories!r}")
-        if self.fixed_point.seed != 0:
-            raise ConfigInvalid(f"fixed_point.seed must be 0, as every command derives it from seed, "
-                                f"got {self.fixed_point.seed!r}")
         check_law(self.model, self.initial_law)
 
     def to_dict(self):
@@ -124,6 +121,7 @@ class ExperimentConfig:
         # execution details do not change the results and are not hashed
         for key in ("workers", "out", "dump_trajectories"):
             d.pop(key, None)
+        d["fixed_point"].update(seed=0, seed_policy="fixed")  # retired keys at their one value: no hash changes
         payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -338,16 +336,15 @@ def run_train(cfg: ExperimentConfig, units):
     }
     summary = [
         f"trained on {cfg.n_particles} samples, {len(result.history) - 1} accepted steps",
-        f"final objective {result.final_value!r}, final grad norm {result.grad_norm_final!r}",
+        f"final objective {result.history[-1].total!r}, final grad norm {result.grad_norm_final!r}",
     ]
     return outputs, summary, {"result": result}
 
 
 def _solve_limit_unit(cfg):
     """The fixed point θ* with its trace, G at θ*, and J_d at θ* with its standard error."""
-    fp_cfg = dataclasses.replace(cfg.fixed_point, seed=split_seed(cfg.seed, "fpk"))
-    theta_star, trace = fixed_point_solve(cfg.model, cfg.initial_law, fp_cfg)
-    G = estimate_G(theta_star, cfg.model, cfg.initial_law, fp_cfg.mc_paths, split_seed(cfg.seed, "limit-G"))
+    theta_star, trace = fixed_point_solve(cfg.model, cfg.initial_law, cfg.fixed_point, split_seed(cfg.seed, "fpk"))
+    G = estimate_G(theta_star, cfg.model, cfg.initial_law, cfg.fixed_point.mc_paths, split_seed(cfg.seed, "limit-G"))
     jd, jd_se = evaluate_Jd(theta_star, cfg.model, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "limit-jd"))
     return theta_star, trace, G, jd, jd_se
 
@@ -461,9 +458,8 @@ def _gamma_limit(cfg):
     p = cfg.model
     # the band that train checks, checked here before the limit's work
     check_band(_precondition_band, p, ControlGrid.zeros(p.T, cfg.train.n_intervals, m=p.dims.m))
-    fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals,
-                                 seed=split_seed(cfg.seed, "fpk"))
-    theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg)
+    fp_cfg = dataclasses.replace(cfg.fixed_point, n_intervals=cfg.train.n_intervals)
+    theta_star, _ = fixed_point_solve(p, cfg.initial_law, fp_cfg, split_seed(cfg.seed, "fpk"))
     jd, jd_se = evaluate_Jd(theta_star, p, cfg.initial_law, cfg.m_paths, split_seed(cfg.seed, "jd"))
     return theta_star, jd, jd_se, _reference_cloud(cfg, theta_star, "ref-cloud")
 
@@ -501,11 +497,8 @@ def run_gamma(cfg: ExperimentConfig, units):
 def _residual_test_function(cfg):
     p = cfg.model
     d, q = p.dims.d, p.dims.q
-    x0, z = (1,) + (0,) * (d - 1), (0,) * q
-    terms = [(1.0, (2,) + x0[1:], z), (0.5, x0, z)]
-    if q:
-        terms.append((0.5, x0, (1,) + z[1:]))
-    return TestFunction(terms=tuple(terms), d=d, q=q,
+    terms = ((1.0, 0, 0), (0.5, 0)) + (((0.5, 0, d),) if q else ())
+    return TestFunction(terms=terms, d=d, q=q,
                         r_plateau=cfg.phi_radius, r_support=2.0 * cfg.phi_radius)
 
 

@@ -64,8 +64,8 @@ class NoConvergence(MfresnetError):
 
 
 class SizeMismatch(MfresnetError):
-    """A test function's term does not match (d, q) or exceeds degree 2, or its cutoff
-    radii are not 0 < r_plateau < r_support with r_support**2 - r_plateau**2 finite and > 0."""
+    """A test function's term has over two axes or an axis not an integer in [0, d+q), or its
+    cutoff radii are not 0 < r_plateau < r_support with r_support**2 - r_plateau**2 finite and > 0."""
 
 
 class GradCheckFailed(MfresnetError):

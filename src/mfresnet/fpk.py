@@ -34,8 +34,6 @@ class FixedPointConfig:
     outer_iters: int = 60
     outer_tol: float = 1e-3
     n_intervals: int = 32
-    seed: int = 0
-    seed_policy: str = "fixed"   # the same MC draws every iteration, the only policy; kept as it is hashed
 
     def __post_init__(self):
         require_positive("fixed_point.damping", self.damping, NonPositiveWeight)
@@ -44,11 +42,8 @@ class FixedPointConfig:
         require_int("fixed_point.mc_paths", self.mc_paths, None)
         if self.mc_paths < 1:
             raise NonPositiveWeight(f"fixed_point.mc_paths must be >= 1, got {self.mc_paths!r}")
-        if self.seed_policy != "fixed":
-            raise ConfigInvalid(f"seed_policy must be 'fixed', got {self.seed_policy!r}")
         require_int("fixed_point.outer_iters", self.outer_iters, 1)
         require_int("fixed_point.n_intervals", self.n_intervals, 1)
-        require_int("fixed_point.seed", self.seed, None, None)
         require_real("fixed_point.outer_tol", self.outer_tol, 0.0)
 
 
@@ -184,12 +179,12 @@ def neumann_derivatives(theta: ControlGrid):
     return d0, dT
 
 
-def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
+def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig, seed):
     """Damped fixed-point iteration theta <- (1-eta) theta + eta P[BVP(G(theta))]
     from the zero control.
 
     The map is deterministic: its law sample and noise are drawn once, from
-    cfg.seed, for all iterations.  On convergence the
+    seed, for all iterations.  On convergence the
     returned path is the full (undamped) image of the last iterate, so it
     satisfies the discrete characterization up to the change tolerance and
     Monte Carlo noise.  Raises NoConvergence (carrying the change trace)
@@ -201,11 +196,11 @@ def fixed_point_solve(p: ModelParams, law: InitialLaw, cfg: FixedPointConfig):
         raise ScalarConfigRequired("the limit problem requires the scalar two-weight configuration")
     theta = ControlGrid.zeros(p.T, cfg.n_intervals, m=p.dims.m)
     check_band(_neumann_band, p, theta)
-    draws = law.sample(cfg.mc_paths, cfg.seed)
-    noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, cfg.seed)
+    draws = law.sample(cfg.mc_paths, seed)
+    noise = euler_noise(p, cfg.mc_paths, cfg.n_intervals, seed)
     trace = []
     for _ in range(cfg.outer_iters):
-        G = estimate_G(theta, p, law, cfg.mc_paths, cfg.seed, draws=draws, noise=noise)
+        G = estimate_G(theta, p, law, cfg.mc_paths, seed, draws=draws, noise=noise)
         cand = project_to_box(solve_neumann_bvp(G, p), p.k_theta)
         new_values = (1.0 - cfg.damping) * theta.values + cfg.damping * cand.values
         change = float(np.max(np.abs(new_values - theta.values)))

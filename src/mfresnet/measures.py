@@ -65,7 +65,8 @@ def check_cutoff_radii(r_plateau, r_support, error):
 class TestFunction:
     """Quadratic-times-cutoff test function with closed-form derivatives.
 
-    terms: tuple of (coeff, x_powers, z_powers); total degree <= 2.
+    terms: tuple of (coeff, *axes), the axes indexing w = (x, z): (c,) is a
+    constant, (c, i) the linear term c w_i and (c, i, j) the product c w_i w_j.
     The cutoff equals 1 where |(x,z)|^2 <= r_plateau^2 and 0 where it
     exceeds r_support^2, with a C^2 quintic transition in between.
     """
@@ -77,11 +78,10 @@ class TestFunction:
     r_support: float = 20.0
 
     def __post_init__(self):
-        for _, x_pows, z_pows in self.terms:
-            if len(x_pows) != self.d or len(z_pows) != self.q:
-                raise SizeMismatch("term powers must match (d, q)")
-            if sum(x_pows) + sum(z_pows) > 2:
-                raise SizeMismatch("a term's degree must be <= 2")
+        m = self.d + self.q
+        for coeff, *axes in self.terms:
+            if len(axes) > 2 or not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m for i in axes):
+                raise SizeMismatch(f"a term takes at most two integer axes in [0, {m}), got {(coeff, *axes)!r}")
         check_cutoff_radii(self.r_plateau, self.r_support, SizeMismatch)
 
     def _bump(self, w, second):
@@ -130,8 +130,7 @@ class TestFunction:
         val = np.zeros(rows)
         g = np.zeros((m, rows)).T
         hess = np.zeros((m, m))
-        for coeff, x_pows, z_pows in self.terms:
-            axes = [j for j, pw in enumerate((*x_pows, *z_pows)) for _ in range(pw)]
+        for coeff, *axes in self.terms:
             if not axes:
                 val += coeff
             elif len(axes) == 1:

@@ -65,10 +65,6 @@ class TrainResult:
     history: list            # accepted CostBreakdown per iteration, index 0 = initial point
     grad_norm_final: float
 
-    @property
-    def final_value(self):
-        return self.history[-1].total
-
 
 # Most (row, node) pairs whose drift partials one call of the adjoint sweep
 # takes: small batches share a call over many nodes, which saves the per-call

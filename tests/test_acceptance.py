@@ -138,8 +138,8 @@ def test_criterion_5_fixed_point_certificate():
     one-sided boundary derivatives are second-order small relative to the
     solution's curvature scale C = sup |second difference|."""
     p, law = ModelParams(), default_law()
-    cfg = FixedPointConfig(seed=123, mc_paths=20000, outer_iters=200, n_intervals=32)
-    theta, _ = fixed_point_solve(p, law, cfg)
+    cfg = FixedPointConfig(mc_paths=20000, outer_iters=200, n_intervals=32)
+    theta, _ = fixed_point_solve(p, law, cfg, 123)
     dt = theta.dt
     cert_seed = split_seed(123, "certificate")
     G = estimate_G(theta, p, law, cfg.mc_paths, cert_seed)
@@ -193,7 +193,7 @@ def test_criterion_7_energy_bounds():
     result = train(p, samples, types, TrainConfig(), split_seed(31, "train"))
     l2_sq, h1_sq = control_h1_norms(result.theta_star)
     energy = min(p.lambda1, p.lambda2) * (l2_sq + h1_sq)
-    j_star = result.final_value
+    j_star = result.history[-1].total
     j_zero = result.history[0].total
     assert energy <= j_star <= j_zero
     _pass(f"criterion 7: {energy:.4f} <= J_N(theta*) = {j_star:.4f} <= J_N(0) = {j_zero:.4f}")

@@ -187,7 +187,7 @@ def test_a_bad_numeric_field_is_refused_by_name(path, value):
     field of the default config either builds a config or ends as an
     MfresnetError whose message names the field: never as a bare TypeError
     from comparing the value with a bound."""
-    assert len(NUMERIC_FIELDS) == 38
+    assert len(NUMERIC_FIELDS) == 37
     data = ExperimentConfig().to_dict()
     _leaf(data, path[:-1])[path[-1]] = value
     try:
@@ -378,13 +378,16 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("solve-limit", {"fixed_point": {"damping": math.nan}}, "NonPositiveWeight"),
         ("simulate", {"model": dict(_default_section("model"), K=math.nan)}, "BoundViolation"),
         ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
-        # a bad enumeration value, and an unknown key inside the type vector
-        ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "ConfigInvalid"),
-        # the per-iteration redraw that no command used, now gone
-        ("solve-limit", {"fixed_point": {"seed_policy": "refresh"}}, "ConfigInvalid: seed_policy"),
+        # an unknown key inside the type vector
         ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
-        # a fixed-point seed that is not an integer, though the CLI derives its own
-        ("solve-limit", {"fixed_point": {"seed": "a", "mc_paths": 50, "outer_iters": 2}}, "ConfigInvalid"),
+        # the retired fixed-point seed and seed policy are unknown keys, at the values once accepted too
+        ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "unexpected keyword argument 'seed_policy'"),
+        ("solve-limit", {"fixed_point": {"seed_policy": "refresh"}}, "unexpected keyword argument 'seed_policy'"),
+        ("solve-limit", {"fixed_point": {"seed_policy": "fixed"}}, "unexpected keyword argument 'seed_policy'"),
+        ("solve-limit", {"fixed_point": {"seed": "a", "mc_paths": 50, "outer_iters": 2}},
+         "unexpected keyword argument 'seed'"),
+        ("solve-limit", {"fixed_point": {"seed": 5}}, "unexpected keyword argument 'seed'"),
+        ("solve-limit", {"fixed_point": {"seed": 0}}, "unexpected keyword argument 'seed'"),
         # a model outside the limit problem, refused before the fixed point draws its paths
         ("solve-limit", coupled, "ScalarConfigRequired"),
         ("gamma", coupled, "ScalarConfigRequired"),
@@ -412,8 +415,6 @@ def test_main_reports_domain_errors(tmp_path, capsys):
          "ConfigInvalid: seeds_per_n"),
         # boundary derivatives of one interval, refused before the fixed point runs
         ("solve-limit", {"fixed_point": {"n_intervals": 1}}, "ConfigInvalid: fixed_point.n_intervals"),
-        # a fixed-point seed that no command reads, since each derives its own from seed
-        ("solve-limit", {"fixed_point": {"seed": 5}}, "ConfigInvalid: fixed_point.seed"),
     ]
     for command, bad, error in malformed:
         cfgfile.write_text(json.dumps(bad))

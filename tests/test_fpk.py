@@ -346,25 +346,25 @@ def test_estimate_g_equals_augmented_recursion(scalar_params, scalar_law, kind):
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_deterministic_and_certified(scalar_params, scalar_law):
-    cfg = FixedPointConfig(mc_paths=2000, outer_iters=100, seed=5)
-    th1, trace1 = fixed_point_solve(scalar_params, scalar_law, cfg)
-    th2, trace2 = fixed_point_solve(scalar_params, scalar_law, cfg)
+    cfg = FixedPointConfig(mc_paths=2000, outer_iters=100)
+    th1, trace1 = fixed_point_solve(scalar_params, scalar_law, cfg, 5)
+    th2, trace2 = fixed_point_solve(scalar_params, scalar_law, cfg, 5)
     assert np.array_equal(th1.values, th2.values)
     assert trace1 == trace2
     assert trace1[-1] < cfg.outer_tol
-    res = residual_first_order(th1, scalar_params, scalar_law, 2000, cfg.seed)
+    res = residual_first_order(th1, scalar_params, scalar_law, 2000, 5)
     assert res < 1.0
 
 
 def test_fixed_point_no_convergence_carries_trace(scalar_params, scalar_law):
-    cfg = FixedPointConfig(mc_paths=500, outer_iters=2, seed=5)
+    cfg = FixedPointConfig(mc_paths=500, outer_iters=2)
     with pytest.raises(NoConvergence) as exc:
-        fixed_point_solve(scalar_params, scalar_law, cfg)
+        fixed_point_solve(scalar_params, scalar_law, cfg, 5)
     assert len(exc.value.trace) == 2
 
 
 def test_fixed_point_solution_in_box(scalar_params, scalar_law):
     p = dataclasses.replace(scalar_params, k_theta=0.2)
-    cfg = FixedPointConfig(mc_paths=2000, outer_iters=100, seed=5)
-    theta, _ = fixed_point_solve(p, scalar_law, cfg)
+    cfg = FixedPointConfig(mc_paths=2000, outer_iters=100)
+    theta, _ = fixed_point_solve(p, scalar_law, cfg, 5)
     assert np.max(np.abs(theta.values)) <= 0.2 + 1e-12

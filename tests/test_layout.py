@@ -84,8 +84,8 @@ def test_consumers_give_the_bytes_of_a_row_major_ensemble(d, q, diffuses, monkey
     assert "".join(_trajectory_lines(sub)) == "".join(_trajectory_lines(_row_major(sub)))
 
     one = simulate_particles(p, ControlGrid(p.T, values[0]), law.sample(30, 7)[0], law.type_vector, N_STEPS, 7)
-    cross = ((1,) + (0,) * (d - 1), (1,) + (0,) * (q - 1)) if q else ((1,) * d, ())
-    phi = TestFunction(terms=((1.0, (2,) + (0,) * (d - 1), (0,) * q), (0.5,) + cross),
+    cross = (0, d) if q else tuple(range(d))
+    phi = TestFunction(terms=((1.0, 0, 0), (0.5, *cross)),
                        d=d, q=q, r_plateau=0.8, r_support=1.6)
     sup, res, _ = fpk_residual(streamed(one, p), phi, p)
     sup_rows, res_rows, _ = fpk_residual(streamed(_row_major(one), p), phi, p)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,16 +109,15 @@ def test_w2_metric_axioms(abc):
 # test functions
 # ---------------------------------------------------------------------------
 
-def coordinate_test_function(d, q, axis=0, power=1, r_plateau=10.0, r_support=20.0):
-    """phi = x_axis^power times the cutoff."""
-    x_pows = tuple(power if j == axis else 0 for j in range(d))
-    return TestFunction(terms=((1.0, x_pows, (0,) * q),), d=d, q=q,
+def coordinate_test_function(d, q, axes=(0,), r_plateau=10.0, r_support=20.0):
+    """phi = the product of the coordinates w_i, i in axes, times the cutoff."""
+    return TestFunction(terms=((1.0, *axes),), d=d, q=q,
                         r_plateau=r_plateau, r_support=r_support)
 
 
 def constant_test_function(d, q, r_plateau=10.0, r_support=20.0):
     """phi = 1 on the plateau (all derivatives vanish there)."""
-    return TestFunction(terms=((1.0, (0,) * d, (0,) * q),), d=d, q=q,
+    return TestFunction(terms=((1.0,),), d=d, q=q,
                         r_plateau=r_plateau, r_support=r_support)
 
 
@@ -125,20 +125,45 @@ def _rich_phi():
     """A quadratic in (x, z) at d = q = 2 with x-x, z-z and x-z cross terms,
     squares, a linear term and a constant; plateau 2, support 5."""
     terms = (
-        (1.0, (2, 0), (0, 0)),
-        (0.5, (1, 0), (1, 0)),
-        (-0.7, (1, 1), (0, 0)),
-        (0.3, (0, 0), (1, 1)),
-        (0.4, (0, 0), (0, 2)),
-        (-0.2, (0, 1), (0, 0)),
-        (0.15, (0, 0), (0, 0)),
+        (1.0, 0, 0),
+        (0.5, 0, 2),
+        (-0.7, 0, 1),
+        (0.3, 2, 3),
+        (0.4, 3, 3),
+        (-0.2, 1),
+        (0.15,),
     )
     return TestFunction(terms=terms, d=2, q=2, r_plateau=2.0, r_support=5.0)
 
 
 def test_test_function_degree_cap():
-    with pytest.raises(SizeMismatch):
-        TestFunction(terms=((1.0, (2,), (1,)),), d=1, q=1)
+    """A term takes at most two axes, each an integer, not a bool, in [0, d+q);
+    anything else is refused naming the term, -1 too, which numpy would index."""
+    for term in ((1.0, 0, 0, 1), (1.0, 2), (1.0, -1), (1.0, 0.5), (1.0, True)):
+        with pytest.raises(SizeMismatch, match=re.escape(repr(term))):
+            TestFunction(terms=(term,), d=1, q=1)
+
+
+@pytest.mark.parametrize("params, law", [("scalar_params", "scalar_law"), ("coupled_params", "coupled_law")])
+def test_diagnose_test_function_is_pinned(request, params, law):
+    """diagnose-fpk's phi on the plateau is x0^2 + 0.5 x0, plus 0.5 x0 z0 when
+    q > 0, added in that order, and its Hessian the constant with 2 at [0, 0]
+    and 0.5 at [0, d] and [d, 0]."""
+    p, law = request.getfixturevalue(params), request.getfixturevalue(law)
+    d, m = p.dims.d, p.dims.d + p.dims.q
+    w = np.random.default_rng(3).uniform(-1.0, 1.0, (5, m))
+    dv = _residual_test_function(ExperimentConfig(model=p, initial_law=law)).derivs(w)
+    x0 = w[:, 0]
+    val = (np.zeros(5) + 1.0 * x0**2) + 0.5 * x0
+    hess = np.zeros((m, m))
+    hess[0, 0] = 2.0
+    if m > d:
+        val = val + 0.5 * (x0 * w[:, d])
+        hess[0, d] = hess[d, 0] = 0.5
+    assert dv["val"].tobytes() == val.tobytes()
+    for key, rows, cols in (("dxx", slice(d), slice(d)), ("dzz", slice(d, m), slice(d, m)),
+                            ("dzx", slice(d, m), slice(d))):
+        assert np.array_equal(dv[key], np.broadcast_to(hess[rows, cols], dv[key].shape)), key
 
 
 @pytest.mark.parametrize("r_plateau", [1e200, 1e-320])
@@ -146,7 +171,7 @@ def test_test_function_refuses_radii_whose_squares_overflow_or_vanish(r_plateau)
     """r_support**2 - r_plateau**2 is nan for huge radii (where ** raises
     OverflowError) and 0 for tiny ones (where the residual would be 0)."""
     with pytest.raises(SizeMismatch):
-        TestFunction(terms=((1.0, (1,), ()),), d=1, q=0,
+        TestFunction(terms=((1.0, 0),), d=1, q=0,
                      r_plateau=r_plateau, r_support=2.0 * r_plateau)
 
 
@@ -359,7 +384,7 @@ def test_generator_on_linear_function(scalar_params):
 def test_generator_second_order_terms(coupled_params):
     """phi = x0^2 on the plateau: A phi = 2 x0 f_0 + |eps row 0|^2."""
     p = coupled_params
-    phi = coordinate_test_function(2, 2, axis=0, power=2)
+    phi = coordinate_test_function(2, 2, axes=(0, 0))
     tv = TypeVector(epsilon=0.2 * np.ones((2, 2)), gamma=np.array([0.5, 1.0]),
                     sigma=0.1 * np.ones((2, 2)))
     x = np.array([0.6, -0.3])
@@ -382,7 +407,7 @@ def test_generator_cross_term_matches_ito_expansion():
     p = ModelParams(activation=ActivationSpec(kind="zero"), rho="zero", phi="zero",
                     dims=Dims(d=1, q=1, p=1, m=2, l=1))
     eps, sig = 0.7, 0.4
-    phi = TestFunction(terms=((1.0, (1,), (1,)),), d=1, q=1,
+    phi = TestFunction(terms=((1.0, 0, 1),), d=1, q=1,
                        r_plateau=10.0, r_support=20.0)
     tv = TypeVector(epsilon=np.array([[eps]]), gamma=np.array([0.0]),
                     sigma=np.array([[sig]]))
@@ -417,7 +442,7 @@ def test_residual_vanishes_for_constant_function(scalar_params, scalar_law):
 def test_residual_is_discretization_bias_without_noise(scalar_params, quiet_scalar_law):
     """With zero diffusion the residual is pure Euler and quadrature error and
     shrinks as the step count grows."""
-    phi = coordinate_test_function(1, 0, power=2, r_plateau=8.0, r_support=16.0)
+    phi = coordinate_test_function(1, 0, axes=(0, 0), r_plateau=8.0, r_support=16.0)
     sups = []
     for n_steps in (16, 64, 256):
         samples, types = quiet_scalar_law.sample(50, 2)
@@ -440,8 +465,7 @@ def test_coupled_residual_bytes_are_pinned(coupled_params, coupled_law):
     theta = ControlGrid(p.T, np.stack([0.6 * np.cos(np.pi * t), 0.3 * np.sin(np.pi * t) - 0.2], axis=1))
     samples, types = coupled_law.sample(200, 7)
     ens = simulate_particles(p, theta, samples, types, 20, 7)
-    phi = TestFunction(terms=((1.0, (2, 0), (0, 0)), (0.5, (1, 0), (0, 0)),
-                              (0.5, (1, 0), (1, 0)), (0.5, (0, 0), (1, 1))),
+    phi = TestFunction(terms=((1.0, 0, 0), (0.5, 0), (0.5, 0, 2), (0.5, 2, 3)),
                        d=2, q=2, r_plateau=1.0, r_support=2.0)
     _, res, _ = fpk_residual(streamed(ens, p), phi, p)
     assert hashlib.sha256(res.tobytes()).hexdigest() == (
@@ -453,16 +477,9 @@ def _quadratic_phi(d, q, r_plateau, r_support):
     coordinate of w = (x, z): a square per coordinate, a product of each
     neighbouring pair, one linear term and a constant."""
     m = d + q
-
-    def term(coeff, *axes):
-        pows = [0] * m
-        for j in axes:
-            pows[j] += 1
-        return coeff, tuple(pows[:d]), tuple(pows[d:])
-
-    terms = [term(0.1 * (j + 1), j, j) for j in range(m)]
-    terms += [term((-1) ** j * 0.2, j, j + 1) for j in range(m - 1)]
-    terms += [term(-0.3, m // 2), term(0.25)]
+    terms = [(0.1 * (j + 1), j, j) for j in range(m)]
+    terms += [((-1) ** j * 0.2, j, j + 1) for j in range(m - 1)]
+    terms += [(-0.3, m // 2), (0.25,)]
     return TestFunction(terms=tuple(terms), d=d, q=q, r_plateau=r_plateau, r_support=r_support)
 
 

@@ -359,7 +359,7 @@ def test_stream_diverges_where_the_simulation_does_and_stops_there(scalar_params
         return drift(self, *args)
 
     monkeypatch.setattr(ActivationSpec, "drift", counted)
-    phi = TestFunction(terms=((1.0, (2,), ()),), d=1, q=0)
+    phi = TestFunction(terms=((1.0, 0, 0),), d=1, q=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Diverged) as stored:
             simulate_particles(p, theta, samples, _quiet_type(p), n_steps, 3)
