@@ -44,7 +44,8 @@ from .params import (
 )
 from .rng import make_generator, split_seed
 from .sde import euler_noise, simulate_particles, stream_particles
-from .trainer import TrainConfig, _adjoint_gradient, _precondition_band, train
+from .trainer import (ARMIJO_C, FIRST_STEP, GRAD_TOL, SHRINK, STEP_FLOOR, TrainConfig, _adjoint_gradient,
+                      _precondition_band, train)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,7 @@ MAX_TABLE_DOUBLES = 2**28
 MAX_UNITS = 2**16         # units of one function a plan may list; more are refused before any is listed
 REFERENCE_PATHS = 20000   # paths of the reference cloud of the W2 columns, at most
 GRADCHECK_SAMPLES, GRADCHECK_INTERVALS = 16, (8, 16, 32, 64)   # a random gradcheck case's sizes, drawn from these
+GRADCHECK_STEP = 1e-5     # the step of gradcheck's central finite difference
 
 
 def default_law() -> InitialLaw:
@@ -121,7 +123,10 @@ class ExperimentConfig:
         # execution details do not change the results and are not hashed
         for key in ("workers", "out", "dump_trajectories"):
             d.pop(key, None)
-        d["fixed_point"].update(seed=0, seed_policy="fixed")  # retired keys at their one value: no hash changes
+        # retired keys at the one value the program now fixes: no hash changes
+        d["fixed_point"].update(seed=0, seed_policy="fixed")
+        d["train"].update(step_size=FIRST_STEP, shrink=SHRINK, armijo_c=ARMIJO_C, grad_tol=GRAD_TOL,
+                          step_floor=STEP_FLOOR, fd_epsilon=GRADCHECK_STEP)
         payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -407,7 +412,7 @@ def _random_gradcheck_case(case_idx, root_seed):
     return p, samples, tv, theta, direction, n_intervals, case_seed
 
 
-def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
+def gradcheck_case_error(case_idx, root_seed):
     """Relative error between the adjoint gradient that train uses, contracted
     with a random direction, and a common-random-number central finite
     difference (three simulations of one noise table), for one randomized configuration."""
@@ -415,12 +420,11 @@ def gradcheck_case_error(case_idx, root_seed, fd_epsilon=1e-5):
     noise = euler_noise(p, len(samples), n_steps, case_seed)
     ens = simulate_particles(p, theta, samples, tv, n_steps, case_seed, noise=noise)
     analytic = float(np.sum(_adjoint_gradient(ens, p) * direction))
-    h = fd_epsilon
-    up = theta.with_values(theta.values + h * direction)
-    dn = theta.with_values(theta.values - h * direction)
+    up = theta.with_values(theta.values + GRADCHECK_STEP * direction)
+    dn = theta.with_values(theta.values - GRADCHECK_STEP * direction)
     j_up = evaluate_JN(simulate_particles(p, up, samples, tv, n_steps, case_seed, noise=noise), p).total
     j_dn = evaluate_JN(simulate_particles(p, dn, samples, tv, n_steps, case_seed, noise=noise), p).total
-    fd = (j_up - j_dn) / (2.0 * h)
+    fd = (j_up - j_dn) / (2.0 * GRADCHECK_STEP)
     rel = abs(analytic - fd) / max(abs(fd), 1e-12)
     return rel, analytic, fd, case_seed
 
@@ -592,7 +596,7 @@ def _plan(kind, cfg):
             (_diagnose_unit, (cfg, label, n, s), [("n_list", n, steps)])
             for label in ("noisy", "nonoise") for n in cfg.n_list for s in range(cfg.seeds_per_n)]
     else:   # gradcheck's cases set their own T = 1
-        units = [(gradcheck_case_error, (c, cfg.seed, cfg.train.fd_epsilon),
+        units = [(gradcheck_case_error, (c, cfg.seed),
                   [("GRADCHECK_SAMPLES", GRADCHECK_SAMPLES, ("GRADCHECK_INTERVALS", s)) for s in GRADCHECK_INTERVALS])
                  for c in range(20)]
     T, width = cfg.model.T, max(cfg.model.dims.d, cfg.model.dims.q, cfg.model.dims.p, cfg.model.dims.m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, NoConvergence, NonPositiveWeight, ScalarConfigRequired
-from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_positive, require_real
+from .params import ControlGrid, InitialLaw, ModelParams, project_to_box, require_int, require_real
 from .sde import euler_noise, simulate_augmented
 
 
@@ -36,7 +36,7 @@ class FixedPointConfig:
     n_intervals: int = 32
 
     def __post_init__(self):
-        require_positive("fixed_point.damping", self.damping, NonPositiveWeight)
+        require_real("fixed_point.damping", self.damping, 0.0, error=NonPositiveWeight)
         if self.damping > 1.0:
             raise NonPositiveWeight(f"fixed_point.damping must lie in (0, 1], got {self.damping!r}")
         require_int("fixed_point.mc_paths", self.mc_paths, None)

@@ -10,6 +10,7 @@ the Hessian is constant on the plateau, and plateau-covered cases are exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,10 @@ class TestFunction:
 
     def __post_init__(self):
         m = self.d + self.q
-        for coeff, *axes in self.terms:
-            if len(axes) > 2 or not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m for i in axes):
-                raise SizeMismatch(f"a term takes at most two integer axes in [0, {m}), got {(coeff, *axes)!r}")
+        for term in self.terms:
+            if not (0 < len(term) <= 3 and isinstance(term[0], numbers.Real) and not isinstance(term[0], bool)
+                    and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m for i in term[1:])):
+                raise SizeMismatch(f"a term is a real and at most two integer axes in [0, {m}), got {term!r}")
         check_cutoff_radii(self.r_plateau, self.r_support, SizeMismatch)
 
     def _bump(self, w, second):

@@ -51,21 +51,14 @@ def require_int(name, value, low, high=sys.maxsize):
                             f"{'' if high is None else f' <= {high}'}, got {value!r}")
 
 
-def require_real(name, value, low=-math.inf, high=math.inf):
-    """Raise ConfigInvalid unless value is a finite real, not a bool, in the
-    open interval (low, high) (never converts it); an int too large for a float is not finite."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (abs(value) <= sys.float_info.max and low < value < high)):
-        raise ConfigInvalid(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
-
-
-def require_positive(name, value, error):
-    """Raise ConfigInvalid unless value is a real, not a bool, and error
-    unless it is finite, as in require_real, and > 0 (never converts it)."""
+def require_real(name, value, low=-math.inf, high=math.inf, error=ConfigInvalid):
+    """Raise ConfigInvalid unless value is a real, not a bool, and error unless
+    it is finite and in the open interval (low, high) (never converts it); an
+    int too large for a float is not finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigInvalid(f"{name} must be a real, got {value!r}")
-    if not (abs(value) <= sys.float_info.max and value > 0):
-        raise error(f"{name} must be positive and finite, got {value!r}")
+    if not (abs(value) <= sys.float_info.max and low < value < high):
+        raise error(f"{name} must be a finite real in ({low}, {high}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -291,9 +284,9 @@ class ModelParams:
         if self.phi not in _PHI_KINDS:
             raise DimensionMismatch(f"unknown exogenous drift {self.phi!r}")
         for name in ("alpha", "beta", "lambda1", "lambda2", "T"):
-            require_positive(name, getattr(self, name), NonPositiveWeight)
+            require_real(name, getattr(self, name), 0.0, error=NonPositiveWeight)
         for name in ("K", "k_theta"):
-            require_positive(name, getattr(self, name), BoundViolation)
+            require_real(name, getattr(self, name), 0.0, error=BoundViolation)
         if self.activation.kind not in ("zero", "constant") and self.dims.m != 2:
             raise DimensionMismatch("the scalar-nonlinearity drift family uses m=2 control weights")
         if self.activation.z_weight != 0.0 and self.dims.q == 0:

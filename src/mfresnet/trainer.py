@@ -15,8 +15,7 @@ import numpy as np
 from .errors import NoDescentProgress, NonPositiveWeight
 from .fpk import check_band, solve_tridiagonal
 from .objective import CostBreakdown, evaluate_JN
-from .params import (ControlGrid, ModelParams, SampleBatch, project_to_box, require_int,
-                     require_positive, require_real)
+from .params import ControlGrid, ModelParams, SampleBatch, project_to_box, require_int
 from .rng import split_seed
 from .sde import (
     ParticleEnsemble,
@@ -28,32 +27,25 @@ from .sde import (
 )
 
 
+# The line search: each starts at FIRST_STEP and shrinks it by SHRINK until a
+# candidate meets Armijo's condition with constant ARMIJO_C, and ends as
+# NoDescentProgress once the step is below STEP_FLOOR, so one search makes at
+# most 47 candidates (0.5**47 < 1e-14); a problem stops at gradient norm GRAD_TOL.
+FIRST_STEP, SHRINK, ARMIJO_C, GRAD_TOL, STEP_FLOOR = 1.0, 0.5, 1e-4, 1e-6, 1e-14
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_intervals: int = 32
     max_iters: int = 200
-    step_size: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    grad_tol: float = 1e-6
     replications: int = 1
-    fd_epsilon: float = 1e-5
-    step_floor: float = 1e-14
 
     def __post_init__(self):
-        require_positive("train.step_size", self.step_size, NonPositiveWeight)
-        require_positive("train.grad_tol", self.grad_tol, NonPositiveWeight)
         require_int("train.replications", self.replications, None)
         if self.replications < 1:
             raise NonPositiveWeight(f"train.replications must be >= 1, got {self.replications!r}")
-        require_positive("train.shrink", self.shrink, NonPositiveWeight)
-        if self.shrink >= 1.0:
-            raise NonPositiveWeight(f"train.shrink must lie in (0, 1), got {self.shrink!r}")
         require_int("train.n_intervals", self.n_intervals, 1)
         require_int("train.max_iters", self.max_iters, 0)
-        require_real("train.step_floor", self.step_floor, 0.0)
-        require_real("train.fd_epsilon", self.fd_epsilon, 0.0)
-        require_real("train.armijo_c", self.armijo_c, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -213,16 +205,16 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
 
     def proceeds(b):
         """Start problem b's next line search, unless it has stopped."""
-        if len(history[b]) > cfg.max_iters or gnorm[b] < cfg.grad_tol:
+        if len(history[b]) > cfg.max_iters or gnorm[b] < GRAD_TOL:
             return False
         direction[b] = solve_tridiagonal(band, grad[b])
-        step[b] = cfg.step_size
+        step[b] = FIRST_STEP
         return True
 
     active = [b for b in range(len(seeds)) if proceeds(b)]
     while active:
         for b in active:
-            if step[b] < cfg.step_floor:
+            if step[b] < STEP_FLOOR:
                 raise NoDescentProgress(f"line search floor reached at grad_norm={gnorm[b]:.3e}",
                                         seed=seeds[b], iteration=len(history[b]) - 1)
         rows = slice(None) if len(active) == len(seeds) else problem_rows(active, n)
@@ -234,10 +226,10 @@ def train(p: ModelParams, samples, type_vector, cfg: TrainConfig, seed) -> Train
         accepted = []
         for i, b in enumerate(active):
             move = cand.values[i] - values[b]
-            if cand_vals[i].total <= history[b][-1].total + cfg.armijo_c * float(np.sum(grad[b] * move)):
+            if cand_vals[i].total <= history[b][-1].total + ARMIJO_C * float(np.sum(grad[b] * move)):
                 accepted.append(i)
             else:
-                step[b] *= cfg.shrink
+                step[b] *= SHRINK
         if accepted:
             new_grad = _mean_gradient([ens.problems(accepted) for ens in ensembles], p)
             for i, g in zip(accepted, new_grad):

@@ -54,7 +54,7 @@ def test_criterion_1_gradient_matches_finite_differences():
     nonlinearities, couplings, grids and noise levels all varied)."""
     worst = 0.0
     for case in range(20):
-        rel, _, _, _ = gradcheck_case_error(case, 987, fd_epsilon=1e-5)
+        rel, _, _, _ = gradcheck_case_error(case, 987)
         worst = max(worst, rel)
     assert worst <= 1e-4
     _pass(f"criterion 1: worst gradient relative error {worst:.3e} <= 1e-4 over 20 configs")

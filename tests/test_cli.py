@@ -187,7 +187,7 @@ def test_a_bad_numeric_field_is_refused_by_name(path, value):
     field of the default config either builds a config or ends as an
     MfresnetError whose message names the field: never as a bare TypeError
     from comparing the value with a bound."""
-    assert len(NUMERIC_FIELDS) == 37
+    assert len(NUMERIC_FIELDS) == 31
     data = ExperimentConfig().to_dict()
     _leaf(data, path[:-1])[path[-1]] = value
     try:
@@ -332,15 +332,13 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"seed": "abc"}, "ConfigInvalid"),
         ("train", {"train": {"n_intervals": "8"}}, "ConfigInvalid"),
         ("gradcheck", {"workers": "2"}, "ConfigInvalid"),
-        ("train", {"n_particles": 20, "train": {"n_intervals": 4, "shrink": 1.0, "step_size": 1e9}},
-         "NonPositiveWeight"),
         ("solve-limit", {"fixed_point": {"mc_paths": 0}}, "NonPositiveWeight"),
         ("solve-limit", {"fixed_point": {"damping": 0}}, "NonPositiveWeight"),
         ("solve-limit", {"fixed_point": {"damping": 1.5}}, "NonPositiveWeight"),
         ("train", {"train": {"max_iters": "5"}}, "ConfigInvalid"),
         ("train", {"train": {"n_intervals": 2.5}}, "ConfigInvalid"),
         ("solve-limit", {"fixed_point": {"outer_iters": "3"}}, "ConfigInvalid"),
-        ("train", {"train": {"step_floor": "a"}}, "ConfigInvalid"),
+        ("train", {"train": {"step_floor": "a"}}, "unexpected keyword argument 'step_floor'"),
         ("solve-limit", {"fixed_point": {"n_intervals": -5}}, "ConfigInvalid"),
         ("diagnose-fpk", {"phi_radius": "x"}, "ConfigInvalid"),
         # radii whose squares overflow, or round to zero
@@ -351,7 +349,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("simulate", {"n_particles": 10**400}, "ConfigInvalid: n_particles"),
         ("simulate", {"model": dict(_default_section("model"), dims={"d": 10**400})}, "ConfigInvalid: dims.d"),
         ("train", {"model": dict(_default_section("model"), alpha=10**400)}, "NonPositiveWeight: alpha"),
-        ("train", {"train": {"armijo_c": "a"}}, "ConfigInvalid"),
+        ("train", {"train": {"armijo_c": "a"}}, "unexpected keyword argument 'armijo_c'"),
         ("simulate", {"model": eta_weight}, "ConfigInvalid"),
         # booleans are not numbers here
         ("simulate", {"n_particles": True}, "ConfigInvalid"),
@@ -363,18 +361,18 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("solve-limit", {"fixed_point": {"damping": True}}, "ConfigInvalid"),
         ("simulate", {"dump_trajectories": "no"}, "ConfigInvalid"),
         # a value of the wrong type, checked before any bound is compared with it
-        ("train", {"train": {"shrink": "0.5"}}, "ConfigInvalid: train.shrink"),
+        ("train", {"train": {"shrink": "0.5"}}, "unexpected keyword argument 'shrink'"),
         ("train", {"train": {"replications": "2"}}, "ConfigInvalid: train.replications"),
         ("solve-limit", {"fixed_point": {"mc_paths": "9"}}, "ConfigInvalid: fixed_point.mc_paths"),
-        ("train", {"train": {"shrink": None}}, "ConfigInvalid: train.shrink"),
+        ("train", {"train": {"shrink": None}}, "unexpected keyword argument 'shrink'"),
         ("train", {"train": {"replications": None}}, "ConfigInvalid: train.replications"),
         ("solve-limit", {"fixed_point": {"mc_paths": None}}, "ConfigInvalid: fixed_point.mc_paths"),
         # an output directory that is not a non-empty path
         ("simulate", {"out": 5}, "ConfigInvalid"),
         ("simulate", {"out": ""}, "ConfigInvalid"),
         # JSON NaN, which every comparison with a bound lets through
-        ("train", {"train": {"step_size": math.nan}}, "NonPositiveWeight"),
-        ("train", {"train": {"grad_tol": math.nan}}, "NonPositiveWeight"),
+        ("train", {"train": {"step_size": math.nan}}, "unexpected keyword argument 'step_size'"),
+        ("train", {"train": {"grad_tol": math.nan}}, "unexpected keyword argument 'grad_tol'"),
         ("solve-limit", {"fixed_point": {"damping": math.nan}}, "NonPositiveWeight"),
         ("simulate", {"model": dict(_default_section("model"), K=math.nan)}, "BoundViolation"),
         ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
@@ -388,6 +386,13 @@ def test_main_reports_domain_errors(tmp_path, capsys):
          "unexpected keyword argument 'seed'"),
         ("solve-limit", {"fixed_point": {"seed": 5}}, "unexpected keyword argument 'seed'"),
         ("solve-limit", {"fixed_point": {"seed": 0}}, "unexpected keyword argument 'seed'"),
+        # the retired line-search settings are unknown keys, among them a shrink and a first step that made
+        # a search of millions of candidates
+        ("train", {"train": {"shrink": 0.999999}},
+         "ConfigInvalid: malformed config: TypeError: TrainConfig.__init__() got an unexpected keyword argument 'shrink'"),
+        ("train", {"train": {"step_size": 1e300}},
+         "ConfigInvalid: malformed config: TypeError: TrainConfig.__init__() got an unexpected keyword argument "
+         "'step_size'"),
         # a model outside the limit problem, refused before the fixed point draws its paths
         ("solve-limit", coupled, "ScalarConfigRequired"),
         ("gamma", coupled, "ScalarConfigRequired"),

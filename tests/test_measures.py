@@ -137,9 +137,10 @@ def _rich_phi():
 
 
 def test_test_function_degree_cap():
-    """A term takes at most two axes, each an integer, not a bool, in [0, d+q);
-    anything else is refused naming the term, -1 too, which numpy would index."""
-    for term in ((1.0, 0, 0, 1), (1.0, 2), (1.0, -1), (1.0, 0.5), (1.0, True)):
+    """A term is a real coefficient, not a bool, and at most two axes, each an
+    integer, not a bool, in [0, d+q); anything else is refused naming the term,
+    -1 too, which numpy would index."""
+    for term in ((1.0, 0, 0, 1), (1.0, 2), (1.0, -1), (1.0, 0.5), (1.0, True), (), ("a", 0), (True, 0)):
         with pytest.raises(SizeMismatch, match=re.escape(repr(term))):
             TestFunction(terms=(term,), d=1, q=1)
 

@@ -74,12 +74,8 @@ def _setup(p, law, n, n_steps, seed):
 
 def test_train_config_validation():
     with pytest.raises(NonPositiveWeight):
-        TrainConfig(step_size=0.0)
-    with pytest.raises(NonPositiveWeight):
         TrainConfig(replications=0)
-    for bad in ({"max_iters": "5"}, {"max_iters": -1}, {"n_intervals": 2.5}, {"replications": 1.5},
-                {"step_floor": "a"}, {"step_floor": 0.0}, {"fd_epsilon": float("inf")},
-                {"armijo_c": "a"}, {"armijo_c": 0.0}, {"armijo_c": 1.0}, {"armijo_c": float("nan")}):
+    for bad in ({"max_iters": "5"}, {"max_iters": -1}, {"n_intervals": 2.5}, {"replications": 1.5}):
         with pytest.raises(ConfigInvalid):
             TrainConfig(**bad)
     TrainConfig(max_iters=0)
@@ -218,12 +214,13 @@ def test_accepted_candidate_gives_the_final_value_and_gradient(scalar_params, sc
     assert float(np.linalg.norm(grad)) == result.grad_norm_final
 
 
-def test_batch_training_matches_each_problem_alone(coupled_params, coupled_law):
+def test_batch_training_matches_each_problem_alone(coupled_params, coupled_law, monkeypatch):
     """Training B problems as one batch gives each problem the bytes of its own
     run, although they stop at different iterations: each keeps its own
     samples, noise, batch statistic, line search and stop."""
     p = coupled_params
-    cfg = TrainConfig(n_intervals=8, max_iters=12, replications=2, grad_tol=0.05)
+    monkeypatch.setattr(trainer, "GRAD_TOL", 0.05)
+    cfg = TrainConfig(n_intervals=8, max_iters=12, replications=2)
     draws = [coupled_law.sample(6, s) for s in (3, 4, 5)]
     seeds = [103, 104, 105]
     alone = [train(p, samples, types, cfg, seed) for (samples, types), seed in zip(draws, seeds)]
@@ -235,18 +232,37 @@ def test_batch_training_matches_each_problem_alone(coupled_params, coupled_law):
         assert batch.grad_norm_final[b] == r.grad_norm_final
 
 
-def test_line_search_floor_names_the_problem(scalar_params):
+def test_line_search_floor_names_the_problem(scalar_params, monkeypatch):
     """NoDescentProgress names the seed and iteration of the problem whose
     line search failed; a problem that starts stationary never searches."""
     quiet = TypeVector(epsilon=np.array([[0.0]]), gamma=np.zeros(0), sigma=np.zeros((0, 1)))
     at_label, off_label = dirac_law([1.0], [1.0], quiet), dirac_law([1.0], [0.0], quiet)
-    cfg = TrainConfig(n_intervals=8, step_size=1e-15)
+    monkeypatch.setattr(trainer, "FIRST_STEP", 1e-15)
+    cfg = TrainConfig(n_intervals=8)
     samples = SampleBatch.stack([at_label.sample(4, 0)[0], off_label.sample(4, 0)[0]])
     with pytest.raises(NoDescentProgress) as batch:
         train(scalar_params, samples, quiet, cfg, [21, 22])
     with pytest.raises(NoDescentProgress) as alone:
         train(scalar_params, *off_label.sample(4, 0), cfg, 22)
     assert (batch.value.seed, batch.value.iteration) == (alone.value.seed, alone.value.iteration) == (22, 0)
+
+
+def test_a_line_search_makes_at_most_47_candidates(scalar_params, scalar_law, monkeypatch):
+    """A search whose candidates are never accepted ends as NoDescentProgress
+    after 47 of them, steps 1, 0.5, ..., 0.5**46, the last that is not below
+    the floor 1e-14: 1 + 47 simulations in all."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simulate_particles(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "simulate_particles", counted)
+    monkeypatch.setattr(trainer, "ARMIJO_C", 1e9)
+    with pytest.raises(NoDescentProgress) as exc:
+        train(scalar_params, *scalar_law.sample(8, 0), TrainConfig(n_intervals=8), 5)
+    assert (exc.value.seed, exc.value.iteration) == (5, 0)
+    assert len(calls) == 1 + 47
 
 
 def _batched_ensemble(p, law, n, seeds, n_steps):
