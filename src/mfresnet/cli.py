@@ -170,7 +170,7 @@ def _trajectory_lines(ens):
     """One row per (t, particle), as csv.writer writes them: no field needs quoting, CRLF line ends."""
     yield ",".join(["t", "particle_id"] + [f"x{j}" for j in range(ens.X.shape[2])]
                    + [f"z{j}" for j in range(ens.Z.shape[2])]) + "\r\n"
-    for k, t in enumerate(ens.t_grid):
+    for k, t in enumerate(ens.theta.t_grid):
         for i in range(ens.n_particles):
             yield ",".join([repr(float(t)), str(i)] + [repr(float(v)) for v in (*ens.X[i, k], *ens.Z[i, k])]) + "\r\n"
 
@@ -438,7 +438,8 @@ def run_gradcheck(cfg: ExperimentConfig, units):
     }
     summary = [f"gradcheck over {len(rows)} configurations, worst relative error {worst!r}"]
     if worst > 1e-3:
-        raise GradCheckFailed(f"worst relative error {worst:.3e} exceeds 1e-3")
+        case, case_seed = next(row[:2] for row in rows if row[4] == worst)
+        raise GradCheckFailed(f"worst relative error {worst:.3e} exceeds 1e-3", case=case, case_seed=case_seed)
     return outputs, summary, {"worst": worst, "rows": rows}
 
 

@@ -69,7 +69,12 @@ class SizeMismatch(MfresnetError):
 
 
 class GradCheckFailed(MfresnetError):
-    """The derivative check suite exceeded its error budget."""
+    """The derivative check suite exceeded its error budget; carries the case
+    with the worst error and its seed, from which it can be run again."""
+
+    def __init__(self, message, *, case, case_seed):
+        super().__init__(f"{message} (case {case}, case_seed {case_seed})")
+        self.case, self.case_seed = case, case_seed
 
 
 class WorkerLost(MfresnetError):

@@ -47,10 +47,10 @@ def evaluate_JN(ensemble: ParticleEnsemble, p: ModelParams):
     Terminal and running state costs average over each problem's particles;
     the running integral uses the trapezoid rule on the simulation grid.
     """
-    sq = _squared_error(ensemble).reshape(ensemble.n_problems, ensemble.n_particles, -1)
+    sq = _squared_error(ensemble).reshape(ensemble.theta.n_problems, ensemble.n_particles, -1)
     sq = np.mean(sq, axis=1)                             # (B, S+1)
     terminal = p.alpha * sq[:, -1]
-    running = p.beta * np.trapezoid(sq, ensemble.t_grid, axis=-1)
+    running = p.beta * np.trapezoid(sq, ensemble.theta.t_grid, axis=-1)
     l2_cost, h1_cost = control_costs(ensemble.theta, p)
     costs = [CostBreakdown.from_parts(*parts)
              for parts in zip(terminal, running, np.ravel(l2_cost), np.ravel(h1_cost))]
@@ -67,7 +67,7 @@ def evaluate_Jd(theta: ControlGrid, p: ModelParams, law: InitialLaw, n_paths, se
     samples, type_vector = law.sample(n_paths, seed)
     ens = simulate_particles(p, theta, samples, type_vector, theta.n_intervals, seed)
     sq = _squared_error(ens)                             # (M, S+1)
-    per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, ens.t_grid, axis=1)
+    per_path = p.alpha * sq[:, -1] + p.beta * np.trapezoid(sq, theta.t_grid, axis=1)
     l2_cost, h1_cost = control_costs(theta, p)
     estimate = float(np.mean(per_path) + l2_cost + h1_cost)
     std_error = float(np.std(per_path, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

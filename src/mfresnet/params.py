@@ -93,7 +93,7 @@ class TypeVector:
         object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
         sig = np.asarray(self.sigma, dtype=float)
         if sig.ndim < 2:
-            sig = sig.reshape((-1, 1)) if sig.size else sig.reshape((0, 1))
+            sig = sig.reshape((-1, 1))
         object.__setattr__(self, "sigma", sig)
 
     @property
@@ -149,9 +149,7 @@ class ActivationSpec:
         if self.kind == "gaussian":
             with np.errstate(over="ignore"):   # u * u is inf above |u| ~ 1.3e154, and g then 0
                 return np.exp(-u * u)
-        if self.kind == "affine":
-            return u
-        raise AssertionError(self.kind)
+        return u
 
     def _g_prime(self, u):
         g = self._g(u)
@@ -371,8 +369,7 @@ class InitialLaw:
 
     @classmethod
     def uniform(cls, x_low, x_high, y_low, y_high, type_vector, z_low=(), z_high=()):
-        return cls("uniform", x_low, x_high, y_low, y_high, np.asarray(z_low, dtype=float),
-                   np.asarray(z_high, dtype=float), type_vector)
+        return cls("uniform", x_low, x_high, y_low, y_high, z_low, z_high, type_vector)
 
     def sample(self, n, seed):
         """Draw n samples deterministically from seed; returns (SampleBatch, type vector)."""

@@ -47,29 +47,13 @@ class ParticleEnsemble:
     type_vector: TypeVector   # shared by every particle of every problem
 
     @property
-    def n_problems(self):
-        return self.theta.n_problems
-
-    @property
     def n_particles(self):
         """Particles per problem."""
-        return self.X.shape[0] // self.n_problems
-
-    @property
-    def n_steps(self):
-        return self.X.shape[1] - 1
-
-    @property
-    def t_grid(self):
-        return self.theta.t_grid
-
-    @property
-    def dt(self):
-        return self.theta.dt
+        return self.X.shape[0] // self.theta.n_problems
 
     def problems(self, idx):
         """The batch of problems idx (increasing indices) of a batched ensemble, gathered along the buffers' row axis."""
-        if len(idx) == self.n_problems:
+        if len(idx) == self.theta.n_problems:
             return self
         rows = problem_rows(idx, self.n_particles)
         X, Z = (np.take(a.transpose(1, 2, 0), rows, axis=-1).transpose(2, 0, 1) for a in (self.X, self.Z))
@@ -297,8 +281,8 @@ def simulate_augmented(p: ModelParams, theta: ControlGrid, init_draws, n_steps, 
     dfdx, dtheta_f, _ = p.activation.drift_partials(theta.values.T, None, x3, 0.0)
     X1 = np.zeros_like(x3)
     X2 = np.zeros_like(x3)
-    np.cumsum(dfdx[:, :-1] * ens.dt, axis=1, out=X1[:, 1:])
-    np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * ens.dt, axis=1, out=X2[:, 1:])
+    np.cumsum(dfdx[:, :-1] * theta.dt, axis=1, out=X1[:, 1:])
+    np.cumsum(np.exp(X1[:, :-1]) * (x3[:, :-1] - ens.y0[:, :1]) * theta.dt, axis=1, out=X2[:, 1:])
     if not (np.isfinite(X1).all() and np.isfinite(X2).all()):
         raise _diverged([seed], X1, X2)
     return ens, X1, X2, dtheta_f

@@ -82,18 +82,18 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     other particle of its problem) when the drift reads it, chained into the
     terminal, running and control costs.
     """
-    b, n, s = ensemble.n_problems, ensemble.n_particles, ensemble.n_steps
-    dt = ensemble.dt
-    w = _trapezoid_weights(ensemble.t_grid)
+    theta = ensemble.theta
+    b, n, s, dt = theta.n_problems, ensemble.n_particles, theta.n_intervals, theta.dt
+    w = _trapezoid_weights(theta.t_grid)
     # node-major (S+1, B, N, .) copies of the ensemble's paths (at d = 1, views of its buffers):
     # the gradient's einsum groups its sum by layout
     X = np.ascontiguousarray(np.moveaxis(ensemble.X.reshape(b, n, s + 1, -1), 2, 0))
     Z = np.ascontiguousarray(np.moveaxis(ensemble.Z.reshape(b, n, s + 1, -1), 2, 0))
     err = X - ensemble.y0.reshape(b, n, -1)
     eta = None if ensemble.eta is None else ensemble.eta.reshape(b, s + 1).T[:, :, None, None]
-    values = ensemble.theta.values.reshape(b, s + 1, -1)
+    values = theta.values.reshape(b, s + 1, -1)
     # weight j at every node, (m, S+1, B, 1, 1): a block of nodes is a slice
-    weights = np.moveaxis(control_nodes(ensemble.theta), 1, 0)
+    weights = np.moveaxis(control_nodes(theta), 1, 0)
     act = p.activation
     per_block = max(1, _BLOCK_ROWS // (b * n))
 
@@ -118,7 +118,7 @@ def _adjoint_gradient(ensemble: ParticleEnsemble, p: ModelParams) -> np.ndarray:
     dthe = np.diff(values, axis=1) / dt
     grad[:, :-1] -= 2.0 * p.lambda2 * dthe
     grad[:, 1:] += 2.0 * p.lambda2 * dthe
-    return grad.reshape(ensemble.theta.values.shape)
+    return grad.reshape(theta.values.shape)
 
 
 def _replicate(p, theta, samples, type_vector, seeds, noises):

@@ -44,7 +44,7 @@ def streamed(ens, p):
     (node_drifts), each transposed to coordinate-major, for k = 0..S, with
     the ensemble's control and type vector."""
     nodes = ((ens.X[:, k].T, ens.Z[:, k].T, *(a.T for a in node_drifts(ens, p, k)))
-             for k in range(ens.n_steps + 1))
+             for k in range(ens.theta.n_intervals + 1))
     return ParticleStream(ens.theta, ens.type_vector, ens.n_particles, nodes)
 
 

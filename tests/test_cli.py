@@ -43,8 +43,8 @@ from mfresnet.cli import (
     run_experiment,
     spearman_negative_p,
 )
-from mfresnet.errors import (BoundViolation, ConfigInvalid, DimensionMismatch, Diverged, MfresnetError, NoConvergence,
-                             NoDescentProgress, WorkerLost)
+from mfresnet.errors import (BoundViolation, ConfigInvalid, DimensionMismatch, Diverged, GradCheckFailed, MfresnetError,
+                             NoConvergence, NoDescentProgress, WorkerLost)
 from mfresnet.fpk import check_band
 from mfresnet.rng import split_seed
 
@@ -246,14 +246,14 @@ def test_dump_trajectories_roundtrip(tmp_path, coupled_params, coupled_law):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 * 3
     for row in rows:
-        k = int(round(float(row["t"]) / ens.dt))
+        k = int(round(float(row["t"]) / ens.theta.dt))
         i = int(row["particle_id"])
         assert float(row["x0"]) == ens.X[i, k, 0]
         assert float(row["z1"]) == ens.Z[i, k, 1]
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["t", "particle_id", "x0", "x1", "z0", "z1"])
-    for k, t in enumerate(ens.t_grid):
+    for k, t in enumerate(ens.theta.t_grid):
         for i in range(ens.n_particles):
             writer.writerow([repr(float(t)), i] + [repr(float(v)) for v in ens.X[i, k]]
                             + [repr(float(v)) for v in ens.Z[i, k]])
@@ -323,6 +323,10 @@ def test_main_reports_domain_errors(tmp_path, capsys):
                       activation=dict(_default_section("model")["activation"], eta_weight="a"))
     law = _default_section("initial_law")
     type_vector = dict(law, type_vector=dict(law["type_vector"], foo=1))
+    model = _default_section("model")
+
+    def with_type(**entries):
+        return {"initial_law": dict(law, type_vector=dict(law["type_vector"], **entries))}
     coupled = dict(json.loads((ROOT / "scripts/coupled_simulation.json").read_text()),
                    fixed_point={"mc_paths": 400000})
     malformed = [
@@ -378,6 +382,20 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         ("train", {"model": dict(_default_section("model"), k_theta=math.nan)}, "BoundViolation"),
         # an unknown key inside the type vector
         ("simulate", {"initial_law": type_vector}, "ConfigInvalid"),
+        # an unknown kind, a control width or a type vector that does not fit the model, and a model that is not
+        # a JSON object
+        ("simulate", {"model": dict(model, activation=dict(model["activation"], kind="relu"))},
+         "DimensionMismatch: unknown activation kind"),
+        ("simulate", {"model": dict(model, rho="max")}, "DimensionMismatch: unknown batch function"),
+        ("simulate", {"model": dict(model, phi="grow")}, "DimensionMismatch: unknown exogenous drift"),
+        ("simulate", {"model": dict(model, dims=dict(model["dims"], m=3))},
+         "DimensionMismatch: the scalar-nonlinearity drift family uses m=2"),
+        ("simulate", with_type(epsilon=[[0.3, 0.3]]), "DimensionMismatch: epsilon must be (d, p)"),
+        ("simulate", with_type(gamma=[0.5]), "DimensionMismatch: gamma must be (l,)"),
+        ("simulate", with_type(sigma=[[0.1]]), "DimensionMismatch: sigma must be (q, p)"),
+        ("simulate", with_type(epsilon=[[math.nan]]), "BoundViolation: type vector entries must be finite"),
+        ("simulate", {"initial_law": dict(law, kind="normal")}, "ConfigInvalid: unknown initial law kind"),
+        ("simulate", {"model": None}, "ConfigInvalid: ModelParams needs a JSON object"),
         # the retired fixed-point seed and seed policy are unknown keys, at the values once accepted too
         ("solve-limit", {"fixed_point": {"seed_policy": "bogus"}}, "unexpected keyword argument 'seed_policy'"),
         ("solve-limit", {"fixed_point": {"seed_policy": "refresh"}}, "unexpected keyword argument 'seed_policy'"),
@@ -429,6 +447,7 @@ def test_main_reports_domain_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, (command, bad)
         assert error in err and "Traceback" not in err, (command, bad, err)
+        assert err.count("\n") == 1, (command, bad, err)
     # gamma reads no fixed_point.n_intervals and takes no boundary derivative, so one interval is valid there
     _plan("gamma", ExperimentConfig.from_dict({"fixed_point": {"n_intervals": 1}, "train": {"n_intervals": 1}}))
     # damping 1 is the undamped map, and valid
@@ -511,6 +530,25 @@ def test_cost_bound_refuses_only_tables_over_the_budget():
     with pytest.raises(ConfigInvalid, match=r"^fixed_point.mc_paths = .* on train.n_intervals = 10000"):
         _plan("gamma", ExperimentConfig.from_dict({"train": {"n_intervals": 10000},
                                                    "fixed_point": {"mc_paths": 20000}}))
+
+
+@pytest.mark.parametrize("kind, bad, field", [
+    ("simulate", {"n_steps": 10**12}, "n_steps"),
+    ("diagnose-fpk", {"n_steps": 10**12}, "n_steps"),
+    ("train", {"train": {"n_intervals": 10**12}}, "train.n_intervals"),
+    ("gamma", {"train": {"n_intervals": 10**12}}, "train.n_intervals"),
+    ("solve-limit", {"fixed_point": {"n_intervals": 10**12}}, "fixed_point.n_intervals"),
+    ("gamma", {"n_draws": 10**12}, "n_draws"),
+    ("diagnose-fpk", {"n_list": [5, 10**12]}, "n_list"),
+    ("simulate", {"n_particles": 10**12}, "n_particles"),
+])
+def test_plan_builds_nothing_sized_by_the_config(kind, bad, field):
+    """The plan refuses a grid or a path count of 10**12 as ConfigInvalid
+    naming its field, before it builds anything of that size: a unit
+    argument sized by the config (a reference control on n_steps, say)
+    would end in MemoryError instead."""
+    with pytest.raises(ConfigInvalid, match=rf"(^|on ){re.escape(field)}\b"):
+        _plan(kind, ExperimentConfig.from_dict(bad))
 
 
 def test_cost_bound_reads_only_the_tables_of_its_command():
@@ -611,12 +649,13 @@ def _deadline(seconds):
 
 
 def test_numerical_errors_survive_a_pickle_round_trip():
-    """Diverged, NoDescentProgress and NoConvergence rebuild from their
+    """Diverged, NoDescentProgress, NoConvergence and GradCheckFailed rebuild from their
     pickle with their message and fields, so that an error raised in a worker
     process reaches the parent."""
     for exc in (Diverged("paths diverged", seed=3, step=4, particle=5),
                 NoDescentProgress("no descent", seed=[3, 8], iteration=7),
-                NoConvergence("no convergence", [0.5, 0.25])):
+                NoConvergence("no convergence", [0.5, 0.25]),
+                GradCheckFailed("over budget", case=15, case_seed=2526832195972704490)):
         again = pickle.loads(pickle.dumps(exc))
         assert type(again) is type(exc) and again.args == exc.args and vars(again) == vars(exc), exc
         assert str(again) == str(exc)
@@ -1010,6 +1049,22 @@ def test_gradcheck_cli(tmp_path, capsys):
     assert len(rows) == 22
     worst = max(float(r.split(",")[-1]) for r in rows[2:])
     assert worst < 1e-6
+
+
+def test_gradcheck_failure_names_its_worst_case(tmp_path, capsys, monkeypatch):
+    """A gradcheck over its error budget exits 1 with one stderr line that
+    names the case with the worst error and its case_seed, from which
+    gradcheck_case_error gives that error again; it writes no CSV."""
+    monkeypatch.setattr(cli, "GRADCHECK_STEP", 0.5)
+    code = main(["gradcheck", "--out", str(tmp_path / "gc"), "--seed", "11"])
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"GradCheckFailed: worst relative error (\S+) exceeds 1e-3 "
+                         r"\(case (\d+), case_seed (\d+)\)\n", err)
+    assert code == 1 and found, err
+    errors = [gradcheck_case_error(c, 11) for c in range(20)]
+    case = max(range(20), key=lambda c: errors[c][0])
+    assert int(found[2]) == case and int(found[3]) == errors[case][3] and found[1] == f"{errors[case][0]:.3e}"
+    assert not (tmp_path / "gc" / "gradcheck.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -57,7 +57,7 @@ def _case(d, q, diffuses):
 
 
 def _assert_node_slabs(ens):
-    for k in range(ens.n_steps + 1):
+    for k in range(ens.theta.n_intervals + 1):
         assert ens.X[:, k].T.flags.c_contiguous and ens.Z[:, k].T.flags.c_contiguous, k
 
 
@@ -114,3 +114,11 @@ def test_noise_of_another_shape_is_refused():
         simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5, noise=table)
     ens = simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5, noise=table.transpose(1, 2, 0))
     assert ens.X.tobytes() == simulate_particles(p, theta, samples, law.type_vector, N_STEPS, 5).X.tobytes()
+
+
+def test_seeds_of_another_count_are_refused():
+    """One control is one problem: two seeds for it end as DimensionMismatch."""
+    p, law, values = _case(2, 2, True)
+    samples = law.sample(6, 5)[0]
+    with pytest.raises(DimensionMismatch, match="1 problems need one seed each"):
+        simulate_particles(p, ControlGrid(p.T, values[0]), samples, law.type_vector, N_STEPS, [1, 2])

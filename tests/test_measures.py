@@ -167,13 +167,16 @@ def test_diagnose_test_function_is_pinned(request, params, law):
         assert np.array_equal(dv[key], np.broadcast_to(hess[rows, cols], dv[key].shape)), key
 
 
-@pytest.mark.parametrize("r_plateau", [1e200, 1e-320])
-def test_test_function_refuses_radii_whose_squares_overflow_or_vanish(r_plateau):
+@pytest.mark.parametrize("r_plateau, r_support", [pytest.param(1e200, 2e200, id="1e+200"),
+                                                   pytest.param(1e-320, 2e-320, id="1e-320"), (2.0, 1.0), (1.0, 1.0)])
+def test_test_function_refuses_radii_whose_squares_overflow_or_vanish(r_plateau, r_support):
     """r_support**2 - r_plateau**2 is nan for huge radii (where ** raises
-    OverflowError) and 0 for tiny ones (where the residual would be 0)."""
-    with pytest.raises(SizeMismatch):
+    OverflowError) and 0 for tiny ones (where the residual would be 0); a
+    plateau that does not lie inside the support is refused as such."""
+    match = "need 0 < r_plateau < r_support" if r_plateau >= r_support else None
+    with pytest.raises(SizeMismatch, match=match):
         TestFunction(terms=((1.0, 0),), d=1, q=0,
-                     r_plateau=r_plateau, r_support=2.0 * r_plateau)
+                     r_plateau=r_plateau, r_support=r_support)
 
 
 @pytest.mark.parametrize("point", [
@@ -421,7 +424,7 @@ def test_generator_cross_term_matches_ito_expansion():
     theta = ControlGrid.zeros(p.T, 1)
     ens = simulate_particles(p, theta, samples, types, 1, 12)
     inc = ens.X[:, 1, 0] * ens.Z[:, 1, 0] - ens.X[:, 0, 0] * ens.Z[:, 0, 0]
-    dt = ens.dt
+    dt = ens.theta.dt
     se = np.std(inc, ddof=1) / math.sqrt(inc.size)
     assert abs(np.mean(inc) - eps * sig * dt) < 4.0 * se
 
@@ -530,7 +533,7 @@ def test_residual_bytes_are_pinned_across_dimensions(d, q, r_plateau, r_support,
 
 def _residual_per_node(path, phi, p):
     """The residual path from one derivative table per node."""
-    t_grid = path.t_grid
+    t_grid = path.theta.t_grid
     mean_phi = np.empty(t_grid.size)
     mean_gen = np.empty(t_grid.size)
     for k in range(t_grid.size):
@@ -816,6 +819,6 @@ def test_residual_refuses_a_batched_ensemble(coupled_params, coupled_law):
     theta = ControlGrid.zeros(p.T, 10)
     batch = theta.with_values(np.zeros((2,) + theta.values.shape))
     ens = simulate_particles(p, batch, samples, types, 10, [3, 4])
-    assert (ens.n_problems, ens.n_particles) == (2, 20)
+    assert (ens.theta.n_problems, ens.n_particles) == (2, 20)
     with pytest.raises(DimensionMismatch):
         fpk_residual(streamed(ens, p), _rich_phi(), p)

@@ -56,7 +56,6 @@ def test_ensemble_records_its_control_and_batch_statistic(coupled_params, couple
     theta = ControlGrid.zeros(coupled_params.T, 6)
     ens = simulate_particles(coupled_params, theta, samples, types, 6, 2)
     assert ens.theta is theta
-    assert np.array_equal(ens.t_grid, theta.t_grid) and ens.dt == theta.dt
     expected = [np.mean(coupled_params.rho_value(ens.X[:, k])) for k in range(7)]
     assert np.array_equal(ens.eta, expected)
 
@@ -72,7 +71,7 @@ def test_constant_drift_is_linear_in_time(scalar_params):
     p = dataclasses.replace(scalar_params, activation=ActivationSpec(kind="constant", c=0.5))
     samples = _scalar_batch(1.0)
     ens = simulate_particles(p, ControlGrid.zeros(p.T, 10), samples, _quiet_type(p), 10, 0)
-    assert np.allclose(ens.X[0, :, 0], 1.0 + 0.5 * ens.t_grid)
+    assert np.allclose(ens.X[0, :, 0], 1.0 + 0.5 * ens.theta.t_grid)
 
 
 def test_affine_drift_matches_explicit_recursion(scalar_params):
@@ -230,7 +229,7 @@ def test_state_and_input_share_the_increment(coupled_params, coupled_law):
     n_steps = 6
     theta = ControlGrid.zeros(coupled_params.T, n_steps)
     ens = simulate_particles(coupled_params, theta, samples, types, n_steps, 9)
-    dt = ens.dt
+    dt = ens.theta.dt
     table = noise_table(9, np.arange(3), n_steps, dt, coupled_params.dims.p)
     for k in range(n_steps):
         xk, zk = ens.X[:, k], ens.Z[:, k]

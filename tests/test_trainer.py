@@ -39,10 +39,10 @@ def forward_sensitivity(ensemble, direction, p):
     """
     theta = ensemble.theta
     assert direction.shape == theta.values.shape, "direction must live on the control grid"
-    dt = ensemble.dt
-    n_steps = ensemble.n_steps
+    dt = theta.dt
+    n_steps = theta.n_intervals
     n = ensemble.n_particles
-    w = _trapezoid_weights(ensemble.t_grid)
+    w = _trapezoid_weights(theta.t_grid)
 
     err = ensemble.X - ensemble.y0[:, None, :]
     phi = np.zeros_like(ensemble.X[:, 0])    # (N, d), zero at t=0
